@@ -310,9 +310,9 @@ class CycQ:
         return a.coeffs == b.coeffs
 
     def __hash__(self):
-        if self.is_rational():
-            return hash(self.coeffs[0])
-        return hash((self.conductor, self.coeffs))
+        # the normalized trace Tr/phi(N): unchanged by lift, and a rational itself
+        weights = _trace_weights(self.conductor)
+        return hash(sum(c * w for c, w in zip(self.coeffs, weights) if c))
 
     def __repr__(self):
         if self.is_rational():
@@ -363,6 +363,14 @@ CycQ.one = CycQ(1, (Fraction(1),))
 def _root_powers(n: int) -> tuple[complex, ...]:
     d = euler_phi(n)
     return tuple(cmath.exp(2j * cmath.pi * i / n) for i in range(d))
+
+
+@functools.lru_cache(maxsize=64)
+def _trace_weights(n: int) -> tuple[Fraction, ...]:
+    """Tr(zeta_n^i)/phi(n) for i < phi(n), the trace of multiplying by zeta_n^i."""
+    table = _reduction_table(n)
+    d = len(table[0])
+    return tuple(sum(table[i + k][k] for k in range(d)) / d for i in range(d))
 
 
 def _shift_reduce(coords: list[Fraction], n: int) -> list[Fraction]:

@@ -26,7 +26,7 @@ from .errors import (
 )
 from .modular import TorsionPair
 from .report import CheckReport
-from .series import BiSeries, Puiseux, residue, theta
+from .series import BiSeries, Puiseux, residue_of_product, theta
 
 TWO_PI_I = 2j * cmath.pi
 
@@ -746,7 +746,7 @@ def prop48_check(k: int, m: int, pair: TorsionPair, trunc) -> CheckReport:
     pbar_in_z = BiSeries(-a1, -pbar.max_off, list(reversed(pbar.coeffs)))
     iota1 = iota_inverse_difference(depth + 2, trunc_p, t)
     mono = BiSeries(a1 - m, 0, [Puiseux.constant(1, trunc_p, t)])
-    res1 = residue(iota1 * mono * pbar_in_z)
+    res1 = residue_of_product(iota1 * mono, pbar_in_z)
 
     # second product: -lam * iota_(z1,z)(1/(z-z1)) * z^(j/M - m) * Pbar(w = z1 q/z)
     pbar_q = pbar.scale_coeffs_by_w_power()
@@ -757,7 +757,7 @@ def prop48_check(k: int, m: int, pair: TorsionPair, trunc) -> CheckReport:
         [Puiseux.constant(-1, trunc_p, t) for _ in range(depth + 2)],
     )
     lam = pair.lam
-    res2 = residue(iota2 * mono * pbar_q_in_z).scalar_mul(lam)
+    res2 = residue_of_product(iota2 * mono, pbar_q_in_z).scalar_mul(lam)
 
     qk = qk_series(k, pair, trunc)
     rhs = res1 - res2

@@ -479,22 +479,14 @@ def _embed(c):
 
 # -- residual and inhomogeneous solve -------------------------------------------
 
-def rebranch_log(s: LogQSeries, t: int) -> LogQSeries:
-    """Refine branching to t, rescaling l = log q_(1/T) to log q_(1/t)."""
-    if t == s.T:
-        return s
-    if t % s.T != 0:
-        raise ValueError("branching can only be refined to a multiple")
-    scale = Fraction(t, s.T)
-    return LogQSeries(
-        t, [p.scalar_mul(scale**j) for j, p in enumerate(s.parts)]
-    )
+# the former name of LogQSeries.with_branching; perfbench imports it
+rebranch_log = LogQSeries.with_branching
 
 
 def apply_ode(ode: RegularSingularODE, s: LogQSeries) -> LogQSeries:
     """theta^m s + sum r_i theta^i s; zero to truncation order on solutions."""
     t = lcm(ode.T, s.T)
-    cur = rebranch_log(s, t)
+    cur = s.with_branching(t)
     images = [cur]
     for _ in range(ode.order):
         images.append(images[-1].theta_full())
@@ -517,7 +509,7 @@ def solve_inhomogeneous(ode: RegularSingularODE, f: LogQSeries, trunc) -> LogQSe
     if span < Fraction(1, T):
         raise TruncationTooSmall(f"truncation {span} is below one step 1/{T}")
     steps = math.ceil(span * T)
-    f = rebranch_log(f, lcm(f.T, T))
+    f = f.with_branching(lcm(f.T, T))
     lam = min(p.normalized().lead for p in f.parts if not p.is_zero())
     indicial = indicial_polynomial(ode)
     rtable = _series_coeff_table(ode, steps)

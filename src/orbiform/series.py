@@ -14,9 +14,6 @@ from fractions import Fraction
 from .cyclotomic import CycQ, Rational, lcm
 from .errors import NonInvertibleLeadingTerm, NotConvergent, WindowTooSmall
 
-# convolutions switch to divide-and-conquer above this many terms
-KARATSUBA_THRESHOLD = 2048
-
 
 def _coerce_coeff(v):
     if isinstance(v, (int, Fraction)):
@@ -238,11 +235,8 @@ class Puiseux:
         a, b = self._aligned(other)
         lead = a.lead + b.lead
         trunc = min(a.trunc + b.lead, b.trunc + a.lead)
-        out = Puiseux(a.T, lead, [], trunc)
-        n = len(out.coeffs)
-        conv = _convolve(a.coeffs, b.coeffs, n)
-        out.coeffs = conv[:n] + [CycQ.zero] * max(0, n - len(conv))
-        return out
+        conv = _convolve(a.coeffs, b.coeffs, _nterms(lead, trunc, a.T))
+        return Puiseux(a.T, lead, conv, trunc)
 
     __rmul__ = __mul__
 
@@ -258,16 +252,22 @@ class Puiseux:
             inv0 = a0.inverse()
         else:
             inv0 = 1 / a0
+        # b_k = -inv0 * sum a_i b_(k-i) over the nonzero a_i; a zero b_k is None
+        support = [
+            (i, c) for i, c in enumerate(s.coeffs) if i and not _is_zero_coeff(c)
+        ]
         b = [inv0]
         for k in range(1, n):
             acc = None
-            for i in range(1, k + 1):
-                term = s.coeffs[i] * b[k - i]
-                acc = term if acc is None else acc + term
-            b.append(-(inv0 * acc))
-        lead = -s.lead
-        trunc = s.trunc - 2 * s.lead
-        return Puiseux(s.T, lead, b, trunc)
+            for i, c in support:
+                if i > k:
+                    break
+                if b[k - i] is not None:
+                    term = c * b[k - i]
+                    acc = term if acc is None else acc + term
+            b.append(None if acc is None or _is_zero_coeff(acc) else -(inv0 * acc))
+        b = [CycQ.zero if c is None else c for c in b]
+        return Puiseux(s.T, -s.lead, b, s.trunc - 2 * s.lead)
 
     def __pow__(self, e: int):
         if not isinstance(e, int):
@@ -322,63 +322,23 @@ class Puiseux:
 
 
 def _convolve(a, b, limit=None):
-    """Coefficient convolution, divide-and-conquer above the threshold."""
+    """Coefficient convolution; only pairs of nonzero slots are multiplied."""
     n = len(a) + len(b) - 1 if a and b else 0
     if limit is not None:
         n = min(n, limit)
     if n <= 0:
         return []
-    if min(len(a), len(b)) < KARATSUBA_THRESHOLD:
-        out = [None] * n
-        for i, x in enumerate(a):
-            if _is_zero_coeff(x) or i >= n:
-                continue
-            for j, y in enumerate(b):
-                if i + j >= n:
-                    break
-                if _is_zero_coeff(y):
-                    continue
-                t = x * y
-                out[i + j] = t if out[i + j] is None else out[i + j] + t
-        return [CycQ.zero if c is None else c for c in out]
-    return _karatsuba(list(a), list(b))[:n]
-
-
-def _karatsuba(a, b):
-    if min(len(a), len(b)) < KARATSUBA_THRESHOLD:
-        return _convolve(a, b)
-    m = min(len(a), len(b)) // 2
-    a0, a1 = a[:m], a[m:]
-    b0, b1 = b[:m], b[m:]
-    z0 = _karatsuba(a0, b0)
-    z2 = _karatsuba(a1, b1)
-    s_a = _list_add(a0, a1)
-    s_b = _list_add(b0, b1)
-    z1 = _list_sub(_list_sub(_karatsuba(s_a, s_b), z0), z2)
-    out = [CycQ.zero] * (len(a) + len(b) - 1)
-    for i, c in enumerate(z0):
-        out[i] = out[i] + c
-    for i, c in enumerate(z1):
-        out[i + m] = out[i + m] + c
-    for i, c in enumerate(z2):
-        out[i + 2 * m] = out[i + 2 * m] + c
-    return out
-
-
-def _list_add(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = out[i] + c
-    return out
-
-
-def _list_sub(a, b):
-    out = list(a) + [CycQ.zero] * max(0, len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] = out[i] - c
-    return out
+    support = [(j, y) for j, y in enumerate(b[:n]) if not _is_zero_coeff(y)]
+    out = [None] * n
+    for i, x in enumerate(a[:n]):
+        if _is_zero_coeff(x):
+            continue
+        for j, y in support:
+            if i + j >= n:
+                break
+            t = x * y
+            out[i + j] = t if out[i + j] is None else out[i + j] + t
+    return [CycQ.zero if c is None else c for c in out]
 
 
 # -- the theta derivative -----------------------------------------------------
@@ -412,6 +372,16 @@ class LogQSeries:
     def max_log_power(self) -> int:
         return len(self.parts) - 1
 
+    def with_branching(self, t: int) -> "LogQSeries":
+        """Refine branching to t, rescaling l = log q_(1/T) to log q_(1/t)."""
+        if t == self.T:
+            return self
+        if t % self.T != 0:
+            raise ValueError("branching can only be refined to a multiple")
+        scale = Fraction(t, self.T)
+        parts = [p.scalar_mul(scale**j) for j, p in enumerate(self.parts)]
+        return LogQSeries(t, parts)
+
     def trimmed(self) -> "LogQSeries":
         parts = list(self.parts)
         while len(parts) > 1 and parts[-1].is_zero():
@@ -424,17 +394,16 @@ class LogQSeries:
         if not isinstance(other, LogQSeries):
             return NotImplemented
         t = lcm(self.T, other.T)
-        n = max(len(self.parts), len(other.parts))
-        trunc = min(
-            min(p.trunc for p in self.parts), min(p.trunc for p in other.parts)
-        )
+        a, b = self.with_branching(t), other.with_branching(t)
+        n = max(len(a.parts), len(b.parts))
+        trunc = min(min(p.trunc for p in a.parts), min(p.trunc for p in b.parts))
         parts = []
         for i in range(n):
             p = Puiseux.zero(trunc, t)
-            if i < len(self.parts):
-                p = p + self.parts[i]
-            if i < len(other.parts):
-                p = p + other.parts[i]
+            if i < len(a.parts):
+                p = p + a.parts[i]
+            if i < len(b.parts):
+                p = p + b.parts[i]
             parts.append(p)
         return LogQSeries(t, parts)
 
@@ -483,7 +452,7 @@ class LogQSeries:
 # -- evaluation ----------------------------------------------------------------
 
 def eval_at_tau(s, tau: complex, precision: int = 53) -> EvalResult:
-    """Numeric value on the upper half-plane plus a geometric tail bound."""
+    """Numeric value on the upper half-plane plus a geometric tail estimate."""
     if tau.imag <= 0:
         raise NotConvergent("evaluation requires Im(tau) > 0")
     if isinstance(s, LogQSeries):
@@ -602,17 +571,11 @@ class BiSeries:
 
     def coeff_at_w(self, exponent) -> Puiseux:
         exponent = Fraction(exponent)
-        off = exponent - self.wlead
-        if off.denominator != 1:
+        k = _window_slot(self.wlead, self.min_off, len(self.coeffs), exponent)
+        if k is None:
             p0 = self.coeffs[0]
             return Puiseux.zero(p0.trunc, p0.T)
-        off = int(off)
-        if off < self.min_off or off > self.max_off:
-            raise WindowTooSmall(
-                f"w-exponent {exponent} outside window "
-                f"[{self.wlead + self.min_off}, {self.wlead + self.max_off}]"
-            )
-        return self.coeffs[off - self.min_off]
+        return self.coeffs[k]
 
     def __mul__(self, other):
         if isinstance(other, Puiseux):
@@ -641,6 +604,35 @@ class BiSeries:
         return (
             f"BiSeries(w^{self.wlead}+Z, offsets {self.min_off}..{self.max_off})"
         )
+
+
+def _window_slot(wlead: Fraction, min_off: int, n: int, exponent: Fraction):
+    """Slot of w^exponent in n offsets from min_off; None if off the wlead grid."""
+    off = exponent - wlead
+    if off.denominator != 1:
+        return None
+    k = int(off) - min_off
+    if not 0 <= k < n:
+        raise WindowTooSmall(
+            f"w-exponent {exponent} outside window "
+            f"[{wlead + min_off}, {wlead + min_off + n - 1}]"
+        )
+    return k
+
+
+def residue_of_product(a: BiSeries, b: BiSeries) -> Puiseux:
+    """residue(a * b), forming only the products whose offsets sum to -1."""
+    na, nb = len(a.coeffs), len(b.coeffs)
+    wlead, min_off = a.wlead + b.wlead, a.min_off + b.min_off
+    k = _window_slot(wlead, min_off, na + nb - 1, Fraction(-1))
+    if k is None:
+        p0 = a.coeffs[0] * b.coeffs[0]
+        return Puiseux.zero(p0.trunc, p0.T)
+    acc = None
+    for i in range(max(0, k - nb + 1), min(k, na - 1) + 1):
+        t = a.coeffs[i] * b.coeffs[k - i]
+        acc = t if acc is None else acc + t
+    return acc
 
 
 def residue(s, variable: str = "w"):

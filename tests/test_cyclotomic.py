@@ -118,6 +118,23 @@ def test_lift_and_cross_conductor_arithmetic():
     assert w3 + Fraction(1, 2) - Fraction(1, 2) == w3
 
 
+def test_equal_values_across_conductors_hash_equally():
+    a = cyc_root(1, 3)
+    b = a.lift(6)
+    assert a == b
+    assert len({a, b}) == 1
+    assert hash(CycQ(6, [Fraction(1, 2), 0])) == hash(Fraction(1, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cycq_elements(), st.data())
+def test_lift_preserves_hash(x, data):
+    n = data.draw(st.sampled_from(range(x.conductor, 13, x.conductor)))
+    y = x.lift(n)
+    assert x == y
+    assert hash(x) == hash(y)
+
+
 def test_rational_detection():
     x = cyc_root(1, 3) + cyc_root(2, 3)  # = -1
     assert x.is_rational()

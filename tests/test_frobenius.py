@@ -13,7 +13,6 @@ from orbiform.frobenius import (
     frobenius_solve,
     indicial_polynomial,
     indicial_roots,
-    rebranch_log,
     solve_inhomogeneous,
 )
 from orbiform.series import LogQSeries, Puiseux, product_expand, theta
@@ -135,6 +134,6 @@ def test_ode_json_roundtrip_and_friendly_form():
 
 def test_rebranch_log_rescales_log_parts():
     s = LogQSeries(1, [Puiseux.zero(5), Puiseux.constant(1, 5)])
-    r = rebranch_log(s, 3)
+    r = s.with_branching(3)
     # l_1 = 3 l_3, so the log-power-1 part triples
     assert r.parts[1].coeff_at(0) == 3

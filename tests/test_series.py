@@ -4,19 +4,23 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbiform.cyclotomic import CycQ, cyc_root
-from orbiform.errors import NonInvertibleLeadingTerm, NotConvergent
+from orbiform.errors import NonInvertibleLeadingTerm, NotConvergent, WindowTooSmall
+from orbiform.forms import klein_hecke_series
+from orbiform.modular import TorsionPair
 from orbiform.series import (
     BiSeries,
     LogQSeries,
     Puiseux,
+    _convolve,
     eval_at_tau,
     iota_inverse_difference,
     product_expand,
     residue,
+    residue_of_product,
     theta,
 )
 
@@ -205,3 +209,83 @@ def test_puiseux_json_roundtrip():
         [(Fraction(1, 3), cyc_root(1, 3)), (1, Fraction(2, 5))], 2, 3
     )
     assert (Puiseux.from_json(s.to_json()) - s).is_zero()
+
+
+def test_logq_add_keeps_log_units_across_branchings():
+    log_q = LogQSeries(1, [Puiseux.zero(5), Puiseux.constant(1, 5)])
+    zero = LogQSeries(2, [Puiseux.zero(5, 2)])
+    # log q at tau = i is 2 pi i * i
+    for s in (log_q + zero, zero + log_q):
+        assert abs(eval_at_tau(s, 1j).value - (-2 * math.pi)) < 1e-12
+
+
+# -- the sparse kernels against dense references --------------------------------
+
+# mostly zero slots, zeros of several conductors among them; the conductors
+# divide 12, so a sum of products stays in Q(zeta_12)
+sparse_cycq = st.one_of(
+    st.just(CycQ.zero),
+    st.builds(
+        lambda c, j, n: cyc_root(j, n) * c,
+        st.fractions(min_value=-3, max_value=3, max_denominator=3),
+        st.integers(min_value=0, max_value=11),
+        st.sampled_from([1, 2, 3, 4, 6, 12]),
+    ),
+)
+
+
+def _schoolbook(a, b, limit):
+    n = len(a) + len(b) - 1 if a and b else 0
+    if limit is not None:
+        n = min(n, limit)
+    out = [CycQ.zero] * n
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j < n:
+                out[i + j] = out[i + j] + x * y
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(sparse_cycq, max_size=10),
+    st.lists(sparse_cycq, max_size=10),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=20)),
+)
+def test_sparse_convolution_matches_schoolbook(a, b, limit):
+    assert _convolve(a, b, limit) == _schoolbook(a, b, limit)
+
+
+# wleads whose sums fall on and off the integer grid
+small_biseries = st.builds(
+    BiSeries,
+    st.sampled_from(
+        [0, Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(-4, 3)]
+    ),
+    st.integers(min_value=-4, max_value=3),
+    st.lists(small_series, min_size=1, max_size=4),
+)
+_one = Puiseux.constant(1, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_biseries, small_biseries)
+@example(BiSeries(Fraction(1, 2), 0, [_one]), BiSeries(0, -1, [_one]))  # off grid
+@example(BiSeries(0, 0, [_one]), BiSeries(0, 0, [_one]))  # outside the window
+def test_residue_of_product_matches_full_product(a, b):
+    try:
+        expected = residue(a * b)
+    except WindowTooSmall as exc:
+        with pytest.raises(WindowTooSmall) as got:
+            residue_of_product(a, b)
+        assert str(got.value) == str(exc)
+        return
+    got = residue_of_product(a, b)
+    assert (got.T, got.lead, got.trunc) == (expected.T, expected.lead, expected.trunc)
+    assert got.coeffs == expected.coeffs
+
+
+def test_klein_form_inverse_at_branching_96():
+    g, _ = klein_hecke_series(TorsionPair(Fraction(1, 4), Fraction(2, 3)), 10)
+    assert g.T == 96
+    assert g * g.inverse() == 1
