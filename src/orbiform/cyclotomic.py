@@ -55,7 +55,7 @@ def _poly_divmod_int(num: list[int], den: list[int]) -> tuple[list[int], list[in
     return q, num
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Integer coefficients of Phi_n, ascending order."""
     if n == 1:
@@ -69,7 +69,7 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def _reduction_table(n: int) -> list[tuple[Fraction, ...]]:
     """x^k mod Phi_n for k = 0 .. 2*(phi(n)-1), as coordinate rows."""
     phi = cyclotomic_polynomial(n)
@@ -220,6 +220,8 @@ class CycQ:
             return CycQ._make(self.conductor, tuple(c * other for c in self.coeffs))
         if not isinstance(other, CycQ):
             return NotImplemented
+        if self.conductor == 1 and other.conductor == 1:
+            return CycQ._make(1, (self.coeffs[0] * other.coeffs[0],))
         a, b = self._common(other)
         n = a.conductor
         d = len(a.coeffs)
@@ -359,7 +361,7 @@ CycQ.zero = CycQ(1, (Fraction(0),))
 CycQ.one = CycQ(1, (Fraction(1),))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def _root_powers(n: int) -> tuple[complex, ...]:
     d = euler_phi(n)
     return tuple(cmath.exp(2j * cmath.pi * i / n) for i in range(d))

@@ -13,6 +13,10 @@ class NotConvergent(OrbiformError):
     pass
 
 
+class UnsupportedPrecision(OrbiformError):
+    pass
+
+
 class WindowTooSmall(OrbiformError):
     pass
 

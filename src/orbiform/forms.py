@@ -26,7 +26,7 @@ from .errors import (
 )
 from .modular import TorsionPair
 from .report import CheckReport
-from .series import BiSeries, Puiseux, residue_of_product, theta
+from .series import BiSeries, Puiseux, rational_convolve, residue_of_product, theta
 
 TWO_PI_I = 2j * cmath.pi
 
@@ -608,24 +608,14 @@ def _log_pow_times_binomial(p: int, m: int, nterms: int) -> list[Fraction]:
     ]
     acc = [Fraction(1)] + [Fraction(0)] * (nterms - 1)
     for _ in range(m):
-        acc = _frac_series_mul(acc, log1p, nterms)
+        acc = rational_convolve(acc, log1p, nterms)
     # (1+z)^(p-1) via the generalized binomial series
     binom = []
     c = Fraction(1)
     for n in range(nterms):
         binom.append(c)
         c = c * Fraction(p - 1 - n, n + 1)
-    return _frac_series_mul(acc, binom, nterms)
-
-
-def _frac_series_mul(a: list[Fraction], b: list[Fraction], n: int) -> list[Fraction]:
-    out = [Fraction(0)] * n
-    for i, x in enumerate(a):
-        if x:
-            for j in range(min(len(b), n - i)):
-                if b[j]:
-                    out[i + j] += x * b[j]
-    return out
+    return rational_convolve(acc, binom, nterms)
 
 
 # -- checks ----------------------------------------------------------------------

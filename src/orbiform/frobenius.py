@@ -317,15 +317,16 @@ def _recurse(indicial, rtable, mu, seed_power: int, steps: int, T: int,
             dk[i][k] = cur
             cur = _apply_D(cur, x, invT)
     fill_dk(0)
+    # the nonzero (s, r_{i,s}) of each row, s >= 1
+    support = [[(s, c) for s, c in enumerate(row) if s and not _pzero(c)]
+               for row in rtable]
     for n in range(1, steps):
         x_n = mu + (Fraction(n, T) if exact else n / T)
         g: list = []
         for i in range(m):
-            row = rtable[i]
-            for s in range(1, n + 1):
-                c = row[s]
-                if _pzero(c):
-                    continue
+            for s, c in support[i]:
+                if s > n:
+                    break
                 p = dk[i][n - s]
                 if not p:
                     continue

@@ -3,6 +3,14 @@
 A Puiseux series is sum_n a_n q^(lead + n/T) with exact cyclotomic
 coefficients.  Truncation is explicit: exponents >= trunc are unknown and
 every operation propagates the most pessimistic truncation of its inputs.
+
+Products take one of two exact paths, chosen by the coefficients.  When
+every slot of both operands has conductor 1, ``rational_convolve`` scales
+each operand to integers over a common denominator, packs the row into one
+Python int (Kronecker substitution), multiplies once and unpacks; the
+inverse of such a series is a Newton iteration on the same kernel.  Any
+other coefficient list goes through the sparse loop, which multiplies only
+nonzero CycQ pairs, and the inverse through the sparse recurrence.
 """
 
 from __future__ import annotations
@@ -12,7 +20,12 @@ import math
 from fractions import Fraction
 
 from .cyclotomic import CycQ, Rational, lcm
-from .errors import NonInvertibleLeadingTerm, NotConvergent, WindowTooSmall
+from .errors import (
+    NonInvertibleLeadingTerm,
+    NotConvergent,
+    UnsupportedPrecision,
+    WindowTooSmall,
+)
 
 
 def _coerce_coeff(v):
@@ -246,27 +259,11 @@ class Puiseux:
             raise NonInvertibleLeadingTerm(
                 "series has no invertible leading coefficient"
             )
-        n = len(s.coeffs)
-        a0 = s.coeffs[0]
-        if isinstance(a0, CycQ):
-            inv0 = a0.inverse()
+        rational = _rationals(s.coeffs)
+        if rational is not None:
+            b = _from_rationals(_newton_inverse(rational))
         else:
-            inv0 = 1 / a0
-        # b_k = -inv0 * sum a_i b_(k-i) over the nonzero a_i; a zero b_k is None
-        support = [
-            (i, c) for i, c in enumerate(s.coeffs) if i and not _is_zero_coeff(c)
-        ]
-        b = [inv0]
-        for k in range(1, n):
-            acc = None
-            for i, c in support:
-                if i > k:
-                    break
-                if b[k - i] is not None:
-                    term = c * b[k - i]
-                    acc = term if acc is None else acc + term
-            b.append(None if acc is None or _is_zero_coeff(acc) else -(inv0 * acc))
-        b = [CycQ.zero if c is None else c for c in b]
+            b = _sparse_inverse(s.coeffs)
         return Puiseux(s.T, -s.lead, b, s.trunc - 2 * s.lead)
 
     def __pow__(self, e: int):
@@ -322,7 +319,12 @@ class Puiseux:
 
 
 def _convolve(a, b, limit=None):
-    """Coefficient convolution; only pairs of nonzero slots are multiplied."""
+    """Coefficient convolution: the rational kernel when every slot of both
+    operands has conductor 1, else only pairs of nonzero slots multiplied."""
+    ra = _rationals(a)
+    rb = ra if b is a else _rationals(b)
+    if ra is not None and rb is not None:
+        return _from_rationals(rational_convolve(ra, rb, limit))
     n = len(a) + len(b) - 1 if a and b else 0
     if limit is not None:
         n = min(n, limit)
@@ -341,6 +343,107 @@ def _convolve(a, b, limit=None):
     return [CycQ.zero if c is None else c for c in out]
 
 
+def _sparse_inverse(a: list) -> list:
+    """1/a to len(a) slots by b_k = -a0^-1 sum a_i b_(k-i) over nonzero a_i."""
+    a0 = a[0]
+    inv0 = a0.inverse() if isinstance(a0, CycQ) else 1 / a0
+    support = [(i, c) for i, c in enumerate(a) if i and not _is_zero_coeff(c)]
+    # a zero b_k is None
+    b = [inv0]
+    for k in range(1, len(a)):
+        acc = None
+        for i, c in support:
+            if i > k:
+                break
+            if b[k - i] is not None:
+                term = c * b[k - i]
+                acc = term if acc is None else acc + term
+        b.append(None if acc is None or _is_zero_coeff(acc) else -(inv0 * acc))
+    return [CycQ.zero if c is None else c for c in b]
+
+
+# -- the rational kernel --------------------------------------------------------
+
+def _rationals(coeffs):
+    """The Fraction values of conductor-1 coefficients; None if any is not one."""
+    out = []
+    for c in coeffs:
+        if not isinstance(c, CycQ) or c.conductor != 1:
+            return None
+        out.append(c.coeffs[0])
+    return out
+
+
+def _from_rationals(values: list) -> list:
+    return [CycQ._make(1, (v,)) if v else CycQ.zero for v in values]
+
+
+def _pack(row: list, width: int) -> int:
+    """sum row[k] 2^(8 width k) for signed integers |row[k]| < 2^(8 width - 1)."""
+    pos = b"".join((x if x > 0 else 0).to_bytes(width, "little") for x in row)
+    neg = b"".join((-x if x < 0 else 0).to_bytes(width, "little") for x in row)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _scaled(row: list) -> tuple:
+    """(d, [d x for x in row]) for the common denominator d of the row."""
+    d = math.lcm(*(x.denominator for x in row))
+    return d, [x.numerator * (d // x.denominator) for x in row]
+
+
+def rational_convolve(a: list, b: list, limit=None) -> list:
+    """Product of two lists of rationals (ints or Fractions) as Fractions.
+
+    Both rows are scaled to integers over their common denominators da, db
+    and packed into one int each, in slots wide enough for any coefficient
+    of the product (max|A| max|B| min(len) plus a sign bit); one big-int
+    multiply then forms every coefficient at once (Kronecker substitution,
+    Karatsuba in CPython).  Unpacking reads the slots upward with a signed
+    borrow and divides each by da*db.
+    """
+    n = len(a) + len(b) - 1 if a and b else 0
+    if limit is not None:
+        n = min(n, limit)
+    if n <= 0:
+        return []
+    da, ra = _scaled(a[:n])
+    db, rb = (da, ra) if b is a else _scaled(b[:n])
+    bound = max(map(abs, ra)) * max(map(abs, rb)) * min(len(ra), len(rb))
+    if not bound:
+        return [Fraction(0)] * n
+    width = bound.bit_length() // 8 + 1  # bytes per slot, sign bit included
+    pa = _pack(ra, width)
+    prod = pa * pa if a is b else pa * _pack(rb, width)
+    raw = (prod & ((1 << (8 * width * n)) - 1)).to_bytes(width * n, "little")
+    half, full = 1 << (8 * width - 1), 1 << (8 * width)
+    den = da * db
+    out = []
+    borrow = 0
+    for k in range(0, width * n, width):
+        v = int.from_bytes(raw[k:k + width], "little") + borrow
+        borrow = v >= half
+        if borrow:
+            v -= full
+        out.append(Fraction(v) if den == 1 else Fraction(v, den))
+    return out
+
+
+def _newton_inverse(a: list) -> list:
+    """1/a to len(a) slots by b <- b (2 - a b), doubling the precision.
+
+    With a b = 1 + q^p e mod q^(2p), the new slots p .. 2p-1 are -(b e).
+    """
+    n = len(a)
+    b = [1 / Fraction(a[0])]
+    p = 1
+    while p < n:
+        p2 = min(2 * p, n)
+        e = rational_convolve(a[:p2], b, p2)[p:]
+        b += [-c for c in rational_convolve(b, e, p2 - p)]
+        p = p2
+    return b
+
+
 # -- the theta derivative -----------------------------------------------------
 
 def theta(s: Puiseux, scale: str = "full") -> Puiseux:
@@ -350,8 +453,8 @@ def theta(s: Puiseux, scale: str = "full") -> Puiseux:
     factor = s.T if scale == "one_over_T" else 1
     out = Puiseux(s.T, s.lead, [], s.trunc)
     for i, c in enumerate(s.coeffs):
-        r = (s.lead + Fraction(i, s.T)) * factor
-        out.coeffs[i] = c * r
+        if not _is_zero_coeff(c):
+            out.coeffs[i] = c * ((s.lead + Fraction(i, s.T)) * factor)
     return out
 
 
@@ -452,7 +555,13 @@ class LogQSeries:
 # -- evaluation ----------------------------------------------------------------
 
 def eval_at_tau(s, tau: complex, precision: int = 53) -> EvalResult:
-    """Numeric value on the upper half-plane plus a geometric tail estimate."""
+    """Numeric value on the upper half-plane plus a geometric tail estimate.
+
+    The value is a 53-bit ``complex``; any other precision raises
+    ``UnsupportedPrecision`` rather than being ignored.
+    """
+    if precision != 53:
+        raise UnsupportedPrecision(f"eval_at_tau computes in 53 bits, not {precision}")
     if tau.imag <= 0:
         raise NotConvergent("evaluation requires Im(tau) > 0")
     if isinstance(s, LogQSeries):
@@ -460,7 +569,7 @@ def eval_at_tau(s, tau: complex, precision: int = 53) -> EvalResult:
         value = 0j
         tail = 0.0
         for i, p in enumerate(s.parts):
-            r = eval_at_tau(p, tau, precision)
+            r = eval_at_tau(p, tau)
             value += r.value * logfac**i
             tail += r.tail * abs(logfac) ** i
         return EvalResult(value, tail)
@@ -470,7 +579,7 @@ def eval_at_tau(s, tau: complex, precision: int = 53) -> EvalResult:
     power = cmath.exp(2j * cmath.pi * tau * s.lead)
     for c in s.coeffs:
         if not _is_zero_coeff(c):
-            cv = c.embed(precision) if isinstance(c, CycQ) else complex(c)
+            cv = c.embed() if isinstance(c, CycQ) else complex(c)
             value += complex(cv) * power
             maxabs = max(maxabs, abs(cv))
         power *= q1t
@@ -488,15 +597,12 @@ def product_expand(factors, trunc) -> Puiseux:
     """
     trunc = Fraction(trunc)
     n = max(0, math.ceil(trunc))
-    coeffs = [0] * n
-    if n:
-        coeffs[0] = 1
+    out = Puiseux.constant(1, trunc)
     for a, e in factors:
         if a < 1:
             raise ValueError("product scales must be positive integers")
-        base = _euler_product_int(a, n)
-        coeffs = _int_series_pow(coeffs, base, e, n)
-    return Puiseux(1, 0, [Fraction(c) for c in coeffs], trunc)
+        out = out * Puiseux(1, 0, _euler_product_int(a, n), trunc) ** e
+    return out
 
 
 def _euler_product_int(a: int, n: int) -> list:
@@ -509,42 +615,6 @@ def _euler_product_int(a: int, n: int) -> list:
         for i in range(n - 1, step - 1, -1):
             c[i] -= c[i - step]
     return c
-
-
-def _int_series_pow(acc: list, base: list, e: int, n: int) -> list:
-    if e < 0:
-        base = _int_series_inverse(base, n)
-        e = -e
-    result = acc
-    while e:
-        if e & 1:
-            result = _int_series_mul(result, base, n)
-        base = _int_series_mul(base, base, n) if e > 1 else base
-        e >>= 1
-    return result
-
-
-def _int_series_mul(a: list, b: list, n: int) -> list:
-    out = [0] * n
-    for i, x in enumerate(a):
-        if x:
-            for j in range(min(len(b), n - i)):
-                if b[j]:
-                    out[i + j] += x * b[j]
-    return out
-
-
-def _int_series_inverse(a: list, n: int) -> list:
-    if not a or a[0] not in (1, -1):
-        raise NonInvertibleLeadingTerm("integer series inversion needs unit lead")
-    inv0 = a[0]
-    b = [inv0] + [0] * (n - 1)
-    for k in range(1, n):
-        s = 0
-        for i in range(1, min(k, len(a) - 1) + 1):
-            s += a[i] * b[k - i]
-        b[k] = -inv0 * s
-    return b
 
 
 # -- two-variable series ----------------------------------------------------------

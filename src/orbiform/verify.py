@@ -7,7 +7,6 @@ carries the maximum absolute discrepancy over the grid.
 from __future__ import annotations
 
 import cmath
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .errors import TruncationInsufficient
@@ -165,11 +164,5 @@ def verify_law(law_id: str, params: dict | None = None,
 
 
 def verify_suite(tol: float = 1e-8, tau_grid=DEFAULT_TAU_GRID) -> list[CheckReport]:
-    """All laws at default parameters; grid points run concurrently but
-    reports come back in the declaration order."""
-    with ThreadPoolExecutor(max_workers=len(LAW_IDS)) as pool:
-        futures = [
-            pool.submit(verify_law, law_id, None, tau_grid, tol)
-            for law_id in LAW_IDS
-        ]
-        return [f.result() for f in futures]
+    """All laws at default parameters, in the declaration order."""
+    return [verify_law(law_id, None, tau_grid, tol) for law_id in LAW_IDS]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orbiform import cyclotomic
 from orbiform.cyclotomic import (
     CycQ,
     cyc_root,
@@ -145,3 +146,19 @@ def test_rational_detection():
 def test_json_roundtrip():
     x = cyc_root(1, 5) * Fraction(3, 7) + 2
     assert CycQ.from_json(x.to_json()) == x
+
+
+def test_per_conductor_caches_are_bounded():
+    caches = (
+        cyclotomic.cyclotomic_polynomial,
+        cyclotomic._reduction_table,
+        cyclotomic._root_powers,
+        cyclotomic._trace_weights,
+    )
+    for n in range(1, 81):
+        cyclotomic._trace_weights(n)
+        cyclotomic._root_powers(n)
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.maxsize == 64
+        assert info.currsize <= 64

@@ -8,7 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbiform.cyclotomic import CycQ, cyc_root
-from orbiform.errors import NonInvertibleLeadingTerm, NotConvergent, WindowTooSmall
+from orbiform.errors import (
+    NonInvertibleLeadingTerm,
+    NotConvergent,
+    UnsupportedPrecision,
+    WindowTooSmall,
+)
 from orbiform.forms import klein_hecke_series
 from orbiform.modular import TorsionPair
 from orbiform.series import (
@@ -143,6 +148,10 @@ def test_partition_generating_function():
     ]
 
 
+def test_partition_number_100():
+    assert product_expand([(1, -1)], 101).coeff_at(100) == 190569292
+
+
 def test_product_inverse_pairs_cancel():
     s = product_expand([(2, 5), (2, -5), (1, 3), (1, -3)], 20)
     assert s == 1
@@ -159,6 +168,17 @@ def test_eval_at_tau_geometric():
     assert r.tail < 1e-12
     with pytest.raises(NotConvergent):
         eval_at_tau(g, 0.5 - 1j)
+
+
+def test_eval_at_tau_rejects_other_precisions():
+    g = geometric(20)
+    assert eval_at_tau(g, 1j, 53).value == eval_at_tau(g, 1j).value
+    log_g = LogQSeries(1, [g, g])
+    for precision in (24, 54, 113):
+        with pytest.raises(UnsupportedPrecision):
+            eval_at_tau(g, 1j, precision)
+        with pytest.raises(UnsupportedPrecision):
+            eval_at_tau(log_g, 1j, precision)
 
 
 def test_logq_theta_product_rule():
@@ -289,3 +309,62 @@ def test_klein_form_inverse_at_branching_96():
     g, _ = klein_hecke_series(TorsionPair(Fraction(1, 4), Fraction(2, 3)), 10)
     assert g.T == 96
     assert g * g.inverse() == 1
+
+
+# -- the rational kernel and the Newton inverse -----------------------------------
+
+# signed, mixed denominators, frequent zeros, and values wide enough to need
+# multi-byte slots
+rational_values = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-50, max_value=50, max_denominator=12),
+    st.integers(min_value=-(10**30), max_value=10**30).map(Fraction),
+)
+
+
+def _rational_row(values):
+    return [CycQ.from_rational(v) for v in values]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(rational_values, max_size=60),
+    st.lists(rational_values, max_size=60),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=130)),
+)
+@example([Fraction(0)] * 7, [Fraction(3), Fraction(-1, 2)], None)  # all-zero operand
+@example([Fraction(-1)] * 5, [Fraction(1)] * 5, None)  # every slot negative
+@example([Fraction(1, 3), Fraction(-2, 5)], [Fraction(-7, 2)] * 4, 3)
+def test_rational_kernel_matches_schoolbook(a, b, limit):
+    a, b = _rational_row(a), _rational_row(b)
+    assert _convolve(a, b, limit) == _schoolbook(a, b, limit)
+
+
+def _lifted(s: Puiseux, n: int) -> Puiseux:
+    """The same series with every coefficient stored at conductor n."""
+    return Puiseux(s.T, s.lead, [c.lift(n) for c in s.coeffs], s.trunc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool),
+    st.lists(rational_values, max_size=40),
+    st.integers(min_value=1, max_value=3),
+)
+@example(Fraction(3, 2), [Fraction(n % 7 - 3, n % 5 + 1) for n in range(39)], 1)
+def test_newton_inverse_matches_sparse_recurrence(lead, rest, t):
+    g = Puiseux(t, Fraction(-1, t), [lead] + rest, Fraction(len(rest), t))
+    inv = g.inverse()
+    # at conductor 3 the coefficients are not rational rows: the recurrence runs
+    expected = _lifted(g, 3).inverse()
+    assert (inv.T, inv.lead, inv.trunc) == (expected.T, expected.lead, expected.trunc)
+    assert inv.coeffs == expected.coeffs
+    assert g * inv == 1
+
+
+def test_delta_inverse_at_200_terms():
+    delta = product_expand([(1, 24)], 200).shifted(1)
+    inv = delta.inverse()
+    assert len(inv.coeffs) == 200
+    assert inv.coeffs == _lifted(delta, 3).inverse().coeffs
+    assert delta * inv == 1
