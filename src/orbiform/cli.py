@@ -35,6 +35,8 @@ from .verify import LAW_IDS, verify_law, verify_suite
 
 DEFAULT_TERMS = 60
 DEFAULT_TOL = 1e-8
+# the most coefficient slots (trunc times the branching) a --trunc may ask for
+MAX_TRUNC_SLOTS = 10_000
 
 
 def _parse_fraction(s: str) -> Fraction:
@@ -99,9 +101,19 @@ def _emit(obj, summary: str) -> None:
 
 
 def _default_trunc(args, branching: int) -> Fraction:
-    if args.trunc is not None:
-        return _parse_fraction(args.trunc)
-    return Fraction(DEFAULT_TERMS, branching)
+    """--trunc, or DEFAULT_TERMS slots; it must be positive and need at
+    most MAX_TRUNC_SLOTS slots of width 1/branching."""
+    if args.trunc is None:
+        return Fraction(DEFAULT_TERMS, branching)
+    trunc = _parse_fraction(args.trunc)
+    if trunc <= 0:
+        raise UsageError(f"--trunc must be positive, got {args.trunc}")
+    if trunc * branching > MAX_TRUNC_SLOTS:
+        raise UsageError(
+            f"--trunc {args.trunc} needs more than {MAX_TRUNC_SLOTS} slots "
+            f"at branching {branching}"
+        )
+    return trunc
 
 
 # -- subcommand handlers ---------------------------------------------------------
@@ -182,10 +194,7 @@ def _cmd_verify(args) -> int:
 def _cmd_frobenius(args) -> int:
     with open(args.ode) as fh:
         ode = RegularSingularODE.from_json(json.load(fh))
-    trunc = _parse_fraction(args.trunc) if args.trunc else Fraction(
-        DEFAULT_TERMS, ode.T
-    )
-    basis = frobenius_solve(ode, trunc)
+    basis = frobenius_solve(ode, _default_trunc(args, ode.T))
     if basis.numeric:
         obj = {
             "numeric": True,
@@ -212,7 +221,7 @@ def _cmd_frobenius(args) -> int:
 
 
 def _cmd_moonshine(args) -> int:
-    trunc = _parse_fraction(args.trunc) if args.trunc else Fraction(DEFAULT_TERMS)
+    trunc = _default_trunc(args, 1)
     what = args.what
     if what == "J":
         _, _, J = delta_j_J(trunc)

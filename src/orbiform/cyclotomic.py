@@ -121,7 +121,7 @@ class CycQ:
 
     @staticmethod
     def from_rational(x) -> "CycQ":
-        return CycQ(1, (Fraction(x),))
+        return CycQ._make(1, (Fraction(x),))
 
     zero = None  # set below
     one = None
@@ -129,10 +129,10 @@ class CycQ:
     # -- basic predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.coeffs[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
@@ -182,6 +182,8 @@ class CycQ:
         other = CycQ._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.conductor == 1 and other.conductor == 1:
+            return CycQ._make(1, (self.coeffs[0] + other.coeffs[0],))
         if self.conductor == other.conductor:
             return CycQ._make(
                 self.conductor, tuple(x + y for x, y in zip(self.coeffs, other.coeffs))
@@ -215,6 +217,8 @@ class CycQ:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
+            if self.conductor == 1:
+                return CycQ._make(1, (self.coeffs[0] * other,))
             if other == 0:
                 return CycQ._make(self.conductor, (Fraction(0),) * len(self.coeffs))
             return CycQ._make(self.conductor, tuple(c * other for c in self.coeffs))

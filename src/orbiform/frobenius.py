@@ -5,6 +5,13 @@ coefficients r_i whose exponents lie in (1/T)Z_{>=0}.  Solutions are
 q^lambda times polynomials in l = log q_(1/T) with Puiseux coefficients;
 lambda runs over the indicial roots and logs appear when roots within one
 congruence class mod (1/T)Z resonate.
+
+The recursion is generic over its value type, chosen by the input.  When
+every indicial and series coefficient of the ODE (and, for an inhomogeneous
+solve, of f) has conductor 1, it runs on plain ``Fraction`` values and the
+results become ``CycQ`` only when the solution is assembled; any
+coefficient of conductor > 1 keeps it on ``CycQ`` values.  Indicial roots
+that are not all rational send it to ``complex`` values.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ import numpy as np
 
 from .cyclotomic import CycQ, lcm
 from .errors import TruncationTooSmall
-from .series import LogQSeries, Puiseux
+from .series import LogQSeries, Puiseux, _rationals
 
 # numeric indicial roots closer than this are clustered into one root
 ROOT_CLUSTER_TOL = 1e-9
@@ -205,9 +212,13 @@ def _ptrim(p: list) -> list:
 
 
 def _pzero(c) -> bool:
+    """Exact zero test for CycQ and Fraction values; only a complex value
+    counts as zero below 1e-300."""
+    if isinstance(c, complex):
+        return abs(c) < 1e-300
     if isinstance(c, CycQ):
         return c.is_zero()
-    return abs(c) < 1e-300
+    return not c
 
 
 def _apply_D(p: list, x, invT):
@@ -219,15 +230,16 @@ def _apply_D(p: list, x, invT):
 
 
 def _taylor_at(poly: list, x) -> list:
-    """Coefficients of P(x + y) in y, from P's coefficients in x."""
-    m = len(poly) - 1
-    out = []
-    for u in range(m + 1):
-        acc = None
-        for k in range(u, m + 1):
-            term = poly[k] * (math.comb(k, u) * x ** (k - u))
-            acc = term if acc is None else acc + term
-        out.append(acc)
+    """Coefficients of P(x + y) in y, from P's coefficients in x.
+
+    Horner's scheme: pass u divides the running quotient by (X - x), which
+    leaves the u-th Taylor coefficient in slot u; m(m+1)/2 multiply-adds.
+    """
+    out = list(poly)
+    m = len(out) - 1
+    for u in range(m):
+        for k in range(m - 1, u - 1, -1):
+            out[k] = out[k] + x * out[k + 1]
     return out
 
 
@@ -290,13 +302,15 @@ def _recurse(indicial, rtable, mu, seed_power: int, steps: int, T: int,
     """Coefficient polynomials c_0 .. c_{steps-1} of one Frobenius solution.
 
     c_n solves P(D_n) c_n = -sum_{i,s>=1} r_{i,s} D_{n-s}^i c_{n-s} (+ the
-    inhomogeneous term), with D_n = (mu + n/T) + (1/T) d/dl.
+    inhomogeneous term), with D_n = (mu + n/T) + (1/T) d/dl.  The values
+    are of the type of the indicial coefficients: Fraction, CycQ or complex.
     """
     m = len(indicial) - 1
     invT = Fraction(1, T) if exact else 1.0 / T
-    zero = CycQ.zero if exact else 0j
+    one = indicial[-1]  # the indicial polynomial is monic
+    zero = one - one
     if seed_power >= 0:
-        seed = [zero] * seed_power + [CycQ.one if exact else 1 + 0j]
+        seed = [zero] * seed_power + [one]
     else:
         seed = []
     if extra_g is not None:
@@ -363,17 +377,34 @@ def _fold_solution(cs: list, mu: Fraction, T: int, span: Fraction,
     part picks up (t/T)^j.
     """
     t = lcm(T, mu.denominator)
-    scale = Fraction(t, T)
+    step = t // T
     trunc = mu + span
     parts = []
     for j in range(max_log + 1):
-        terms = []
-        for n, c in enumerate(cs):
-            e = mu + Fraction(n, T)
-            if e < trunc and j < len(c) and not _pzero(c[j]):
-                terms.append((e, c[j] * scale**j))
-        parts.append(Puiseux.from_terms(terms, trunc, t))
+        scale = Fraction(t, T) ** j
+        occupied = [n for n, c in enumerate(cs) if j < len(c) and not _pzero(c[j])]
+        if not occupied:
+            parts.append(Puiseux.zero(trunc, t))
+            continue
+        first = occupied[0]
+        part = Puiseux(t, mu + Fraction(first, T), [], trunc)
+        for n in occupied:
+            c = cs[n][j] * scale
+            part.coeffs[(n - first) * step] = (
+                c if isinstance(c, CycQ) else CycQ._make(1, (c,))
+            )
+        parts.append(part)
     return LogQSeries(t, parts)
+
+
+def _as_rational(indicial: list, rtable: list):
+    """The indicial polynomial and series table as Fractions when every
+    entry has conductor 1, else both unchanged."""
+    rat_indicial = _rationals(indicial)
+    rat_table = [_rationals(row) for row in rtable]
+    if rat_indicial is None or any(row is None for row in rat_table):
+        return indicial, rtable
+    return rat_indicial, rat_table
 
 
 def _group_classes(roots: list, T: int):
@@ -438,7 +469,7 @@ def frobenius_solve(ode: RegularSingularODE, trunc) -> FrobeniusBasis:
     indicial = indicial_polynomial(ode)
     if not exact:
         return _solve_numeric(ode, indicial, classes, steps)
-    rtable = _series_coeff_table(ode, steps)
+    indicial, rtable = _as_rational(indicial, _series_coeff_table(ode, steps))
     solutions = []
     max_log = 0
     for cls in classes:
@@ -520,14 +551,19 @@ def solve_inhomogeneous(ode: RegularSingularODE, f: LogQSeries, trunc) -> LogQSe
                 f"inhomogeneous term truncated at {p.trunc} < {lam + span}"
             )
 
+    # the Fraction path needs f rational as well as the ODE
+    if all(_rationals(p.coeffs) is not None for p in f.parts):
+        indicial, rtable = _as_rational(indicial, rtable)
+    rational = isinstance(indicial[-1], Fraction)
+
     # f's log parts are in l = log q_(1/f.T); the recursion works in
     # log q_(1/T), which is (f.T/T) times larger, so part j scales down
     def extra_g(n: int):
         e = lam + Fraction(n, T)
-        return _ptrim([
-            -(part.coeff_at(e)) * Fraction(T, f.T) ** j
-            for j, part in enumerate(f.parts)
-        ])
+        coeffs = [part.coeff_at(e) for part in f.parts]
+        if rational:
+            coeffs = [c.coeffs[0] for c in coeffs]
+        return _ptrim([-c * Fraction(T, f.T) ** j for j, c in enumerate(coeffs)])
 
     cs, max_log = _recurse(
         indicial, rtable, lam, -1, steps, T, True, extra_g=extra_g

@@ -1,10 +1,11 @@
 """End-to-end tests of the command-line interface via run(argv)."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
-from orbiform.cli import run
+from orbiform.cli import MAX_TRUNC_SLOTS, run
 
 
 def run_json(capsys, argv):
@@ -126,6 +127,22 @@ def test_usage_errors(capsys):
     capsys.readouterr()
     assert run(["qk", "2", "bogus", "1/3"]) == 2
     capsys.readouterr()
+
+
+def test_trunc_out_of_range_is_a_usage_error(capsys, tmp_path):
+    ode = {"order": 1, "T": 2, "coeffs": [{"terms": [["1/2", "1"]], "trunc": "4"}]}
+    p = tmp_path / "ode.json"
+    p.write_text(json.dumps(ode))
+    # one slot past the cap is MAX_TRUNC_SLOTS/2 + 1/2 at branching 2
+    over = str(Fraction(MAX_TRUNC_SLOTS + 1, 2))
+    for trunc in ("0", "-1", "-1/2", over):
+        assert run(["frobenius", "--ode", str(p), f"--trunc={trunc}"]) == 2
+        assert "usage error" in capsys.readouterr().err
+    for trunc in ("0", "-3", str(MAX_TRUNC_SLOTS + 1), "1000000000"):
+        assert run(["moonshine", "J", f"--trunc={trunc}"]) == 2
+        assert "usage error" in capsys.readouterr().err
+    code, (obj,) = run_json(capsys, ["frobenius", "--ode", str(p), "--trunc", "1/2"])
+    assert code == 0 and len(obj["solutions"]) == 1
 
 
 def test_determinism(capsys):

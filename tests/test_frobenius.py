@@ -1,14 +1,20 @@
 """Tests for the regular-singular (Frobenius-Fuchs) solver."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from orbiform import frobenius
+from orbiform.cyclotomic import CycQ, euler_phi
 from orbiform.errors import TruncationTooSmall
 from orbiform.frobenius import (
     FrobeniusBasis,
     RegularSingularODE,
+    _taylor_at,
     apply_ode,
     frobenius_solve,
     indicial_polynomial,
@@ -137,3 +143,141 @@ def test_rebranch_log_rescales_log_parts():
     r = s.with_branching(3)
     # l_1 = 3 l_3, so the log-power-1 part triples
     assert r.parts[1].coeff_at(0) == 3
+
+
+def test_tiny_exact_coefficients_are_kept():
+    # theta S + c q S = 0 has S = sum (-c)^n/n! q^n; a coupling far below
+    # any float tolerance must still count as nonzero on exact values
+    c = Fraction(1, 10**400)
+    ode = RegularSingularODE(1, 1, [Puiseux.from_terms([(1, c)], 6)])
+    (sol,) = frobenius_solve(ode, 4).solutions
+    for n in range(4):
+        assert sol.parts[0].coeff_at(n) == (-c) ** n / math.factorial(n)
+    assert apply_ode(ode, sol).is_zero()
+
+
+# -- the Fraction recursion against the CycQ recursion ----------------------------
+
+def _binomial_taylor(poly, x):
+    """P(x + y) in y by the binomial formula."""
+    m = len(poly) - 1
+    return [
+        sum((poly[k] * (math.comb(k, u) * x ** (k - u)) for k in range(u + 1, m + 1)),
+            poly[u])
+        for u in range(m + 1)
+    ]
+
+
+small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+cycq_values = st.builds(
+    lambda n, coords: CycQ(n, coords[: euler_phi(n)]),
+    st.sampled_from([1, 3, 4]),
+    st.lists(small_fractions, min_size=2, max_size=2),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.lists(small_fractions, min_size=2, max_size=5),
+    st.one_of(small_fractions, cycq_values),
+    st.booleans(),
+)
+def test_horner_taylor_shift_matches_binomial_formula(poly, x, as_cycq):
+    if as_cycq:
+        poly = [CycQ.from_rational(c) for c in poly]
+    assert _taylor_at(poly, x) == _binomial_taylor(poly, x)
+
+
+roots = st.fractions(min_value=-1, max_value=1, max_denominator=4)
+couplings = st.lists(
+    st.tuples(st.integers(min_value=1, max_value=3),
+              small_fractions.filter(bool)),
+    min_size=1, max_size=2,
+)
+
+
+@st.composite
+def rational_odes(draw):
+    """(ode, f, trunc): seeded ODEs with rational indicial roots and couplings
+    c q^(k/T); f is an inhomogeneous term c q^s or None."""
+    kind = draw(st.sampled_from(
+        ["distinct", "double", "resonant", "branched", "third", "inhom"]))
+    r = draw(roots)
+    T = draw(st.sampled_from([2, 3])) if kind == "branched" else 1
+    root_set = {
+        "distinct": (r, draw(roots)),
+        "double": (r, r),
+        "resonant": (r, r - draw(st.integers(min_value=1, max_value=2))),
+        "branched": (r, r - Fraction(draw(st.integers(min_value=1, max_value=2)), T)),
+        "third": (r, r, draw(st.sampled_from([r, r - 1]))),
+        "inhom": (r, r - 1),
+    }[kind]
+    steps = 4 if kind == "third" else 6
+    trunc = Fraction(steps, T)
+    poly = [Fraction(1)]
+    for rho in root_set:
+        poly = [Fraction(0)] + poly
+        for i in range(len(poly) - 1):
+            poly[i] -= rho * poly[i + 1]
+    coeffs = []
+    for i in range(len(root_set)):
+        terms = [(0, poly[i])]
+        if i == 0 or draw(st.booleans()):
+            terms += [(Fraction(k, T), c) for k, c in draw(couplings)]
+        coeffs.append(Puiseux.from_terms(terms, trunc + 1, T))
+    ode = RegularSingularODE(len(root_set), T, coeffs)
+    f = None
+    if kind == "inhom":
+        s = draw(st.integers(min_value=0, max_value=3))
+        c = draw(small_fractions.filter(bool))
+        f = LogQSeries(1, [Puiseux.monomial(c, s, s + trunc + 1)])
+    return ode, f, trunc
+
+
+def _lifted(s: Puiseux, n: int) -> Puiseux:
+    """The same series with every coefficient stored at conductor n."""
+    return Puiseux(s.T, s.lead, [c.lift(n) for c in s.coeffs], s.trunc)
+
+
+def _solve_recording(ode, f, trunc):
+    """The solutions, and the value types the recursion took and made."""
+    seen = set()
+    real = frobenius._recurse
+
+    def spy(indicial, *args, **kwargs):
+        cs, max_log = real(indicial, *args, **kwargs)
+        seen.add(type(indicial[-1]))
+        seen.update(type(c) for poly in cs for c in poly)
+        return cs, max_log
+
+    frobenius._recurse = spy
+    try:
+        if f is None:
+            sols = frobenius_solve(ode, trunc).solutions
+        else:
+            sols = [solve_inhomogeneous(ode, f, trunc)]
+    finally:
+        frobenius._recurse = real
+    return sols, seen
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_odes())
+def test_fraction_recursion_matches_cyclotomic_recursion(case):
+    ode, f, trunc = case
+    sols, seen = _solve_recording(ode, f, trunc)
+    assert seen == {Fraction}
+    # at conductor 3 no coefficient is a rational row: the CycQ recursion runs
+    lifted = RegularSingularODE(ode.order, ode.T, [_lifted(r, 3) for r in ode.coeffs])
+    lifted_f = None if f is None else LogQSeries(f.T, [_lifted(p, 3) for p in f.parts])
+    expected, seen = _solve_recording(lifted, lifted_f, trunc)
+    assert seen == {CycQ}
+    assert len(sols) == len(expected)
+    for got, want in zip(sols, expected):
+        assert got.T == want.T and len(got.parts) == len(want.parts)
+        for a, b in zip(got.parts, want.parts):
+            assert (a.T, a.lead, a.trunc) == (b.T, b.lead, b.trunc)
+            assert a.coeffs == b.coeffs
+            assert all(c.conductor == 1 for c in a.coeffs)
+        resid = apply_ode(ode, got)
+        assert (resid if f is None else resid + f).is_zero()
