@@ -14,6 +14,7 @@ from fractions import Fraction
 from .cyclotomic import CycQ
 from .errors import OrbiformError
 from .forms import (
+    PK_CUTOFF_CAP,
     bernoulli_poly,
     bernoulli_value,
     eisenstein,
@@ -148,6 +149,10 @@ def _cmd_pk_eval(args) -> int:
     pair = TorsionPair(_parse_fraction(args.j_over_M), _parse_fraction(args.l_over_N))
     z = _parse_complex(args.z)
     tau = _parse_complex(args.tau)
+    if not 1 <= args.cutoff <= PK_CUTOFF_CAP:
+        raise UsageError(
+            f"--cutoff must be between 1 and {PK_CUTOFF_CAP}, got {args.cutoff}"
+        )
     value, tail = pk_eval(args.k, pair, z, tau, args.cutoff)
     _emit(
         {"value": [value.real, value.imag], "tail_bound": tail},
@@ -180,6 +185,10 @@ def _cmd_verify(args) -> int:
         if args.z is not None:
             params["z"] = _parse_complex(args.z)
         if args.terms is not None:
+            if not 1 <= args.terms <= MAX_TRUNC_SLOTS:
+                raise UsageError(
+                    f"--terms must be between 1 and {MAX_TRUNC_SLOTS}, got {args.terms}"
+                )
             params["terms"] = args.terms
         reports = [verify_law(args.law_id, params, tol=args.tol)]
     ok = True

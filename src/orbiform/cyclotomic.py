@@ -445,8 +445,12 @@ def _poly_divmod_q(a, b):
 
 # -- public constructors ----------------------------------------------------
 
+@functools.lru_cache(maxsize=1024)
 def cyc_root(j: int, m: int) -> CycQ:
-    """zeta_M^j as an exact element, reduced to minimal conductor."""
+    """zeta_M^j as an exact element, reduced to minimal conductor.
+
+    Cached: the series builders ask for the same few roots once per term.
+    """
     if m < 1:
         raise ValueError("order must be positive")
     j %= m

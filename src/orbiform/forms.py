@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclotomic import CycQ, cyc_root_of, lcm
+from .cyclotomic import CycQ, cyc_root, cyc_root_of, lcm
 from .errors import (
     BadWeight,
     NearPole,
@@ -26,7 +26,7 @@ from .errors import (
 )
 from .modular import TorsionPair
 from .report import CheckReport
-from .series import BiSeries, Puiseux, rational_convolve, residue_of_product, theta
+from .series import BiSeries, Puiseux, rational_convolve, theta
 
 TWO_PI_I = 2j * cmath.pi
 
@@ -36,6 +36,8 @@ QK_DENOMINATOR_FLAG = "qk-denominator-exponent-matches-numerator"
 # the residue identity's Bernoulli term is B_k(1-m+j/M)/k!, the value its
 # own derivation produces; the printed /k agrees only for k <= 2
 RESIDUE_BERNOULLI_FLAG = "residue-identity-bernoulli-term-uses-k-factorial"
+# pk_eval doubles its cutoff toward a tolerance no further than this
+PK_CUTOFF_CAP = 10**5
 
 
 # -- Bernoulli polynomials ----------------------------------------------------
@@ -152,22 +154,13 @@ def del_k(f: Puiseux, k: int) -> Puiseux:
 
 # -- twisted Eisenstein series Q_k ---------------------------------------------
 
-def _rpow(base: Fraction, e: int) -> Fraction:
-    # 0^0 = 1 edge convention for the k=1 boundary terms
-    if e == 0:
-        return Fraction(1)
-    return base**e
-
-
-def _add_geometric(
-    coeffs: list, lead: Fraction, t: int, trunc: Fraction, x: Fraction, lam_pows, weight
-):
-    """Add weight * sum_{m>=1} lam^m q^(m x) into the dense buffer."""
-    m = 1
-    while m * x < trunc:
-        idx = int((m * x - lead) * t)
-        coeffs[idx] = coeffs[idx] + lam_pows(m) * weight
-        m += 1
+def _add_geometric(coeffs: list, t: int, x: Fraction, s: Fraction, weight):
+    """Add weight * sum_{m>=1} e^(2 pi i m s) q^(m x), x > 0 on the 1/t grid,
+    into a dense buffer of lead 0 whose slots end at the truncation."""
+    step = int(x * t)
+    for m, idx in enumerate(range(step, len(coeffs), step), 1):
+        root = cyc_root(m * s.numerator % s.denominator, s.denominator)
+        coeffs[idx] = coeffs[idx] + root * weight
 
 
 def qk_series(k: int, pair: TorsionPair, trunc) -> Puiseux:
@@ -185,18 +178,9 @@ def qk_series(k: int, pair: TorsionPair, trunc) -> Puiseux:
         # the boundary term 1/(1 - lam^-1) is a pole at lam = 1; for k >= 2
         # its weight (n - j/M)^(k-1) vanishes and the series is fine
         raise UndefinedAtTrivialPair("Q_1 is undefined at the pair (1,1)")
-    a1 = pair.j_over_M
-    m_den = pair.M
-    lam_cache: dict[int, CycQ] = {}
-
-    def lam_pow(e: int) -> CycQ:
-        if e not in lam_cache:
-            lam_cache[e] = cyc_root_of(e * pair.l_over_N)
-        return lam_cache[e]
-
-    t = m_den
-    lead = Fraction(0)
-    nslots = max(0, math.ceil((trunc - lead) * t))
+    a1, s = pair.j_over_M, pair.l_over_N
+    t = pair.M
+    nslots = max(0, math.ceil(trunc * t))
     coeffs: list = [CycQ.zero] * nslots
     km1fact = Fraction(1, math.factorial(k - 1))
 
@@ -210,27 +194,26 @@ def qk_series(k: int, pair: TorsionPair, trunc) -> Puiseux:
     n = 0
     while Fraction(n) + a1 < trunc:
         x = Fraction(n) + a1
-        w = km1fact * _rpow(x, k - 1)
+        w = km1fact * x ** (k - 1)
         if w:
-            _add_geometric(coeffs, lead, t, trunc, x, lam_pow, w)
+            _add_geometric(coeffs, t, x, s, w)
         n += 1
-    # second sum: n >= 1, exponent x = n - j/M >= 0
+    # second sum: n >= 1, exponent x = n - j/M >= 0; at x = 0, x^0 = 1 keeps
+    # the k = 1 boundary term
     sign = Fraction((-1) ** k)
     n = 1
     while Fraction(n) - a1 < trunc:
         x = Fraction(n) - a1
-        w = sign * km1fact * _rpow(x, k - 1)
+        w = sign * km1fact * x ** (k - 1)
         if w:
             if x == 0:
                 # constant boundary term lam^-1 w / (1 - lam^-1); lam != 1 here
-                lam_inv = lam_pow(-1)
+                lam_inv = cyc_root_of(-s)
                 add_const(lam_inv * w / (CycQ.one - lam_inv))
             else:
-                _add_geometric(
-                    coeffs, lead, t, trunc, x, lambda m: lam_pow(-m), w
-                )
+                _add_geometric(coeffs, t, x, -s, w)
         n += 1
-    return Puiseux(t, lead, coeffs, trunc)
+    return Puiseux(t, 0, coeffs, trunc)
 
 
 def qk_series_divisor_oracle(k: int, pair: TorsionPair, trunc) -> Puiseux:
@@ -246,10 +229,7 @@ def qk_series_divisor_oracle(k: int, pair: TorsionPair, trunc) -> Puiseux:
     a1 = pair.j_over_M
     m_den = pair.M
     j = a1.numerator * (m_den // a1.denominator)  # j with mu = zeta_M^j, 1<=j<=M
-
-    def lam_pow(e: int) -> CycQ:
-        return cyc_root_of(e * pair.l_over_N)
-
+    s = pair.l_over_N
     t = m_den
     nslots = max(0, math.ceil(trunc * t))
     coeffs: list = [CycQ.zero] * nslots
@@ -262,75 +242,51 @@ def qk_series_divisor_oracle(k: int, pair: TorsionPair, trunc) -> Puiseux:
             if n % d:
                 continue
             if (d + j) % m_den == 0:
-                acc = acc + lam_pow(-(n // d)) * Fraction(d ** (k - 1))
+                acc = acc + cyc_root_of(-(n // d) * s) * Fraction(d ** (k - 1))
             if (d - j) % m_den == 0:
-                acc = acc + lam_pow(n // d) * Fraction((-1) ** k * d ** (k - 1))
+                acc = acc + cyc_root_of(n // d * s) * Fraction((-1) ** k * d ** (k - 1))
         coeffs[n] = coeffs[n] + acc * pref
     return Puiseux(t, 0, coeffs, trunc)
 
 
 # -- the P-bar two-variable series ---------------------------------------------
 
-def _expanded_reciprocal(x: Fraction, lam_pow, trunc: Fraction, t: int) -> Puiseux:
-    """1/(1 - lam q^x) as a q-series, valid for either sign of x.
-
-    Negative x is rewritten via -lam^(-1) q^(-x)/(1 - lam^(-1) q^(-x)).
-    """
-    trunc = Fraction(trunc)
-    if x > 0:
-        terms = [(Fraction(0), CycQ.one)]
-        m = 1
-        while m * x < trunc:
-            terms.append((m * x, lam_pow(m)))
-            m += 1
-        return Puiseux.from_terms(terms, trunc, t)
-    if x < 0:
-        terms = []
-        m = 1
-        while -m * x < trunc:
-            terms.append((-m * x, -lam_pow(-m)))
-            m += 1
-        return Puiseux.from_terms(terms, trunc, t)
-    lam = lam_pow(1)
-    if lam == CycQ.one:
-        raise UndefinedAtTrivialPair("1/(1 - lam) needs lam != 1")
-    return Puiseux.constant((CycQ.one - lam).inverse(), trunc, t)
-
-
 def pbar_series(k: int, pair: TorsionPair, window: tuple[int, int], trunc) -> BiSeries:
     """Two-variable series sum' n^(k-1) w^n / ((k-1)! (1 - lam q^n)).
 
     w-exponents n run over j/M + Z restricted to j/M + [window[0], window[1]];
-    each reciprocal is expanded as a q-series.  Returns the zero series for
-    k = 0.
+    each reciprocal is expanded as a q-series: 1 + sum_m lam^m q^(mn) for
+    n > 0, -sum_m lam^(-m) q^(-mn) for n < 0 (multiply through by
+    -lam^(-1) q^(-n)), and the constant 1/(1 - lam) at n = 0.  Returns the
+    zero series for k = 0.
     """
     lo, hi = window
     if hi < lo:
         raise WindowTooSmall("empty w-window")
     trunc = Fraction(trunc)
     a1 = pair.j_over_M
-    t = lcm(a1.denominator, 1)
+    s = pair.l_over_N
+    t = a1.denominator
     if k == 0:
         zero = Puiseux.zero(trunc, t)
         return BiSeries(a1, lo, [zero] * (hi - lo + 1))
-
-    def lam_pow(e: int) -> CycQ:
-        return cyc_root_of(e * pair.l_over_N)
-
+    nslots = max(0, math.ceil(trunc * t))
     km1fact = Fraction(1, math.factorial(k - 1))
     coeffs = []
     for off in range(lo, hi + 1):
         n = a1 + off
-        if n == 0 and pair.is_trivial():
-            coeffs.append(Puiseux.zero(trunc, t))
-            continue
-        w = km1fact * _rpow(n, k - 1)
-        if w == 0:
-            coeffs.append(Puiseux.zero(trunc, t))
-            continue
-        if n == 0 and pair.lam == CycQ.one:
-            raise UndefinedAtTrivialPair("n = 0 term divides by zero at lam = 1")
-        coeffs.append(_expanded_reciprocal(n, lam_pow, trunc, t).scalar_mul(w))
+        buf: list = [CycQ.zero] * nslots
+        w = km1fact * n ** (k - 1)  # 0^0 = 1: the k = 1 term at n = 0
+        # n = 0 only for j/M = 1; lam = 1 there is the trivial pair, left out
+        if w and nslots and not (n == 0 and pair.is_trivial()):
+            if n > 0:
+                buf[0] = CycQ.from_rational(w)
+                _add_geometric(buf, t, n, s, w)
+            elif n < 0:
+                _add_geometric(buf, t, -n, -s, -w)
+            else:
+                buf[0] = (CycQ.one - pair.lam).inverse() * w
+        coeffs.append(Puiseux(t, 0, buf, trunc))
     return BiSeries(a1, lo, coeffs)
 
 
@@ -371,10 +327,12 @@ def pk_eval(
     continuation on the annulus |q_tau| < |q_z| < 1/|q_tau| (the defining
     series itself only converges for |q_z| < 1).  Terms with very negative
     n are rewritten against q_tau^(-n) for stability; the cutoff escalates
-    until the geometric tail bound drops below tol (hard cap 10^5 terms).
+    until the geometric tail bound drops below tol (at most PK_CUTOFF_CAP).
     """
     if k < 1:
         raise ValueError("k must be at least 1")
+    if cutoff < 1:
+        raise ValueError(f"cutoff must be at least 1, got {cutoff}")
     qz = cmath.exp(TWO_PI_I * z)
     qt = cmath.exp(TWO_PI_I * tau)
     if not (abs(qt) < abs(qz) < 1 / abs(qt)):
@@ -387,13 +345,12 @@ def pk_eval(
     trivial = pair.is_trivial()
     km1fact = 1 / math.factorial(k - 1)
     ratio = max(abs(qz) * abs(qt), abs(qt) / abs(qz))
-    hard_cap = 10**5
 
     def tail_bound(c: int) -> float:
         # sum_{|n|>c} |n|^(k-1) r^|n| <= 2 (c+1)^(k-1) r^(c+1)/(1-r)^k
         return 2 * (c + 1) ** (k - 1) * ratio ** (c + 1) / (1 - ratio) ** k * km1fact
 
-    while tol is not None and tail_bound(cutoff) > tol and cutoff < hard_cap:
+    while tol is not None and tail_bound(cutoff) > tol and cutoff < PK_CUTOFF_CAP:
         cutoff *= 2
     # positive n = a1 + r: 1/(1 - lam q^n) = 1 + lam q^n/(1 - lam q^n); the
     # free "1" part is the closed-form geometric piece
@@ -540,37 +497,21 @@ def klein_hecke_series(pair: TorsionPair, trunc) -> tuple[Puiseux, Puiseux]:
             )
         g = g * binom
         g = g.truncated(min(g.trunc, lead + trunc))
-    # h/(2 pi i) = a1 - 1/2 - lam q^(a1)/(1 - lam q^(a1)) - sum_m {...}
-    def lam_pow(e: int) -> CycQ:
-        return cyc_root_of(e * pair.l_over_N)
-
-    h = Puiseux.constant(Fraction(a1 - Fraction(1, 2)), trunc, t)
-    h = h - _geom_tail(a1, lam_pow, 1, trunc, t)
-    m = 1
-    while Fraction(m) - a1 < trunc or Fraction(m) + a1 < trunc:
-        e_plus = Fraction(m) + a1
-        e_minus = Fraction(m) - a1
-        if e_plus < trunc:
-            h = h - _geom_tail(e_plus, lam_pow, 1, trunc, t)
-        if e_minus < trunc:
-            h = h + _geom_tail(e_minus, lam_pow, -1, trunc, t)
+    # h/(2 pi i) = a1 - 1/2 - sum_(m>=0) lam q^(m+a1)/(1 - lam q^(m+a1))
+    #              + sum_(m>=1) lam^-1 q^(m-a1)/(1 - lam^-1 q^(m-a1))
+    h: list = [CycQ.zero] * max(0, math.ceil(trunc * t))
+    if h:
+        h[0] = CycQ.from_rational(a1 - Fraction(1, 2))
+    m = 0
+    while m - a1 < trunc:
+        _add_geometric(h, t, m + a1, a2, -1)
+        if m - a1 > 0:
+            _add_geometric(h, t, m - a1, -a2, 1)
+        elif m - a1 == 0 and h:
+            # a1 = 1, so lam != 1: the constant term lam^-1/(1 - lam^-1)
+            h[0] = h[0] + lam_inv / (CycQ.one - lam_inv)
         m += 1
-    return g, h
-
-
-def _geom_tail(x: Fraction, lam_pow, sign: int, trunc: Fraction, t: int) -> Puiseux:
-    """lam^sign q^x / (1 - lam^sign q^x) as a series; x = 0 gives a constant."""
-    if x == 0:
-        lam = lam_pow(sign)
-        if lam == CycQ.one:
-            raise UndefinedAtLatticePoint("constant geometric term at lam = 1")
-        return Puiseux.constant(lam / (CycQ.one - lam), trunc, t)
-    terms = []
-    m = 1
-    while m * x < trunc:
-        terms.append((m * x, lam_pow(sign * m)))
-        m += 1
-    return Puiseux.from_terms(terms, trunc, t)
+    return g, Puiseux(t, 0, h, trunc)
 
 
 # -- Zhu change-of-variable coefficients -----------------------------------------
@@ -707,10 +648,12 @@ def prop48_check(k: int, m: int, pair: TorsionPair, trunc) -> CheckReport:
 
     Res_z of the two expansion products, minus Q_k, must equal the exact
     Bernoulli constant B_k(1 - m + j/M)/k! for k >= 1; for k = 0 both
-    residues vanish and Q_0 + 1 = 0.
-    """
-    from .series import iota_inverse_difference
+    residues vanish and Q_0 + 1 = 0.  Both residues are signed sums of the
+    P-bar coefficients P_n (n = j/M + off):
 
+        Q_k + B_k(1 - m + j/M)/k!
+            = sum_(off=-m-depth)^(-m) P_n + lam sum_(off=1-m)^(1-m+depth) q^n P_n.
+    """
     trunc = Fraction(trunc)
     params = {"k": k, "m": m, "pair": pair, "trunc": trunc}
     flags = [QK_DENOMINATOR_FLAG, RESIDUE_BERNOULLI_FLAG]
@@ -729,28 +672,24 @@ def prop48_check(k: int, m: int, pair: TorsionPair, trunc) -> CheckReport:
     trunc_p = trunc + max(m, 0)
     pbar = pbar_series(k, pair, window, trunc_p)
 
-    # first product: iota_(z,z1)(1/(z-z1)) * z^(j/M - m) * Pbar(w = z1/z);
-    # the suppressed z1-exponent is the constant j/M - m at the residue, so
-    # z1 powers are carried as plain constants.  Pbar in z: w-exponent n
-    # contributes z^(-n).
-    pbar_in_z = BiSeries(-a1, -pbar.max_off, list(reversed(pbar.coeffs)))
-    iota1 = iota_inverse_difference(depth + 2, trunc_p, t)
-    mono = BiSeries(a1 - m, 0, [Puiseux.constant(1, trunc_p, t)])
-    res1 = residue_of_product(iota1 * mono, pbar_in_z)
-
-    # second product: -lam * iota_(z1,z)(1/(z-z1)) * z^(j/M - m) * Pbar(w = z1 q/z)
-    pbar_q = pbar.scale_coeffs_by_w_power()
-    pbar_q_in_z = BiSeries(-a1, -pbar_q.max_off, list(reversed(pbar_q.coeffs)))
-    iota2 = BiSeries(
-        0,
-        0,
-        [Puiseux.constant(-1, trunc_p, t) for _ in range(depth + 2)],
-    )
-    lam = pair.lam
-    res2 = residue_of_product(iota2 * mono, pbar_q_in_z).scalar_mul(lam)
+    # first product: iota_(z,z1)(1/(z-z1)) * z^(j/M - m) * Pbar(w = z1/z).
+    # iota_(z,z1) = sum_(e>=0) z1^e z^(-1-e) has every coefficient 1, and the
+    # z1-exponent is suppressed (it is the constant j/M - m at the residue);
+    # w^n contributes z^(-n), so z^(-1) collects P_n with n = j/M - m - e.
+    first = Puiseux.zero(trunc_p, t)
+    for off in range(-m - depth, 1 - m):
+        first = first + pbar.coeff_at_w(a1 + off)
+    # second product: -lam * iota_(z1,z)(1/(z-z1)) * z^(j/M - m) * Pbar(w = z1 q/z).
+    # iota_(z1,z) = -sum_(e>=0) z^e z1^(-1-e) has every coefficient -1, and
+    # w -> w q multiplies P_n by q^n; z^(-1) collects n = j/M + 1 - m + e.
+    # Past depth, either sum's terms start at or beyond q^trunc_p.
+    second = Puiseux.zero(trunc_p, t)
+    for off in range(1 - m, 2 - m + depth):
+        n = a1 + off
+        second = second + pbar.coeff_at_w(n).shifted(n)
+    rhs = first + second.scalar_mul(pair.lam)
 
     qk = qk_series(k, pair, trunc)
-    rhs = res1 - res2
     lhs = qk + Puiseux.constant(
         bernoulli_poly(k)(1 - m + a1) / math.factorial(k), trunc, t
     )

@@ -640,11 +640,18 @@ class BiSeries:
         return self.min_off + len(self.coeffs) - 1
 
     def coeff_at_w(self, exponent) -> Puiseux:
+        """Coefficient of w^exponent; zero off the wlead grid."""
         exponent = Fraction(exponent)
-        k = _window_slot(self.wlead, self.min_off, len(self.coeffs), exponent)
-        if k is None:
+        off = exponent - self.wlead
+        if off.denominator != 1:
             p0 = self.coeffs[0]
             return Puiseux.zero(p0.trunc, p0.T)
+        k = int(off) - self.min_off
+        if not 0 <= k < len(self.coeffs):
+            raise WindowTooSmall(
+                f"w-exponent {exponent} outside window "
+                f"[{self.wlead + self.min_off}, {self.wlead + self.max_off}]"
+            )
         return self.coeffs[k]
 
     def __mul__(self, other):
@@ -662,47 +669,10 @@ class BiSeries:
                 slots[i + j] = t if slots[i + j] is None else slots[i + j] + t
         return BiSeries(wlead, min_off, slots)
 
-    def scale_coeffs_by_w_power(self) -> "BiSeries":
-        """Multiply the coefficient at w-exponent x by q^x (w -> w*q)."""
-        out = []
-        for i, c in enumerate(self.coeffs):
-            x = self.wlead + self.min_off + i
-            out.append(c.shifted(x))
-        return BiSeries(self.wlead, self.min_off, out)
-
     def __repr__(self):
         return (
             f"BiSeries(w^{self.wlead}+Z, offsets {self.min_off}..{self.max_off})"
         )
-
-
-def _window_slot(wlead: Fraction, min_off: int, n: int, exponent: Fraction):
-    """Slot of w^exponent in n offsets from min_off; None if off the wlead grid."""
-    off = exponent - wlead
-    if off.denominator != 1:
-        return None
-    k = int(off) - min_off
-    if not 0 <= k < n:
-        raise WindowTooSmall(
-            f"w-exponent {exponent} outside window "
-            f"[{wlead + min_off}, {wlead + min_off + n - 1}]"
-        )
-    return k
-
-
-def residue_of_product(a: BiSeries, b: BiSeries) -> Puiseux:
-    """residue(a * b), forming only the products whose offsets sum to -1."""
-    na, nb = len(a.coeffs), len(b.coeffs)
-    wlead, min_off = a.wlead + b.wlead, a.min_off + b.min_off
-    k = _window_slot(wlead, min_off, na + nb - 1, Fraction(-1))
-    if k is None:
-        p0 = a.coeffs[0] * b.coeffs[0]
-        return Puiseux.zero(p0.trunc, p0.T)
-    acc = None
-    for i in range(max(0, k - nb + 1), min(k, na - 1) + 1):
-        t = a.coeffs[i] * b.coeffs[k - i]
-        acc = t if acc is None else acc + t
-    return acc
 
 
 def residue(s, variable: str = "w"):
@@ -718,15 +688,3 @@ def residue(s, variable: str = "w"):
             raise WindowTooSmall("exponent -1 is past the truncation order")
         return s.coeff_at(Fraction(-1))
     raise TypeError(f"cannot take a residue of {type(s).__name__}")
-
-
-def iota_inverse_difference(window_size: int, trunc, T: int = 1) -> BiSeries:
-    """Expansion of 1/(z - z1) in nonnegative powers of z1, as a series in z.
-
-    The z-coefficient of z^(-1-i) is z1^i; the z1 powers are returned as
-    q-free constants (callers track the suppressed variable's exponent
-    bookkeeping, which forces it to zero in residue identities).
-    """
-    one = Puiseux.constant(1, trunc, T)
-    coeffs = [one] * window_size
-    return BiSeries(0, -window_size, coeffs)

@@ -9,9 +9,9 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 
-from .errors import TruncationInsufficient
+from .errors import TruncationInsufficient, TruncationTooSmall
 from .forms import TWO_PI_I, eisenstein, g2_eval, pk_eval, qk_series, wp1_eval
-from .modular import S, T, GammaMat, TorsionPair, pair_act
+from .modular import S, T, GammaMat, TorsionPair, pair_act, slash_eval
 from .report import CheckReport
 from .series import eval_at_tau
 
@@ -31,6 +31,12 @@ def _check_tail(tail: float, tol: float):
         raise TruncationInsufficient(
             f"series tail bound {tail:g} exceeds tol/10 = {tol / 10:g}"
         )
+
+
+def _check_terms(terms: int):
+    # a series of no terms is 0 on both sides and would pass any law
+    if terms < 1:
+        raise TruncationTooSmall(f"need at least one series term, got {terms}")
 
 
 def _p_invariance(params: dict, tau_grid, tol: float) -> float:
@@ -58,6 +64,7 @@ def _q_modularity(params: dict, tau_grid, tol: float) -> float:
     pair = params.get("pair", TorsionPair(Fraction(1), Fraction(1, 2)))
     gamma = params.get("gamma", S)
     terms = params.get("terms", 400)
+    _check_terms(terms)
     acted = pair_act(pair, gamma)
     left = qk_series(k, pair, Fraction(terms, pair.M))
     right = qk_series(k, acted, Fraction(terms, acted.M))
@@ -114,6 +121,7 @@ def _delk_commutes(params: dict, tau_grid, tol: float) -> float:
     weight-2 samples, with q d/dq realized by finite differences."""
     gamma = params.get("gamma", S)
     terms = params.get("terms", 200)
+    _check_terms(terms)
     pair = params.get("pair", TorsionPair(Fraction(1), Fraction(1, 2)))
     acted = pair_act(pair, gamma)
     e2 = eisenstein(2, terms)
@@ -138,8 +146,7 @@ def _delk_commutes(params: dict, tau_grid, tol: float) -> float:
             return _finite_diff_theta(Fg, t) + k * eval_at_tau(e2, t).value * Fg(t)
 
         for tau in tau_grid:
-            j = gamma.automorphy(tau)
-            lhs = j ** (-(k + 2)) * del_f(gamma.apply(tau))
+            lhs = slash_eval(del_f, k + 2, gamma, tau)
             rhs = del_fg(tau)
             err = max(err, abs(lhs - rhs))
     return err

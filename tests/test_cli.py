@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from orbiform.cli import MAX_TRUNC_SLOTS, run
+from orbiform.forms import PK_CUTOFF_CAP
 
 
 def run_json(capsys, argv):
@@ -48,6 +49,15 @@ def test_pk_eval_value(capsys):
     assert len(obj["value"]) == 2
 
 
+def test_pk_eval_cutoff_out_of_range_is_a_usage_error(capsys):
+    argv = ["pk-eval", "1", "1/2", "1/3", "--z", "0.1+0.3i", "--tau", "1.2i"]
+    for cutoff in ("-3", "0", str(PK_CUTOFF_CAP + 1)):
+        assert run(argv + [f"--cutoff={cutoff}"]) == 2
+        assert "usage error" in capsys.readouterr().err
+    code, (obj,) = run_json(capsys, argv + ["--cutoff=1"])
+    assert code == 0 and len(obj["value"]) == 2
+
+
 def test_zhu_coeff(capsys):
     code, (obj,) = run_json(capsys, ["zhu-coeff", "3", "2", "1"])
     assert code == 0
@@ -65,6 +75,19 @@ def test_verify_single_law_and_suite(capsys):
     code, objs = run_json(capsys, ["verify", "--suite", "all"])
     assert code == 0
     assert len(objs) == 5 and all(o["pass"] for o in objs)
+
+
+def test_verify_terms_out_of_range_is_a_usage_error(capsys):
+    q_law = ["verify", "Q_modularity", "--k", "2", "--pair", "1/1,1/2", "--gamma", "S"]
+    for argv in (
+        q_law + ["--terms=-5"],
+        q_law + ["--terms=0"],
+        q_law + [f"--terms={MAX_TRUNC_SLOTS + 1}"],
+        ["verify", "delk_commutes", "--terms=0"],
+    ):
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert "usage error" in captured.err and captured.out == ""
 
 
 def test_verify_negative_exit_code(capsys):

@@ -162,3 +162,12 @@ def test_per_conductor_caches_are_bounded():
         info = cache.cache_info()
         assert info.maxsize == 64
         assert info.currsize <= 64
+
+
+def test_root_cache_is_bounded():
+    for m in range(1, 61):
+        for j in range(m):
+            cyclotomic.cyc_root(j, m)
+    info = cyclotomic.cyc_root.cache_info()
+    assert info.maxsize == 1024
+    assert info.currsize <= 1024

@@ -20,6 +20,7 @@ from orbiform.forms import (
     g2_eval,
     klein_hecke_series,
     lemma_plambda_check,
+    pbar_series,
     pk_double_sum_oracle,
     pk_eval,
     plambda_eval,
@@ -33,7 +34,7 @@ from orbiform.forms import (
     zhu_coeff_binomial_oracle,
 )
 from orbiform.modular import TorsionPair
-from orbiform.series import eval_at_tau, theta
+from orbiform.series import Puiseux, eval_at_tau, theta
 
 
 def test_bernoulli_polynomials_exact():
@@ -134,6 +135,10 @@ def test_pk_eval_region_checks():
     pair = TorsionPair(Fraction(1, 2), Fraction(1, 3))
     with pytest.raises(OutsideRegion):
         pk_eval(1, pair, 0.1 + 3j, 1j)
+    # a cutoff below 1 would double toward a tolerance forever
+    for cutoff in (0, -3):
+        with pytest.raises(ValueError):
+            pk_eval(1, pair, 0.1 + 0.3j, 1.2j, cutoff)
 
 
 def test_wp1_periodicity():
@@ -168,6 +173,35 @@ def test_zhu_coeff_against_binomial_oracle():
 def test_prop44_small_cutoff():
     r = prop44_check(2, 1, 2, cutoff=20000, tol=1e-6)
     assert r.passed
+
+
+def test_pbar_coefficients_are_weighted_reciprocals():
+    # P_n (1 - lam q^n) = n^(k-1)/(k-1)! for n > 0, n < 0 and, at j/M = 1, n = 0
+    trunc = 6
+    for pair in (
+        TorsionPair(Fraction(1), Fraction(1, 3)),
+        TorsionPair(Fraction(1, 2), Fraction(1, 2)),
+        TorsionPair(Fraction(2, 3), Fraction(1, 4)),
+        TorsionPair(Fraction(1, 5), Fraction(2, 5)),
+    ):
+        t = pair.M
+        lam = pair.lam
+        seen = set()
+        for k in (1, 2, 3):
+            pbar = pbar_series(k, pair, (-4, 4), trunc)
+            for off in range(-4, 5):
+                n = pair.j_over_M + off
+                w = n ** (k - 1) / math.factorial(k - 1)  # 0^0 = 1
+                if not w:
+                    continue
+                if n:
+                    binom = Puiseux.from_terms([(0, 1), (n, -lam)], trunc, t)
+                else:
+                    binom = Puiseux.constant(1 - lam, trunc, t)
+                got = (pbar.coeff_at_w(n) * binom).scalar_mul(1 / w)
+                assert got == 1, (pair, k, n)
+                seen.add((n > 0) - (n < 0))
+        assert seen == ({-1, 0, 1} if pair.j_over_M == 1 else {-1, 1})
 
 
 def test_prop48_single_cases():

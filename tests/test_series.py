@@ -22,10 +22,8 @@ from orbiform.series import (
     Puiseux,
     _convolve,
     eval_at_tau,
-    iota_inverse_difference,
     product_expand,
     residue,
-    residue_of_product,
     theta,
 )
 
@@ -210,8 +208,9 @@ def test_biseries_residue_and_window():
     one = Puiseux.constant(1, 5)
     b = BiSeries(0, -2, [one.scalar_mul(7), one.scalar_mul(5), one])
     assert residue(b).coeff_at(0) == 5
-    i = iota_inverse_difference(3, 5)
-    assert residue(i).coeff_at(0) == 1
+    assert b.coeff_at_w(Fraction(1, 2)).is_zero()  # off the wlead grid
+    with pytest.raises(WindowTooSmall):
+        b.coeff_at_w(1)
 
 
 def test_biseries_product_shifts_window():
@@ -274,35 +273,6 @@ def _schoolbook(a, b, limit):
 )
 def test_sparse_convolution_matches_schoolbook(a, b, limit):
     assert _convolve(a, b, limit) == _schoolbook(a, b, limit)
-
-
-# wleads whose sums fall on and off the integer grid
-small_biseries = st.builds(
-    BiSeries,
-    st.sampled_from(
-        [0, Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(-4, 3)]
-    ),
-    st.integers(min_value=-4, max_value=3),
-    st.lists(small_series, min_size=1, max_size=4),
-)
-_one = Puiseux.constant(1, 3)
-
-
-@settings(max_examples=60, deadline=None)
-@given(small_biseries, small_biseries)
-@example(BiSeries(Fraction(1, 2), 0, [_one]), BiSeries(0, -1, [_one]))  # off grid
-@example(BiSeries(0, 0, [_one]), BiSeries(0, 0, [_one]))  # outside the window
-def test_residue_of_product_matches_full_product(a, b):
-    try:
-        expected = residue(a * b)
-    except WindowTooSmall as exc:
-        with pytest.raises(WindowTooSmall) as got:
-            residue_of_product(a, b)
-        assert str(got.value) == str(exc)
-        return
-    got = residue_of_product(a, b)
-    assert (got.T, got.lead, got.trunc) == (expected.T, expected.lead, expected.trunc)
-    assert got.coeffs == expected.coeffs
 
 
 def test_klein_form_inverse_at_branching_96():

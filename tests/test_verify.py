@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from orbiform.errors import TruncationTooSmall
 from orbiform.modular import S, T, GammaMat, TorsionPair
 from orbiform.verify import LAW_IDS, verify_law, verify_suite
 
@@ -29,6 +30,14 @@ def test_q_modularity_extra_gammas():
              "gamma": gamma},
         )
         assert r.passed, (gamma, r.error)
+
+
+def test_series_laws_reject_fewer_than_one_term():
+    # a series of no terms is 0 on both sides, which would pass vacuously
+    for law in ("Q_modularity", "delk_commutes"):
+        for terms in (0, -5):
+            with pytest.raises(TruncationTooSmall):
+                verify_law(law, {"terms": terms})
 
 
 def test_p_invariance_negative_at_trivial_pair():
