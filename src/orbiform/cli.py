@@ -32,7 +32,7 @@ from .moonshine import (
     twisted_weight4,
     weight4_onepoint,
 )
-from .verify import LAW_IDS, verify_law, verify_suite
+from .verify import LAW_IDS, law_params, verify_law, verify_suite
 
 DEFAULT_TERMS = 60
 DEFAULT_TOL = 1e-8
@@ -190,6 +190,10 @@ def _cmd_verify(args) -> int:
                     f"--terms must be between 1 and {MAX_TRUNC_SLOTS}, got {args.terms}"
                 )
             params["terms"] = args.terms
+        try:
+            law_params(args.law_id, params)
+        except ValueError as e:
+            raise UsageError(str(e)) from e
         reports = [verify_law(args.law_id, params, tol=args.tol)]
     ok = True
     for r in reports:

@@ -37,57 +37,35 @@ def euler_phi(n: int) -> int:
     return result
 
 
-def _poly_divmod_int(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    # exact division of integer polynomials, den monic up to +-1 leading coeff
-    num = list(num)
-    q = [0] * (len(num) - len(den) + 1)
-    lead = den[-1]
-    for i in range(len(num) - len(den), -1, -1):
-        c = num[i + len(den) - 1]
-        if c % lead != 0:
-            raise ArithmeticError("non-exact polynomial division")
-        c //= lead
-        q[i] = c
-        for j, d in enumerate(den):
-            num[i + j] -= c * d
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return q, num
-
-
 @functools.lru_cache(maxsize=64)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Integer coefficients of Phi_n, ascending order."""
     if n == 1:
         return (-1, 1)
-    poly = [0] * n + [1]
-    poly[0] = -1  # x^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            poly, rem = _poly_divmod_int(poly, list(cyclotomic_polynomial(d)))
-            assert rem == [0]
-    return tuple(poly)
+    p = max(q for q in range(2, n + 1) if n % q == 0 and euler_phi(q) == q - 1)
+    m = n // p
+    # for the largest prime p | n: Phi_n(x) = Phi_m(x^p), over Phi_m(x) unless p | m
+    base = [Fraction(c) for c in cyclotomic_polynomial(m)]
+    poly = [Fraction(0)] * (p * (len(base) - 1) + 1)
+    poly[::p] = base
+    if m % p:
+        poly, rem = _poly_divmod_q(poly, base)
+        assert rem == [0]
+    return tuple(int(c) for c in poly)
 
 
 @functools.lru_cache(maxsize=64)
-def _reduction_table(n: int) -> list[tuple[Fraction, ...]]:
-    """x^k mod Phi_n for k = 0 .. 2*(phi(n)-1), as coordinate rows."""
+def _reduction_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """zeta_n^e in the power basis mod Phi_n for e = 0 .. n-1, as integer rows."""
     phi = cyclotomic_polynomial(n)
-    d = len(phi) - 1
-    rows: list[tuple[Fraction, ...]] = []
-    cur = [Fraction(0)] * d
-    if d > 0:
-        cur[0] = Fraction(1)
-    rows.append(tuple(cur))
-    for _ in range(2 * d - 2):
-        nxt = [Fraction(0)] + cur[:-1]
-        top = cur[-1]
-        if top:
-            for i in range(d):
-                nxt[i] -= top * phi[i]
-        rows.append(tuple(nxt))
-        cur = nxt
-    return rows
+    row = (1,) + (0,) * (len(phi) - 2)
+    rows = [row]
+    for _ in range(n - 1):
+        # multiply by x and subtract top * Phi_n (monic)
+        top = row[-1]
+        row = tuple(c - top * p for c, p in zip((0,) + row[:-1], phi))
+        rows.append(row)
+    return tuple(rows)
 
 
 class CycQ:
@@ -101,6 +79,8 @@ class CycQ:
     __slots__ = ("conductor", "coeffs")
 
     def __init__(self, conductor: int, coeffs):
+        if conductor < 1:
+            raise ValueError(f"conductor must be at least 1, got {conductor}")
         d = euler_phi(conductor)
         coeffs = tuple(Fraction(c) for c in coeffs)
         if len(coeffs) != d:
@@ -145,23 +125,16 @@ class CycQ:
         """Image in Q(zeta_n); requires conductor | n."""
         if n == self.conductor:
             return self
-        if n % self.conductor != 0:
-            raise ValueError("can only lift to a multiple of the conductor")
+        if n < 1 or n % self.conductor != 0:
+            raise ValueError("can only lift to a positive multiple of the conductor")
         step = n // self.conductor
-        d = euler_phi(n)
-        out = [Fraction(0)] * d
-        # powers x^(i*step) may exceed the table; reduce iteratively
-        power = [Fraction(0)] * d
-        power[0] = Fraction(1)
-        k = 0
+        table = _reduction_table(n)
+        out = [Fraction(0)] * euler_phi(n)
         for i, c in enumerate(self.coeffs):
-            target = i * step
-            while k < target:
-                power = _shift_reduce(power, n)
-                k += 1
             if c:
-                for t in range(d):
-                    out[t] += c * power[t]
+                for t, r in enumerate(table[i * step]):
+                    if r:
+                        out[t] += c * r
         return CycQ._make(n, tuple(out))
 
     def _common(self, other: "CycQ") -> tuple["CycQ", "CycQ"]:
@@ -240,9 +213,9 @@ class CycQ:
         out = [Fraction(0)] * d
         for k, c in enumerate(prod):
             if c:
-                row = table[k]
-                for t in range(d):
-                    out[t] += c * row[t]
+                for t, r in enumerate(table[k % n]):
+                    if r:
+                        out[t] += c * r
         return CycQ._make(n, tuple(out))
 
     __rmul__ = __mul__
@@ -264,23 +237,9 @@ class CycQ:
             s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
         if _degree(r1) < 0:
             raise ZeroDivisionError("element not invertible (zero divisor?)")
+        # the Bezout cofactor s1 of a against Phi_n has degree < phi(n)
         c = r1[0]
-        inv = [x / c for x in s1]
-        d = euler_phi(n)
-        inv = inv[:d] + [Fraction(0)] * max(0, d - len(inv))
-        # s1 may have degree >= d only transiently; reduce just in case
-        if len(s1) > d:
-            table = _reduction_table(n)
-            out = [Fraction(0)] * d
-            for k, coef in enumerate(x / c for x in s1):
-                if coef:
-                    row = table[k] if k < len(table) else None
-                    if row is None:
-                        raise ArithmeticError("unexpected degree in inverse")
-                    for t in range(d):
-                        out[t] += coef * row[t]
-            inv = out
-        return CycQ(n, inv)
+        return CycQ(n, [x / c for x in s1] + [Fraction(0)] * (euler_phi(n) - len(s1)))
 
     def __truediv__(self, other):
         other = CycQ._coerce(other)
@@ -376,19 +335,7 @@ def _trace_weights(n: int) -> tuple[Fraction, ...]:
     """Tr(zeta_n^i)/phi(n) for i < phi(n), the trace of multiplying by zeta_n^i."""
     table = _reduction_table(n)
     d = len(table[0])
-    return tuple(sum(table[i + k][k] for k in range(d)) / d for i in range(d))
-
-
-def _shift_reduce(coords: list[Fraction], n: int) -> list[Fraction]:
-    """Multiply a power-basis vector by x, reducing mod Phi_n."""
-    phi = cyclotomic_polynomial(n)
-    d = len(coords)
-    nxt = [Fraction(0)] + coords[:-1]
-    top = coords[-1]
-    if top:
-        for i in range(d):
-            nxt[i] -= top * phi[i]
-    return nxt
+    return tuple(Fraction(sum(table[(i + k) % n][k] for k in range(d)), d) for i in range(d))
 
 
 # -- small Q[x] helpers for the extended Euclid -----------------------------
@@ -427,20 +374,19 @@ def _poly_sub(a, b):
 
 
 def _poly_divmod_q(a, b):
-    a = _trim(a)
+    """Quotient and remainder of a by a nonzero b in Q[x]."""
+    r = _trim(a)
     b = _trim(b)
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    r = list(a)
-    while _degree(r) >= _degree(b):
-        shift = _degree(r) - _degree(b)
-        c = r[-1] / b[-1]
-        q[shift] += c
-        for i, y in enumerate(b):
-            r[i + shift] -= c * y
-        r = _trim(r)
-        if _degree(r) < 0:
-            break
-    return _trim(q), _trim(r)
+    db = len(b) - 1
+    q = [Fraction(0)] * max(1, len(r) - db)
+    for shift in range(len(r) - 1 - db, -1, -1):
+        c = r[shift + db] / b[-1]
+        if c:
+            q[shift] = c
+            for i, y in enumerate(b):
+                if y:
+                    r[i + shift] -= c * y
+    return _trim(q), _trim(r[:db] or [Fraction(0)])
 
 
 # -- public constructors ----------------------------------------------------
@@ -454,20 +400,9 @@ def cyc_root(j: int, m: int) -> CycQ:
     if m < 1:
         raise ValueError("order must be positive")
     j %= m
-    if j == 0:
-        return CycQ.one
     g = gcd(j, m)
-    n, e = m // g, j // g
-    d = euler_phi(n)
-    if e < d:
-        coords = [Fraction(0)] * d
-        coords[e] = Fraction(1)
-        return CycQ(n, coords)
-    coords = [Fraction(0)] * d
-    coords[0] = Fraction(1)
-    for _ in range(e):
-        coords = _shift_reduce(coords, n)
-    return CycQ(n, coords)
+    n = m // g
+    return CycQ(n, _reduction_table(n)[j // g])
 
 
 def cyc_root_of(x) -> CycQ:

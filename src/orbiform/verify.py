@@ -41,11 +41,8 @@ def _check_terms(terms: int):
 
 def _p_invariance(params: dict, tau_grid, tol: float) -> float:
     """P_k(mu,lambda, z/(c tau+d), gamma tau) = (c tau+d)^k P_k((mu,lambda)gamma, z, tau)."""
-    k = params.get("k", 1)
-    pair = params.get("pair", TorsionPair(Fraction(1, 2), Fraction(1, 3)))
-    gamma = params.get("gamma", S)
-    z = params.get("z", 0.3j)
-    cutoff = params.get("cutoff", 400)
+    k, pair, gamma, z = params["k"], params["pair"], params["gamma"], params["z"]
+    cutoff = params["cutoff"]
     acted = pair_act(pair, gamma)
     err = 0.0
     for tau in tau_grid:
@@ -60,10 +57,7 @@ def _p_invariance(params: dict, tau_grid, tol: float) -> float:
 
 def _q_modularity(params: dict, tau_grid, tol: float) -> float:
     """Q_k(mu,lambda, gamma tau) = (c tau+d)^k Q_k((mu,lambda)gamma, tau)."""
-    k = params.get("k", 2)
-    pair = params.get("pair", TorsionPair(Fraction(1), Fraction(1, 2)))
-    gamma = params.get("gamma", S)
-    terms = params.get("terms", 400)
+    k, pair, gamma, terms = params["k"], params["pair"], params["gamma"], params["terms"]
     _check_terms(terms)
     acted = pair_act(pair, gamma)
     left = qk_series(k, pair, Fraction(terms, pair.M))
@@ -81,8 +75,7 @@ def _q_modularity(params: dict, tau_grid, tol: float) -> float:
 
 def _g2_quasimodular(params: dict, tau_grid, tol: float) -> float:
     """G2(gamma tau) = (c tau+d)^2 G2(tau) - 2 pi i c (c tau+d)."""
-    gamma = params.get("gamma", S)
-    trunc = params.get("trunc", 200)
+    gamma, trunc = params["gamma"], params["trunc"]
     err = 0.0
     for tau in tau_grid:
         j = gamma.automorphy(tau)
@@ -94,9 +87,7 @@ def _g2_quasimodular(params: dict, tau_grid, tol: float) -> float:
 
 def _wp1_laws(params: dict, tau_grid, tol: float) -> float:
     """Quasi-periodicity in z, z + tau, and weight-1 modularity of wp1."""
-    gamma = params.get("gamma", S)
-    z = params.get("z", 0.21 - 0.4j)
-    trunc = params.get("trunc", 400)
+    gamma, z, trunc = params["gamma"], params["z"], params["trunc"]
     err = 0.0
     for tau in tau_grid:
         base = wp1_eval(z, tau, trunc)
@@ -119,10 +110,8 @@ def _finite_diff_theta(F, tau: complex, h: float = 1e-3) -> complex:
 def _delk_commutes(params: dict, tau_grid, tol: float) -> float:
     """(del_k f)|_{k+2} gamma = del_k (f|_k gamma) on weight-4 and twisted
     weight-2 samples, with q d/dq realized by finite differences."""
-    gamma = params.get("gamma", S)
-    terms = params.get("terms", 200)
+    gamma, terms, pair = params["gamma"], params["terms"], params["pair"]
     _check_terms(terms)
-    pair = params.get("pair", TorsionPair(Fraction(1), Fraction(1, 2)))
     acted = pair_act(pair, gamma)
     e2 = eisenstein(2, terms)
     e4 = eisenstein(4, terms)
@@ -160,13 +149,45 @@ _LAWS = {
     "delk_commutes": _delk_commutes,
 }
 
+# every parameter a law reads, with its default
+_LAW_DEFAULTS = {
+    "P_invariance": {
+        "k": 1, "pair": TorsionPair(Fraction(1, 2), Fraction(1, 3)), "gamma": S,
+        "z": 0.3j, "cutoff": 400,
+    },
+    "Q_modularity": {
+        "k": 2, "pair": TorsionPair(Fraction(1), Fraction(1, 2)), "gamma": S,
+        "terms": 400,
+    },
+    "G2_quasimodular": {"gamma": S, "trunc": 200},
+    "wp1_laws": {"gamma": S, "z": 0.21 - 0.4j, "trunc": 400},
+    "delk_commutes": {
+        "gamma": S, "terms": 200, "pair": TorsionPair(Fraction(1), Fraction(1, 2)),
+    },
+}
+
+
+def law_params(law_id: str, params: dict | None = None) -> dict:
+    """The law's defaults updated by params.
+
+    Raises ValueError for an unknown law or a parameter the law does not read.
+    """
+    if law_id not in _LAWS:
+        raise ValueError(f"unknown law {law_id!r}; known: {', '.join(LAW_IDS)}")
+    defaults = _LAW_DEFAULTS[law_id]
+    unread = [key for key in params or {} if key not in defaults]
+    if unread:
+        raise ValueError(
+            f"{law_id} does not read {', '.join(unread)}; it reads {', '.join(defaults)}"
+        )
+    return {**defaults, **(params or {})}
+
 
 def verify_law(law_id: str, params: dict | None = None,
                tau_grid=DEFAULT_TAU_GRID, tol: float = 1e-8) -> CheckReport:
-    if law_id not in _LAWS:
-        raise ValueError(f"unknown law {law_id!r}; known: {', '.join(LAW_IDS)}")
     params = dict(params or {})
-    err = _LAWS[law_id](params, tuple(tau_grid), tol)
+    read = law_params(law_id, params)
+    err = _LAWS[law_id](read, tuple(tau_grid), tol)
     return CheckReport(law_id, params, err, err < tol)
 
 

@@ -90,6 +90,15 @@ def test_verify_terms_out_of_range_is_a_usage_error(capsys):
         assert "usage error" in captured.err and captured.out == ""
 
 
+def test_verify_parameter_the_law_does_not_read_is_a_usage_error(capsys):
+    argv = ["verify", "G2_quasimodular", "--k", "7", "--pair", "1/2,1/3",
+            "--z", "0.1+0.2i", "--terms", "1"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage error" in captured.err and "does not read k, pair, z, terms" in captured.err
+
+
 def test_verify_negative_exit_code(capsys):
     code = run(["verify", "P_invariance", "--k", "1", "--pair", "1/1,1/1"])
     capsys.readouterr()
@@ -114,6 +123,16 @@ def test_frobenius_from_file(capsys, tmp_path):
     assert obj["numeric"] is False
     assert len(obj["solutions"]) == 2
     assert obj["exponent_classes"] == [["1/2", "-1/2"]]
+
+
+def test_frobenius_conductor_below_one_is_an_error(capsys, tmp_path):
+    bad = {"T": 1, "leading": "0", "trunc": "3", "coeffs": [{"conductor": 0, "coeffs": []}]}
+    ode = {"order": 2, "T": 1, "coeffs": [bad, {"terms": [], "trunc": "3"}]}
+    p = tmp_path / "ode.json"
+    p.write_text(json.dumps(ode))
+    assert run(["frobenius", "--ode", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "conductor" in err and "Traceback" not in err
 
 
 def test_moonshine_subcommands(capsys):

@@ -87,7 +87,7 @@ def test_embed_is_a_homomorphism(a, b):
 
 
 def test_embed_matches_exponential():
-    for n in range(1, 13):
+    for n in (*range(1, 13), 24, 60, 84):
         for j in range(n):
             got = cyc_root(j, n).embed()
             want = cmath.exp(2j * cmath.pi * j / n)
@@ -101,6 +101,12 @@ def test_inverse_and_division():
     assert (x / x) == CycQ.one
     with pytest.raises(ZeroDivisionError):
         CycQ.zero.inverse()
+
+
+@settings(max_examples=60, deadline=None)
+@given(cycq_elements().filter(lambda x: not x.is_zero()))
+def test_inverse_is_a_two_sided_inverse(x):
+    assert x * x.inverse() == CycQ.one
 
 
 def test_high_precision_embedding():
@@ -134,6 +140,24 @@ def test_lift_preserves_hash(x, data):
     y = x.lift(n)
     assert x == y
     assert hash(x) == hash(y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cycq_elements(), st.data())
+def test_lift_keeps_the_complex_value(x, data):
+    # the embedding reads no reduction table, so it checks every row a lift uses
+    n = data.draw(st.sampled_from(range(x.conductor, 61, x.conductor)))
+    assert abs(x.lift(n).embed() - x.embed()) < 1e-9
+
+
+def test_conductor_below_one_is_rejected():
+    for n in (0, -3):
+        with pytest.raises(ValueError):
+            CycQ(n, [])
+        with pytest.raises(ValueError):
+            cyc_root(1, 3).lift(n)
+    with pytest.raises(ValueError):
+        CycQ.from_json({"conductor": 0, "coeffs": []})
 
 
 def test_rational_detection():

@@ -22,6 +22,15 @@ def test_unknown_law_rejected():
         verify_law("no_such_law")
 
 
+def test_parameters_a_law_does_not_read_are_rejected():
+    with pytest.raises(ValueError, match="G2_quasimodular does not read k, terms"):
+        verify_law("G2_quasimodular", {"k": 7, "terms": 1, "gamma": S})
+    with pytest.raises(ValueError, match="Q_modularity does not read z"):
+        verify_law("Q_modularity", {"z": 0.1j})
+    r = verify_law("wp1_laws", {"gamma": T, "trunc": 200})
+    assert r.params == {"gamma": T, "trunc": 200}
+
+
 def test_q_modularity_extra_gammas():
     for gamma in (T, S @ T, GammaMat(2, 1, 1, 1)):
         r = verify_law(
