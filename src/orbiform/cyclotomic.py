@@ -79,8 +79,8 @@ class CycQ:
     __slots__ = ("conductor", "coeffs")
 
     def __init__(self, conductor: int, coeffs):
-        if conductor < 1:
-            raise ValueError(f"conductor must be at least 1, got {conductor}")
+        if not isinstance(conductor, int) or conductor < 1:
+            raise ValueError(f"conductor must be a positive integer, got {conductor!r}")
         d = euler_phi(conductor)
         coeffs = tuple(Fraction(c) for c in coeffs)
         if len(coeffs) != d:
