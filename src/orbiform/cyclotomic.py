@@ -395,7 +395,7 @@ def _poly_divmod_q(a, b):
 def cyc_root(j: int, m: int) -> CycQ:
     """zeta_M^j as an exact element, reduced to minimal conductor.
 
-    Cached: the series builders ask for the same few roots once per term.
+    Cached: the divisor oracle asks for the same few roots once per slot.
     """
     if m < 1:
         raise ValueError("order must be positive")

@@ -12,10 +12,12 @@ import cmath
 import functools
 import math
 from fractions import Fraction
+from math import gcd
 
+import mpmath
 import numpy as np
 
-from .cyclotomic import CycQ, cyc_root, cyc_root_of, lcm
+from .cyclotomic import CycQ, _reduction_table, cyc_root, cyc_root_of, lcm
 from .errors import (
     BadWeight,
     NearPole,
@@ -154,13 +156,34 @@ def del_k(f: Puiseux, k: int) -> Puiseux:
 
 # -- twisted Eisenstein series Q_k ---------------------------------------------
 
-def _add_geometric(coeffs: list, t: int, x: Fraction, s: Fraction, weight):
-    """Add weight * sum_{m>=1} e^(2 pi i m s) q^(m x), x > 0 on the 1/t grid,
-    into a dense buffer of lead 0 whose slots end at the truncation."""
-    step = int(x * t)
-    for m, idx in enumerate(range(step, len(coeffs), step), 1):
-        root = cyc_root(m * s.numerator % s.denominator, s.denominator)
-        coeffs[idx] = coeffs[idx] + root * weight
+def _add_geometric(rows: list, step: int, s: Fraction, weight: int):
+    """Add weight * sum_{m>=1} e^(2 pi i m s) q^(m step/t), step >= 1, into rows
+    whose slots end at the truncation.  rows[slot] is None until a term lands
+    there, then a row of Z[C_N], N = den(s): row[e] is the coefficient of zeta_N^e.
+    """
+    l, n = s.numerator, s.denominator
+    for m, idx in enumerate(range(step, len(rows), step), 1):
+        row = rows[idx]
+        if row is None:
+            row = rows[idx] = [0] * n
+        row[m * l % n] += weight
+
+
+def _reduce_rows(rows: list, denom: int) -> list:
+    """Each row sum_e c_e zeta_N^e, divided by denom, as a CycQ.
+
+    A row is reduced once, at the conductor N/gcd(N, e) over the exponents e
+    whose coefficients survive; an empty or cancelled row is CycQ.zero.
+    """
+    out = [CycQ.zero] * len(rows)
+    for idx, row in enumerate(rows):
+        present = row and [(e, c) for e, c in enumerate(row) if c]
+        if present:
+            g = gcd(len(row), *(e for e, _ in present))
+            table = _reduction_table(len(row) // g)
+            coords = map(sum, zip(*([c * r for r in table[e // g]] for e, c in present)))
+            out[idx] = CycQ._make(len(row) // g, tuple(Fraction(x, denom) for x in coords))
+    return out
 
 
 def qk_series(k: int, pair: TorsionPair, trunc) -> Puiseux:
@@ -179,40 +202,22 @@ def qk_series(k: int, pair: TorsionPair, trunc) -> Puiseux:
         # its weight (n - j/M)^(k-1) vanishes and the series is fine
         raise UndefinedAtTrivialPair("Q_1 is undefined at the pair (1,1)")
     a1, s = pair.j_over_M, pair.l_over_N
-    t = pair.M
+    t, j = pair.M, a1.numerator
     nslots = max(0, math.ceil(trunc * t))
-    coeffs: list = [CycQ.zero] * nslots
-    km1fact = Fraction(1, math.factorial(k - 1))
-
-    def add_const(value):
-        if nslots:
-            coeffs[0] = coeffs[0] + value
-
-    add_const(CycQ.from_rational(-bernoulli_poly(k)(a1) / math.factorial(k)))
-
-    # first sum: n >= 0, exponent x = n + j/M > 0 always
-    n = 0
-    while Fraction(n) + a1 < trunc:
-        x = Fraction(n) + a1
-        w = km1fact * x ** (k - 1)
-        if w:
-            _add_geometric(coeffs, t, x, s, w)
-        n += 1
-    # second sum: n >= 1, exponent x = n - j/M >= 0; at x = 0, x^0 = 1 keeps
-    # the k = 1 boundary term
-    sign = Fraction((-1) ** k)
-    n = 1
-    while Fraction(n) - a1 < trunc:
-        x = Fraction(n) - a1
-        w = sign * km1fact * x ** (k - 1)
-        if w:
-            if x == 0:
-                # constant boundary term lam^-1 w / (1 - lam^-1); lam != 1 here
-                lam_inv = cyc_root_of(-s)
-                add_const(lam_inv * w / (CycQ.one - lam_inv))
-            else:
-                _add_geometric(coeffs, t, x, -s, w)
-        n += 1
+    rows = [None] * nslots
+    # exponent x = step/M, weight x^(k-1)/(k-1)! = step^(k-1)/((k-1)! M^(k-1));
+    # first sum: n >= 0, step = nM + j > 0; second: n >= 1, step = nM - j > 0
+    for step in range(j, nslots, t):
+        _add_geometric(rows, step, s, step ** (k - 1))
+    for step in range(t - j or t, nslots, t):
+        _add_geometric(rows, step, -s, (-1) ** k * step ** (k - 1))
+    coeffs = _reduce_rows(rows, math.factorial(k - 1) * t ** (k - 1))
+    if nslots:
+        coeffs[0] = CycQ.from_rational(-bernoulli_poly(k)(a1) / math.factorial(k))
+        if k == 1 and j == t:
+            # the step = 0 boundary term lam^-1 w/(1 - lam^-1), w = -1; lam != 1
+            lam_inv = cyc_root_of(-s)
+            coeffs[0] = coeffs[0] - lam_inv / (CycQ.one - lam_inv)
     return Puiseux(t, 0, coeffs, trunc)
 
 
@@ -222,31 +227,36 @@ def qk_series_divisor_oracle(k: int, pair: TorsionPair, trunc) -> Puiseux:
     Coefficient of q^(n/M):
     (-1)^k M^(1-k)/(k-1)! * [ sum_{d|n, d = -j mod M} d^(k-1) lam^(-n/d)
                               + (-1)^k sum_{d|n, d = j mod M} d^(k-1) lam^(n/d) ].
+    Each admissible d is sieved over its multiples n = d q.
     """
     if k < 3:
         raise ValueError("the lattice rearrangement needs k >= 3")
     trunc = Fraction(trunc)
     a1 = pair.j_over_M
     m_den = pair.M
-    j = a1.numerator * (m_den // a1.denominator)  # j with mu = zeta_M^j, 1<=j<=M
-    s = pair.l_over_N
-    t = m_den
-    nslots = max(0, math.ceil(trunc * t))
-    coeffs: list = [CycQ.zero] * nslots
+    j = a1.numerator  # mu = zeta_M^j, 1 <= j <= M
+    l, n_den = pair.l_over_N.numerator, pair.l_over_N.denominator
+    nslots = max(0, math.ceil(trunc * m_den))
+    # acc[n] maps a root exponent e of zeta_N^e to its integer coefficient
+    acc: list = [{} for _ in range(nslots)]
+
+    def sieve(d, lam_exp, w):
+        # every multiple n = d q of d gets the term w lam^(lam_exp q)
+        for q, n in enumerate(range(d, nslots, d), 1):
+            e = q * lam_exp % n_den
+            acc[n][e] = acc[n].get(e, 0) + w
+
+    for d in range(1, nslots):
+        if (d + j) % m_den == 0:
+            sieve(d, -l, d ** (k - 1))
+        if (d - j) % m_den == 0:
+            sieve(d, l, (-1) ** k * d ** (k - 1))
+    pref = Fraction((-1) ** k, m_den ** (k - 1) * math.factorial(k - 1))
+    coeffs = [sum((cyc_root(e, n_den) * c for e, c in a.items()), CycQ.zero) * pref
+              for a in acc]
     if nslots:
         coeffs[0] = CycQ.from_rational(-bernoulli_poly(k)(a1) / math.factorial(k))
-    pref = Fraction((-1) ** k, m_den ** (k - 1) * math.factorial(k - 1))
-    for n in range(1, nslots):
-        acc = CycQ.zero
-        for d in range(1, n + 1):
-            if n % d:
-                continue
-            if (d + j) % m_den == 0:
-                acc = acc + cyc_root_of(-(n // d) * s) * Fraction(d ** (k - 1))
-            if (d - j) % m_den == 0:
-                acc = acc + cyc_root_of(n // d * s) * Fraction((-1) ** k * d ** (k - 1))
-        coeffs[n] = coeffs[n] + acc * pref
-    return Puiseux(t, 0, coeffs, trunc)
+    return Puiseux(m_den, 0, coeffs, trunc)
 
 
 # -- the P-bar two-variable series ---------------------------------------------
@@ -271,21 +281,23 @@ def pbar_series(k: int, pair: TorsionPair, window: tuple[int, int], trunc) -> Bi
         zero = Puiseux.zero(trunc, t)
         return BiSeries(a1, lo, [zero] * (hi - lo + 1))
     nslots = max(0, math.ceil(trunc * t))
-    km1fact = Fraction(1, math.factorial(k - 1))
+    j = a1.numerator
+    denom = math.factorial(k - 1) * t ** (k - 1)
     coeffs = []
     for off in range(lo, hi + 1):
-        n = a1 + off
-        buf: list = [CycQ.zero] * nslots
-        w = km1fact * n ** (k - 1)  # 0^0 = 1: the k = 1 term at n = 0
-        # n = 0 only for j/M = 1; lam = 1 there is the trivial pair, left out
-        if w and nslots and not (n == 0 and pair.is_trivial()):
-            if n > 0:
-                buf[0] = CycQ.from_rational(w)
-                _add_geometric(buf, t, n, s, w)
-            elif n < 0:
-                _add_geometric(buf, t, -n, -s, -w)
-            else:
-                buf[0] = (CycQ.one - pair.lam).inverse() * w
+        step = j + off * t  # n = step/t
+        rows = [None] * nslots
+        w = step ** (k - 1)  # 0^0 = 1: the k = 1 term at n = 0
+        if step > 0:
+            _add_geometric(rows, step, s, w)
+        elif step < 0:
+            _add_geometric(rows, -step, -s, -w)
+        buf = _reduce_rows(rows, denom)
+        if buf and step > 0:
+            buf[0] = CycQ.from_rational(Fraction(w, denom))
+        elif buf and step == 0 and w and not pair.is_trivial():
+            # n = 0 only for j/M = 1; lam = 1 there is the trivial pair, left out
+            buf[0] = (CycQ.one - pair.lam).inverse() * Fraction(w, denom)
         coeffs.append(Puiseux(t, 0, buf, trunc))
     return BiSeries(a1, lo, coeffs)
 
@@ -499,18 +511,18 @@ def klein_hecke_series(pair: TorsionPair, trunc) -> tuple[Puiseux, Puiseux]:
         g = g.truncated(min(g.trunc, lead + trunc))
     # h/(2 pi i) = a1 - 1/2 - sum_(m>=0) lam q^(m+a1)/(1 - lam q^(m+a1))
     #              + sum_(m>=1) lam^-1 q^(m-a1)/(1 - lam^-1 q^(m-a1))
-    h: list = [CycQ.zero] * max(0, math.ceil(trunc * t))
+    j = a1.numerator
+    rows = [None] * max(0, math.ceil(trunc * t))
+    for step in range(j, len(rows), t):
+        _add_geometric(rows, step, a2, -1)
+    for step in range(t - j or t, len(rows), t):
+        _add_geometric(rows, step, -a2, 1)
+    h = _reduce_rows(rows, 1)
     if h:
         h[0] = CycQ.from_rational(a1 - Fraction(1, 2))
-    m = 0
-    while m - a1 < trunc:
-        _add_geometric(h, t, m + a1, a2, -1)
-        if m - a1 > 0:
-            _add_geometric(h, t, m - a1, -a2, 1)
-        elif m - a1 == 0 and h:
+        if j == t:
             # a1 = 1, so lam != 1: the constant term lam^-1/(1 - lam^-1)
             h[0] = h[0] + lam_inv / (CycQ.one - lam_inv)
-        m += 1
     return g, Puiseux(t, 0, h, trunc)
 
 
@@ -571,15 +583,14 @@ def prop44_check(k: int, j: int, m: int, cutoff: int = 10**6, tol: float = 1e-9)
         raise ValueError("need 1 <= j <= M")
     if k < 2:
         raise ValueError("the sum needs k >= 2 for absolute convergence")
-    ns = np.arange(1, cutoff + 1, dtype=np.float64)
-    phase = np.exp(2j * np.pi * ((np.arange(1, cutoff + 1) * j) % m) / m)
-    inv = ns ** (-float(k))
-    total = np.sum(phase * inv) + (-1) ** k * np.sum(np.conj(phase) * inv)
+    # sum n^(-k) over each class n mod M once, then weight each class by its root
+    ns = np.arange(1, cutoff + 1)
+    sums = np.bincount(ns % m, weights=ns.astype(np.float64) ** (-float(k)), minlength=m)
+    phase = np.exp(2j * np.pi * (np.arange(m) * j % m) / m)
+    total = np.sum(phase * sums) + (-1) ** k * np.sum(np.conj(phase) * sums)
     if j % m == 0:
         # mu = 1: the tail does not oscillate and decays only like
         # cutoff^(1-k); restore it with the Hurwitz zeta value
-        import mpmath
-
         total += (1 + (-1) ** k) * float(mpmath.zeta(k, cutoff + 1))
     lhs = total / TWO_PI_I**k
     rhs = complex(-bernoulli_poly(k)(Fraction(j, m)) / math.factorial(k))
@@ -602,22 +613,11 @@ def prop46_exact_checks(pair: TorsionPair, trunc) -> list[CheckReport]:
     logderiv = tg * g.inverse()
     q2 = qk_series(2, pair, trunc)
     ok2 = logderiv == -q2
-    flags = [QK_DENOMINATOR_FLAG]
     return [
-        CheckReport(
-            "hecke-form-equals-weight1-series",
-            {"pair": pair, "trunc": trunc},
-            "exact" if ok1 else "coefficient mismatch",
-            ok1,
-            flags,
-        ),
-        CheckReport(
-            "klein-log-derivative-equals-weight2-series",
-            {"pair": pair, "trunc": trunc},
-            "exact" if ok2 else "coefficient mismatch",
-            ok2,
-            flags,
-        ),
+        CheckReport(check, {"pair": pair, "trunc": trunc},
+                    "exact" if ok else "coefficient mismatch", ok, [QK_DENOMINATOR_FLAG])
+        for check, ok in (("hecke-form-equals-weight1-series", ok1),
+                          ("klein-log-derivative-equals-weight2-series", ok2))
     ]
 
 

@@ -6,9 +6,10 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from orbiform.cyclotomic import CycQ, cyc_root_of, lcm
 from orbiform.errors import OutsideRegion, UndefinedAtTrivialPair
 from orbiform.forms import (
     bernoulli_identities_check,
@@ -101,6 +102,123 @@ def test_qk_matches_divisor_oracle():
                 qk_series(k, pair, trunc)
                 - qk_series_divisor_oracle(k, pair, trunc)
             ).is_zero()
+
+
+def test_qk_matches_divisor_oracle_at_conductors_5_and_7():
+    # conductors with 2 phi(N) - 2 >= N, where a product reads a reduction
+    # row of index >= N; the oracle sieves each admissible divisor from d = 1
+    for pair in (
+        TorsionPair(Fraction(1, 5), Fraction(1, 7)),
+        TorsionPair(Fraction(2, 7), Fraction(3, 5)),
+        TorsionPair(Fraction(1, 7), Fraction(1)),
+    ):
+        for k in (3, 4, 5):
+            trunc = Fraction(40, pair.M)
+            assert qk_series(k, pair, trunc) == qk_series_divisor_oracle(k, pair, trunc)
+
+
+# -- per-term reference: one root of unity per geometric term -------------------
+
+def _geometric_terms(slots, t, x, s, weight):
+    """weight * sum_(m>=1) e^(2 pi i m s) q^(m x) as (root exponent, weight) terms."""
+    step = int(x * t)
+    for m, idx in enumerate(range(step, len(slots), step), 1):
+        slots[idx].append((m * s % 1, weight))
+
+
+def _reference_qk(k, pair, slots):
+    a1, s, t = pair.j_over_M, pair.l_over_N, pair.M
+    km1fact = Fraction(1, math.factorial(k - 1))
+    const = CycQ.from_rational(-bernoulli_poly(k)(a1) / math.factorial(k))
+    for n in range(len(slots)):
+        _geometric_terms(slots, t, n + a1, s, km1fact * (n + a1) ** (k - 1))
+        x = n + 1 - a1
+        if x > 0:
+            _geometric_terms(slots, t, x, -s, (-1) ** k * km1fact * x ** (k - 1))
+        elif k == 1:
+            lam_inv = cyc_root_of(-s)
+            const = const - lam_inv / (1 - lam_inv)
+    return const
+
+
+def _reference_pbar(k, pair, n, slots):
+    w = n ** (k - 1) / math.factorial(k - 1)
+    s = pair.l_over_N
+    if n > 0:
+        _geometric_terms(slots, pair.M, n, s, w)
+        return CycQ.from_rational(w)
+    if n < 0:
+        _geometric_terms(slots, pair.M, -n, -s, -w)
+        return CycQ.zero
+    return CycQ.zero if pair.is_trivial() or not w else (1 - pair.lam).inverse() * w
+
+
+def _reference_hecke(pair, slots):
+    a1, s, t = pair.j_over_M, pair.l_over_N, pair.M
+    const = CycQ.from_rational(a1 - Fraction(1, 2))
+    for m in range(len(slots)):
+        _geometric_terms(slots, t, m + a1, s, -1)
+        if m + 1 - a1 > 0:
+            _geometric_terms(slots, t, m + 1 - a1, -s, 1)
+        else:
+            lam_inv = cyc_root_of(-s)
+            const = const + lam_inv / (1 - lam_inv)
+    return const
+
+
+def _assert_matches_reference(series, const, slots, unit_weights=False):
+    assert series.coeffs[0] == const
+    for idx in range(1, len(slots)):
+        got = series.coeffs[idx]
+        assert got == sum((cyc_root_of(x) * w for x, w in slots[idx]), CycQ.zero), idx
+        if got.is_zero():
+            continue
+        per_term = math.lcm(*(x.denominator for x, _ in slots[idx]))
+        totals = {}
+        for x, w in slots[idx]:
+            totals[x] = totals.get(x, 0) + w
+        surviving = math.lcm(*(x.denominator for x, w in totals.items() if w))
+        # one CycQ per term lifted the sum to the lcm of the terms' roots; a
+        # row reduces at the roots whose coefficients survive.  Those differ
+        # only where unit weights cancel a root (Q_1 and h)
+        assert got.conductor == surviving, idx
+        if unit_weights:
+            assert per_term % got.conductor == 0, idx
+        else:
+            assert got.conductor == per_term, idx
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    st.integers(1, 12), st.integers(1, 12), st.integers(1, 12), st.integers(1, 12),
+    st.integers(12, 40),
+)
+@example(5, 1, 7, 1, 40)
+@example(9, 2, 11, 3, 40)
+@example(11, 4, 9, 2, 40)
+@example(7, 3, 5, 2, 40)
+@example(9, 7, 4, 1, 72)  # Q_1, h: the roots of slot 70 cancel down to conductor 2
+def test_builders_match_the_per_term_reference(m, j, n, l, nslots):
+    pair = TorsionPair(Fraction(j, m), Fraction(l, n))
+    trunc = Fraction(nslots, pair.M)
+    for k in range(1, 6):
+        if k == 1 and pair.is_trivial():
+            continue
+        slots = [[] for _ in range(nslots)]
+        const = _reference_qk(k, pair, slots)
+        _assert_matches_reference(qk_series(k, pair, trunc), const, slots, k == 1)
+    for k in (1, 2, 3, 4):
+        pbar = pbar_series(k, pair, (-3, 3), trunc)
+        for off in range(-3, 4):
+            n_w = pair.j_over_M + off
+            slots = [[] for _ in range(nslots)]
+            const = _reference_pbar(k, pair, n_w, slots)
+            _assert_matches_reference(pbar.coeff_at_w(n_w), const, slots)
+    if not pair.is_trivial():
+        slots = [[] for _ in range(nslots)]
+        const = _reference_hecke(pair, slots)
+        _, h = klein_hecke_series(pair, trunc)
+        _assert_matches_reference(h, const, slots, unit_weights=True)
 
 
 def test_qk_well_defined_modulo_one():
