@@ -12,6 +12,14 @@ solve, of f) has conductor 1, it runs on plain ``Fraction`` values and the
 results become ``CycQ`` only when the solution is assembled; any
 coefficient of conductor > 1 keeps it on ``CycQ`` values.  Indicial roots
 that are not all rational send it to ``complex`` values.
+
+The residual ``apply_ode`` picks its path the same way.  When every slot of
+the series and of the ODE's coefficients has conductor 1, each log part is
+an integer row over one denominator: theta multiplies slot k by an integer,
+adds bring rows to the lcm of their denominators, and each product is one
+call of the Kronecker kernel ``series._int_convolve`` that
+``rational_convolve`` also uses.  Any slot of conductor > 1 keeps it on
+``LogQSeries`` arithmetic over ``CycQ`` values.
 """
 
 from __future__ import annotations
@@ -24,7 +32,14 @@ import numpy as np
 
 from .cyclotomic import CycQ, lcm
 from .errors import TruncationTooSmall
-from .series import LogQSeries, Puiseux, _rationals
+from .series import (
+    LogQSeries,
+    Puiseux,
+    _int_convolve,
+    _nterms,
+    _rationals,
+    _scaled,
+)
 
 # numeric indicial roots closer than this are clustered into one root
 ROOT_CLUSTER_TOL = 1e-9
@@ -284,7 +299,11 @@ def _solve_step(tay: list, g: list, invT, zero):
 # -- the solver -----------------------------------------------------------------
 
 def _series_coeff_table(ode: RegularSingularODE, steps: int) -> list:
-    """R[i][s] = coefficient of q^(s/T) in r_i, for 1 <= s < steps."""
+    """R[i][s] = coefficient of q^(s/T) in r_i, for 0 <= s < steps.
+
+    Every r_i has branching T (``RegularSingularODE`` lifts it), so slot s
+    of the table is slot s - lead*T of r_i, and zero below the lead.
+    """
     span = Fraction(steps, ode.T)
     table = []
     for r in ode.coeffs:
@@ -292,8 +311,13 @@ def _series_coeff_table(ode: RegularSingularODE, steps: int) -> list:
             raise TruncationTooSmall(
                 f"coefficient series truncated at {r.trunc} < requested {span}"
             )
-        row = [r.coeff_at(Fraction(s, ode.T)) for s in range(steps)]
-        table.append(row)
+        base = r.lead * ode.T
+        if base.denominator != 1:  # no exponent of r lies on the (1/T)Z grid
+            table.append([CycQ.zero] * steps)
+            continue
+        base = int(base)
+        row = [CycQ.zero] * max(0, base) + r.coeffs[max(0, -base):]
+        table.append(row[:steps])
     return table
 
 
@@ -482,17 +506,8 @@ def frobenius_solve(ode: RegularSingularODE, trunc) -> FrobeniusBasis:
 
 
 def _solve_numeric(ode, indicial, classes, steps: int) -> FrobeniusBasis:
-    ind = [c.embed() if isinstance(c, CycQ) else complex(c) for c in indicial]
-    rtable = []
-    span = Fraction(steps, ode.T)
-    for r in ode.coeffs:
-        if r.trunc < span:
-            raise TruncationTooSmall(
-                f"coefficient series truncated at {r.trunc} < requested {span}"
-            )
-        rtable.append([
-            _embed(r.coeff_at(Fraction(s, ode.T))) for s in range(steps)
-        ])
+    ind = [_embed(c) for c in indicial]
+    rtable = [[_embed(c) for c in row] for row in _series_coeff_table(ode, steps)]
     solutions = []
     max_log = 0
     for cls in classes:
@@ -516,17 +531,123 @@ rebranch_log = LogQSeries.with_branching
 
 
 def apply_ode(ode: RegularSingularODE, s: LogQSeries) -> LogQSeries:
-    """theta^m s + sum r_i theta^i s; zero to truncation order on solutions."""
+    """theta^m s + sum r_i theta^i s; zero to truncation order on solutions.
+
+    Both are brought to branching t = lcm(ode.T, s.T).  When every slot of
+    s and of the coefficients r_i has conductor 1, the residual is formed on
+    integer rows (``_apply_ode_rows``); any slot of conductor > 1 keeps it
+    on ``LogQSeries`` arithmetic over ``CycQ`` values.  Both paths give the
+    same parts, leads, truncations and values.
+    """
     t = lcm(ode.T, s.T)
-    cur = s.with_branching(t)
-    images = [cur]
+    scale = t // s.T
+    rows = [_int_row(p, t, scale**j) for j, p in enumerate(s.parts)]
+    coeff_rows = [_int_row(r, t) for r in ode.coeffs]
+    if None not in rows and None not in coeff_rows:
+        return _apply_ode_rows(ode.order, t, rows, coeff_rows)
+    images = [s.with_branching(t)]
     for _ in range(ode.order):
         images.append(images[-1].theta_full())
     out = images[ode.order]
     for i, r in enumerate(ode.coeffs):
-        term = images[i].mul_series(r.with_branching(t))
-        out = out + term
+        out = out + images[i].mul_series(r.with_branching(t))
     return out
+
+
+# A conductor-1 Puiseux part at branching t is the integer row
+# (lead, trunc, den, row): slot i holds row[i]/den at q^(lead + i/t).  Each
+# helper below gives the leads, truncations and lengths of the Puiseux or
+# LogQSeries operation it stands for.
+
+def _int_row(p: Puiseux, t: int, scale: int = 1):
+    """scale * p at branching t as an integer row; None if a slot of p has
+    conductor > 1."""
+    values = _rationals(p.coeffs)
+    if values is None:
+        return None
+    den, ints = _scaled(values)
+    if scale != 1:
+        ints = [x * scale for x in ints]
+    if t != p.T:
+        row = [0] * _nterms(p.lead, p.trunc, t)
+        row[::t // p.T] = ints
+        ints = row
+    return p.lead, p.trunc, den, ints
+
+
+def _add_rows(a, b, t: int):
+    """Puiseux.__add__: lead and trunc are the smaller ones, and each row is
+    placed at its offset int((lead_x - lead) t), over the lcm of the dens."""
+    lead, trunc = min(a[0], b[0]), min(a[1], b[1])
+    n = _nterms(lead, trunc, t)
+    den = math.lcm(a[2], b[2])
+    out = [0] * n
+    for x_lead, _, x_den, x_row in (a, b):
+        off = int((x_lead - lead) * t)
+        seg = x_row[:max(0, n - off)]
+        k = den // x_den
+        out[off:off + len(seg)] = [u + k * v for u, v in zip(out[off:], seg)]
+    return lead, trunc, den, out
+
+
+def _theta_rows(parts: list, t: int) -> list:
+    """LogQSeries.theta_full: theta on part i, plus part i+1 times (i+1)/t.
+
+    Slot k of a part of lead P'/Q sits at (P' t + k Q)/(Q t), so theta
+    multiplies it by P' t + k Q and the den by Q t.
+    """
+    out = []
+    for i, (lead, trunc, den, row) in enumerate(parts):
+        P, Q = lead.numerator * t, lead.denominator
+        term = (lead, trunc, den * Q * t, [x * (P + k * Q) for k, x in enumerate(row)])
+        if i + 1 < len(parts):
+            n_lead, n_trunc, n_den, n_row = parts[i + 1]
+            term = _add_rows(term, (n_lead, n_trunc, n_den * t,
+                                    [x * (i + 1) for x in n_row]), t)
+        out.append(term)
+    return out
+
+
+def _add_log_rows(a: list, b: list, t: int) -> list:
+    """LogQSeries.__add__: each part is zero(trunc) + a_i + b_i, so its lead
+    is at most 0 and trunc is the smallest over all parts of a and b."""
+    zero = (Fraction(0), min(p[1] for p in a + b), 1, [])
+    out = []
+    for i in range(max(len(a), len(b))):
+        p = zero
+        if i < len(a):
+            p = _add_rows(p, a[i], t)
+        if i < len(b):
+            p = _add_rows(p, b[i], t)
+        out.append(p)
+    return out
+
+
+def _mul_rows(a, b, t: int):
+    """Puiseux.__mul__, one ``_int_convolve`` of the two rows."""
+    lead = a[0] + b[0]
+    trunc = min(a[1] + b[0], b[1] + a[0])
+    n_out = _nterms(lead, trunc, t)
+    n = min(len(a[3]) + len(b[3]) - 1, n_out) if a[3] and b[3] else 0
+    row = _int_convolve(a[3][:n], b[3][:n], n) if n > 0 else []
+    return lead, trunc, a[2] * b[2], row + [0] * (n_out - len(row))
+
+
+def _apply_ode_rows(order: int, t: int, parts: list, coeffs: list) -> LogQSeries:
+    """apply_ode on the integer rows of s's parts and of r_0 .. r_{m-1}."""
+    images = [parts]
+    for _ in range(order):
+        images.append(_theta_rows(images[-1], t))
+    out = images[order]
+    for image, r in zip(images, coeffs):
+        out = _add_log_rows(out, [_mul_rows(p, r, t) for p in image], t)
+    result = []
+    for lead, trunc, den, row in out:
+        p = Puiseux(t, lead, [], trunc)
+        p.coeffs = [CycQ._make(1, (Fraction(x, den),)) if x else CycQ.zero
+                    for x in row]
+        result.append(p)
+    return LogQSeries(t, result)
 
 
 def solve_inhomogeneous(ode: RegularSingularODE, f: LogQSeries, trunc) -> LogQSeries:

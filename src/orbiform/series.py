@@ -7,8 +7,9 @@ every operation propagates the most pessimistic truncation of its inputs.
 Products take one of two exact paths, chosen by the coefficients.  When
 every slot of both operands has conductor 1, ``rational_convolve`` scales
 each operand to integers over a common denominator, packs the row into one
-Python int (Kronecker substitution), multiplies once and unpacks; the
-inverse of such a series is a Newton iteration on the same kernel.  Any
+Python int (Kronecker substitution), multiplies once and unpacks
+(``_int_convolve``, which the Frobenius residual shares); the inverse of
+such a series is a Newton iteration on the same kernel.  Any
 other coefficient list goes through the sparse loop, which multiplies only
 nonzero CycQ pairs, and the inverse through the sparse recurrence.
 """
@@ -391,15 +392,40 @@ def _scaled(row: list) -> tuple:
     return d, [x.numerator * (d // x.denominator) for x in row]
 
 
+def _int_convolve(ra: list, rb: list, n: int) -> list:
+    """The first n coefficients of the product of two nonempty integer rows
+    of at most n slots each, as ints (ra is rb squares one packed int).
+
+    Each row is packed into one int, in slots wide enough for any
+    coefficient of the product (max|A| max|B| min(len) plus a sign bit);
+    one big-int multiply then forms every coefficient at once (Kronecker
+    substitution, Karatsuba in CPython), and unpacking reads the slots
+    upward with a signed borrow.
+    """
+    bound = max(map(abs, ra)) * max(map(abs, rb)) * min(len(ra), len(rb))
+    if not bound:
+        return [0] * n
+    width = bound.bit_length() // 8 + 1  # bytes per slot, sign bit included
+    pa = _pack(ra, width)
+    prod = pa * pa if ra is rb else pa * _pack(rb, width)
+    raw = (prod & ((1 << (8 * width * n)) - 1)).to_bytes(width * n, "little")
+    half, full = 1 << (8 * width - 1), 1 << (8 * width)
+    out = []
+    borrow = 0
+    for k in range(0, width * n, width):
+        v = int.from_bytes(raw[k:k + width], "little") + borrow
+        borrow = v >= half
+        if borrow:
+            v -= full
+        out.append(v)
+    return out
+
+
 def rational_convolve(a: list, b: list, limit=None) -> list:
     """Product of two lists of rationals (ints or Fractions) as Fractions.
 
-    Both rows are scaled to integers over their common denominators da, db
-    and packed into one int each, in slots wide enough for any coefficient
-    of the product (max|A| max|B| min(len) plus a sign bit); one big-int
-    multiply then forms every coefficient at once (Kronecker substitution,
-    Karatsuba in CPython).  Unpacking reads the slots upward with a signed
-    borrow and divides each by da*db.
+    Both rows are scaled to integers over their common denominators da, db,
+    multiplied by ``_int_convolve`` and each slot divided by da*db.
     """
     n = len(a) + len(b) - 1 if a and b else 0
     if limit is not None:
@@ -408,24 +434,10 @@ def rational_convolve(a: list, b: list, limit=None) -> list:
         return []
     da, ra = _scaled(a[:n])
     db, rb = (da, ra) if b is a else _scaled(b[:n])
-    bound = max(map(abs, ra)) * max(map(abs, rb)) * min(len(ra), len(rb))
-    if not bound:
-        return [Fraction(0)] * n
-    width = bound.bit_length() // 8 + 1  # bytes per slot, sign bit included
-    pa = _pack(ra, width)
-    prod = pa * pa if a is b else pa * _pack(rb, width)
-    raw = (prod & ((1 << (8 * width * n)) - 1)).to_bytes(width * n, "little")
-    half, full = 1 << (8 * width - 1), 1 << (8 * width)
     den = da * db
-    out = []
-    borrow = 0
-    for k in range(0, width * n, width):
-        v = int.from_bytes(raw[k:k + width], "little") + borrow
-        borrow = v >= half
-        if borrow:
-            v -= full
-        out.append(Fraction(v) if den == 1 else Fraction(v, den))
-    return out
+    if den == 1:
+        return [Fraction(v) for v in _int_convolve(ra, rb, n)]
+    return [Fraction(v, den) for v in _int_convolve(ra, rb, n)]
 
 
 def _newton_inverse(a: list) -> list:

@@ -5,11 +5,11 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orbiform import frobenius
-from orbiform.cyclotomic import CycQ, euler_phi
+from orbiform.cyclotomic import CycQ, euler_phi, lcm
 from orbiform.errors import TruncationTooSmall
 from orbiform.frobenius import (
     FrobeniusBasis,
@@ -281,3 +281,128 @@ def test_fraction_recursion_matches_cyclotomic_recursion(case):
             assert all(c.conductor == 1 for c in a.coeffs)
         resid = apply_ode(ode, got)
         assert (resid if f is None else resid + f).is_zero()
+
+
+# -- the integer-row residual against the CycQ residual ---------------------------
+
+leads = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+@st.composite
+def puiseux_parts(draw, T: int, on_grid: bool):
+    """A Puiseux at branching T with a lead in (1/T)Z (on_grid) or any small
+    fraction, and a truncation that need not be lead + n/T."""
+    lead = Fraction(draw(st.integers(-4, 4)), T) if on_grid else draw(leads)
+    trunc = lead + Fraction(draw(st.integers(0, 12)), 2 * T)
+    n = math.ceil((trunc - lead) * T)
+    coeffs = draw(st.lists(small_fractions, min_size=n, max_size=n))
+    return Puiseux(T, lead, coeffs, trunc)
+
+
+@st.composite
+def log_series(draw, on_grid: bool = False):
+    """1-3 log parts with differing leads and truncations, branching 1-3."""
+    T = draw(st.sampled_from([1, 2, 3]))
+    k = draw(st.integers(1, 3))
+    return LogQSeries(T, [draw(puiseux_parts(T, on_grid)) for _ in range(k)])
+
+
+@st.composite
+def odes(draw, on_grid: bool = False):
+    """Order 1-3 at branching 1-3; a coefficient is a few terms c q^(k/T),
+    or a zero series whose lead may be negative, and off the (1/T)Z grid
+    unless on_grid."""
+    T = draw(st.sampled_from([1, 2, 3]))
+    order = draw(st.integers(1, 3))
+    coeffs = []
+    for _ in range(order):
+        trunc = Fraction(draw(st.integers(1, 8)), T)
+        if draw(st.integers(0, 4)) == 0:
+            lead = Fraction(draw(st.integers(-4, 4)), T) if on_grid else draw(leads)
+            coeffs.append(Puiseux(T, lead, [], trunc))
+            continue
+        terms = draw(st.lists(st.tuples(st.integers(0, 7), small_fractions), max_size=3))
+        coeffs.append(Puiseux.from_terms(
+            [(Fraction(k, T), c) for k, c in terms if Fraction(k, T) < trunc], trunc, T))
+    return RegularSingularODE(order, T, coeffs)
+
+
+def _lifted_log(s: LogQSeries, n: int) -> LogQSeries:
+    return LogQSeries(s.T, [_lifted(p, n) for p in s.parts])
+
+
+def _apply_ode_recording(ode, s):
+    """apply_ode(ode, s), and whether the integer-row path ran."""
+    ran = []
+    real = frobenius._apply_ode_rows
+
+    def spy(*args):
+        ran.append(True)
+        return real(*args)
+
+    frobenius._apply_ode_rows = spy
+    try:
+        out = apply_ode(ode, s)
+    finally:
+        frobenius._apply_ode_rows = real
+    return out, bool(ran)
+
+
+def _assert_same_slots(got: LogQSeries, want: LogQSeries):
+    """Equal T, parts, leads, truncations and lengths, and equal values
+    slot for slot (CycQ == compares across conductors)."""
+    assert got.T == want.T and len(got.parts) == len(want.parts)
+    for a, b in zip(got.parts, want.parts):
+        assert (a.T, a.lead, a.trunc, len(a.coeffs)) == (b.T, b.lead, b.trunc, len(b.coeffs))
+        assert a.coeffs == b.coeffs
+
+
+@settings(max_examples=100, deadline=None)
+@given(odes(), log_series())
+def test_integer_row_residual_matches_cyclotomic_residual(ode, s):
+    got, rows = _apply_ode_recording(ode, s)
+    assert rows
+    assume(not got.is_zero())
+    # at conductor 3 no slot of s is a rational row: the CycQ path runs
+    want, rows = _apply_ode_recording(ode, _lifted_log(s, 3))
+    assert not rows
+    _assert_same_slots(got, want)
+    assert all(c.conductor == 1 for p in got.parts for c in p.coeffs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(odes(), st.integers(0, 8))
+def test_coefficient_table_reads_coeff_at(ode, steps):
+    steps = min(steps, min(r.trunc * ode.T for r in ode.coeffs))
+    table = frobenius._series_coeff_table(ode, int(steps))
+    for r, row in zip(ode.coeffs, table):
+        assert row == [r.coeff_at(Fraction(s, ode.T)) for s in range(int(steps))]
+
+
+# -- branching: refining commutes with theta, add and the residual -----------------
+# Every lead lies on its series' (1/T)Z grid here: Puiseux.__add__ moves a lead
+# off that grid down onto it, by an amount that depends on the branching.
+
+@settings(max_examples=60, deadline=None)
+@given(log_series(on_grid=True), st.integers(2, 3))
+def test_theta_commutes_with_branching(s, k):
+    t = k * s.T
+    _assert_same_slots(s.with_branching(t).theta_full(),
+                       s.theta_full().with_branching(t))
+
+
+@settings(max_examples=60, deadline=None)
+@given(log_series(on_grid=True), log_series(on_grid=True), st.integers(1, 2))
+def test_add_commutes_with_branching(a, b, k):
+    t = k * lcm(a.T, b.T)
+    _assert_same_slots(a.with_branching(t) + b.with_branching(t),
+                       (a + b).with_branching(t))
+
+
+@settings(max_examples=60, deadline=None)
+@given(odes(on_grid=True), log_series(on_grid=True), st.booleans())
+def test_residual_commutes_with_branching(ode, s, lift):
+    if lift:
+        s = _lifted_log(s, 3)
+    fine = apply_ode(ode, s.with_branching(2 * s.T))
+    _assert_same_slots(fine, apply_ode(ode, s).with_branching(fine.T))
