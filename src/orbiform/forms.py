@@ -21,6 +21,7 @@ from .cyclotomic import CycQ, _reduction_table, cyc_root, cyc_root_of, lcm
 from .errors import (
     BadWeight,
     NearPole,
+    NotConvergent,
     OutsideRegion,
     UndefinedAtLatticePoint,
     UndefinedAtTrivialPair,
@@ -139,12 +140,23 @@ def eisenstein(k: int, trunc) -> Puiseux:
     return Puiseux(1, 0, coeffs, trunc)
 
 
-def g2_eval(tau: complex, trunc=60) -> complex:
-    """pi^2/3 + 2 (2 pi i)^2 sum n q^n / (1 - q^n); equals (2 pi i)^2 E_2."""
-    from .series import eval_at_tau
+def _sigma1(n: int) -> np.ndarray:
+    """sigma_1(m) for m = 0 .. n-1 (0 at m = 0): each d < n added at its multiples."""
+    divisor = np.repeat(np.arange(1, n), (n - 1) // np.arange(1, n))
+    # entry j of the block of d, counted from the block's start, stands for (j + 1) d
+    multiple = divisor * (np.arange(divisor.size) - np.searchsorted(divisor, divisor) + 1)
+    return np.bincount(multiple, weights=divisor, minlength=n).astype(np.int64)
 
-    e2 = eval_at_tau(eisenstein(2, trunc), tau)
-    return TWO_PI_I**2 * e2.value
+
+def g2_eval(tau: complex, trunc=60) -> complex:
+    """(2 pi i)^2 E_2(tau) summed over eisenstein(2, trunc): -1/12 + 2 sum sigma_1(m) q^m."""
+    if tau.imag <= 0:
+        raise NotConvergent("evaluation requires Im(tau) > 0")
+    n = max(0, math.ceil(Fraction(trunc)))
+    coeffs = 2.0 * _sigma1(n)
+    if n:
+        coeffs[0] = -1 / 12
+    return TWO_PI_I**2 * complex((coeffs * np.exp(TWO_PI_I * tau * np.arange(n))).sum())
 
 
 def del_k(f: Puiseux, k: int) -> Puiseux:
@@ -354,7 +366,6 @@ def pk_eval(
     a1 = pair.j_over_M
     lam = complex(pair.lam.embed())
     lam_inv = 1 / lam
-    trivial = pair.is_trivial()
     km1fact = 1 / math.factorial(k - 1)
     ratio = max(abs(qz) * abs(qt), abs(qt) / abs(qz))
 
@@ -367,27 +378,22 @@ def pk_eval(
     # positive n = a1 + r: 1/(1 - lam q^n) = 1 + lam q^n/(1 - lam q^n); the
     # free "1" part is the closed-form geometric piece
     value = km1fact * _lerch_positive(k, float(a1), z)
-    for off in range(0, cutoff + 1):
-        n = float(a1 + off)
-        npow = n ** (k - 1) if k > 1 else 1.0
-        lq = lam * cmath.exp(TWO_PI_I * tau * n)
-        value += km1fact * npow * cmath.exp(TWO_PI_I * z * n) * lq / (1 - lq)
     # the n = 0 term (present only when j/M = 1, at offset -1)
     start = 1 if a1 < 1 else 2
-    if a1 == 1 and not trivial and k == 1:
+    if a1 == 1 and not pair.is_trivial() and k == 1:
         value += km1fact / (1 - lam)
-    # negative n: q_z^n q_tau^(-n) = exp(2 pi i (z - tau) n) stays small
-    for s in range(start, cutoff + 1):
-        n = float(a1 - s)
-        npow = n ** (k - 1) if k > 1 else 1.0
-        denom = 1 - lam_inv * cmath.exp(-TWO_PI_I * tau * n)
-        value += (
-            km1fact
-            * npow
-            * (-lam_inv)
-            * cmath.exp(TWO_PI_I * (z - tau) * n)
-            / denom
-        )
+    # where cmath.exp(q_z^n) would overflow (Im z < 0), the sum is not finite: raise below
+    with np.errstate(over="ignore", invalid="ignore"):
+        n = float(a1) + np.arange(cutoff + 1)  # positive n: lam q^n/(1 - lam q^n)
+        lq = lam * np.exp(TWO_PI_I * tau * n)
+        value += km1fact * complex(np.sum(n ** (k - 1) * np.exp(TWO_PI_I * z * n) * lq / (1 - lq)))
+        # negative n: q_z^n q_tau^(-n) = exp(2 pi i (z - tau) n) stays small
+        n = float(a1) - np.arange(start, cutoff + 1)
+        denom = 1 - lam_inv * np.exp(-TWO_PI_I * tau * n)
+        value -= km1fact * lam_inv * complex(
+            np.sum(n ** (k - 1) * np.exp(TWO_PI_I * (z - tau) * n) / denom))
+    if not cmath.isfinite(value):
+        raise OverflowError(f"the P_k sum overflows at z = {z}, tau = {tau}")
     return value, tail_bound(cutoff)
 
 
@@ -434,19 +440,15 @@ def wp1_eval(z: complex, tau: complex, trunc: int = 200) -> complex:
     if tau.imag <= 0:
         raise ValueError("need Im(tau) > 0")
     qz = cmath.exp(TWO_PI_I * z)
-    qt = cmath.exp(TWO_PI_I * tau)
     if abs(qz - 1) < 1e-12:
         raise NearPole("q_z too close to 1")
     value = g2_eval(tau, trunc) * z + 1j * cmath.pi * (qz + 1) / (qz - 1)
-    acc = 0j
-    for n in range(1, trunc + 1):
-        qn = qt**n
-        d1 = 1 - qn / qz
-        d2 = 1 - qz * qn
-        if min(abs(d1), abs(d2)) < 1e-12:
-            raise NearPole(f"lattice denominator vanishes at n={n}")
-        acc += (qn / qz) / d1 - (qz * qn) / d2
-    return value + TWO_PI_I * acc
+    qn = np.exp(TWO_PI_I * tau * np.arange(1, trunc + 1))
+    d1, d2 = 1 - qn / qz, 1 - qz * qn
+    near = np.flatnonzero(np.minimum(abs(d1), abs(d2)) < 1e-12)
+    if near.size:
+        raise NearPole(f"lattice denominator vanishes at n={near[0] + 1}")
+    return value + TWO_PI_I * complex(np.sum((qn / qz) / d1 - (qz * qn) / d2))
 
 
 def plambda_eval(z: complex, tau: complex, lam: complex, cutoff: int = 200) -> complex:

@@ -63,10 +63,10 @@ class RegularSingularODE:
             if self.T % r.T != 0:
                 raise ValueError("coefficient branching must divide T")
             r = r.with_branching(self.T)
-            if r.normalized().lead < 0 and not r.is_zero():
-                raise ValueError(
-                    "regular-singular normalization requires exponents >= 0"
-                )
+            # the solver reads coefficients on the (1/T)Z grid only
+            if not r.is_zero() and (r.normalized().lead < 0 or (r.lead * self.T).denominator != 1):
+                raise ValueError("regular-singular normalization requires exponents >= 0 "
+                                 f"on the (1/T)Z grid, got {r.lead} + Z/{self.T}")
             lifted.append(r)
         self.coeffs = lifted
 

@@ -19,8 +19,12 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from itertools import chain
+from typing import NamedTuple
 
-from .cyclotomic import CycQ, Rational, lcm
+import numpy as np
+
+from .cyclotomic import CycQ, Rational, _root_powers, lcm
 from .errors import (
     NonInvertibleLeadingTerm,
     NotConvergent,
@@ -46,20 +50,11 @@ def _nterms(lead: Fraction, trunc: Fraction, t: int) -> int:
     return max(0, math.ceil(span))
 
 
-class EvalResult:
+class EvalResult(NamedTuple):
     """Value of a truncated series at a point plus a tail estimate."""
 
-    __slots__ = ("value", "tail")
-
-    def __init__(self, value, tail):
-        self.value = value
-        self.tail = tail
-
-    def __iter__(self):
-        return iter((self.value, self.tail))
-
-    def __repr__(self):
-        return f"EvalResult(value={self.value!r}, tail={self.tail!r})"
+    value: complex
+    tail: float
 
 
 class Puiseux:
@@ -566,37 +561,56 @@ class LogQSeries:
 
 # -- evaluation ----------------------------------------------------------------
 
+class Embedded:
+    """A Puiseux or LogQSeries with its coefficients embedded in C once.
+
+    Row i of ``coeffs`` holds the l^i part (l = log q_(1/T); a Puiseux is row 0)
+    as complex numbers, zero-padded; ``leads``, ``truncs`` and ``maxabs`` hold
+    each part's leading exponent, truncation and largest coefficient modulus.
+    """
+
+    __slots__ = ("T", "leads", "truncs", "coeffs", "maxabs")
+
+    def __init__(self, s):
+        parts = s.parts if isinstance(s, LogQSeries) else (s,)
+        self.T = s.T
+        self.leads = [float(p.lead) for p in parts]
+        self.truncs = [float(p.trunc) for p in parts]
+        self.coeffs = np.zeros((len(parts), max(len(p.coeffs) for p in parts)), complex)
+        by_conductor: dict = {}
+        for row, p in enumerate(parts):
+            for col, c in enumerate(p.coeffs):
+                if isinstance(c, CycQ):
+                    by_conductor.setdefault(c.conductor, []).append((row, col, c.coeffs))
+                else:
+                    self.coeffs[row, col] = complex(c)
+        for n, slots in by_conductor.items():
+            rows, cols, coords = zip(*slots)
+            # a / b rounds as float(Fraction(a, b)) does, at a third of the cost
+            flat = [a / b for a, b in map(Fraction.as_integer_ratio, chain.from_iterable(coords))]
+            self.coeffs[rows, cols] = (np.reshape(flat, (len(rows), -1)) * _root_powers(n)).sum(1)
+        self.maxabs = np.abs(self.coeffs).max(axis=1, initial=0.0).tolist()
+
+
 def eval_at_tau(s, tau: complex, precision: int = 53) -> EvalResult:
     """Numeric value on the upper half-plane plus a geometric tail estimate.
 
-    The value is a 53-bit ``complex``; any other precision raises
-    ``UnsupportedPrecision`` rather than being ignored.
+    s is a Puiseux, a LogQSeries or its ``Embedded`` view (embed once to evaluate
+    at many points).  The value is a 53-bit ``complex``; any other precision
+    raises ``UnsupportedPrecision`` rather than being ignored.
     """
     if precision != 53:
         raise UnsupportedPrecision(f"eval_at_tau computes in 53 bits, not {precision}")
     if tau.imag <= 0:
         raise NotConvergent("evaluation requires Im(tau) > 0")
-    if isinstance(s, LogQSeries):
-        logfac = 2j * cmath.pi * tau / s.T
-        value = 0j
-        tail = 0.0
-        for i, p in enumerate(s.parts):
-            r = eval_at_tau(p, tau)
-            value += r.value * logfac**i
-            tail += r.tail * abs(logfac) ** i
-        return EvalResult(value, tail)
-    q1t = cmath.exp(2j * cmath.pi * tau / s.T)
-    value = 0j
-    maxabs = 0.0
-    power = cmath.exp(2j * cmath.pi * tau * s.lead)
-    for c in s.coeffs:
-        if not _is_zero_coeff(c):
-            cv = c.embed() if isinstance(c, CycQ) else complex(c)
-            value += complex(cv) * power
-            maxabs = max(maxabs, abs(cv))
-        power *= q1t
+    v = s if isinstance(s, Embedded) else Embedded(s)
+    logfac = 2j * cmath.pi * tau / v.T
+    parts = (v.coeffs * np.exp(logfac * np.arange(v.coeffs.shape[1]))).sum(1).tolist()
     absq = math.exp(-2 * math.pi * tau.imag)
-    tail = absq ** float(s.trunc) / (1 - absq ** (1 / s.T)) * maxabs
+    value, tail = 0j, 0.0
+    for i, (part, lead, trunc, maxabs) in enumerate(zip(parts, v.leads, v.truncs, v.maxabs)):
+        value += part * cmath.exp(2j * cmath.pi * tau * lead) * logfac**i
+        tail += absq**trunc / (1 - absq ** (1 / v.T)) * maxabs * abs(logfac) ** i
     return EvalResult(value, tail)
 
 

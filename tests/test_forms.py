@@ -10,8 +10,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbiform.cyclotomic import CycQ, cyc_root_of, lcm
-from orbiform.errors import OutsideRegion, UndefinedAtTrivialPair
+from orbiform.errors import (
+    NearPole,
+    NotConvergent,
+    OrbiformError,
+    OutsideRegion,
+    UndefinedAtTrivialPair,
+)
 from orbiform.forms import (
+    _sigma1,
     bernoulli_identities_check,
     bernoulli_number,
     bernoulli_poly,
@@ -264,6 +271,68 @@ def test_wp1_periodicity():
     z = 0.21 - 0.3j
     g2 = g2_eval(tau)
     assert abs(wp1_eval(z + 1, tau) - wp1_eval(z, tau) - g2) < 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=3),
+    st.sampled_from([(1, 2), (1, 3), (2, 3), (3, 4), (1, 1)]),
+    st.floats(min_value=-0.5, max_value=0.5),
+    st.floats(min_value=-0.99, max_value=0.99),
+    st.floats(min_value=-0.5, max_value=0.5),
+    st.floats(min_value=0.3, max_value=2.0),
+    st.sampled_from([None, 1e-10]),
+)
+@example(1, (2, 3), 0.1, -0.3 / 1.2, 0.0, 1.2, None)  # overflows at n = 377
+def test_pk_eval_returns_a_finite_value_or_raises(k, dens, x, frac, re_tau, im_tau, tol):
+    # z anywhere in the annulus -Im tau < Im z < Im tau that the docstring allows
+    pair = TorsionPair(Fraction(1, dens[0]), Fraction(1, dens[1]))
+    tau = complex(re_tau, im_tau)
+    try:
+        value, tail = pk_eval(k, pair, complex(x, frac * im_tau), tau, tol=tol)
+    except (OverflowError, OrbiformError):
+        return
+    assert cmath.isfinite(value) and math.isfinite(tail)
+
+
+def test_pk_eval_overflow_is_an_overflow_error():
+    with pytest.raises(OverflowError):
+        pk_eval(1, TorsionPair(Fraction(1, 2), Fraction(1, 3)), 0.1 - 0.3j, 1.2j)
+
+
+def test_sigma1_sieve_matches_the_eisenstein_coefficients():
+    assert [2 * s for s in _sigma1(300).tolist()[1:]] == eisenstein(2, 300).coeffs[1:]
+
+
+@pytest.mark.parametrize("trunc", [0, 1, 2, 200, Fraction(7, 2)])
+def test_g2_eval_matches_the_eisenstein_series(trunc):
+    e2 = eisenstein(2, trunc)
+    for tau in (1j, 0.5 + 1j, 0.3 + 1.7j, -0.41 + 0.2j, 0.1 + 3j):
+        want = (2j * cmath.pi) ** 2 * eval_at_tau(e2, tau).value
+        assert abs(g2_eval(tau, trunc) - want) <= 1e-12 * abs(want)
+
+
+def test_g2_and_wp1_errors():
+    for tau in (0.3, 0.2 - 1j):
+        with pytest.raises(NotConvergent):
+            g2_eval(tau)
+    tau = 0.1 + 1.1j
+    with pytest.raises(NearPole, match="n=3"):
+        wp1_eval(3 * tau, tau)
+
+
+def _wp1_term_loop(z, tau, trunc):
+    """wp1_eval's lattice sum one cmath term at a time."""
+    qz, qt = cmath.exp(2j * cmath.pi * z), cmath.exp(2j * cmath.pi * tau)
+    acc = sum((qt**n / qz) / (1 - qt**n / qz) - (qz * qt**n) / (1 - qz * qt**n)
+              for n in range(1, trunc + 1))
+    return g2_eval(tau, trunc) * z + 1j * cmath.pi * (qz + 1) / (qz - 1) + 2j * cmath.pi * acc
+
+
+def test_wp1_eval_matches_the_term_loop():
+    for z, tau, trunc in ((0.21 - 0.4j, 1j, 400), (0.3 + 0.2j, 0.4 + 0.7j, 200), (0.1j, 0.3j, 50)):
+        want = _wp1_term_loop(z, tau, trunc)
+        assert abs(wp1_eval(z, tau, trunc) - want) <= 1e-12 * abs(want)
 
 
 def test_plambda_lemma():

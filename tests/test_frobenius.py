@@ -124,6 +124,16 @@ def test_truncation_guards():
         frobenius_solve(const_ode(1, [0], trunc=5), Fraction(1, 3))
 
 
+def test_coefficient_off_the_grid_is_rejected():
+    # theta S + q^(1/3) S = 0 at T = 1: the solver would drop the coefficient
+    # and return S = 1 with a nonzero residual
+    with pytest.raises(ValueError, match="grid, got 1/3"):
+        RegularSingularODE(1, 1, [Puiseux(1, Fraction(1, 3), [1], 10)])
+    # the same coefficient at T = 3, and a zero one off the grid, are fine
+    RegularSingularODE(1, 3, [Puiseux.from_terms([(Fraction(1, 3), 1)], 10, 3)])
+    RegularSingularODE(1, 1, [Puiseux(1, Fraction(1, 3), [0], 10)])
+
+
 def test_ode_json_roundtrip_and_friendly_form():
     ode = const_ode(2, [Fraction(-1, 4), Fraction(1, 3)], T=2, trunc=6)
     back = RegularSingularODE.from_json(ode.to_json())

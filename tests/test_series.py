@@ -1,5 +1,6 @@
 """Tests for Puiseux series, log-q series, products, and residues."""
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from orbiform.forms import klein_hecke_series
 from orbiform.modular import TorsionPair
 from orbiform.series import (
     BiSeries,
+    Embedded,
     LogQSeries,
     Puiseux,
     _convolve,
@@ -273,6 +275,52 @@ def _schoolbook(a, b, limit):
 )
 def test_sparse_convolution_matches_schoolbook(a, b, limit):
     assert _convolve(a, b, limit) == _schoolbook(a, b, limit)
+
+
+# a series' parts: (lead slot, coefficients) on the (1/T)Z grid
+cyclotomic_part = st.tuples(
+    st.integers(min_value=-4, max_value=4), st.lists(sparse_cycq, max_size=12)
+)
+
+
+def _part(t, lead_slot, coeffs):
+    lead = Fraction(lead_slot, t)
+    return Puiseux(t, lead, coeffs, lead + Fraction(len(coeffs), t))
+
+
+def _term_sum(s, tau):
+    """sum c q^e (2 pi i tau/T)^i over the nonzero terms of each l^i part,
+    one cmath.exp per term, and sum |term|."""
+    parts = s.parts if isinstance(s, LogQSeries) else [s]
+    logfac = 2j * cmath.pi * tau / s.T
+    terms = [c.embed() * cmath.exp(2j * cmath.pi * tau * e) * logfac**i
+             for i, p in enumerate(parts) for e, c in p.terms()]
+    return sum(terms), sum(map(abs, terms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=3),
+    st.lists(cyclotomic_part, min_size=1, max_size=3),
+    st.booleans(),
+    st.integers(min_value=2, max_value=3),
+    st.complex_numbers(min_magnitude=0, max_magnitude=0.5).map(
+        lambda w: complex(w.real, 0.4 + abs(w.imag) * 3)),
+)
+def test_eval_agrees_with_the_term_sum_and_across_branchings(t, parts, logq, m, tau):
+    ps = [_part(t, lead, coeffs) for lead, coeffs in parts]
+    s = LogQSeries(t, ps) if logq else ps[0]
+    want, scale = _term_sum(s, tau)
+    got = eval_at_tau(s, tau)
+    assert abs(got.value - want) <= 1e-12 * scale
+    assert abs(eval_at_tau(s.with_branching(m * t), tau).value - want) <= 1e-12 * scale
+    assert eval_at_tau(Embedded(s), tau) == got
+
+
+def test_eval_reads_complex_coefficients():
+    # Puiseux coerces only int and Fraction coefficients; a float or complex one stays
+    s = Puiseux(1, 0, [Fraction(1, 2), 1.5j], 2)
+    assert abs(eval_at_tau(s, 1j).value - (0.5 + 1.5j * math.exp(-2 * math.pi))) < 1e-15
 
 
 def test_klein_form_inverse_at_branching_96():

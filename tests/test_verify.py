@@ -1,11 +1,14 @@
 """Tests for the numeric law-verification harness."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
-from orbiform.errors import TruncationTooSmall
+from orbiform import verify
+from orbiform.errors import TruncationInsufficient, TruncationTooSmall
 from orbiform.modular import S, T, GammaMat, TorsionPair
+from orbiform.series import EvalResult
 from orbiform.verify import LAW_IDS, verify_law, verify_suite
 
 
@@ -66,3 +69,29 @@ def test_report_serialization():
     assert obj["pass"] is True
     assert "error" in obj and "params" in obj
     assert isinstance(r.dumps(), str)
+
+
+@pytest.mark.parametrize("law, evaluator, tau_arg, nan", [
+    ("P_invariance", "pk_eval", 3, (math.nan, 0.0)),
+    ("Q_modularity", "eval_at_tau", 1, EvalResult(math.nan, 0.0)),
+    ("G2_quasimodular", "g2_eval", 0, math.nan),
+    ("wp1_laws", "wp1_eval", 1, math.nan),
+    ("delk_commutes", "eval_at_tau", 1, EvalResult(math.nan, 0.0)),
+])
+def test_a_nan_discrepancy_fails_the_law(monkeypatch, law, evaluator, tau_arg, nan):
+    # max(err, nan) keeps err: a law whose values went nan after a finite
+    # discrepancy reported that discrepancy and passed
+    real = getattr(verify, evaluator)
+
+    def nan_near_2i(*args, **kwargs):
+        return nan if abs(args[tau_arg] - 2j) < 0.1 else real(*args, **kwargs)
+
+    monkeypatch.setattr(verify, evaluator, nan_near_2i)
+    r = verify_law(law, tau_grid=(1j, 2j))
+    assert math.isnan(r.error) and not r.passed
+
+
+def test_a_nan_tail_is_insufficient(monkeypatch):
+    monkeypatch.setattr(verify, "pk_eval", lambda *args, **kwargs: (0j, math.nan))
+    with pytest.raises(TruncationInsufficient):
+        verify_law("P_invariance")
