@@ -80,12 +80,10 @@ def _parse_complex(s: str) -> complex:
         raise UsageError(f"expected a complex number like 0.3+1.7j, got {s!r}") from e
 
 
-def _coeff_json(c):
-    if isinstance(c, CycQ):
-        if c.is_rational():
-            return str(c.rational_value())
-        return c.to_json()
-    return str(c)
+def _coeff_json(c: CycQ):
+    if c.is_rational():
+        return str(c.rational_value())
+    return c.to_json()
 
 
 def _series_json(s) -> dict:
@@ -206,7 +204,12 @@ def _cmd_verify(args) -> int:
 
 def _cmd_frobenius(args) -> int:
     with open(args.ode) as fh:
-        ode = RegularSingularODE.from_json(json.load(fh))
+        data = json.load(fh)
+    try:
+        ode = RegularSingularODE.from_json(data)
+    except (KeyError, TypeError) as e:
+        # a missing key, or a list or string where an object or number belongs
+        raise ValueError(f"malformed ODE file {args.ode}: {type(e).__name__}: {e}") from e
     basis = frobenius_solve(ode, _default_trunc(args, ode.T))
     if basis.numeric:
         obj = {

@@ -2,7 +2,16 @@
 
 Elements are stored in the power basis 1, zeta, ..., zeta^(phi(N)-1) modulo
 the N-th cyclotomic polynomial, with Fraction coordinates.  Rationals are
-plain ``fractions.Fraction`` throughout the package.
+plain ``fractions.Fraction`` throughout the package.  A CycQ is true when it
+is nonzero, so every layer zero-tests a coefficient with ``if c``.
+
+Two private helpers hold the package's exact inner loops.
+``_sparse_convolve`` is its one sparse product loop: ``CycQ.__mul__``, the
+Euclid helper ``_poly_mul``, the cyclotomic path of ``series._convolve`` and
+``BiSeries.__mul__`` call it.  ``_power_basis`` is its one reduction of
+sum c zeta_n^e through ``_reduction_table(n)``, the table of zeta_n^e for
+every e mod n: ``CycQ.lift``, the reduction step of ``CycQ.__mul__`` and
+``forms._reduce_rows`` call it.
 """
 
 from __future__ import annotations
@@ -68,6 +77,36 @@ def _reduction_table(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+def _power_basis(n: int, coeffs, step: int, zero) -> list:
+    """sum_i coeffs[i] zeta_n^(i step) as power-basis coordinates mod Phi_n:
+    each nonzero coeffs[i] scales row i step mod n of ``_reduction_table(n)``,
+    and the rows are added onto zero."""
+    table = _reduction_table(n)
+    out = [zero] * len(table[0])
+    for i, c in enumerate(coeffs):
+        if c:
+            for t, r in enumerate(table[i * step % n]):
+                if r:
+                    out[t] += c * r
+    return out
+
+
+def _sparse_convolve(a, b, n: int, zero) -> list:
+    """out[k] = sum a_i b_j over i + j = k < n, taking only pairs whose
+    factors are both nonzero; a slot that no such pair reaches is zero."""
+    support = [(j, y) for j, y in enumerate(b[:n]) if y]
+    out = [None] * n
+    for i, x in enumerate(a[:n]):
+        if not x:
+            continue
+        for j, y in support:
+            if i + j >= n:
+                break
+            t = x * y
+            out[i + j] = t if out[i + j] is None else out[i + j] + t
+    return [zero if c is None else c for c in out]
+
+
 class CycQ:
     """An element of Q(zeta_N) in the power basis mod Phi_N.
 
@@ -111,6 +150,9 @@ class CycQ:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
+    def __bool__(self) -> bool:
+        return not self.is_zero()
+
     def is_rational(self) -> bool:
         return not any(self.coeffs[1:])
 
@@ -128,14 +170,7 @@ class CycQ:
         if n < 1 or n % self.conductor != 0:
             raise ValueError("can only lift to a positive multiple of the conductor")
         step = n // self.conductor
-        table = _reduction_table(n)
-        out = [Fraction(0)] * euler_phi(n)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                for t, r in enumerate(table[i * step]):
-                    if r:
-                        out[t] += c * r
-        return CycQ._make(n, tuple(out))
+        return CycQ._make(n, tuple(_power_basis(n, self.coeffs, step, Fraction(0))))
 
     def _common(self, other: "CycQ") -> tuple["CycQ", "CycQ"]:
         n = lcm(self.conductor, other.conductor)
@@ -201,22 +236,8 @@ class CycQ:
             return CycQ._make(1, (self.coeffs[0] * other.coeffs[0],))
         a, b = self._common(other)
         n = a.conductor
-        d = len(a.coeffs)
-        prod = [Fraction(0)] * (2 * d - 1)
-        for i, x in enumerate(a.coeffs):
-            if not x:
-                continue
-            for j, y in enumerate(b.coeffs):
-                if y:
-                    prod[i + j] += x * y
-        table = _reduction_table(n)
-        out = [Fraction(0)] * d
-        for k, c in enumerate(prod):
-            if c:
-                for t, r in enumerate(table[k % n]):
-                    if r:
-                        out[t] += c * r
-        return CycQ._make(n, tuple(out))
+        prod = _sparse_convolve(a.coeffs, b.coeffs, 2 * len(a.coeffs) - 1, None)
+        return CycQ._make(n, tuple(_power_basis(n, prod, 1, Fraction(0))))
 
     __rmul__ = __mul__
 
@@ -355,13 +376,7 @@ def _degree(p: list[Fraction]) -> int:
 
 
 def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _trim(out)
+    return _trim(_sparse_convolve(a, b, len(a) + len(b) - 1, Fraction(0)))
 
 
 def _poly_sub(a, b):

@@ -17,7 +17,7 @@ from math import gcd
 import mpmath
 import numpy as np
 
-from .cyclotomic import CycQ, _reduction_table, cyc_root, cyc_root_of, lcm
+from .cyclotomic import CycQ, _power_basis, cyc_root, cyc_root_of, lcm
 from .errors import (
     BadWeight,
     NearPole,
@@ -112,31 +112,22 @@ def bernoulli_identities_check(k: int, x, n: int = 10) -> bool:
 
 # -- Eisenstein series --------------------------------------------------------
 
-def _divisor_power_sum(n: int, p: int) -> int:
-    s = 0
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            s += d**p
-            e = n // d
-            if e != d:
-                s += e**p
-        d += 1
-    return s
-
-
 def eisenstein(k: int, trunc) -> Puiseux:
     """Normalized weight-k Eisenstein series, constant term -B_k(0)/k!."""
     if k < 2 or k % 2 != 0:
         raise BadWeight("Eisenstein weight must be an even integer >= 2")
     trunc = Fraction(trunc)
     n = max(0, math.ceil(trunc))
-    coeffs = [Fraction(0)] * n
+    # sigma_(k-1)(m) for m < n: each d^(k-1) added at the multiples of d
+    sigma = [0] * n
+    for d in range(1, n):
+        power = d ** (k - 1)
+        for m in range(d, n, d):
+            sigma[m] += power
+    two_over = Fraction(2, math.factorial(k - 1))
+    coeffs = [two_over * x for x in sigma]
     if n:
         coeffs[0] = -bernoulli_number(k) / math.factorial(k)
-    two_over = Fraction(2, math.factorial(k - 1))
-    for m in range(1, n):
-        coeffs[m] = two_over * _divisor_power_sum(m, k - 1)
     return Puiseux(1, 0, coeffs, trunc)
 
 
@@ -189,12 +180,11 @@ def _reduce_rows(rows: list, denom: int) -> list:
     """
     out = [CycQ.zero] * len(rows)
     for idx, row in enumerate(rows):
-        present = row and [(e, c) for e, c in enumerate(row) if c]
-        if present:
-            g = gcd(len(row), *(e for e, _ in present))
-            table = _reduction_table(len(row) // g)
-            coords = map(sum, zip(*([c * r for r in table[e // g]] for e, c in present)))
-            out[idx] = CycQ._make(len(row) // g, tuple(Fraction(x, denom) for x in coords))
+        if row and any(row):
+            g = gcd(len(row), *(e for e, c in enumerate(row) if c))
+            n = len(row) // g
+            coords = _power_basis(n, row[::g], 1, 0)
+            out[idx] = CycQ._make(n, tuple(Fraction(x, denom) for x in coords))
     return out
 
 

@@ -231,8 +231,6 @@ def _pzero(c) -> bool:
     counts as zero below 1e-300."""
     if isinstance(c, complex):
         return abs(c) < 1e-300
-    if isinstance(c, CycQ):
-        return c.is_zero()
     return not c
 
 
@@ -333,18 +331,12 @@ def _recurse(indicial, rtable, mu, seed_power: int, steps: int, T: int,
     invT = Fraction(1, T) if exact else 1.0 / T
     one = indicial[-1]  # the indicial polynomial is monic
     zero = one - one
-    if seed_power >= 0:
-        seed = [zero] * seed_power + [one]
+    if extra_g is not None:  # seed_power is -1: c_0 solves P(D_0) c_0 = f_0
+        c0, _ = _solve_step(_taylor_at(indicial, mu), _ptrim(list(extra_g(0))), invT, zero)
+        cs = [c0]
+        max_log = len(c0) - 1 if c0 else 0
     else:
-        seed = []
-    if extra_g is not None:
-        g0 = [c for c in extra_g(0)]
-        tay0 = _taylor_at(indicial, mu)
-        c0, r0 = _solve_step(tay0, _ptrim(g0), invT, zero)
-        cs = [_ptrim([a + b for a, b in _zip_pad(seed, c0, zero)])]
-        max_log = len(cs[0]) - 1 if cs[0] else 0
-    else:
-        cs = [seed]
+        cs = [[zero] * seed_power + [one]]
         max_log = seed_power
     # derivative images D_k^i c_k, filled in as c_k is produced
     dk = [[None] * steps for _ in range(m)]
@@ -384,12 +376,6 @@ def _recurse(indicial, rtable, mu, seed_power: int, steps: int, T: int,
         max_log = max(max_log, len(c_n) - 1)
         fill_dk(n)
     return cs, max_log
-
-
-def _zip_pad(a, b, zero):
-    n = max(len(a), len(b))
-    for i in range(n):
-        yield (a[i] if i < len(a) else zero), (b[i] if i < len(b) else zero)
 
 
 def _fold_solution(cs: list, mu: Fraction, T: int, span: Fraction,
@@ -491,37 +477,24 @@ def frobenius_solve(ode: RegularSingularODE, trunc) -> FrobeniusBasis:
     exact = all(isinstance(r, Fraction) for r in roots)
     classes = _group_classes(roots, T)
     indicial = indicial_polynomial(ode)
-    if not exact:
-        return _solve_numeric(ode, indicial, classes, steps)
-    indicial, rtable = _as_rational(indicial, _series_coeff_table(ode, steps))
+    rtable = _series_coeff_table(ode, steps)
+    if exact:
+        indicial, rtable = _as_rational(indicial, rtable)
+    else:
+        indicial = [c.embed() for c in indicial]
+        rtable = [[c.embed() for c in row] for row in rtable]
     solutions = []
     max_log = 0
     for cls in classes:
         for mu, mult in _with_multiplicity(cls):
+            if not exact:
+                mu = complex(mu)
             for j in range(mult):
-                cs, ml = _recurse(indicial, rtable, mu, j, steps, T, True)
-                solutions.append(_fold_solution(cs, mu, T, span, ml))
+                cs, ml = _recurse(indicial, rtable, mu, j, steps, T, exact)
+                solutions.append(_fold_solution(cs, mu, T, span, ml) if exact
+                                 else NumericSolution(mu, T, cs, ml))
                 max_log = max(max_log, ml)
-    return FrobeniusBasis(classes, solutions, max_log)
-
-
-def _solve_numeric(ode, indicial, classes, steps: int) -> FrobeniusBasis:
-    ind = [_embed(c) for c in indicial]
-    rtable = [[_embed(c) for c in row] for row in _series_coeff_table(ode, steps)]
-    solutions = []
-    max_log = 0
-    for cls in classes:
-        for mu, mult in _with_multiplicity(cls):
-            mu_c = complex(mu)
-            for j in range(mult):
-                cs, ml = _recurse(ind, rtable, mu_c, j, steps, ode.T, False)
-                solutions.append(NumericSolution(mu_c, ode.T, cs, ml))
-                max_log = max(max_log, ml)
-    return FrobeniusBasis(classes, solutions, max_log, numeric=True)
-
-
-def _embed(c):
-    return c.embed() if isinstance(c, CycQ) else complex(c)
+    return FrobeniusBasis(classes, solutions, max_log, numeric=not exact)
 
 
 # -- residual and inhomogeneous solve -------------------------------------------

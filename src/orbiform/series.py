@@ -4,14 +4,18 @@ A Puiseux series is sum_n a_n q^(lead + n/T) with exact cyclotomic
 coefficients.  Truncation is explicit: exponents >= trunc are unknown and
 every operation propagates the most pessimistic truncation of its inputs.
 
+Every coefficient is a ``CycQ``: an int or a Fraction is coerced to one,
+and any other value is a ``TypeError``.
+
 Products take one of two exact paths, chosen by the coefficients.  When
 every slot of both operands has conductor 1, ``rational_convolve`` scales
 each operand to integers over a common denominator, packs the row into one
 Python int (Kronecker substitution), multiplies once and unpacks
 (``_int_convolve``, which the Frobenius residual shares); the inverse of
-such a series is a Newton iteration on the same kernel.  Any
-other coefficient list goes through the sparse loop, which multiplies only
-nonzero CycQ pairs, and the inverse through the sparse recurrence.
+such a series is a Newton iteration on the same kernel.  Any other
+coefficient list goes through ``cyclotomic._sparse_convolve``, the sparse
+loop that also multiplies CycQ coordinates and ``BiSeries`` windows, and
+the inverse through the sparse recurrence.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cyclotomic import CycQ, Rational, _root_powers, lcm
+from .cyclotomic import CycQ, Rational, _root_powers, _sparse_convolve, lcm
 from .errors import (
     NonInvertibleLeadingTerm,
     NotConvergent,
@@ -33,16 +37,12 @@ from .errors import (
 )
 
 
-def _coerce_coeff(v):
+def _coerce_coeff(v) -> CycQ:
+    if isinstance(v, CycQ):
+        return v
     if isinstance(v, (int, Fraction)):
         return CycQ.from_rational(v)
-    return v
-
-
-def _is_zero_coeff(c) -> bool:
-    if isinstance(c, CycQ):
-        return c.is_zero()
-    return c == 0
+    raise TypeError(f"a series coefficient is a CycQ, int or Fraction, not {type(v).__name__}")
 
 
 def _nterms(lead: Fraction, trunc: Fraction, t: int) -> int:
@@ -86,9 +86,10 @@ class Puiseux:
 
     @staticmethod
     def constant(value, trunc, T: int = 1) -> "Puiseux":
+        value = _coerce_coeff(value)
         s = Puiseux(T, 0, [], trunc)
         if s.coeffs:
-            s.coeffs[0] = _coerce_coeff(value)
+            s.coeffs[0] = value
         return s
 
     @staticmethod
@@ -96,9 +97,10 @@ class Puiseux:
         exponent = Fraction(exponent)
         if (exponent * T).denominator != 1:
             raise ValueError("exponent not representable with this branching")
+        coeff = _coerce_coeff(coeff)
         s = Puiseux(T, exponent, [], trunc)
         if s.coeffs:
-            s.coeffs[0] = _coerce_coeff(coeff)
+            s.coeffs[0] = coeff
         return s
 
     @staticmethod
@@ -143,7 +145,7 @@ class Puiseux:
     def normalized(self) -> "Puiseux":
         """Strip leading zero coefficients, advancing the leading exponent."""
         i = 0
-        while i < len(self.coeffs) and _is_zero_coeff(self.coeffs[i]):
+        while i < len(self.coeffs) and not self.coeffs[i]:
             i += 1
         if i == 0:
             return self
@@ -176,11 +178,11 @@ class Puiseux:
         return self.coeffs[int(idx)]
 
     def is_zero(self) -> bool:
-        return all(_is_zero_coeff(c) for c in self.coeffs)
+        return not any(self.coeffs)
 
     def terms(self):
         for i, c in enumerate(self.coeffs):
-            if not _is_zero_coeff(c):
+            if c:
                 yield self.lead + Fraction(i, self.T), c
 
     # -- arithmetic ----------------------------------------------------------
@@ -208,7 +210,7 @@ class Puiseux:
         zero = CycQ.zero
         for i, c in enumerate(b.coeffs):
             j = off + i
-            if j < n and not _is_zero_coeff(c):
+            if j < n and c:
                 cur = buf[j]
                 buf[j] = c if cur is zero else cur + c
         return out
@@ -251,7 +253,7 @@ class Puiseux:
 
     def inverse(self) -> "Puiseux":
         s = self.normalized()
-        if not s.coeffs or _is_zero_coeff(s.coeffs[0]):
+        if not s.coeffs or not s.coeffs[0]:
             raise NonInvertibleLeadingTerm(
                 "series has no invertible leading coefficient"
             )
@@ -301,9 +303,7 @@ class Puiseux:
             "T": self.T,
             "leading": str(self.lead),
             "trunc": str(self.trunc),
-            "coeffs": [
-                c.to_json() if isinstance(c, CycQ) else repr(c) for c in self.coeffs
-            ],
+            "coeffs": [c.to_json() for c in self.coeffs],
         }
 
     @staticmethod
@@ -316,7 +316,7 @@ class Puiseux:
 
 def _convolve(a, b, limit=None):
     """Coefficient convolution: the rational kernel when every slot of both
-    operands has conductor 1, else only pairs of nonzero slots multiplied."""
+    operands has conductor 1, else ``_sparse_convolve`` over nonzero slots."""
     ra = _rationals(a)
     rb = ra if b is a else _rationals(b)
     if ra is not None and rb is not None:
@@ -324,26 +324,13 @@ def _convolve(a, b, limit=None):
     n = len(a) + len(b) - 1 if a and b else 0
     if limit is not None:
         n = min(n, limit)
-    if n <= 0:
-        return []
-    support = [(j, y) for j, y in enumerate(b[:n]) if not _is_zero_coeff(y)]
-    out = [None] * n
-    for i, x in enumerate(a[:n]):
-        if _is_zero_coeff(x):
-            continue
-        for j, y in support:
-            if i + j >= n:
-                break
-            t = x * y
-            out[i + j] = t if out[i + j] is None else out[i + j] + t
-    return [CycQ.zero if c is None else c for c in out]
+    return _sparse_convolve(a, b, max(n, 0), CycQ.zero)
 
 
 def _sparse_inverse(a: list) -> list:
     """1/a to len(a) slots by b_k = -a0^-1 sum a_i b_(k-i) over nonzero a_i."""
-    a0 = a[0]
-    inv0 = a0.inverse() if isinstance(a0, CycQ) else 1 / a0
-    support = [(i, c) for i, c in enumerate(a) if i and not _is_zero_coeff(c)]
+    inv0 = a[0].inverse()
+    support = [(i, c) for i, c in enumerate(a) if i and c]
     # a zero b_k is None
     b = [inv0]
     for k in range(1, len(a)):
@@ -354,7 +341,7 @@ def _sparse_inverse(a: list) -> list:
             if b[k - i] is not None:
                 term = c * b[k - i]
                 acc = term if acc is None else acc + term
-        b.append(None if acc is None or _is_zero_coeff(acc) else -(inv0 * acc))
+        b.append(-(inv0 * acc) if acc else None)
     return [CycQ.zero if c is None else c for c in b]
 
 
@@ -364,7 +351,7 @@ def _rationals(coeffs):
     """The Fraction values of conductor-1 coefficients; None if any is not one."""
     out = []
     for c in coeffs:
-        if not isinstance(c, CycQ) or c.conductor != 1:
+        if c.conductor != 1:
             return None
         out.append(c.coeffs[0])
     return out
@@ -460,7 +447,7 @@ def theta(s: Puiseux, scale: str = "full") -> Puiseux:
     factor = s.T if scale == "one_over_T" else 1
     out = Puiseux(s.T, s.lead, [], s.trunc)
     for i, c in enumerate(s.coeffs):
-        if not _is_zero_coeff(c):
+        if c:
             out.coeffs[i] = c * ((s.lead + Fraction(i, s.T)) * factor)
     return out
 
@@ -580,10 +567,7 @@ class Embedded:
         by_conductor: dict = {}
         for row, p in enumerate(parts):
             for col, c in enumerate(p.coeffs):
-                if isinstance(c, CycQ):
-                    by_conductor.setdefault(c.conductor, []).append((row, col, c.coeffs))
-                else:
-                    self.coeffs[row, col] = complex(c)
+                by_conductor.setdefault(c.conductor, []).append((row, col, c.coeffs))
         for n, slots in by_conductor.items():
             rows, cols, coords = zip(*slots)
             # a / b rounds as float(Fraction(a, b)) does, at a third of the cost
@@ -685,15 +669,10 @@ class BiSeries:
             return BiSeries(self.wlead, self.min_off, [c * other for c in self.coeffs])
         if not isinstance(other, BiSeries):
             return NotImplemented
-        wlead = self.wlead + other.wlead
-        min_off = self.min_off + other.min_off
         n = len(self.coeffs) + len(other.coeffs) - 1
-        slots = [None] * n
-        for i, x in enumerate(self.coeffs):
-            for j, y in enumerate(other.coeffs):
-                t = x * y
-                slots[i + j] = t if slots[i + j] is None else slots[i + j] + t
-        return BiSeries(wlead, min_off, slots)
+        # a Puiseux is always truthy, so every pair is taken and no slot is unreached
+        slots = _sparse_convolve(self.coeffs, other.coeffs, n, None)
+        return BiSeries(self.wlead + other.wlead, self.min_off + other.min_off, slots)
 
     def __repr__(self):
         return (

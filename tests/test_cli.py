@@ -135,6 +135,19 @@ def test_frobenius_conductor_below_one_is_an_error(capsys, tmp_path):
     assert err.startswith("error:") and "conductor" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("data", [
+    {"order": 1, "T": 1},  # no "coeffs": KeyError
+    {"order": 1, "T": 1, "coeffs": ["1/2"]},  # a coefficient as a string: TypeError
+    [{"order": 1, "T": 1, "coeffs": []}],  # a top-level list: TypeError
+], ids=["missing-coeffs", "string-coefficient", "top-level-list"])
+def test_frobenius_malformed_file_is_an_error(capsys, tmp_path, data):
+    p = tmp_path / "ode.json"
+    p.write_text(json.dumps(data))
+    assert run(["frobenius", "--ode", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_moonshine_subcommands(capsys):
     code, (obj,) = run_json(capsys, ["moonshine", "chars"])
     assert code == 0

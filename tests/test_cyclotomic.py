@@ -140,6 +140,8 @@ def test_lift_preserves_hash(x, data):
     y = x.lift(n)
     assert x == y
     assert hash(x) == hash(y)
+    # truth is the zero test at every conductor, a zero lifted to 12 included
+    assert all(bool(v) == (not v.is_zero()) for v in (x, y, CycQ.zero.lift(12)))
 
 
 @settings(max_examples=60, deadline=None)

@@ -317,10 +317,21 @@ def test_eval_agrees_with_the_term_sum_and_across_branchings(t, parts, logq, m, 
     assert eval_at_tau(Embedded(s), tau) == got
 
 
-def test_eval_reads_complex_coefficients():
-    # Puiseux coerces only int and Fraction coefficients; a float or complex one stays
-    s = Puiseux(1, 0, [Fraction(1, 2), 1.5j], 2)
-    assert abs(eval_at_tau(s, 1j).value - (0.5 + 1.5j * math.exp(-2 * math.pi))) < 1e-15
+@pytest.mark.parametrize("value", [0.5, 1.5j])
+def test_puiseux_rejects_float_and_complex_coefficients(value):
+    # every coefficient is a CycQ; only an int or a Fraction is coerced to one
+    with pytest.raises(TypeError):
+        Puiseux(1, 0, [Fraction(1, 2), value], 2)
+    with pytest.raises(TypeError):
+        Puiseux.constant(value, 2)
+    with pytest.raises(TypeError):
+        Puiseux.constant(value, 0)  # no slot to hold it, still rejected
+    with pytest.raises(TypeError):
+        Puiseux.monomial(value, 1, 3)
+    with pytest.raises(TypeError):
+        Puiseux.from_terms([(0, 1), (1, value)], 3)
+    with pytest.raises(TypeError):
+        geometric(3).scalar_mul(value)
 
 
 def test_klein_form_inverse_at_branching_96():
