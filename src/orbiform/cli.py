@@ -206,6 +206,13 @@ def _cmd_frobenius(args) -> int:
     with open(args.ode) as fh:
         data = json.load(fh)
     try:
+        # cap the slots from q^0 (or a lower lead) to trunc, at either branching, before allocating
+        for i, c in enumerate(data["coeffs"]):
+            lead, t = ((min((Fraction(e) for e, _ in c["terms"]), default=0), data["T"])
+                       if "terms" in c else (Fraction(c["leading"]), max(c["T"], data["T"])))
+            if (Fraction(c["trunc"]) - min(lead, 0)) * t > MAX_TRUNC_SLOTS:
+                raise UsageError(f"coefficient {i} of {args.ode}: trunc {c['trunc']} needs "
+                                 f"more than {MAX_TRUNC_SLOTS} slots at branching {t}")
         ode = RegularSingularODE.from_json(data)
     except (KeyError, TypeError) as e:
         # a missing key, or a list or string where an object or number belongs

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .modular import TorsionPair
 from .report import CheckReport
-from .series import BiSeries, Puiseux, rational_convolve, theta
+from .series import BiSeries, Puiseux, _divisor_sums, rational_convolve, theta
 
 TWO_PI_I = 2j * cmath.pi
 
@@ -118,14 +118,8 @@ def eisenstein(k: int, trunc) -> Puiseux:
         raise BadWeight("Eisenstein weight must be an even integer >= 2")
     trunc = Fraction(trunc)
     n = max(0, math.ceil(trunc))
-    # sigma_(k-1)(m) for m < n: each d^(k-1) added at the multiples of d
-    sigma = [0] * n
-    for d in range(1, n):
-        power = d ** (k - 1)
-        for m in range(d, n, d):
-            sigma[m] += power
     two_over = Fraction(2, math.factorial(k - 1))
-    coeffs = [two_over * x for x in sigma]
+    coeffs = [two_over * x for x in _divisor_sums(n, k - 1, 1)]
     if n:
         coeffs[0] = -bernoulli_number(k) / math.factorial(k)
     return Puiseux(1, 0, coeffs, trunc)
@@ -470,40 +464,31 @@ def klein_hecke_series(pair: TorsionPair, trunc) -> tuple[Puiseux, Puiseux]:
     if a1 == 1 and a2 == 1:
         raise UndefinedAtLatticePoint("Klein/Hecke forms need (a1,a2) not in Z^2")
     trunc = Fraction(trunc)
-    t = a1.denominator
-    lam = pair.lam  # q_(a1 tau + a2) = lam * q^(a1)
-    lam_inv = cyc_root_of(-pair.l_over_N)
+    t, j = a1.denominator, a1.numerator
+    # g = -zeta^p q^lead prod (1 - root q^e), p = a2 (a1 - 1)/2, over e = a1 + m (root
+    # lam, m >= 0) and m - a1 (root lam^-1, m >= 1).  Slot idx holds q^(lead + idx/t_g),
+    # a grid fine enough for the B2(a1)/2 lead, as a row of Z[C_n] indexed by zeta_n^x
     lead = bernoulli_poly(2)(a1) / 2
-    # prefactor -e^(2 pi i a2 (a1 - 1)/2); the B2(a1)/2 lead needs a finer
-    # exponent grid than the 1/M factor lattice
-    pref = -cyc_root_of(a2 * (a1 - 1) / 2)
+    p = a2 * (a1 - 1) / 2
     t_g = lcm(t, lead.denominator)
-    g = Puiseux.monomial(pref, lead, lead + trunc, t_g)
-    # (1 - lam q^(a1)) and the n >= 1 factors, all exponents on the 1/t grid
-    factors = [(a1, lam)] if a1 < trunc else []
-    n = 1
-    while True:
-        e_plus = Fraction(n) + a1
-        e_minus = Fraction(n) - a1
-        if e_plus >= trunc and e_minus >= trunc:
-            break
-        if e_plus < trunc:
-            factors.append((e_plus, lam))
-        if e_minus < trunc:
-            factors.append((e_minus, lam_inv))
-        n += 1
-    for e, root in factors:
-        if e == 0:
-            binom = Puiseux.constant(CycQ.one - root, trunc, t)
-        else:
-            binom = Puiseux.from_terms(
-                [(Fraction(0), CycQ.one), (e, -root)], trunc, t
-            )
-        g = g * binom
-        g = g.truncated(min(g.trunc, lead + trunc))
+    n = lcm(a2.denominator, p.denominator)
+    rows = [[0] * n for _ in range(max(0, math.ceil(trunc * t_g)))]
+    if rows:
+        rows[0][int(p * n) % n] = -1
+    unit, r = t_g // t, int(a2 * n)
+    for first, root in ((j * unit, r), ((t - j) * unit, -r)):
+        for step in range(first, len(rows), t * unit):
+            # times (1 - zeta_n^root q^(step/t_g)), from the top slot down; the
+            # constant factor (step 0, a1 = 1) reads a copy of its own row
+            for idx in range(len(rows) - 1, step - 1, -1):
+                src = rows[idx - step]
+                if any(src):
+                    for x, c in enumerate(list(src) if step == 0 else src):
+                        if c:
+                            rows[idx][(x + root) % n] -= c
+    g = Puiseux(t_g, lead, _reduce_rows(rows, 1), lead + trunc)
     # h/(2 pi i) = a1 - 1/2 - sum_(m>=0) lam q^(m+a1)/(1 - lam q^(m+a1))
     #              + sum_(m>=1) lam^-1 q^(m-a1)/(1 - lam^-1 q^(m-a1))
-    j = a1.numerator
     rows = [None] * max(0, math.ceil(trunc * t))
     for step in range(j, len(rows), t):
         _add_geometric(rows, step, a2, -1)
@@ -513,8 +498,8 @@ def klein_hecke_series(pair: TorsionPair, trunc) -> tuple[Puiseux, Puiseux]:
     if h:
         h[0] = CycQ.from_rational(a1 - Fraction(1, 2))
         if j == t:
-            # a1 = 1, so lam != 1: the constant term lam^-1/(1 - lam^-1)
-            h[0] = h[0] + lam_inv / (CycQ.one - lam_inv)
+            # a1 = 1, so lam != 1: the constant term lam^-1/(1 - lam^-1) = 1/(lam - 1)
+            h[0] = h[0] + (pair.lam - CycQ.one).inverse()
     return g, Puiseux(t, 0, h, trunc)
 
 

@@ -15,20 +15,22 @@ Python int (Kronecker substitution), multiplies once and unpacks
 such a series is a Newton iteration on the same kernel.  Any other
 coefficient list goes through ``cyclotomic._sparse_convolve``, the sparse
 loop that also multiplies CycQ coordinates and ``BiSeries`` windows, and
-the inverse through the sparse recurrence.
+the inverse through the sparse recurrence.  ``product_expand`` multiplies
+no series: it runs the Euler transform on integers over ``_divisor_sums``.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from fractions import Fraction
 from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
-from .cyclotomic import CycQ, Rational, _root_powers, _sparse_convolve, lcm
+from .cyclotomic import CycQ, _root_powers, _sparse_convolve, lcm
 from .errors import (
     NonInvertibleLeadingTerm,
     NotConvergent,
@@ -63,8 +65,8 @@ class Puiseux:
     __slots__ = ("T", "lead", "coeffs", "trunc")
 
     def __init__(self, T: int, lead, coeffs, trunc):
-        if T < 1:
-            raise ValueError("branching must be a positive integer")
+        if not isinstance(T, int) or T < 1:
+            raise ValueError(f"branching must be a positive integer, got {T!r}")
         lead = Fraction(lead)
         trunc = Fraction(trunc)
         coeffs = [_coerce_coeff(c) for c in coeffs]
@@ -600,31 +602,35 @@ def eval_at_tau(s, tau: complex, precision: int = 53) -> EvalResult:
 
 # -- infinite products -----------------------------------------------------------
 
-def product_expand(factors, trunc) -> Puiseux:
-    """prod over (a, e) of prod_(n>=1) (1 - q^(a n))^e, truncated.
-
-    Coefficients are exact integers.
-    """
-    trunc = Fraction(trunc)
-    n = max(0, math.ceil(trunc))
-    out = Puiseux.constant(1, trunc)
-    for a, e in factors:
-        if a < 1:
-            raise ValueError("product scales must be positive integers")
-        out = out * Puiseux(1, 0, _euler_product_int(a, n), trunc) ** e
+def _divisor_sums(n: int, power: int, step: int) -> list:
+    """For m = 0 .. n-1, the sum of d^power over the divisors d of m that are
+    multiples of step (0 at m = 0): each such d < n is added at its multiples."""
+    out = [0] * n
+    for d in range(step, n, step):
+        w = d**power
+        for m in range(d, n, d):
+            out[m] += w
     return out
 
 
-def _euler_product_int(a: int, n: int) -> list:
-    c = [0] * n
-    if n:
-        c[0] = 1
-    for k in range(1, n // a + 1):
-        # multiply by (1 - q^(a k))
-        step = a * k
-        for i in range(n - 1, step - 1, -1):
-            c[i] -= c[i - step]
-    return c
+def product_expand(factors, trunc) -> Puiseux:
+    """prod over (a, e) of prod_(n>=1) (1 - q^(a n))^e, truncated, by the Euler
+    transform: q d/dq log of the product is sum_m b_m q^m, b_m = -sum_(a,e) e a
+    sigma_1(m/a), so c_0 = 1 and m c_m = sum_(k=1..m) b_k c_(m-k), exactly.
+    """
+    trunc = Fraction(trunc)
+    n = max(0, math.ceil(trunc))
+    b = [0] * n
+    for a, e in factors:
+        if a < 1:
+            raise ValueError("product scales must be positive integers")
+        # the divisors of m that are multiples of a sum to a sigma_1(m/a)
+        for m, s in enumerate(_divisor_sums(n, 1, a)):
+            b[m] -= operator.index(e) * s
+    c = [1][:n]
+    for m in range(1, n):
+        c.append(sum(map(operator.mul, b[m:0:-1], c)) // m)
+    return Puiseux(1, 0, c, trunc)
 
 
 # -- two-variable series ----------------------------------------------------------

@@ -148,6 +148,40 @@ def test_frobenius_malformed_file_is_an_error(capsys, tmp_path, data):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_frobenius_non_int_branching_is_an_error(capsys, tmp_path):
+    ode = {"order": 1, "T": 1.5, "coeffs": [{"terms": [["1", "1"]], "trunc": "4"}]}
+    p = tmp_path / "ode.json"
+    p.write_text(json.dumps(ode))
+    assert run(["frobenius", "--ode", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "branching" in err and "Traceback" not in err
+
+
+def test_frobenius_coefficient_trunc_over_the_cap_is_a_usage_error(capsys, tmp_path):
+    # one slot past the cap at branching 2, as a term list and as a full series;
+    # a lead below 0 adds its slots
+    over = str(Fraction(MAX_TRUNC_SLOTS + 1, 2))
+    at_cap = str(Fraction(MAX_TRUNC_SLOTS, 2))
+    empty = {"T": 2, "leading": "0", "trunc": over, "coeffs": []}
+    for coeff in (
+        {"terms": [["1/2", "1"]], "trunc": over},
+        empty,
+        dict(empty, T=1),  # allocated at the file's branching 2
+        {"terms": [["-1/2", "0"]], "trunc": at_cap},
+    ):
+        ode = {"order": 1, "T": 2, "coeffs": [coeff]}
+        p = tmp_path / "ode.json"
+        p.write_text(json.dumps(ode))
+        assert run(["frobenius", "--ode", str(p)]) == 2, coeff
+        captured = capsys.readouterr()
+        assert "usage error" in captured.err and f"more than {MAX_TRUNC_SLOTS} slots" in captured.err
+        assert captured.out == ""
+    ode = {"order": 1, "T": 2, "coeffs": [{"terms": [["1/2", "1"]], "trunc": at_cap}]}
+    p.write_text(json.dumps(ode))
+    code, (obj,) = run_json(capsys, ["frobenius", "--ode", str(p), "--trunc", "2"])
+    assert code == 0 and len(obj["solutions"]) == 1
+
+
 def test_moonshine_subcommands(capsys):
     code, (obj,) = run_json(capsys, ["moonshine", "chars"])
     assert code == 0

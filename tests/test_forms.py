@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 
 from orbiform.cyclotomic import CycQ, cyc_root_of, lcm
 from orbiform.errors import (
+    BadWeight,
     NearPole,
     NotConvergent,
     OrbiformError,
     OutsideRegion,
+    UndefinedAtLatticePoint,
     UndefinedAtTrivialPair,
 )
 from orbiform.forms import (
@@ -82,8 +84,9 @@ def test_eisenstein_normalization_and_divisors():
     assert e4.coeff_at(2) == Fraction(2 * 9, 6)
     e6 = eisenstein(6, 5)
     assert e6.coeff_at(0) == Fraction(-1, 30240)
-    with pytest.raises(Exception):
-        eisenstein(3, 5)
+    for k in (3, 7, 0):
+        with pytest.raises(BadWeight):
+            eisenstein(k, 5)
 
 
 def test_qk_weight_zero_and_trivial_pair():
@@ -346,6 +349,55 @@ def test_klein_hecke_vs_twisted_series():
         assert rep.passed, rep.check
     g, h = klein_hecke_series(pair, 25)
     assert g.normalized().lead == bernoulli_poly(2)(Fraction(1, 2)) / 2
+
+
+def _reference_klein_g(pair, trunc):
+    """g = -zeta^p q^lead prod (1 - root q^e), one Puiseux binomial at a time."""
+    a1, a2 = pair.j_over_M, pair.l_over_N
+    trunc = Fraction(trunc)
+    t = a1.denominator
+    lam, lam_inv = pair.lam, cyc_root_of(-a2)
+    lead = bernoulli_poly(2)(a1) / 2
+    g = Puiseux.monomial(-cyc_root_of(a2 * (a1 - 1) / 2), lead, lead + trunc,
+                         lcm(t, lead.denominator))
+    factors = [(a1, lam)] if a1 < trunc else []
+    n = 1
+    while n + a1 < trunc or n - a1 < trunc:
+        if n + a1 < trunc:
+            factors.append((n + a1, lam))
+        if n - a1 < trunc:
+            factors.append((n - a1, lam_inv))
+        n += 1
+    for e, root in factors:
+        if e == 0:
+            binom = Puiseux.constant(CycQ.one - root, trunc, t)
+        else:
+            binom = Puiseux.from_terms([(Fraction(0), CycQ.one), (e, -root)], trunc, t)
+        g = g * binom
+        g = g.truncated(min(g.trunc, lead + trunc))
+    return g
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(1, 12), st.integers(1, 12), st.integers(1, 12), st.integers(1, 12),
+    st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3)]),
+)
+@example(1, 1, 1, 1, Fraction(3))  # the lattice point (1, 1)
+@example(1, 1, 3, 1, Fraction(3))  # a1 = 1: the constant factor 1 - lam^-1
+@example(2, 1, 3, 1, Fraction(10))
+@example(4, 1, 3, 2, Fraction(4))  # T = 96
+@example(5, 2, 7, 3, Fraction(3))
+def test_klein_g_matches_the_per_factor_product(m, j, n, l, trunc):
+    pair = TorsionPair(Fraction(j, m), Fraction(l, n))
+    if pair.is_trivial():
+        with pytest.raises(UndefinedAtLatticePoint):
+            klein_hecke_series(pair, trunc)
+        return
+    g, _ = klein_hecke_series(pair, trunc)
+    want = _reference_klein_g(pair, trunc)
+    assert (g.T, g.lead, g.trunc) == (want.T, want.lead, want.trunc)
+    assert g.coeffs == want.coeffs
 
 
 def test_zhu_coeff_against_binomial_oracle():

@@ -157,6 +157,48 @@ def test_product_inverse_pairs_cancel():
     assert s == 1
 
 
+def _product_expand_reference(factors, trunc):
+    """The product one series power per factor: each Euler factor
+    prod_(k>=1) (1 - q^(a k)) by shift-and-subtract on integers, raised to e."""
+    trunc = Fraction(trunc)
+    n = max(0, math.ceil(trunc))
+    out = Puiseux.constant(1, trunc)
+    for a, e in factors:
+        c = [1] + [0] * (n - 1)
+        for step in range(a, n, a):
+            for i in range(n - 1, step - 1, -1):
+                c[i] -= c[i - step]
+        out = out * Puiseux(1, 0, c, trunc) ** e
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(1, 6), st.integers(-30, 30)), min_size=1, max_size=3),
+    st.fractions(min_value=0, max_value=80, max_denominator=6),
+)
+@example([(1, -24), (2, 24)], Fraction(80))
+@example([(3, 0)], Fraction(1, 2))
+def test_product_expand_matches_the_per_factor_product(factors, trunc):
+    got = product_expand(factors, trunc)
+    if trunc <= 0:
+        # no slot: the reference has no invertible leading term for e < 0
+        assert (got.T, got.lead, got.trunc, got.coeffs) == (1, 0, trunc, [])
+        return
+    want = _product_expand_reference(factors, trunc)
+    assert (got.T, got.lead, got.trunc) == (want.T, want.lead, want.trunc)
+    assert got.coeffs == want.coeffs
+
+
+def test_product_expand_rejects_bad_factors():
+    with pytest.raises(ValueError):
+        product_expand([(0, 1)], 5)
+    with pytest.raises(ValueError):
+        product_expand([(1, 2), (-2, 1)], 5)
+    with pytest.raises(TypeError):
+        product_expand([(1, Fraction(1, 2))], 5)
+
+
 def test_eval_at_tau_geometric():
     import cmath
 
