@@ -410,7 +410,8 @@ def _poly_divmod_q(a, b):
 def cyc_root(j: int, m: int) -> CycQ:
     """zeta_M^j as an exact element, reduced to minimal conductor.
 
-    Cached: the divisor oracle asks for the same few roots once per slot.
+    Cached: the roots of a torsion pair (``TorsionPair.mu`` and ``.lam``)
+    are asked for again on every use of the pair.
     """
     if m < 1:
         raise ValueError("order must be positive")

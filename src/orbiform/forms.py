@@ -17,7 +17,7 @@ from math import gcd
 import mpmath
 import numpy as np
 
-from .cyclotomic import CycQ, _power_basis, cyc_root, cyc_root_of, lcm
+from .cyclotomic import CycQ, _power_basis, cyc_root_of, lcm
 from .errors import (
     BadWeight,
     NearPole,
@@ -233,14 +233,13 @@ def qk_series_divisor_oracle(k: int, pair: TorsionPair, trunc) -> Puiseux:
     j = a1.numerator  # mu = zeta_M^j, 1 <= j <= M
     l, n_den = pair.l_over_N.numerator, pair.l_over_N.denominator
     nslots = max(0, math.ceil(trunc * m_den))
-    # acc[n] maps a root exponent e of zeta_N^e to its integer coefficient
-    acc: list = [{} for _ in range(nslots)]
+    # acc[n] is a row of Z[C_N]: acc[n][e] is the coefficient of zeta_N^e
+    acc = [[0] * n_den for _ in range(nslots)]
 
     def sieve(d, lam_exp, w):
         # every multiple n = d q of d gets the term w lam^(lam_exp q)
         for q, n in enumerate(range(d, nslots, d), 1):
-            e = q * lam_exp % n_den
-            acc[n][e] = acc[n].get(e, 0) + w
+            acc[n][q * lam_exp % n_den] += w
 
     for d in range(1, nslots):
         if (d + j) % m_den == 0:
@@ -248,8 +247,8 @@ def qk_series_divisor_oracle(k: int, pair: TorsionPair, trunc) -> Puiseux:
         if (d - j) % m_den == 0:
             sieve(d, l, (-1) ** k * d ** (k - 1))
     pref = Fraction((-1) ** k, m_den ** (k - 1) * math.factorial(k - 1))
-    coeffs = [sum((cyc_root(e, n_den) * c for e, c in a.items()), CycQ.zero) * pref
-              for a in acc]
+    coeffs = [CycQ._make(n_den, tuple(pref * x for x in _power_basis(n_den, row, 1, 0)))
+              for row in acc]
     if nslots:
         coeffs[0] = CycQ.from_rational(-bernoulli_poly(k)(a1) / math.factorial(k))
     return Puiseux(m_den, 0, coeffs, trunc)

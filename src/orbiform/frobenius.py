@@ -36,6 +36,7 @@ from .series import (
     LogQSeries,
     Puiseux,
     _int_convolve,
+    _lead_grid,
     _nterms,
     _rationals,
     _scaled,
@@ -136,50 +137,33 @@ def indicial_roots(ode: RegularSingularODE) -> list:
     floats with small residual.
     """
     poly = indicial_polynomial(ode)
-    roots: list = []
-    rest = None
+    roots, rest = [], poly
     if all(c.is_rational() for c in poly):
-        rat = [c.rational_value() for c in poly]
-        found, rest = _rational_roots(rat)
-        roots.extend(found)
-    if rest is None:
-        rest = poly
+        roots, rest = _rational_roots([c.rational_value() for c in poly])
     if len(rest) > 1:
         arr = [
             complex(c) if isinstance(c, Fraction) else c.embed() for c in rest
         ]
-        for z in np.roots(arr[::-1]):
-            roots.append(complex(z))
-    roots.sort(key=lambda r: (-float(_re(r)), -float(_im(r))))
+        roots += [complex(z) for z in np.roots(arr[::-1])]
+    roots.sort(key=lambda r: (-complex(r).real, -complex(r).imag))
     return roots
 
 
-def _re(x):
-    return x.real if isinstance(x, complex) else x
-
-
-def _im(x):
-    return x.imag if isinstance(x, complex) else 0
-
-
 def _rational_roots(coeffs: list) -> tuple[list, list]:
-    """All rational roots (with multiplicity) and the deflated cofactor."""
+    """All rational roots (with multiplicity) and the deflated cofactor; one
+    pass suffices, since a root of a quotient is a root met at its own p."""
     den = math.lcm(*(c.denominator for c in coeffs))
     cur = [int(c * den) for c in coeffs]
     roots = []
     while len(cur) > 1 and cur[0] == 0:
         roots.append(Fraction(0))
         cur = cur[1:]
-    found = True
-    while found and len(cur) > 1:
-        found = False
-        for p in _divisors(abs(cur[0])):
-            for q in _divisors(abs(cur[-1])):
-                for cand in (Fraction(p, q), Fraction(-p, q)):
-                    while len(cur) > 1 and _poly_eval(cur, cand) == 0:
-                        roots.append(cand)
-                        cur = _deflate_int(cur, cand)
-                        found = True
+    for p in _divisors(abs(cur[0])):
+        for q in _divisors(abs(cur[-1])):
+            for cand in (Fraction(p, q), Fraction(-p, q)):
+                while len(cur) > 1 and _poly_eval(cur, cand) == 0:
+                    roots.append(cand)
+                    cur = _deflate_int(cur, cand)
     return roots, [Fraction(c) for c in cur]
 
 
@@ -407,57 +391,49 @@ def _fold_solution(cs: list, mu: Fraction, T: int, span: Fraction,
     return LogQSeries(t, parts)
 
 
-def _as_rational(indicial: list, rtable: list):
-    """The indicial polynomial and series table as Fractions when every
-    entry has conductor 1, else both unchanged."""
-    rat_indicial = _rationals(indicial)
-    rat_table = [_rationals(row) for row in rtable]
-    if rat_indicial is None or any(row is None for row in rat_table):
-        return indicial, rtable
-    return rat_indicial, rat_table
+def _same(r, s, T=None) -> bool:
+    """Whether roots r and s lie in one congruence class mod (1/T)Z, or, with
+    T None, are one root.  Exact roots compare exactly, numeric roots within
+    ROOT_CLUSTER_TOL, and an exact root never matches a numeric one."""
+    if isinstance(r, Fraction) != isinstance(s, Fraction):
+        return False
+    if isinstance(r, Fraction):
+        return r == s if T is None else ((r - s) * T).denominator == 1
+    if T is None:
+        return abs(r - s) < ROOT_CLUSTER_TOL
+    diff = (r - s) * T
+    return (abs(diff.imag) < ROOT_CLUSTER_TOL
+            and abs(diff.real - round(diff.real)) < ROOT_CLUSTER_TOL)
 
 
-def _group_classes(roots: list, T: int):
-    """Partition roots into congruence classes mod (1/T)Z, each sorted
-    descending by real part, with exact roots compared exactly and numeric
-    roots clustered at ROOT_CLUSTER_TOL."""
-    classes: list[list] = []
+def _group(roots: list, same) -> list:
+    """Roots in groups, in order: each joins the first group whose first
+    root it is the same as, else starts a group."""
+    groups: list[list] = []
     for r in roots:
-        for cls in classes:
-            rep = cls[0]
-            if isinstance(r, Fraction) and isinstance(rep, Fraction):
-                if ((r - rep) * T).denominator == 1:
-                    cls.append(r)
-                    break
-            elif not isinstance(r, Fraction) and not isinstance(rep, Fraction):
-                diff = (r - rep) * T
-                if (abs(diff.imag) < ROOT_CLUSTER_TOL
-                        and abs(diff.real - round(diff.real)) < ROOT_CLUSTER_TOL):
-                    cls.append(r)
-                    break
+        for group in groups:
+            if same(r, group[0]):
+                group.append(r)
+                break
         else:
-            classes.append([r])
-    return classes
+            groups.append([r])
+    return groups
 
 
-def _with_multiplicity(cls: list):
-    """Distinct roots of one class, descending, with multiplicities;
-    numeric roots within ROOT_CLUSTER_TOL count as equal."""
-    out: list[list] = []
-    for r in cls:
-        for entry in out:
-            other = entry[0]
-            if isinstance(r, Fraction) and isinstance(other, Fraction):
-                if r == other:
-                    entry[1] += 1
-                    break
-            elif not isinstance(r, Fraction) and not isinstance(other, Fraction):
-                if abs(r - other) < ROOT_CLUSTER_TOL:
-                    entry[1] += 1
-                    break
-        else:
-            out.append([r, 1])
-    return [(r, mult) for r, mult in out]
+def _setup(ode: RegularSingularODE, trunc, rational: bool):
+    """Span, step count, indicial polynomial and coefficient table of a
+    solve to relative order q^trunc; as Fractions when ``rational`` and every
+    entry has conductor 1, else as CycQ."""
+    span = Fraction(trunc)
+    if span < Fraction(1, ode.T):
+        raise TruncationTooSmall(f"truncation {span} is below one step 1/{ode.T}")
+    steps = math.ceil(span * ode.T)
+    indicial = indicial_polynomial(ode)
+    rtable = _series_coeff_table(ode, steps)
+    rows = [_rationals(row) for row in (indicial, *rtable)] if rational else [None]
+    if None not in rows:
+        indicial, *rtable = rows
+    return span, steps, indicial, rtable
 
 
 def frobenius_solve(ode: RegularSingularODE, trunc) -> FrobeniusBasis:
@@ -468,28 +444,20 @@ def frobenius_solve(ode: RegularSingularODE, trunc) -> FrobeniusBasis:
     higher ones, where the resonant solve escalates the log power.  Each
     solution is normalized to leading coefficient 1.
     """
-    span = Fraction(trunc)
     T = ode.T
-    if span < Fraction(1, T):
-        raise TruncationTooSmall(f"truncation {span} is below one step 1/{T}")
-    steps = math.ceil(span * T)
     roots = indicial_roots(ode)
     exact = all(isinstance(r, Fraction) for r in roots)
-    classes = _group_classes(roots, T)
-    indicial = indicial_polynomial(ode)
-    rtable = _series_coeff_table(ode, steps)
-    if exact:
-        indicial, rtable = _as_rational(indicial, rtable)
-    else:
+    span, steps, indicial, rtable = _setup(ode, trunc, exact)
+    if not exact:
         indicial = [c.embed() for c in indicial]
         rtable = [[c.embed() for c in row] for row in rtable]
+    classes = _group(roots, lambda r, s: _same(r, s, T))
     solutions = []
     max_log = 0
     for cls in classes:
-        for mu, mult in _with_multiplicity(cls):
-            if not exact:
-                mu = complex(mu)
-            for j in range(mult):
+        for equal in _group(cls, _same):
+            mu = equal[0] if exact else complex(equal[0])
+            for j in range(len(equal)):
                 cs, ml = _recurse(indicial, rtable, mu, j, steps, T, exact)
                 solutions.append(_fold_solution(cs, mu, T, span, ml) if exact
                                  else NumericSolution(mu, T, cs, ml))
@@ -506,13 +474,14 @@ rebranch_log = LogQSeries.with_branching
 def apply_ode(ode: RegularSingularODE, s: LogQSeries) -> LogQSeries:
     """theta^m s + sum r_i theta^i s; zero to truncation order on solutions.
 
-    Both are brought to branching t = lcm(ode.T, s.T).  When every slot of
+    Both are brought to the least multiple t of lcm(ode.T, s.T) whose grid
+    holds the lead of every part of s and of every r_i.  When every slot of
     s and of the coefficients r_i has conductor 1, the residual is formed on
     integer rows (``_apply_ode_rows``); any slot of conductor > 1 keeps it
     on ``LogQSeries`` arithmetic over ``CycQ`` values.  Both paths give the
     same parts, leads, truncations and values.
     """
-    t = lcm(ode.T, s.T)
+    t = _lead_grid(lcm(ode.T, s.T), s.parts + ode.coeffs)
     scale = t // s.T
     rows = [_int_row(p, t, scale**j) for j, p in enumerate(s.parts)]
     coeff_rows = [_int_row(r, t) for r in ode.coeffs]
@@ -630,24 +599,17 @@ def solve_inhomogeneous(ode: RegularSingularODE, f: LogQSeries, trunc) -> LogQSe
     lambda of f; resonances with indicial roots escalate the log power,
     with the resonant degrees of freedom fixed to zero.
     """
-    span = Fraction(trunc)
     T = ode.T
-    if span < Fraction(1, T):
-        raise TruncationTooSmall(f"truncation {span} is below one step 1/{T}")
-    steps = math.ceil(span * T)
     f = f.with_branching(lcm(f.T, T))
     lam = min(p.normalized().lead for p in f.parts if not p.is_zero())
-    indicial = indicial_polynomial(ode)
-    rtable = _series_coeff_table(ode, steps)
+    # the Fraction path needs f rational as well as the ODE
+    f_rational = all(_rationals(p.coeffs) is not None for p in f.parts)
+    span, steps, indicial, rtable = _setup(ode, trunc, f_rational)
     for p in f.parts:
         if p.trunc < lam + span:
             raise TruncationTooSmall(
                 f"inhomogeneous term truncated at {p.trunc} < {lam + span}"
             )
-
-    # the Fraction path needs f rational as well as the ODE
-    if all(_rationals(p.coeffs) is not None for p in f.parts):
-        indicial, rtable = _as_rational(indicial, rtable)
     rational = isinstance(indicial[-1], Fraction)
 
     # f's log parts are in l = log q_(1/f.T); the recursion works in

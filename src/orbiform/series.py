@@ -198,7 +198,9 @@ class Puiseux:
             other = Puiseux.constant(other, self.trunc, self.T)
         if not isinstance(other, Puiseux):
             return NotImplemented
-        a, b = self._aligned(other)
+        # a lead off the other's grid refines the branching, so no term moves
+        t = math.lcm(self.T, other.T, (self.lead - other.lead).denominator)
+        a, b = self.with_branching(t), other.with_branching(t)
         lead = min(a.lead, b.lead)
         trunc = min(a.trunc, b.trunc)
         out = Puiseux(a.T, lead, [], trunc)
@@ -456,6 +458,12 @@ def theta(s: Puiseux, scale: str = "full") -> Puiseux:
 
 # -- log-q series --------------------------------------------------------------
 
+def _lead_grid(T: int, parts) -> int:
+    """The least multiple of T on whose (1/t)Z grid every part's lead lies;
+    parts summed there, or padded with a zero of lead 0, keep every term."""
+    return math.lcm(T, *(p.lead.denominator for p in parts))
+
+
 class LogQSeries:
     """Polynomial in l = log q_(1/T) with Puiseux coefficients."""
 
@@ -492,7 +500,7 @@ class LogQSeries:
             other = LogQSeries(self.T, [other])
         if not isinstance(other, LogQSeries):
             return NotImplemented
-        t = lcm(self.T, other.T)
+        t = _lead_grid(lcm(self.T, other.T), self.parts + other.parts)
         a, b = self.with_branching(t), other.with_branching(t)
         n = max(len(a.parts), len(b.parts))
         trunc = min(min(p.trunc for p in a.parts), min(p.trunc for p in b.parts))
@@ -522,13 +530,14 @@ class LogQSeries:
 
     def theta_full(self) -> "LogQSeries":
         """q d/dq, acting on log factors via theta(l^i f) = (i/T) l^(i-1) f + l^i theta f."""
+        s = self.with_branching(_lead_grid(self.T, self.parts))
         parts = []
-        for i, p in enumerate(self.parts):
+        for i, p in enumerate(s.parts):
             term = theta(p, "full")
-            if i + 1 < len(self.parts):
-                term = term + self.parts[i + 1].scalar_mul(Fraction(i + 1, self.T))
+            if i + 1 < len(s.parts):
+                term = term + s.parts[i + 1].scalar_mul(Fraction(i + 1, s.T))
             parts.append(term)
-        return LogQSeries(self.T, parts)
+        return LogQSeries(s.T, parts)
 
     def is_zero(self) -> bool:
         return all(p.is_zero() for p in self.parts)

@@ -18,14 +18,6 @@ from .series import Embedded, eval_at_tau
 
 DEFAULT_TAU_GRID = (1j, 0.5 + 1j, 0.3 + 1.7j)
 
-LAW_IDS = (
-    "P_invariance",
-    "Q_modularity",
-    "G2_quasimodular",
-    "wp1_laws",
-    "delk_commutes",
-)
-
 
 def _check_tail(tail: float, tol: float):
     if not tail <= tol / 10:
@@ -122,30 +114,24 @@ def _delk_commutes(params: dict, tau_grid, tol: float):
             yield slash_eval(del_k(f, k), k + 2, gamma, tau) - del_k(fg, k)(tau)
 
 
+# each law, with every parameter it reads and that parameter's default
 _LAWS = {
-    "P_invariance": _p_invariance,
-    "Q_modularity": _q_modularity,
-    "G2_quasimodular": _g2_quasimodular,
-    "wp1_laws": _wp1_laws,
-    "delk_commutes": _delk_commutes,
-}
-
-# every parameter a law reads, with its default
-_LAW_DEFAULTS = {
-    "P_invariance": {
+    "P_invariance": (_p_invariance, {
         "k": 1, "pair": TorsionPair(Fraction(1, 2), Fraction(1, 3)), "gamma": S,
         "z": 0.3j, "cutoff": 400,
-    },
-    "Q_modularity": {
+    }),
+    "Q_modularity": (_q_modularity, {
         "k": 2, "pair": TorsionPair(Fraction(1), Fraction(1, 2)), "gamma": S,
         "terms": 400,
-    },
-    "G2_quasimodular": {"gamma": S, "trunc": 200},
-    "wp1_laws": {"gamma": S, "z": 0.21 - 0.4j, "trunc": 400},
-    "delk_commutes": {
+    }),
+    "G2_quasimodular": (_g2_quasimodular, {"gamma": S, "trunc": 200}),
+    "wp1_laws": (_wp1_laws, {"gamma": S, "z": 0.21 - 0.4j, "trunc": 400}),
+    "delk_commutes": (_delk_commutes, {
         "gamma": S, "terms": 200, "pair": TorsionPair(Fraction(1), Fraction(1, 2)),
-    },
+    }),
 }
+
+LAW_IDS = tuple(_LAWS)
 
 
 def law_params(law_id: str, params: dict | None = None) -> dict:
@@ -155,7 +141,7 @@ def law_params(law_id: str, params: dict | None = None) -> dict:
     """
     if law_id not in _LAWS:
         raise ValueError(f"unknown law {law_id!r}; known: {', '.join(LAW_IDS)}")
-    defaults = _LAW_DEFAULTS[law_id]
+    defaults = _LAWS[law_id][1]
     unread = [key for key in params or {} if key not in defaults]
     if unread:
         raise ValueError(
@@ -169,7 +155,7 @@ def verify_law(law_id: str, params: dict | None = None,
     params = dict(params or {})
     read = law_params(law_id, params)
     # hypot: abs() of a complex nan can raise OverflowError on a numpy underflow's errno
-    errors = [math.hypot(d.real, d.imag) for d in _LAWS[law_id](read, tuple(tau_grid), tol)]
+    errors = [math.hypot(d.real, d.imag) for d in _LAWS[law_id][0](read, tuple(tau_grid), tol)]
     # max() passes over a nan unless it comes first; a nan must fail the law
     err = math.nan if any(map(math.isnan, errors)) else max(errors, default=0.0)
     return CheckReport(law_id, params, err, err < tol)

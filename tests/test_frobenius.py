@@ -155,6 +155,20 @@ def test_rebranch_log_rescales_log_parts():
     assert r.parts[1].coeff_at(0) == 3
 
 
+def test_roots_group_into_classes_then_equal_roots():
+    # (x - 2)(x - 3/2)(x - 1) with a q coupling: 2 and 1 share a class mod Z,
+    # so the ascending recursion from 1 meets 2 and escalates the log power
+    r0 = Puiseux.from_terms([(0, -3), (1, 1)], 8)
+    ode = RegularSingularODE(3, 1, [r0, Puiseux.constant(Fraction(13, 2), 8),
+                                    Puiseux.constant(Fraction(-9, 2), 8)])
+    basis = frobenius_solve(ode, 6)
+    assert basis.exponent_classes == [[2, 1], [Fraction(3, 2)]]
+    assert [s.parts[0].lead for s in basis.solutions] == [2, 1, Fraction(3, 2)]
+    assert basis.max_log_power == 1
+    for sol in basis.solutions:
+        assert apply_ode(ode, sol).is_zero()
+
+
 def test_tiny_exact_coefficients_are_kept():
     # theta S + c q S = 0 has S = sum (-c)^n/n! q^n; a coupling far below
     # any float tolerance must still count as nonzero on exact values
@@ -198,6 +212,25 @@ def test_horner_taylor_shift_matches_binomial_formula(poly, x, as_cycq):
     assert _taylor_at(poly, x) == _binomial_taylor(poly, x)
 
 
+quadratics = st.sampled_from([[1], [1, 0, 1], [-2, 0, 1]])  # 1, x^2 + 1, x^2 - 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 6)), max_size=5),
+    quadratics,
+    small_fractions.filter(bool),
+)
+def test_rational_roots_finds_every_root_of_a_product(factors, quad, scale):
+    poly = [scale * c for c in quad]
+    for p, q in factors:  # times (q x - p)
+        poly = [q * b - p * a for a, b in zip(poly + [0], [0] + poly)]
+    roots, rest = frobenius._rational_roots(poly)
+    assert sorted(roots) == sorted(Fraction(p, q) for p, q in factors)
+    assert len(rest) == len(quad) and rest[-1]
+    assert [c * rest[-1] for c in quad] == rest
+
+
 roots = st.fractions(min_value=-1, max_value=1, max_denominator=4)
 couplings = st.lists(
     st.tuples(st.integers(min_value=1, max_value=3),
@@ -213,7 +246,7 @@ def rational_odes(draw):
     kind = draw(st.sampled_from(
         ["distinct", "double", "resonant", "branched", "third", "inhom"]))
     r = draw(roots)
-    T = draw(st.sampled_from([2, 3])) if kind == "branched" else 1
+    T = draw(st.sampled_from({"branched": [2, 3], "inhom": [1, 2, 3]}.get(kind, [1])))
     root_set = {
         "distinct": (r, draw(roots)),
         "double": (r, r),
@@ -390,8 +423,8 @@ def test_coefficient_table_reads_coeff_at(ode, steps):
 
 
 # -- branching: refining commutes with theta, add and the residual -----------------
-# Every lead lies on its series' (1/T)Z grid here: Puiseux.__add__ moves a lead
-# off that grid down onto it, by an amount that depends on the branching.
+# A lead off the (1/T)Z grid refines the branching of a sum, theta or residual,
+# so a refined input may give the same value at another T.
 
 @settings(max_examples=60, deadline=None)
 @given(log_series(on_grid=True), st.integers(2, 3))
@@ -416,3 +449,29 @@ def test_residual_commutes_with_branching(ode, s, lift):
         s = _lifted_log(s, 3)
     fine = apply_ode(ode, s.with_branching(2 * s.T))
     _assert_same_slots(fine, apply_ode(ode, s).with_branching(fine.T))
+
+
+@settings(max_examples=60, deadline=None)
+@given(odes(), log_series(), st.booleans())
+def test_residual_commutes_with_branching_off_the_grid(ode, s, lift):
+    if lift:
+        s = _lifted_log(s, 3)
+    fine = apply_ode(ode, s.with_branching(2 * s.T))
+    coarse = apply_ode(ode, s)
+    t = lcm(fine.T, coarse.T)
+    _assert_same_slots(fine.with_branching(t), coarse.with_branching(t))
+
+
+@settings(max_examples=60, deadline=None)
+@given(log_series(), log_series())
+def test_sum_off_the_grid_keeps_every_term(a, b):
+    total = a + b
+    a, b = a.with_branching(total.T), b.with_branching(total.T)
+    for i, part in enumerate(total.parts):
+        want = {}
+        for x in (a, b):
+            if i < len(x.parts):
+                for e, c in x.parts[i].terms():
+                    if e < part.trunc:
+                        want[e] = want.get(e, CycQ.zero) + c
+        assert dict(part.terms()) == {e: c for e, c in want.items() if c}
