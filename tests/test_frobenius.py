@@ -451,15 +451,30 @@ def test_residual_commutes_with_branching(ode, s, lift):
     _assert_same_slots(fine, apply_ode(ode, s).with_branching(fine.T))
 
 
+def _assert_same_at_a_common_T(got: LogQSeries, want: LogQSeries):
+    t = lcm(got.T, want.T)
+    _assert_same_slots(got.with_branching(t), want.with_branching(t))
+
+
+@settings(max_examples=60, deadline=None)
+@given(log_series(), st.integers(2, 3))
+def test_theta_commutes_with_branching_off_the_grid(s, k):
+    _assert_same_at_a_common_T(s.with_branching(k * s.T).theta_full(), s.theta_full())
+
+
+@settings(max_examples=60, deadline=None)
+@given(log_series(), log_series(), st.integers(1, 2))
+def test_add_commutes_with_branching_off_the_grid(a, b, k):
+    t = k * lcm(a.T, b.T)
+    _assert_same_at_a_common_T(a.with_branching(t) + b.with_branching(t), a + b)
+
+
 @settings(max_examples=60, deadline=None)
 @given(odes(), log_series(), st.booleans())
 def test_residual_commutes_with_branching_off_the_grid(ode, s, lift):
     if lift:
         s = _lifted_log(s, 3)
-    fine = apply_ode(ode, s.with_branching(2 * s.T))
-    coarse = apply_ode(ode, s)
-    t = lcm(fine.T, coarse.T)
-    _assert_same_slots(fine.with_branching(t), coarse.with_branching(t))
+    _assert_same_at_a_common_T(apply_ode(ode, s.with_branching(2 * s.T)), apply_ode(ode, s))
 
 
 @settings(max_examples=60, deadline=None)

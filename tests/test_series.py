@@ -72,8 +72,8 @@ def test_addition_and_truncation_propagation():
 
 
 def test_sum_off_the_grid_refines_the_branching():
-    # q^(1/3) + 2 q^(4/3) is off the T = 1 grid of 0 (1 + q); the sum used to
-    # place it on that grid as 1 + 2q
+    # q^(1/3) + 2 q^(4/3) is off the T = 1 grid of 0 (1 + q); moved onto that
+    # grid, the sum would read 1 + 2q
     a = Puiseux(1, Fraction(1, 3), [1, 2], 5)
     zero = Puiseux.from_terms([(0, 1), (1, 1)], 5).scalar_mul(0)
     for s in (a + zero, zero + a):
