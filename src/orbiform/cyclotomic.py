@@ -19,15 +19,11 @@ from __future__ import annotations
 import cmath
 import functools
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import mpmath
 
 Rational = Fraction
-
-
-def lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
 
 
 @functools.lru_cache(maxsize=None)

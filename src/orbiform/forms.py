@@ -12,12 +12,12 @@ import cmath
 import functools
 import math
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import mpmath
 import numpy as np
 
-from .cyclotomic import CycQ, _power_basis, cyc_root_of, lcm
+from .cyclotomic import CycQ, _power_basis, cyc_root_of
 from .errors import (
     BadWeight,
     NearPole,

@@ -6,12 +6,15 @@ q^lambda times polynomials in l = log q_(1/T) with Puiseux coefficients;
 lambda runs over the indicial roots and logs appear when roots within one
 congruence class mod (1/T)Z resonate.
 
-The recursion is generic over its value type, chosen by the input.  When
-every indicial and series coefficient of the ODE (and, for an inhomogeneous
-solve, of f) has conductor 1, it runs on plain ``Fraction`` values and the
-results become ``CycQ`` only when the solution is assembled; any
-coefficient of conductor > 1 keeps it on ``CycQ`` values.  Indicial roots
-that are not all rational send it to ``complex`` values.
+The recursion solves the ODE times T^m in theta_T = T theta, which acts on
+q^(mu + n/T) c(l) as (T mu + n) + d/dl, on rows of the nonzero terms of each
+r_i.  It keeps c(l) in divided powers l^j/j!, where d/dl is a shift, and
+converts only where a solution is seeded or assembled.  Its value type is
+chosen by the input: when every indicial and series coefficient of the ODE
+(and, for an inhomogeneous solve, of f) has conductor 1, it runs on plain
+``Fraction`` values, made ``CycQ`` only when the solution is assembled; any
+coefficient of conductor > 1 keeps it on ``CycQ`` values, and indicial
+roots that are not all rational send it to ``complex`` values.
 
 The residual ``apply_ode`` picks its path the same way.  When every slot of
 the series and of the ODE's coefficients has conductor 1, each log part is
@@ -30,7 +33,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclotomic import CycQ, lcm
+from .cyclotomic import CycQ, _poly_divmod_q, _poly_sub
 from .errors import TruncationTooSmall
 from .series import (
     LogQSeries,
@@ -134,17 +137,17 @@ def indicial_roots(ode: RegularSingularODE) -> list:
 
     Roots of a rational-coefficient polynomial found by the rational-root
     test come back as exact Fractions; all remaining roots are complex
-    floats with small residual.
+    floats with small residual, found factor by factor of the cofactor's
+    square-free decomposition, so a repeated root comes back as equal copies.
     """
     poly = indicial_polynomial(ode)
     roots, rest = [], poly
     if all(c.is_rational() for c in poly):
         roots, rest = _rational_roots([c.rational_value() for c in poly])
     if len(rest) > 1:
-        arr = [
-            complex(c) if isinstance(c, Fraction) else c.embed() for c in rest
-        ]
-        roots += [complex(z) for z in np.roots(arr[::-1])]
+        for factor, k in _squarefree(rest):
+            arr = [complex(c) if isinstance(c, Fraction) else c.embed() for c in factor]
+            roots += [complex(z) for z in np.roots(arr[::-1]) for _ in range(k)]
     roots.sort(key=lambda r: (-complex(r).real, -complex(r).imag))
     return roots
 
@@ -165,6 +168,32 @@ def _rational_roots(coeffs: list) -> tuple[list, list]:
                     roots.append(cand)
                     cur = _deflate_int(cur, cand)
     return roots, [Fraction(c) for c in cur]
+
+
+def _squarefree(f: list) -> list:
+    """Yun's square-free decomposition over Q(zeta_N): the pairs (a_k, k)
+    with f = c prod_k a_k^k, each a_k monic and square-free; a square-free f
+    comes back as [(f, 1)], unscaled."""
+    deriv = lambda p: [c * k for k, c in enumerate(p)][1:]
+    quo = lambda a, b: _poly_divmod_q(a, b)[0]
+    a = _gcd(f, deriv(f))
+    if len(a) == 1:
+        return [(f, 1)]
+    b, d = quo(f, a), quo(deriv(f), a)
+    out = []
+    while len(b) > 1:
+        d = _poly_sub(d, deriv(b))
+        a = _gcd(b, d)
+        out.append((a, len(out) + 1))
+        b, d = quo(b, a), quo(d, a)
+    return out
+
+
+def _gcd(a: list, b: list) -> list:
+    """Monic gcd by Euclid's algorithm on ``cyclotomic._poly_divmod_q``."""
+    while any(b):
+        a, b = b, _poly_divmod_q(a, b)[1]
+    return [c / a[-1] for c in a]
 
 
 def _divisors(n: int) -> list[int]:
@@ -218,11 +247,12 @@ def _pzero(c) -> bool:
     return not c
 
 
-def _apply_D(p: list, x, invT):
-    """(x + invT * d/dl) applied to a polynomial in l."""
+def _apply_E(p: list, x):
+    """(x + d/dl) applied to a polynomial in divided powers l^j/j!, where
+    d/dl moves each coefficient down one slot."""
     out = [x * c for c in p]
     for s in range(1, len(p)):
-        out[s - 1] = out[s - 1] + p[s] * (invT * s)
+        out[s - 1] = out[s - 1] + p[s]
     return _ptrim(out)
 
 
@@ -240,18 +270,12 @@ def _taylor_at(poly: list, x) -> list:
     return out
 
 
-def _falling(n: int, u: int) -> int:
-    acc = 1
-    for t in range(u):
-        acc *= n - t
-    return acc
+def _solve_step(tay: list, g: list, zero):
+    """Solve P(X_n + d/dl) b = g for b in divided powers, that is
+    sum_u tay[u] b[s + u] = g[s] for every s.
 
-
-def _solve_step(tay: list, g: list, invT, zero):
-    """Solve P(x_n + invT d/dl) c = g for the polynomial c.
-
-    tay are the Taylor coefficients of the indicial polynomial at x_n; the
-    multiplicity r of x_n as a root forces c's bottom r coefficients to
+    tay are the Taylor coefficients of the indicial polynomial at X_n; the
+    multiplicity r of X_n as a root forces b's bottom r coefficients to
     zero and raises the log degree by r.
     """
     if isinstance(zero, complex):
@@ -264,118 +288,79 @@ def _solve_step(tay: list, g: list, invT, zero):
     r = 0
     while r < len(tay) and tiny(tay[r]):
         r += 1
-    d = len(g) - 1
-    b = [zero] * (d + 1 + r)
-    if d >= 0:
-        for s in range(d, -1, -1):
-            acc = g[s]
-            for u in range(r + 1, len(tay)):
-                idx = s + u
-                if idx <= d + r and not _pzero(tay[u]) and not _pzero(b[idx]):
-                    acc = acc - b[idx] * (tay[u] * (invT**u * _falling(s + u, u)))
-            denom = tay[r] * (invT**r * _falling(s + r, r))
-            b[s + r] = acc / denom
-    return _ptrim(b), r
+    b = [zero] * (len(g) + r)
+    for s in range(len(g) - 1, -1, -1):
+        acc = g[s]
+        for u in range(r + 1, min(len(tay), len(b) - s)):
+            if not _pzero(tay[u]) and not _pzero(b[s + u]):
+                acc = acc - b[s + u] * tay[u]
+        b[s + r] = acc / tay[r]
+    return _ptrim(b)
 
 
 # -- the solver -----------------------------------------------------------------
 
-def _series_coeff_table(ode: RegularSingularODE, steps: int) -> list:
-    """R[i][s] = coefficient of q^(s/T) in r_i, for 0 <= s < steps.
+def _recurse(indicial, rows, x0, seed_power: int, steps: int, extra_g=None):
+    """Coefficient polynomials c_0 .. c_{steps-1} of one Frobenius solution,
+    in divided powers l^j/j!.
 
-    Every r_i has branching T (``RegularSingularODE`` lifts it), so slot s
-    of the table is slot s - lead*T of r_i, and zero below the lead.
-    """
-    span = Fraction(steps, ode.T)
-    table = []
-    for r in ode.coeffs:
-        if r.trunc < span:
-            raise TruncationTooSmall(
-                f"coefficient series truncated at {r.trunc} < requested {span}"
-            )
-        base = r.lead * ode.T
-        if base.denominator != 1:  # no exponent of r lies on the (1/T)Z grid
-            table.append([CycQ.zero] * steps)
-            continue
-        base = int(base)
-        row = [CycQ.zero] * max(0, base) + r.coeffs[max(0, -base):]
-        table.append(row[:steps])
-    return table
-
-
-def _recurse(indicial, rtable, mu, seed_power: int, steps: int, T: int,
-             exact: bool, extra_g=None):
-    """Coefficient polynomials c_0 .. c_{steps-1} of one Frobenius solution.
-
-    c_n solves P(D_n) c_n = -sum_{i,s>=1} r_{i,s} D_{n-s}^i c_{n-s} (+ the
-    inhomogeneous term), with D_n = (mu + n/T) + (1/T) d/dl.  The values
-    are of the type of the indicial coefficients: Fraction, CycQ or complex.
+    c_n solves P(E_n) c_n = -sum_{i,s>=1} r_{i,s} E_{n-s}^i c_{n-s} (+ the
+    inhomogeneous term), with E_n = (x0 + n) + d/dl and x0 = T mu; P and the
+    rows r_i are those of ``_setup``.  The values are of the type of the
+    indicial coefficients: Fraction, CycQ or complex.
     """
     m = len(indicial) - 1
-    invT = Fraction(1, T) if exact else 1.0 / T
     one = indicial[-1]  # the indicial polynomial is monic
     zero = one - one
-    if extra_g is not None:  # seed_power is -1: c_0 solves P(D_0) c_0 = f_0
-        c0, _ = _solve_step(_taylor_at(indicial, mu), _ptrim(list(extra_g(0))), invT, zero)
-        cs = [c0]
-        max_log = len(c0) - 1 if c0 else 0
-    else:
-        cs = [[zero] * seed_power + [one]]
-        max_log = seed_power
-    # derivative images D_k^i c_k, filled in as c_k is produced
+    if extra_g is not None:  # seed_power is -1: c_0 solves P(E_0) c_0 = f_0
+        cs = [_solve_step(_taylor_at(indicial, x0), _ptrim(list(extra_g(0))), zero)]
+    else:  # l^j is j! in divided powers
+        cs = [[zero] * seed_power + [one * math.factorial(seed_power)]]
+    # derivative images E_k^i c_k, filled in as c_k is produced
     dk = [[None] * steps for _ in range(m)]
     def fill_dk(k):
-        x = mu + (Fraction(k, T) if exact else k / T)
         cur = cs[k]
         for i in range(m):
             dk[i][k] = cur
-            cur = _apply_D(cur, x, invT)
+            cur = _apply_E(cur, x0 + k)
     fill_dk(0)
-    # the nonzero (s, r_{i,s}) of each row, s >= 1
-    support = [[(s, c) for s, c in enumerate(row) if s and not _pzero(c)]
-               for row in rtable]
     for n in range(1, steps):
-        x_n = mu + (Fraction(n, T) if exact else n / T)
         g: list = []
         for i in range(m):
-            for s, c in support[i]:
+            for s, c in rows[i]:
                 if s > n:
                     break
                 p = dk[i][n - s]
                 if not p:
                     continue
-                while len(g) < len(p):
-                    g.append(zero)
+                g += [zero] * (len(p) - len(g))
                 for t, pc in enumerate(p):
                     g[t] = g[t] - c * pc
         if extra_g is not None:
             fn = extra_g(n)
-            while len(g) < len(fn):
-                g.append(zero)
+            g += [zero] * (len(fn) - len(g))
             for t, pc in enumerate(fn):
                 g[t] = g[t] + pc
-        tay = _taylor_at(indicial, x_n)
-        c_n, _ = _solve_step(tay, _ptrim(g), invT, zero)
-        cs.append(c_n)
-        max_log = max(max_log, len(c_n) - 1)
+        cs.append(_solve_step(_taylor_at(indicial, x0 + n), _ptrim(g), zero))
         fill_dk(n)
-    return cs, max_log
+    return cs, max(1, *map(len, cs)) - 1
 
 
 def _fold_solution(cs: list, mu: Fraction, T: int, span: Fraction,
                    max_log: int) -> LogQSeries:
-    """Assemble q^mu sum_n c_n(l) q^(n/T) into a LogQSeries.
+    """Assemble q^mu sum_n c_n(l) q^(n/T), c_n in divided powers, into a
+    LogQSeries.
 
     The leading exponent is folded into the Puiseux parts; refining the
-    branching rescales l = log q_(1/T) to log q_(1/t), so the log-power-j
-    part picks up (t/T)^j.
+    branching rescales l = log q_(1/T) to log q_(1/t), so the part of
+    l^j/j! picks up (t/T)^j / j!.
     """
-    t = lcm(T, mu.denominator)
+    t = math.lcm(T, mu.denominator)
     step = t // T
     trunc = mu + span
     parts = []
     for j in range(max_log + 1):
-        scale = Fraction(t, T) ** j
+        scale = Fraction(t, T) ** j / math.factorial(j)
         occupied = [n for n, c in enumerate(cs) if j < len(c) and not _pzero(c[j])]
         if not occupied:
             parts.append(Puiseux.zero(trunc, t))
@@ -421,19 +406,30 @@ def _group(roots: list, same) -> list:
 
 
 def _setup(ode: RegularSingularODE, trunc, rational: bool):
-    """Span, step count, indicial polynomial and coefficient table of a
-    solve to relative order q^trunc; as Fractions when ``rational`` and every
-    entry has conductor 1, else as CycQ."""
+    """Span, step count, indicial polynomial and coefficient rows of a solve
+    to relative order q^trunc, for the ODE times T^m in theta_T = T theta.
+
+    p_i and row i are scaled by T^(m-i); row i holds the nonzero
+    (s, T^(m-i) r_{i,s}) with 0 < s < steps, s ascending.  The values are
+    Fractions when ``rational`` and every one has conductor 1, else CycQ.
+    """
+    T, m = ode.T, ode.order
     span = Fraction(trunc)
-    if span < Fraction(1, ode.T):
-        raise TruncationTooSmall(f"truncation {span} is below one step 1/{ode.T}")
-    steps = math.ceil(span * ode.T)
-    indicial = indicial_polynomial(ode)
-    rtable = _series_coeff_table(ode, steps)
-    rows = [_rationals(row) for row in (indicial, *rtable)] if rational else [None]
-    if None not in rows:
-        indicial, *rtable = rows
-    return span, steps, indicial, rtable
+    if span < Fraction(1, T):
+        raise TruncationTooSmall(f"truncation {span} is below one step 1/{T}")
+    steps = math.ceil(span * T)
+    indicial = [c * T ** (m - i) for i, c in enumerate(indicial_polynomial(ode))]
+    rows = []
+    for i, r in enumerate(ode.coeffs):
+        if r.trunc < span:
+            raise TruncationTooSmall(
+                f"coefficient series truncated at {r.trunc} < requested {span}"
+            )
+        rows.append([(int(e * T), c * T ** (m - i)) for e, c in r.terms() if 0 < e * T < steps])
+    if rational and all(c.conductor == 1 for c in indicial + [c for row in rows for _, c in row]):
+        indicial = [c.coeffs[0] for c in indicial]
+        rows = [[(s, c.coeffs[0]) for s, c in row] for row in rows]
+    return span, steps, indicial, rows
 
 
 def frobenius_solve(ode: RegularSingularODE, trunc) -> FrobeniusBasis:
@@ -447,10 +443,10 @@ def frobenius_solve(ode: RegularSingularODE, trunc) -> FrobeniusBasis:
     T = ode.T
     roots = indicial_roots(ode)
     exact = all(isinstance(r, Fraction) for r in roots)
-    span, steps, indicial, rtable = _setup(ode, trunc, exact)
+    span, steps, indicial, rows = _setup(ode, trunc, exact)
     if not exact:
         indicial = [c.embed() for c in indicial]
-        rtable = [[c.embed() for c in row] for row in rtable]
+        rows = [[(s, c.embed()) for s, c in row] for row in rows]
     classes = _group(roots, lambda r, s: _same(r, s, T))
     solutions = []
     max_log = 0
@@ -458,9 +454,13 @@ def frobenius_solve(ode: RegularSingularODE, trunc) -> FrobeniusBasis:
         for equal in _group(cls, _same):
             mu = equal[0] if exact else complex(equal[0])
             for j in range(len(equal)):
-                cs, ml = _recurse(indicial, rtable, mu, j, steps, T, exact)
-                solutions.append(_fold_solution(cs, mu, T, span, ml) if exact
-                                 else NumericSolution(mu, T, cs, ml))
+                cs, ml = _recurse(indicial, rows, T * mu, j, steps)
+                if exact:
+                    solutions.append(_fold_solution(cs, mu, T, span, ml))
+                else:  # back to ordinary powers: divide by k!, which is 1 below k = 2
+                    cs = [[c / math.factorial(k) if k > 1 else c for k, c in enumerate(p)]
+                          for p in cs]
+                    solutions.append(NumericSolution(mu, T, cs, ml))
                 max_log = max(max_log, ml)
     return FrobeniusBasis(classes, solutions, max_log, numeric=not exact)
 
@@ -481,7 +481,7 @@ def apply_ode(ode: RegularSingularODE, s: LogQSeries) -> LogQSeries:
     on ``LogQSeries`` arithmetic over ``CycQ`` values.  Both paths give the
     same parts, leads, truncations and values.
     """
-    t = _lead_grid(lcm(ode.T, s.T), s.parts + ode.coeffs)
+    t = _lead_grid(math.lcm(ode.T, s.T), s.parts + ode.coeffs)
     scale = t // s.T
     rows = [_int_row(p, t, scale**j) for j, p in enumerate(s.parts)]
     coeff_rows = [_int_row(r, t) for r in ode.coeffs]
@@ -600,11 +600,11 @@ def solve_inhomogeneous(ode: RegularSingularODE, f: LogQSeries, trunc) -> LogQSe
     with the resonant degrees of freedom fixed to zero.
     """
     T = ode.T
-    f = f.with_branching(lcm(f.T, T))
+    f = f.with_branching(math.lcm(f.T, T))
     lam = min(p.normalized().lead for p in f.parts if not p.is_zero())
     # the Fraction path needs f rational as well as the ODE
     f_rational = all(_rationals(p.coeffs) is not None for p in f.parts)
-    span, steps, indicial, rtable = _setup(ode, trunc, f_rational)
+    span, steps, indicial, rows = _setup(ode, trunc, f_rational)
     for p in f.parts:
         if p.trunc < lam + span:
             raise TruncationTooSmall(
@@ -612,16 +612,17 @@ def solve_inhomogeneous(ode: RegularSingularODE, f: LogQSeries, trunc) -> LogQSe
             )
     rational = isinstance(indicial[-1], Fraction)
 
-    # f's log parts are in l = log q_(1/f.T); the recursion works in
-    # log q_(1/T), which is (f.T/T) times larger, so part j scales down
+    # the recursion solves the ODE times T^m in l = log q_(1/T), which is
+    # (f.T/T) times log q_(1/f.T), in divided powers: l'^j is (T/f.T)^j j! l^j/j!
+    scales = [-T**ode.order * Fraction(T, f.T) ** j * math.factorial(j)
+              for j in range(len(f.parts))]
+
     def extra_g(n: int):
         e = lam + Fraction(n, T)
         coeffs = [part.coeff_at(e) for part in f.parts]
         if rational:
             coeffs = [c.coeffs[0] for c in coeffs]
-        return _ptrim([-c * Fraction(T, f.T) ** j for j, c in enumerate(coeffs)])
+        return _ptrim([c * k for c, k in zip(coeffs, scales)])
 
-    cs, max_log = _recurse(
-        indicial, rtable, lam, -1, steps, T, True, extra_g=extra_g
-    )
+    cs, max_log = _recurse(indicial, rows, T * lam, -1, steps, extra_g=extra_g)
     return _fold_solution(cs, lam, T, span, max_log)

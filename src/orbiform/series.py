@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cyclotomic import CycQ, _root_powers, _sparse_convolve, lcm
+from .cyclotomic import CycQ, _root_powers, _sparse_convolve
 from .errors import (
     NonInvertibleLeadingTerm,
     NotConvergent,
@@ -190,7 +190,7 @@ class Puiseux:
     # -- arithmetic ----------------------------------------------------------
 
     def _aligned(self, other: "Puiseux"):
-        t = lcm(self.T, other.T)
+        t = math.lcm(self.T, other.T)
         return self.with_branching(t), other.with_branching(t)
 
     def __add__(self, other):
@@ -500,7 +500,7 @@ class LogQSeries:
             other = LogQSeries(self.T, [other])
         if not isinstance(other, LogQSeries):
             return NotImplemented
-        t = _lead_grid(lcm(self.T, other.T), self.parts + other.parts)
+        t = _lead_grid(math.lcm(self.T, other.T), self.parts + other.parts)
         a, b = self.with_branching(t), other.with_branching(t)
         n = max(len(a.parts), len(b.parts))
         trunc = min(min(p.trunc for p in a.parts), min(p.trunc for p in b.parts))
@@ -695,11 +695,11 @@ class BiSeries:
         )
 
 
-def residue(s, variable: str = "w"):
+def residue(s):
     """Coefficient of the (-1)-power of the outer variable.
 
-    Accepts a BiSeries (returns a Puiseux) or a plain Puiseux regarded as a
-    Laurent series in the named variable (returns its coefficient, a CycQ).
+    Accepts a BiSeries (the coefficient of w^-1, a Puiseux in q) or a plain
+    Puiseux (the coefficient of q^-1, a CycQ).
     """
     if isinstance(s, BiSeries):
         return s.coeff_at_w(-1)

@@ -20,7 +20,7 @@ import workloads as W  # noqa: E402
 
 JOBS = {job.key: job for job in W.fingerprinted_jobs()}
 
-# one cheap key of each kind, then every Q_k of conductor 12
+# one cheap key of each kind and of each ODE class, then every Q_k of conductor 12
 KEYS = [
     "qk:3:1/2:1/3:4",
     "delta:20",
@@ -30,6 +30,10 @@ KEYS = [
     "theta:3B:20",
     "frob_suite:0:10",
     "ode:inhom:0:2:-1",
+    "ode:third:0:triple:-1",
+    "ode:branched:3:1/2:2:1",
+    "ode:resonant:1/2:2:1",
+    "ode:double:-1/3:1",
 ] + sorted(
     key for key, job in JOBS.items()
     if job.kind == "qk" and W.qk_conductor(job.args[1], job.args[2]) == 12

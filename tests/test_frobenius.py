@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orbiform import frobenius
-from orbiform.cyclotomic import CycQ, euler_phi, lcm
+from orbiform.cyclotomic import CycQ, cyc_root, euler_phi, lcm
 from orbiform.errors import TruncationTooSmall
 from orbiform.frobenius import (
     FrobeniusBasis,
@@ -102,6 +102,17 @@ def test_inhomogeneous_resonant_log():
     assert (apply_ode(ode, sol) + f).is_zero()
 
 
+def test_inhomogeneous_log_squared_term_at_a_finer_branching():
+    # f = 3q log q + q log^2 q at T = 1 against an ODE at T = 2: each log
+    # power of f keeps its weight when l becomes log q_(1/2); the resonance
+    # with the root 2 raises the log degree to 3
+    ode = RegularSingularODE(1, 2, [Puiseux.from_terms([(0, -2), (Fraction(1, 2), 1)], 12, 2)])
+    f = LogQSeries(1, [Puiseux.zero(12), Puiseux.monomial(3, 1, 12), Puiseux.monomial(1, 1, 12)])
+    sol = solve_inhomogeneous(ode, f, 4)
+    assert len(sol.trimmed().parts) == 4
+    assert (apply_ode(ode, sol) + f).is_zero()
+
+
 def test_numeric_irrational_exponents():
     # theta^2 - 2: exponents +-sqrt(2), numeric basis
     ode = const_ode(2, [-2, 0], trunc=10)
@@ -114,6 +125,73 @@ def test_numeric_irrational_exponents():
         assert abs(s.coeffs[0][0] - 1) < 1e-12
     with pytest.raises(ValueError):
         basis.to_json()
+
+
+def _numeric_residual(ode, sol, steps):
+    """Largest coefficient, below q^(exponent + steps/T), of theta^m S +
+    sum r_i theta^i S for a numeric solution S, with theta applied to each
+    c_n(l) = sum_j c_nj l^j in ordinary powers: (exponent + n/T) + (1/T) d/dl."""
+    T, w = sol.T, sol.max_log_power + 1
+
+    def theta(p, n):
+        return [(sol.exponent + n / T) * p[j] + (p[j + 1] * (j + 1) / T if j + 1 < w else 0)
+                for j in range(w)]
+
+    images = [[p + [0j] * (w - len(p)) for p in sol.coeffs[:steps]]]
+    for _ in range(ode.order):
+        images.append([theta(p, n) for n, p in enumerate(images[-1])])
+    worst = 0.0
+    for n in range(steps):
+        acc = images[-1][n]
+        for i, r in enumerate(ode.coeffs):
+            for s in range(n + 1):
+                c = r.coeff_at(Fraction(s, T)).embed()
+                acc = [a + c * v for a, v in zip(acc, images[i][n - s])]
+        worst = max(worst, *map(abs, acc))
+    return worst
+
+
+def test_numeric_double_root_is_one_root_with_a_log():
+    # r0 = -1 + q, r1 = -2 zeta_4: the indicial polynomial is (x - i)^2, which
+    # np.roots alone splits into two roots 2.8e-8 apart, two classes, no log
+    i = cyc_root(1, 4)
+    ode = RegularSingularODE(2, 1, [Puiseux.from_terms([(0, -1), (1, 1)], 10),
+                                    Puiseux.constant(-2 * i, 10)])
+    roots = indicial_roots(ode)
+    assert roots[0] == roots[1] and abs(roots[0] - 1j) < 1e-12
+    basis = frobenius_solve(ode, 6)
+    assert basis.numeric and basis.max_log_power == 1
+    assert basis.exponent_classes == [roots]
+    assert [s.max_log_power for s in basis.solutions] == [0, 1]
+    for sol in basis.solutions:
+        assert _numeric_residual(ode, sol, 6) < 1e-12
+
+
+def test_squared_irrational_indicial_factor_gives_logs():
+    # (x^2 - 2)^2: each of +-sqrt(2) is a double root, in a class of its own
+    ode = const_ode(4, [4, 0, -4, 0], trunc=10)
+    roots = indicial_roots(ode)
+    assert roots[0] == roots[1] and roots[2] == roots[3]
+    assert abs(roots[0] - 2**0.5) < 1e-12 and abs(roots[2] + 2**0.5) < 1e-12
+    basis = frobenius_solve(ode, 6)
+    assert basis.exponent_classes == [roots[:2], roots[2:]]
+    assert basis.max_log_power == 1
+    for sol in basis.solutions:
+        assert _numeric_residual(ode, sol, 6) < 1e-12
+
+
+def test_numeric_triple_root_at_branching_three():
+    # (x - i)^3 with a q^(1/3) coupling: log powers 0, 1, 2, returned in
+    # ordinary powers of l = log q_(1/3)
+    i = cyc_root(1, 4)
+    ode = RegularSingularODE(3, 3, [Puiseux.from_terms([(0, i), (Fraction(1, 3), 1)], 10, 3),
+                                    Puiseux.constant(-3, 10, 3),
+                                    Puiseux.constant(-3 * i, 10, 3)])
+    basis = frobenius_solve(ode, 2)
+    assert basis.max_log_power == 2
+    assert [s.coeffs[0] for s in basis.solutions] == [[1], [0, 1], [0, 0, 1]]
+    for sol in basis.solutions:
+        assert _numeric_residual(ode, sol, 6) < 1e-9
 
 
 def test_truncation_guards():
@@ -414,12 +492,23 @@ def test_integer_row_residual_matches_cyclotomic_residual(ode, s):
 
 
 @settings(max_examples=40, deadline=None)
-@given(odes(), st.integers(0, 8))
-def test_coefficient_table_reads_coeff_at(ode, steps):
-    steps = min(steps, min(r.trunc * ode.T for r in ode.coeffs))
-    table = frobenius._series_coeff_table(ode, int(steps))
-    for r, row in zip(ode.coeffs, table):
-        assert row == [r.coeff_at(Fraction(s, ode.T)) for s in range(int(steps))]
+@given(odes(), st.integers(1, 8), st.booleans())
+def test_coefficient_table_reads_coeff_at(ode, steps, rational):
+    # _setup's indicial polynomial and sparse rows are those of the ODE times
+    # T^m in theta_T = T theta: p_i and r_i scaled by T^(m - i)
+    span = min(Fraction(steps, ode.T), *(r.trunc for r in ode.coeffs))
+    assume(span >= Fraction(1, ode.T))
+    _, n, indicial, rows = frobenius._setup(ode, span, rational)
+    m = ode.order
+    assert indicial[m] == 1
+    for i, (r, row) in enumerate(zip(ode.coeffs, rows)):
+        scale = ode.T ** (m - i)
+        assert indicial[i] == r.coeff_at(0) * scale
+        assert [s for s, _ in row] == sorted(s for s, c in row if c)
+        assert [dict(row).get(s, 0) for s in range(1, n)] == [
+            r.coeff_at(Fraction(s, ode.T)) * scale for s in range(1, n)]
+    values = indicial + [c for row in rows for _, c in row]
+    assert {type(c) for c in values} == {Fraction if rational else CycQ}
 
 
 # -- branching: refining commutes with theta, add and the residual -----------------

@@ -267,6 +267,13 @@ def test_biseries_residue_and_window():
         b.coeff_at_w(1)
 
 
+def test_residue_takes_no_variable():
+    # the outer variable is fixed by the type; a named one is not ignored
+    b = BiSeries(0, -1, [Puiseux.constant(1, 5)])
+    with pytest.raises(TypeError):
+        residue(b, variable="q")
+
+
 def test_biseries_product_shifts_window():
     one = Puiseux.constant(1, 5)
     a = BiSeries(Fraction(1, 2), 0, [one, one])
