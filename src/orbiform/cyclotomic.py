@@ -248,11 +248,11 @@ class CycQ:
         # extended Euclid over Q[x]: s*a + t*phi = gcd = const
         r0, r1 = phi, _trim(a)
         s0, s1 = [Fraction(0)], [Fraction(1)]
-        while _degree(r1) > 0:
+        while len(r1) > 1:
             q, r = _poly_divmod_q(r0, r1)
             r0, r1 = r1, r
             s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        if _degree(r1) < 0:
+        if not r1[0]:
             raise ZeroDivisionError("element not invertible (zero divisor?)")
         # the Bezout cofactor s1 of a against Phi_n has degree < phi(n)
         c = r1[0]
@@ -362,13 +362,6 @@ def _trim(p: list[Fraction]) -> list[Fraction]:
     while len(p) > 1 and p[-1] == 0:
         p.pop()
     return p
-
-
-def _degree(p: list[Fraction]) -> int:
-    p = _trim(p)
-    if len(p) == 1 and p[0] == 0:
-        return -1
-    return len(p) - 1
 
 
 def _poly_mul(a, b):

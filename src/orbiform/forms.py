@@ -465,19 +465,19 @@ def klein_hecke_series(pair: TorsionPair, trunc) -> tuple[Puiseux, Puiseux]:
     trunc = Fraction(trunc)
     t, j = a1.denominator, a1.numerator
     # g = -zeta^p q^lead prod (1 - root q^e), p = a2 (a1 - 1)/2, over e = a1 + m (root
-    # lam, m >= 0) and m - a1 (root lam^-1, m >= 1).  Slot idx holds q^(lead + idx/t_g),
-    # a grid fine enough for the B2(a1)/2 lead, as a row of Z[C_n] indexed by zeta_n^x
+    # lam, m >= 0) and m - a1 (root lam^-1, m >= 1).  Every e is on the 1/t grid, so
+    # slot idx holds q^(lead + idx/t) as a row of Z[C_n] indexed by zeta_n^x; only
+    # the B2(a1)/2 lead needs lcm(t, den lead), and g is refined to it once
     lead = bernoulli_poly(2)(a1) / 2
     p = a2 * (a1 - 1) / 2
-    t_g = lcm(t, lead.denominator)
     n = lcm(a2.denominator, p.denominator)
-    rows = [[0] * n for _ in range(max(0, math.ceil(trunc * t_g)))]
+    rows = [[0] * n for _ in range(max(0, math.ceil(trunc * t)))]
     if rows:
         rows[0][int(p * n) % n] = -1
-    unit, r = t_g // t, int(a2 * n)
-    for first, root in ((j * unit, r), ((t - j) * unit, -r)):
-        for step in range(first, len(rows), t * unit):
-            # times (1 - zeta_n^root q^(step/t_g)), from the top slot down; the
+    r = int(a2 * n)
+    for first, root in ((j, r), (t - j, -r)):
+        for step in range(first, len(rows), t):
+            # times (1 - zeta_n^root q^(step/t)), from the top slot down; the
             # constant factor (step 0, a1 = 1) reads a copy of its own row
             for idx in range(len(rows) - 1, step - 1, -1):
                 src = rows[idx - step]
@@ -485,7 +485,8 @@ def klein_hecke_series(pair: TorsionPair, trunc) -> tuple[Puiseux, Puiseux]:
                     for x, c in enumerate(list(src) if step == 0 else src):
                         if c:
                             rows[idx][(x + root) % n] -= c
-    g = Puiseux(t_g, lead, _reduce_rows(rows, 1), lead + trunc)
+    g = Puiseux(t, lead, _reduce_rows(rows, 1), lead + trunc)
+    g = g.with_branching(lcm(t, lead.denominator))
     # h/(2 pi i) = a1 - 1/2 - sum_(m>=0) lam q^(m+a1)/(1 - lam q^(m+a1))
     #              + sum_(m>=1) lam^-1 q^(m-a1)/(1 - lam^-1 q^(m-a1))
     rows = [None] * max(0, math.ceil(trunc * t))

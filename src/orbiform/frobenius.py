@@ -154,20 +154,25 @@ def indicial_roots(ode: RegularSingularODE) -> list:
 
 def _rational_roots(coeffs: list) -> tuple[list, list]:
     """All rational roots (with multiplicity) and the deflated cofactor; one
-    pass suffices, since a root of a quotient is a root met at its own p."""
+    pass suffices, since a root of a quotient is a root met at its own p.
+    On integer coefficients, p/q in lowest terms is a root when (q x - p)
+    divides exactly, and the quotient is integral again (Gauss's lemma)."""
     den = math.lcm(*(c.denominator for c in coeffs))
-    cur = [int(c * den) for c in coeffs]
+    cur = [c * den for c in coeffs]
     roots = []
     while len(cur) > 1 and cur[0] == 0:
         roots.append(Fraction(0))
         cur = cur[1:]
-    for p in _divisors(abs(cur[0])):
-        for q in _divisors(abs(cur[-1])):
+    for p in _divisors(int(abs(cur[0]))):
+        for q in _divisors(int(abs(cur[-1]))):
             for cand in (Fraction(p, q), Fraction(-p, q)):
-                while len(cur) > 1 and _poly_eval(cur, cand) == 0:
+                while len(cur) > 1:
+                    quo, rem = _poly_divmod_q(cur, [-cand.numerator, cand.denominator])
+                    if rem[0]:
+                        break
                     roots.append(cand)
-                    cur = _deflate_int(cur, cand)
-    return roots, [Fraction(c) for c in cur]
+                    cur = quo
+    return roots, cur
 
 
 def _squarefree(f: list) -> list:
@@ -197,38 +202,9 @@ def _gcd(a: list, b: list) -> list:
 
 
 def _divisors(n: int) -> list[int]:
-    if n == 0:
-        return [1]
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            out.append(n // d)
-        d += 1
-    return sorted(set(out))
-
-
-def _poly_eval(coeffs, x):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _deflate_int(coeffs: list[int], root: Fraction) -> list[int]:
-    # exact division of an integer polynomial by (q x - p); by Gauss's
-    # lemma the quotient is integral when p/q is a root in lowest terms
-    p, q = root.numerator, root.denominator
-    d = len(coeffs) - 1
-    out = [0] * d
-    out[d - 1], rem = divmod(coeffs[d], q)
-    assert rem == 0
-    for i in range(d - 1, 0, -1):
-        out[i - 1], rem = divmod(coeffs[i] + p * out[i], q)
-        assert rem == 0
-    assert coeffs[0] + p * out[0] == 0
-    return out
+    """The positive divisors of n, ascending; [1] for n = 0."""
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return sorted(set(small + [n // d for d in small])) or [1]
 
 
 # -- polynomial-in-log helpers --------------------------------------------------
@@ -316,21 +292,20 @@ def _recurse(indicial, rows, x0, seed_power: int, steps: int, extra_g=None):
         cs = [_solve_step(_taylor_at(indicial, x0), _ptrim(list(extra_g(0))), zero)]
     else:  # l^j is j! in divided powers
         cs = [[zero] * seed_power + [one * math.factorial(seed_power)]]
-    # derivative images E_k^i c_k, filled in as c_k is produced
-    dk = [[None] * steps for _ in range(m)]
-    def fill_dk(k):
-        cur = cs[k]
-        for i in range(m):
-            dk[i][k] = cur
-            cur = _apply_E(cur, x0 + k)
-    fill_dk(0)
+    # images[k][i] is E_k^i c_k, made when a row first reads it
+    images = [[cs[0]]]
+    def image(k: int, i: int) -> list:
+        made = images[k]
+        while len(made) <= i:
+            made.append(_apply_E(made[-1], x0 + k))
+        return made[i]
     for n in range(1, steps):
         g: list = []
         for i in range(m):
             for s, c in rows[i]:
                 if s > n:
                     break
-                p = dk[i][n - s]
+                p = image(n - s, i)
                 if not p:
                     continue
                 g += [zero] * (len(p) - len(g))
@@ -342,7 +317,7 @@ def _recurse(indicial, rows, x0, seed_power: int, steps: int, extra_g=None):
             for t, pc in enumerate(fn):
                 g[t] = g[t] + pc
         cs.append(_solve_step(_taylor_at(indicial, x0 + n), _ptrim(g), zero))
-        fill_dk(n)
+        images.append([cs[-1]])
     return cs, max(1, *map(len, cs)) - 1
 
 

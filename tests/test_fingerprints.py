@@ -2,9 +2,11 @@
 benchmark recorded in ``perfbench/fingerprints.json``.
 
 A digest lifts every coefficient to the job's conductor, so a wrong root of
-unity, lift or reduction anywhere in the engine changes it.  Each job runs
-through the benchmark's own ``worker.run_job`` and is digested by
-``record._digest_of``, so these keys are computed exactly as recorded.
+unity, lift or reduction anywhere in the engine changes it.  Every recorded
+digest is checked, as ``record.record()`` computes it: each fingerprinted job
+runs through the benchmark's own ``worker.run_job``, in one shared
+``Context``, and is digested by ``record._digest_of``; each prebuilt series is
+built by ``workloads.build_series`` and digested at its conductor.
 """
 
 import sys
@@ -17,27 +19,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import record  # noqa: E402
 import worker  # noqa: E402
 import workloads as W  # noqa: E402
+from fingerprint import digest  # noqa: E402
 
 JOBS = {job.key: job for job in W.fingerprinted_jobs()}
-
-# one cheap key of each kind and of each ODE class, then every Q_k of conductor 12
-KEYS = [
-    "qk:3:1/2:1/3:4",
-    "delta:20",
-    "weight4:10",
-    "twisted4:2B:20",
-    "haupt:2B:20",
-    "theta:3B:20",
-    "frob_suite:0:10",
-    "ode:inhom:0:2:-1",
-    "ode:third:0:triple:-1",
-    "ode:branched:3:1/2:2:1",
-    "ode:resonant:1/2:2:1",
-    "ode:double:-1/3:1",
-] + sorted(
-    key for key, job in JOBS.items()
-    if job.kind == "qk" and W.qk_conductor(job.args[1], job.args[2]) == 12
-)
+PREBUILT = {W.prebuilt_key(spec): spec for spec in W.prebuilt_space()}
 
 
 @pytest.fixture(scope="module")
@@ -45,9 +30,24 @@ def recorded():
     return worker.load_fingerprints()
 
 
-@pytest.mark.parametrize("key", KEYS)
-def test_digest_matches_the_recorded_one(key, recorded):
+@pytest.fixture(scope="module")
+def ctx(recorded):
+    return W.Context(recorded)
+
+
+def test_every_recorded_digest_is_checked(recorded):
+    assert sorted(recorded) == sorted([*JOBS, *PREBUILT])
+
+
+@pytest.mark.parametrize("key", list(JOBS))
+def test_digest_matches_the_recorded_one(key, recorded, ctx):
     job = JOBS[key]
-    out = worker.run_job(job, W.Context(recorded))
+    out = worker.run_job(job, ctx)
     assert not isinstance(out, worker.Raised), out.exc
     assert record._digest_of(job, out) == recorded[key]
+
+
+@pytest.mark.parametrize("key", list(PREBUILT))
+def test_prebuilt_series_digest_matches_the_recorded_one(key, recorded):
+    spec = PREBUILT[key]
+    assert digest(W.build_series(spec), W.prebuilt_conductor(spec)) == recorded[key]

@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from orbiform import frobenius
@@ -299,6 +299,8 @@ quadratics = st.sampled_from([[1], [1, 0, 1], [-2, 0, 1]])  # 1, x^2 + 1, x^2 - 
     quadratics,
     small_fractions.filter(bool),
 )
+@example([(0, 1), (0, 1)], [1, 0, 1], Fraction(1))  # a double zero root
+@example([(35, 6)], [-2, 0, 1], Fraction(1, 3))  # p and q with several divisors each
 def test_rational_roots_finds_every_root_of_a_product(factors, quad, scale):
     poly = [scale * c for c in quad]
     for p, q in factors:  # times (q x - p)
@@ -307,6 +309,31 @@ def test_rational_roots_finds_every_root_of_a_product(factors, quad, scale):
     assert sorted(roots) == sorted(Fraction(p, q) for p, q in factors)
     assert len(rest) == len(quad) and rest[-1]
     assert [c * rest[-1] for c in quad] == rest
+
+
+def test_solver_makes_only_the_images_its_rows_read(monkeypatch):
+    # theta^3 S - q S = 0 has q-terms in r_0 only, so no row reads an image
+    # E_k^i c_k with i > 0 and none is made
+    calls = []
+    apply_E = frobenius._apply_E
+    monkeypatch.setattr(frobenius, "_apply_E", lambda p, x: calls.append(x) or apply_E(p, x))
+    ode = RegularSingularODE(3, 1, [Puiseux.from_terms([(1, -1)], 12),
+                                    Puiseux.zero(12), Puiseux.zero(12)])
+    basis = frobenius_solve(ode, 10)
+    assert calls == []
+    assert basis.max_log_power == 2
+    for sol in basis.solutions:
+        assert apply_ode(ode, sol).is_zero()
+
+
+def test_coupling_on_theta_squared_reads_second_images():
+    # theta^3 S + q theta^2 S = 0: a triple root 0, and row 2 reads E^2 c_k
+    ode = RegularSingularODE(3, 1, [Puiseux.zero(12), Puiseux.zero(12),
+                                    Puiseux.monomial(1, 1, 12)])
+    basis = frobenius_solve(ode, 10)
+    assert len(basis.solutions) == 3 and basis.max_log_power == 2
+    for sol in basis.solutions:
+        assert apply_ode(ode, sol).is_zero()
 
 
 roots = st.fractions(min_value=-1, max_value=1, max_denominator=4)
