@@ -383,7 +383,7 @@ def run(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
-    except (OrbiformError, OSError, ValueError) as e:
+    except (OrbiformError, OSError, OverflowError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

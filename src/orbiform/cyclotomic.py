@@ -399,8 +399,8 @@ def _poly_divmod_q(a, b):
 def cyc_root(j: int, m: int) -> CycQ:
     """zeta_M^j as an exact element, reduced to minimal conductor.
 
-    Cached: the roots of a torsion pair (``TorsionPair.mu`` and ``.lam``)
-    are asked for again on every use of the pair.
+    Cached: the root of a torsion pair (``TorsionPair.lam``) is asked for
+    again on every use of the pair.
     """
     if m < 1:
         raise ValueError("order must be positive")

@@ -214,7 +214,7 @@ def qk_series(k: int, pair: TorsionPair, trunc) -> Puiseux:
             # the step = 0 boundary term lam^-1 w/(1 - lam^-1), w = -1; lam != 1
             lam_inv = cyc_root_of(-s)
             coeffs[0] = coeffs[0] - lam_inv / (CycQ.one - lam_inv)
-    return Puiseux(t, 0, coeffs, trunc)
+    return Puiseux._make(t, Fraction(0), coeffs, trunc)
 
 
 def qk_series_divisor_oracle(k: int, pair: TorsionPair, trunc) -> Puiseux:
@@ -293,7 +293,7 @@ def pbar_series(k: int, pair: TorsionPair, window: tuple[int, int], trunc) -> Bi
         elif buf and step == 0 and w and not pair.is_trivial():
             # n = 0 only for j/M = 1; lam = 1 there is the trivial pair, left out
             buf[0] = (CycQ.one - pair.lam).inverse() * Fraction(w, denom)
-        coeffs.append(Puiseux(t, 0, buf, trunc))
+        coeffs.append(Puiseux._make(t, Fraction(0), buf, trunc))
     return BiSeries(a1, lo, coeffs)
 
 
@@ -485,7 +485,7 @@ def klein_hecke_series(pair: TorsionPair, trunc) -> tuple[Puiseux, Puiseux]:
                     for x, c in enumerate(list(src) if step == 0 else src):
                         if c:
                             rows[idx][(x + root) % n] -= c
-    g = Puiseux(t, lead, _reduce_rows(rows, 1), lead + trunc)
+    g = Puiseux._make(t, lead, _reduce_rows(rows, 1), lead + trunc)
     g = g.with_branching(lcm(t, lead.denominator))
     # h/(2 pi i) = a1 - 1/2 - sum_(m>=0) lam q^(m+a1)/(1 - lam q^(m+a1))
     #              + sum_(m>=1) lam^-1 q^(m-a1)/(1 - lam^-1 q^(m-a1))
@@ -500,7 +500,7 @@ def klein_hecke_series(pair: TorsionPair, trunc) -> tuple[Puiseux, Puiseux]:
         if j == t:
             # a1 = 1, so lam != 1: the constant term lam^-1/(1 - lam^-1) = 1/(lam - 1)
             h[0] = h[0] + (pair.lam - CycQ.one).inverse()
-    return g, Puiseux(t, 0, h, trunc)
+    return g, Puiseux._make(t, Fraction(0), h, trunc)
 
 
 # -- Zhu change-of-variable coefficients -----------------------------------------
@@ -653,17 +653,13 @@ def prop48_check(k: int, m: int, pair: TorsionPair, trunc) -> CheckReport:
     # iota_(z,z1) = sum_(e>=0) z1^e z^(-1-e) has every coefficient 1, and the
     # z1-exponent is suppressed (it is the constant j/M - m at the residue);
     # w^n contributes z^(-n), so z^(-1) collects P_n with n = j/M - m - e.
-    first = Puiseux.zero(trunc_p, t)
-    for off in range(-m - depth, 1 - m):
-        first = first + pbar.coeff_at_w(a1 + off)
+    first = Puiseux.sum(pbar.coeff_at_w(a1 + off) for off in range(-m - depth, 1 - m))
     # second product: -lam * iota_(z1,z)(1/(z-z1)) * z^(j/M - m) * Pbar(w = z1 q/z).
     # iota_(z1,z) = -sum_(e>=0) z^e z1^(-1-e) has every coefficient -1, and
     # w -> w q multiplies P_n by q^n; z^(-1) collects n = j/M + 1 - m + e.
     # Past depth, either sum's terms start at or beyond q^trunc_p.
-    second = Puiseux.zero(trunc_p, t)
-    for off in range(1 - m, 2 - m + depth):
-        n = a1 + off
-        second = second + pbar.coeff_at_w(n).shifted(n)
+    second = Puiseux.sum(pbar.coeff_at_w(a1 + off).shifted(a1 + off)
+                         for off in range(1 - m, 2 - m + depth))
     rhs = first + second.scalar_mul(pair.lam)
 
     qk = qk_series(k, pair, trunc)

@@ -341,13 +341,12 @@ def _fold_solution(cs: list, mu: Fraction, T: int, span: Fraction,
             parts.append(Puiseux.zero(trunc, t))
             continue
         first = occupied[0]
-        part = Puiseux(t, mu + Fraction(first, T), [], trunc)
+        lead = mu + Fraction(first, T)
+        coeffs = [CycQ.zero] * _nterms(lead, trunc, t)
         for n in occupied:
             c = cs[n][j] * scale
-            part.coeffs[(n - first) * step] = (
-                c if isinstance(c, CycQ) else CycQ._make(1, (c,))
-            )
-        parts.append(part)
+            coeffs[(n - first) * step] = c if isinstance(c, CycQ) else CycQ._make(1, (c,))
+        parts.append(Puiseux._make(t, lead, coeffs, trunc))
     return LogQSeries(t, parts)
 
 
@@ -560,10 +559,8 @@ def _apply_ode_rows(order: int, t: int, parts: list, coeffs: list) -> LogQSeries
         out = _add_log_rows(out, [_mul_rows(p, r, t) for p in image], t)
     result = []
     for lead, trunc, den, row in out:
-        p = Puiseux(t, lead, [], trunc)
-        p.coeffs = [CycQ._make(1, (Fraction(x, den),)) if x else CycQ.zero
-                    for x in row]
-        result.append(p)
+        coeffs = [CycQ._make(1, (Fraction(x, den),)) if x else CycQ.zero for x in row]
+        result.append(Puiseux._make(t, lead, coeffs, trunc))
     return LogQSeries(t, result)
 
 

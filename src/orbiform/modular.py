@@ -61,14 +61,6 @@ class TorsionPair:
         object.__setattr__(self, "j_over_M", _mod_one_halfopen(Fraction(self.j_over_M)))
         object.__setattr__(self, "l_over_N", _mod_one_halfopen(Fraction(self.l_over_N)))
 
-    @staticmethod
-    def of(j: int, m: int, l: int, n: int) -> "TorsionPair":
-        return TorsionPair(Fraction(j, m), Fraction(l, n))
-
-    @property
-    def mu(self) -> CycQ:
-        return cyc_root_of(self.j_over_M)
-
     @property
     def lam(self) -> CycQ:
         return cyc_root_of(self.l_over_N)

@@ -80,6 +80,14 @@ class Puiseux:
         self.coeffs = coeffs
         self.trunc = trunc
 
+    @staticmethod
+    def _make(T: int, lead: Fraction, coeffs: list, trunc: Fraction) -> "Puiseux":
+        # internal and unchecked: lead and trunc are Fractions, and coeffs is a
+        # list the library built, one CycQ per slot below trunc
+        obj = object.__new__(Puiseux)
+        obj.T, obj.lead, obj.coeffs, obj.trunc = T, lead, coeffs, trunc
+        return obj
+
     # -- constructors --------------------------------------------------------
 
     @staticmethod
@@ -89,10 +97,8 @@ class Puiseux:
     @staticmethod
     def constant(value, trunc, T: int = 1) -> "Puiseux":
         value = _coerce_coeff(value)
-        s = Puiseux(T, 0, [], trunc)
-        if s.coeffs:
-            s.coeffs[0] = value
-        return s
+        trunc = Fraction(trunc)
+        return Puiseux(T, 0, [value][:_nterms(Fraction(0), trunc, T)], trunc)
 
     @staticmethod
     def monomial(coeff, exponent, trunc, T: int = 1) -> "Puiseux":
@@ -100,29 +106,28 @@ class Puiseux:
         if (exponent * T).denominator != 1:
             raise ValueError("exponent not representable with this branching")
         coeff = _coerce_coeff(coeff)
-        s = Puiseux(T, exponent, [], trunc)
-        if s.coeffs:
-            s.coeffs[0] = coeff
-        return s
+        trunc = Fraction(trunc)
+        return Puiseux(T, exponent, [coeff][:_nterms(exponent, trunc, T)], trunc)
 
     @staticmethod
     def from_terms(terms, trunc, T: int = 1) -> "Puiseux":
         """terms: iterable of (exponent, coefficient)."""
+        zero = Puiseux.zero(trunc, T)  # checks T and trunc
         terms = [(Fraction(e), _coerce_coeff(c)) for e, c in terms]
         if not terms:
-            return Puiseux.zero(trunc, T)
+            return zero
         lead = min(e for e, _ in terms)
-        s = Puiseux(T, lead, [], trunc)
+        coeffs = [CycQ.zero] * _nterms(lead, zero.trunc, T)
         for e, c in terms:
             idx = (e - lead) * T
             if idx.denominator != 1:
                 raise ValueError("exponent not on the 1/T grid")
             idx = int(idx)
-            if 0 <= idx < len(s.coeffs):
-                s.coeffs[idx] = s.coeffs[idx] + c
-            elif e >= trunc:
+            if 0 <= idx < len(coeffs):
+                coeffs[idx] = coeffs[idx] + c
+            elif e >= zero.trunc:
                 raise ValueError("term beyond truncation order")
-        return s
+        return Puiseux._make(T, lead, coeffs, zero.trunc)
 
     # -- structure -----------------------------------------------------------
 
@@ -131,18 +136,16 @@ class Puiseux:
             return self
         if t % self.T != 0:
             raise ValueError("branching can only be refined to a multiple")
-        step = t // self.T
-        out = Puiseux(t, self.lead, [], self.trunc)
-        for i, c in enumerate(self.coeffs):
-            out.coeffs[i * step] = c
-        return out
+        coeffs = [CycQ.zero] * _nterms(self.lead, self.trunc, t)
+        coeffs[::t // self.T] = self.coeffs
+        return Puiseux._make(t, self.lead, coeffs, self.trunc)
 
     def truncated(self, new_trunc) -> "Puiseux":
         new_trunc = Fraction(new_trunc)
         if new_trunc > self.trunc:
             raise ValueError("cannot extend a truncated series")
         n = _nterms(self.lead, new_trunc, self.T)
-        return Puiseux(self.T, self.lead, self.coeffs[:n], new_trunc)
+        return Puiseux._make(self.T, self.lead, self.coeffs[:n], new_trunc)
 
     def normalized(self) -> "Puiseux":
         """Strip leading zero coefficients, advancing the leading exponent."""
@@ -151,23 +154,21 @@ class Puiseux:
             i += 1
         if i == 0:
             return self
-        return Puiseux(
-            self.T, self.lead + Fraction(i, self.T), self.coeffs[i:], self.trunc
-        )
+        return Puiseux._make(self.T, self.lead + Fraction(i, self.T), self.coeffs[i:], self.trunc)
 
     def shifted(self, r) -> "Puiseux":
         """Multiply by q^r."""
         r = Fraction(r)
-        return Puiseux(self.T, self.lead + r, list(self.coeffs), self.trunc + r)
+        return Puiseux._make(self.T, self.lead + r, list(self.coeffs), self.trunc + r)
 
     def substituted(self, s: int) -> "Puiseux":
         """q -> q^s for a positive integer s."""
         if s < 1:
             raise ValueError("substitution power must be positive")
-        out = Puiseux(self.T, self.lead * s, [], self.trunc * s)
-        for i, c in enumerate(self.coeffs):
-            out.coeffs[i * s] = c
-        return out
+        lead, trunc = self.lead * s, self.trunc * s
+        coeffs = [CycQ.zero] * _nterms(lead, trunc, self.T)
+        coeffs[::s] = self.coeffs
+        return Puiseux._make(self.T, lead, coeffs, trunc)
 
     def coeff_at(self, exponent):
         """Exact coefficient of q^exponent; raises if past truncation."""
@@ -189,42 +190,45 @@ class Puiseux:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _aligned(self, other: "Puiseux"):
-        t = math.lcm(self.T, other.T)
-        return self.with_branching(t), other.with_branching(t)
+    @staticmethod
+    def sum(terms) -> "Puiseux":
+        """The sum of one or more series, built in one pass.
+
+        The branching t is the lcm of every T and of the denominators of the
+        lead differences, so no term moves off its exponent; lead and trunc
+        are the smallest ones.  Slot k of a term lands at its offset plus
+        k t/T.  The first term is copied as it is, zero slots included, and
+        each later term adds its nonzero slots in order, exactly as a chain
+        of two-term sums does.
+        """
+        terms = list(terms)
+        first, *rest = terms
+        t = math.lcm(*(x.T for x in terms), *((x.lead - first.lead).denominator for x in rest))
+        lead = min(x.lead for x in terms)
+        trunc = min(x.trunc for x in terms)
+        buf = [CycQ.zero] * _nterms(lead, trunc, t)
+        n = len(buf)
+        off, step = int((first.lead - lead) * t), t // first.T
+        buf[off:n:step] = first.coeffs[:len(range(off, n, step))]
+        zero = CycQ.zero
+        for x in rest:
+            for j, c in zip(range(int((x.lead - lead) * t), n, t // x.T), x.coeffs):
+                if c:
+                    cur = buf[j]
+                    buf[j] = c if cur is zero else cur + c
+        return Puiseux._make(t, lead, buf, trunc)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction, CycQ)):
             other = Puiseux.constant(other, self.trunc, self.T)
         if not isinstance(other, Puiseux):
             return NotImplemented
-        # a lead off the other's grid refines the branching, so no term moves
-        t = math.lcm(self.T, other.T, (self.lead - other.lead).denominator)
-        a, b = self.with_branching(t), other.with_branching(t)
-        lead = min(a.lead, b.lead)
-        trunc = min(a.trunc, b.trunc)
-        out = Puiseux(a.T, lead, [], trunc)
-        buf = out.coeffs
-        n = len(buf)
-        off = int((a.lead - lead) * a.T)
-        for i, c in enumerate(a.coeffs):
-            if off + i < n:
-                buf[off + i] = c
-        off = int((b.lead - lead) * a.T)
-        zero = CycQ.zero
-        for i, c in enumerate(b.coeffs):
-            j = off + i
-            if j < n and c:
-                cur = buf[j]
-                buf[j] = c if cur is zero else cur + c
-        return out
+        return Puiseux.sum([self, other])
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Puiseux(self.T, self.lead, [], self.trunc)
-        out.coeffs = [-c for c in self.coeffs]
-        return out
+        return Puiseux._make(self.T, self.lead, [-c for c in self.coeffs], self.trunc)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, CycQ)):
@@ -238,20 +242,19 @@ class Puiseux:
 
     def scalar_mul(self, c) -> "Puiseux":
         c = _coerce_coeff(c)
-        out = Puiseux(self.T, self.lead, [], self.trunc)
-        out.coeffs = [c * x for x in self.coeffs]
-        return out
+        return Puiseux._make(self.T, self.lead, [c * x for x in self.coeffs], self.trunc)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, CycQ)):
             return self.scalar_mul(other)
         if not isinstance(other, Puiseux):
             return NotImplemented
-        a, b = self._aligned(other)
+        t = math.lcm(self.T, other.T)
+        a, b = self.with_branching(t), other.with_branching(t)
         lead = a.lead + b.lead
         trunc = min(a.trunc + b.lead, b.trunc + a.lead)
         conv = _convolve(a.coeffs, b.coeffs, _nterms(lead, trunc, a.T))
-        return Puiseux(a.T, lead, conv, trunc)
+        return Puiseux._make(t, lead, conv, trunc)
 
     __rmul__ = __mul__
 
@@ -266,7 +269,7 @@ class Puiseux:
             b = _from_rationals(_newton_inverse(rational))
         else:
             b = _sparse_inverse(s.coeffs)
-        return Puiseux(s.T, -s.lead, b, s.trunc - 2 * s.lead)
+        return Puiseux._make(s.T, -s.lead, b, s.trunc - 2 * s.lead)
 
     def __pow__(self, e: int):
         if not isinstance(e, int):
@@ -449,11 +452,9 @@ def theta(s: Puiseux, scale: str = "full") -> Puiseux:
     if scale not in ("full", "one_over_T"):
         raise ValueError("scale must be 'full' or 'one_over_T'")
     factor = s.T if scale == "one_over_T" else 1
-    out = Puiseux(s.T, s.lead, [], s.trunc)
-    for i, c in enumerate(s.coeffs):
-        if c:
-            out.coeffs[i] = c * ((s.lead + Fraction(i, s.T)) * factor)
-    return out
+    coeffs = [c * ((s.lead + Fraction(i, s.T)) * factor) if c else CycQ.zero
+              for i, c in enumerate(s.coeffs)]
+    return Puiseux._make(s.T, s.lead, coeffs, s.trunc)
 
 
 # -- log-q series --------------------------------------------------------------
@@ -502,16 +503,10 @@ class LogQSeries:
             return NotImplemented
         t = _lead_grid(math.lcm(self.T, other.T), self.parts + other.parts)
         a, b = self.with_branching(t), other.with_branching(t)
-        n = max(len(a.parts), len(b.parts))
-        trunc = min(min(p.trunc for p in a.parts), min(p.trunc for p in b.parts))
-        parts = []
-        for i in range(n):
-            p = Puiseux.zero(trunc, t)
-            if i < len(a.parts):
-                p = p + a.parts[i]
-            if i < len(b.parts):
-                p = p + b.parts[i]
-            parts.append(p)
+        trunc = min(p.trunc for p in a.parts + b.parts)
+        # the zero first keeps every part's lead at most 0
+        parts = [Puiseux.sum([Puiseux.zero(trunc, t), *a.parts[i:i + 1], *b.parts[i:i + 1]])
+                 for i in range(max(len(a.parts), len(b.parts)))]
         return LogQSeries(t, parts)
 
     def __neg__(self):

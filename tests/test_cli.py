@@ -58,6 +58,14 @@ def test_pk_eval_cutoff_out_of_range_is_a_usage_error(capsys):
     assert code == 0 and len(obj["value"]) == 2
 
 
+def test_pk_eval_overflow_is_an_error_line(capsys):
+    # a valid input whose sum overflows: an error line, not a traceback
+    code = run(["pk-eval", "1", "1/2", "1/3", "--z", "0.1-0.3i", "--tau", "1.2i"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+
 def test_zhu_coeff(capsys):
     code, (obj,) = run_json(capsys, ["zhu-coeff", "3", "2", "1"])
     assert code == 0
@@ -123,6 +131,21 @@ def test_frobenius_from_file(capsys, tmp_path):
     assert obj["numeric"] is False
     assert len(obj["solutions"]) == 2
     assert obj["exponent_classes"] == [["1/2", "-1/2"]]
+
+
+def test_frobenius_numeric_exponents_from_file(capsys, tmp_path):
+    # theta^2 - 2 + q: exponents +-sqrt(2), and c_1 = -1/((sqrt(2) + 1)^2 - 2)
+    ode = {"order": 2, "T": 1, "coeffs": [{"terms": [["0", "-2"], ["1", "1"]], "trunc": "8"},
+                                          {"terms": [], "trunc": "8"}]}
+    p = tmp_path / "ode.json"
+    p.write_text(json.dumps(ode))
+    code, (obj,) = run_json(capsys, ["frobenius", "--ode", str(p), "--trunc", "3"])
+    assert code == 0 and obj["numeric"] is True and obj["max_log_power"] == 0
+    assert obj["exponent_classes"] == [[s["exponent"]] for s in obj["solutions"]]
+    plus = next(s for s in obj["solutions"] if s["exponent"][0] > 0)
+    assert abs(plus["exponent"][0] - 2**0.5) < 1e-12 and plus["exponent"][1] == 0
+    assert len(plus["coeffs"]) == 3 and plus["coeffs"][0] == [[1.0, 0.0]]
+    assert abs(plus["coeffs"][1][0][0] + 1 / (1 + 2 * 2**0.5)) < 1e-12
 
 
 def test_frobenius_conductor_below_one_is_an_error(capsys, tmp_path):
@@ -194,6 +217,18 @@ def test_moonshine_subcommands(capsys):
     )
     assert code == 0
     assert obj["terms"][1] == ["1", "276"]
+
+
+def test_moonshine_twisted4_and_theta(capsys):
+    code, (obj,) = run_json(capsys, ["moonshine", "twisted4", "--class", "2B", "--trunc", "3"])
+    assert code == 0
+    assert obj["terms"][:2] == [["-1", "71/60"], ["1", "1293/5"]]
+    # q d/dq of T_3B = 1/q + 54 q - 76 q^2 - 243 q^3 + ...
+    code, (obj,) = run_json(capsys, ["moonshine", "theta", "--class", "3B", "--trunc", "4"])
+    assert code == 0
+    assert obj["terms"] == [["-1", "-1"], ["1", "54"], ["2", "-152"], ["3", "-729"]]
+    assert run(["moonshine", "twisted4", "--class", "1A"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_pairs_reduce_and_orbit(capsys):

@@ -113,6 +113,23 @@ def test_inhomogeneous_log_squared_term_at_a_finer_branching():
     assert (apply_ode(ode, sol) + f).is_zero()
 
 
+def test_inhomogeneous_term_past_its_lead_adds_at_every_step():
+    # f = q + 2q^2 - q^3 + 3q^2 log q against theta^2 - 1/4 + q: f has terms
+    # past its lead q, so each step adds f's slot to the coupling's sum
+    ode = RegularSingularODE(2, 1, [Puiseux.from_terms([(0, Fraction(-1, 4)), (1, 1)], 10),
+                                    Puiseux.zero(10)])
+    f = LogQSeries(1, [Puiseux.from_terms([(1, 1), (2, 2), (3, -1)], 10),
+                       Puiseux.monomial(3, 2, 10)])
+    sol = solve_inhomogeneous(ode, f, 6)
+    assert (apply_ode(ode, sol) + f).is_zero()
+    lifted = RegularSingularODE(2, 1, [_lifted(r, 3) for r in ode.coeffs])
+    want = solve_inhomogeneous(lifted, LogQSeries(1, [_lifted(p, 3) for p in f.parts]), 6)
+    assert len(sol.parts) == len(want.parts)
+    for a, b in zip(sol.parts, want.parts):
+        assert (a.T, a.lead, a.trunc) == (b.T, b.lead, b.trunc)
+        assert a.coeffs == b.coeffs
+
+
 def test_numeric_irrational_exponents():
     # theta^2 - 2: exponents +-sqrt(2), numeric basis
     ode = const_ode(2, [-2, 0], trunc=10)
@@ -192,6 +209,22 @@ def test_numeric_triple_root_at_branching_three():
     assert [s.coeffs[0] for s in basis.solutions] == [[1], [0, 1], [0, 0, 1]]
     for sol in basis.solutions:
         assert _numeric_residual(ode, sol, 6) < 1e-9
+
+
+def test_exact_and_numeric_roots_never_share_a_class():
+    # (x - 1/2)(x^2 - 2) with a q coupling: 1/2 is exact, +-sqrt(2) numeric,
+    # and each is a class of its own
+    ode = RegularSingularODE(3, 1, [Puiseux.from_terms([(0, 1), (1, 1)], 10),
+                                    Puiseux.constant(-2, 10),
+                                    Puiseux.constant(Fraction(-1, 2), 10)])
+    basis = frobenius_solve(ode, 6)
+    assert basis.numeric and len(basis.exponent_classes) == 3
+    assert [Fraction(1, 2)] in basis.exponent_classes
+    numeric = sorted(c[0].real for c in basis.exponent_classes if not isinstance(c[0], Fraction))
+    assert abs(numeric[0] + 2**0.5) < 1e-12 and abs(numeric[1] - 2**0.5) < 1e-12
+    assert len(basis.solutions) == 3
+    for sol in basis.solutions:
+        assert _numeric_residual(ode, sol, 6) < 1e-12
 
 
 def test_truncation_guards():

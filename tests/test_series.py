@@ -1,7 +1,9 @@
 """Tests for Puiseux series, log-q series, products, and residues."""
 
 import cmath
+import functools
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -334,6 +336,39 @@ def _schoolbook(a, b, limit):
 )
 def test_sparse_convolution_matches_schoolbook(a, b, limit):
     assert _convolve(a, b, limit) == _schoolbook(a, b, limit)
+
+
+@st.composite
+def sum_terms(draw):
+    """A Puiseux at T in {1, 2, 3, 6}, its lead on its (1/T)Z grid or off it,
+    its truncation on a (1/2T)Z grid, its slots sparse_cycq."""
+    T = draw(st.sampled_from([1, 2, 3, 6]))
+    lead = draw(st.one_of(st.integers(-6, 6).map(lambda k: Fraction(k, T)),
+                          st.fractions(min_value=-2, max_value=2, max_denominator=4)))
+    trunc = lead + Fraction(draw(st.integers(0, 16)), 2 * T)
+    n = math.ceil((trunc - lead) * T)
+    return Puiseux(T, lead, draw(st.lists(sparse_cycq, min_size=n, max_size=n)), trunc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(sum_terms(), min_size=1, max_size=5))
+def test_sum_is_the_pairwise_fold_in_one_pass(xs):
+    total = Puiseux.sum(xs)
+    lead_dens = ((x.lead - xs[0].lead).denominator for x in xs)
+    assert total.T == math.lcm(*(x.T for x in xs), *lead_dens)
+    assert total.lead == min(x.lead for x in xs)
+    assert total.trunc == min(x.trunc for x in xs)
+    want = {}
+    for x in xs:
+        for e, c in x.terms():
+            if e < total.trunc:
+                want[e] = want.get(e, CycQ.zero) + c
+    assert dict(total.terms()) == {e: c for e, c in want.items() if c}
+    folded = functools.reduce(operator.add, xs)
+    assert (folded.T, folded.lead, folded.trunc) == (total.T, total.lead, total.trunc)
+    # slot for slot, zero slots and conductors included
+    assert [(c.conductor, c.coeffs) for c in total.coeffs] == [
+        (c.conductor, c.coeffs) for c in folded.coeffs]
 
 
 # a series' parts: (lead slot, coefficients) on the (1/T)Z grid
