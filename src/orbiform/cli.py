@@ -43,7 +43,7 @@ MAX_TRUNC_SLOTS = 10_000
 def _parse_fraction(s: str) -> Fraction:
     try:
         return Fraction(s)
-    except ValueError as e:
+    except (ValueError, ZeroDivisionError) as e:
         raise UsageError(f"expected a rational like 2/3, got {s!r}") from e
 
 
@@ -214,8 +214,8 @@ def _cmd_frobenius(args) -> int:
                 raise UsageError(f"coefficient {i} of {args.ode}: trunc {c['trunc']} needs "
                                  f"more than {MAX_TRUNC_SLOTS} slots at branching {t}")
         ode = RegularSingularODE.from_json(data)
-    except (KeyError, TypeError) as e:
-        # a missing key, or a list or string where an object or number belongs
+    except (KeyError, TypeError, ZeroDivisionError) as e:
+        # a missing key, a list or string where an object or number belongs, or a 1/0
         raise ValueError(f"malformed ODE file {args.ode}: {type(e).__name__}: {e}") from e
     basis = frobenius_solve(ode, _default_trunc(args, ode.T))
     if basis.numeric:

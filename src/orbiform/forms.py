@@ -29,7 +29,7 @@ from .errors import (
 )
 from .modular import TorsionPair
 from .report import CheckReport
-from .series import BiSeries, Puiseux, _divisor_sums, rational_convolve, theta
+from .series import BiSeries, Puiseux, _divisor_sums, _from_rationals, rational_convolve, theta
 
 TWO_PI_I = 2j * cmath.pi
 
@@ -122,7 +122,7 @@ def eisenstein(k: int, trunc) -> Puiseux:
     coeffs = [two_over * x for x in _divisor_sums(n, k - 1, 1)]
     if n:
         coeffs[0] = -bernoulli_number(k) / math.factorial(k)
-    return Puiseux(1, 0, coeffs, trunc)
+    return Puiseux._make(1, Fraction(0), _from_rationals(coeffs), trunc)
 
 
 def _sigma1(n: int) -> np.ndarray:

@@ -19,10 +19,10 @@ roots that are not all rational send it to ``complex`` values.
 The residual ``apply_ode`` picks its path the same way.  When every slot of
 the series and of the ODE's coefficients has conductor 1, each log part is
 an integer row over one denominator: theta multiplies slot k by an integer,
-adds bring rows to the lcm of their denominators, and each product is one
-call of the Kronecker kernel ``series._int_convolve`` that
-``rational_convolve`` also uses.  Any slot of conductor > 1 keeps it on
-``LogQSeries`` arithmetic over ``CycQ`` values.
+a product adds the part's row, shifted and scaled, once per nonzero slot of
+the coefficient, and each residual part is one n-ary sum over the lcm of
+the denominators, as ``Puiseux.sum`` builds it.  Any slot of conductor > 1
+keeps it on ``LogQSeries`` arithmetic over ``CycQ`` values.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .errors import TruncationTooSmall
 from .series import (
     LogQSeries,
     Puiseux,
-    _int_convolve,
     _lead_grid,
     _nterms,
     _rationals,
@@ -451,9 +450,11 @@ def apply_ode(ode: RegularSingularODE, s: LogQSeries) -> LogQSeries:
     Both are brought to the least multiple t of lcm(ode.T, s.T) whose grid
     holds the lead of every part of s and of every r_i.  When every slot of
     s and of the coefficients r_i has conductor 1, the residual is formed on
-    integer rows (``_apply_ode_rows``); any slot of conductor > 1 keeps it
-    on ``LogQSeries`` arithmetic over ``CycQ`` values.  Both paths give the
-    same parts, leads, truncations and values.
+    integer rows (``_apply_ode_rows``): each product costs one row add per
+    nonzero coefficient slot, and each part is one sum of its m + 1 terms.
+    Any slot of conductor > 1 keeps it on ``LogQSeries`` arithmetic over
+    ``CycQ`` values.  Both paths give the same parts, leads, truncations and
+    values.
     """
     t = _lead_grid(math.lcm(ode.T, s.T), s.parts + ode.coeffs)
     scale = t // s.T
@@ -491,19 +492,22 @@ def _int_row(p: Puiseux, t: int, scale: int = 1):
     return p.lead, p.trunc, den, ints
 
 
-def _add_rows(a, b, t: int):
-    """Puiseux.__add__: lead and trunc are the smaller ones, and each row is
-    placed at its offset int((lead_x - lead) t), over the lcm of the dens."""
-    lead, trunc = min(a[0], b[0]), min(a[1], b[1])
+def _sum_rows(terms: list, t: int, lead: Fraction, trunc: Fraction):
+    """Puiseux.sum on integer rows, for the lead and trunc the caller gives
+    (each at most the terms' own): each row is placed at its offset
+    int((lead_x - lead) t), over the lcm of the dens."""
     n = _nterms(lead, trunc, t)
-    den = math.lcm(a[2], b[2])
+    den = math.lcm(*(x[2] for x in terms))
     out = [0] * n
-    for x_lead, _, x_den, x_row in (a, b):
-        off = int((x_lead - lead) * t)
-        seg = x_row[:max(0, n - off)]
-        k = den // x_den
-        out[off:off + len(seg)] = [u + k * v for u, v in zip(out[off:], seg)]
+    for x_lead, _, x_den, x_row in terms:
+        _add_into(out, int((x_lead - lead) * t), den // x_den, x_row)
     return lead, trunc, den, out
+
+
+def _add_into(out: list, off: int, k: int, row: list) -> None:
+    """out[off + i] += k row[i] for every i with off + i < len(out)."""
+    seg = row[:max(0, len(out) - off)]
+    out[off:off + len(seg)] = [u + k * v for u, v in zip(out[off:], seg)]
 
 
 def _theta_rows(parts: list, t: int) -> list:
@@ -518,49 +522,42 @@ def _theta_rows(parts: list, t: int) -> list:
         term = (lead, trunc, den * Q * t, [x * (P + k * Q) for k, x in enumerate(row)])
         if i + 1 < len(parts):
             n_lead, n_trunc, n_den, n_row = parts[i + 1]
-            term = _add_rows(term, (n_lead, n_trunc, n_den * t,
-                                    [x * (i + 1) for x in n_row]), t)
+            term = _sum_rows([term, (n_lead, n_trunc, n_den * t, [x * (i + 1) for x in n_row])],
+                             t, min(lead, n_lead), min(trunc, n_trunc))
         out.append(term)
     return out
 
 
-def _add_log_rows(a: list, b: list, t: int) -> list:
-    """LogQSeries.__add__: each part is zero(trunc) + a_i + b_i, so its lead
-    is at most 0 and trunc is the smallest over all parts of a and b."""
-    zero = (Fraction(0), min(p[1] for p in a + b), 1, [])
-    out = []
-    for i in range(max(len(a), len(b))):
-        p = zero
-        if i < len(a):
-            p = _add_rows(p, a[i], t)
-        if i < len(b):
-            p = _add_rows(p, b[i], t)
-        out.append(p)
-    return out
-
-
 def _mul_rows(a, b, t: int):
-    """Puiseux.__mul__, one ``_int_convolve`` of the two rows."""
+    """Puiseux.__mul__ of a part a by a coefficient b: one shifted, scaled
+    add of a's row per nonzero slot of b, O(nnz(b) len(a))."""
     lead = a[0] + b[0]
     trunc = min(a[1] + b[0], b[1] + a[0])
-    n_out = _nterms(lead, trunc, t)
-    n = min(len(a[3]) + len(b[3]) - 1, n_out) if a[3] and b[3] else 0
-    row = _int_convolve(a[3][:n], b[3][:n], n) if n > 0 else []
-    return lead, trunc, a[2] * b[2], row + [0] * (n_out - len(row))
+    out = [0] * _nterms(lead, trunc, t)
+    for j, c in enumerate(b[3][:len(out)]):
+        if c:
+            _add_into(out, j, c, a[3])
+    return lead, trunc, a[2] * b[2], out
 
 
 def _apply_ode_rows(order: int, t: int, parts: list, coeffs: list) -> LogQSeries:
-    """apply_ode on the integer rows of s's parts and of r_0 .. r_{m-1}."""
+    """apply_ode on the integer rows of s's parts and of r_0 .. r_{m-1}.
+
+    Residual part j sums part j of theta^m s and of every r_i theta^i s as
+    LogQSeries.__add__ does: lead at most 0, trunc the smallest over every
+    part of every term.
+    """
     images = [parts]
     for _ in range(order):
         images.append(_theta_rows(images[-1], t))
-    out = images[order]
-    for image, r in zip(images, coeffs):
-        out = _add_log_rows(out, [_mul_rows(p, r, t) for p in image], t)
+    terms = [images[order]] + [[_mul_rows(p, r, t) for p in image]
+                               for image, r in zip(images, coeffs)]
+    trunc = min(p[1] for term in terms for p in term)
     result = []
-    for lead, trunc, den, row in out:
-        coeffs = [CycQ._make(1, (Fraction(x, den),)) if x else CycQ.zero for x in row]
-        result.append(Puiseux._make(t, lead, coeffs, trunc))
+    for col in zip(*terms):
+        lead, _, den, row = _sum_rows(col, t, min(Fraction(0), *(p[0] for p in col)), trunc)
+        values = [CycQ._make(1, (Fraction(x, den),)) if x else CycQ.zero for x in row]
+        result.append(Puiseux._make(t, lead, values, trunc))
     return LogQSeries(t, result)
 
 

@@ -11,12 +11,12 @@ Products take one of two exact paths, chosen by the coefficients.  When
 every slot of both operands has conductor 1, ``rational_convolve`` scales
 each operand to integers over a common denominator, packs the row into one
 Python int (Kronecker substitution), multiplies once and unpacks
-(``_int_convolve``, which the Frobenius residual shares); the inverse of
-such a series is a Newton iteration on the same kernel.  Any other
-coefficient list goes through ``cyclotomic._sparse_convolve``, the sparse
-loop that also multiplies CycQ coordinates and ``BiSeries`` windows, and
-the inverse through the sparse recurrence.  ``product_expand`` multiplies
-no series: it runs the Euler transform on integers over ``_divisor_sums``.
+(``_int_convolve``); the inverse of such a series is a Newton iteration on
+the same kernel.  Any other coefficient list goes through
+``cyclotomic._sparse_convolve``, the sparse loop that also multiplies CycQ
+coordinates and ``BiSeries`` windows, and the inverse through the sparse
+recurrence.  ``product_expand`` multiplies no series: it runs the Euler
+transform on integers over ``_divisor_sums``.
 """
 
 from __future__ import annotations
@@ -634,7 +634,7 @@ def product_expand(factors, trunc) -> Puiseux:
     c = [1][:n]
     for m in range(1, n):
         c.append(sum(map(operator.mul, b[m:0:-1], c)) // m)
-    return Puiseux(1, 0, c, trunc)
+    return Puiseux._make(1, Fraction(0), _from_rationals([Fraction(x) for x in c]), trunc)
 
 
 # -- two-variable series ----------------------------------------------------------

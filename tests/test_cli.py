@@ -162,7 +162,11 @@ def test_frobenius_conductor_below_one_is_an_error(capsys, tmp_path):
     {"order": 1, "T": 1},  # no "coeffs": KeyError
     {"order": 1, "T": 1, "coeffs": ["1/2"]},  # a coefficient as a string: TypeError
     [{"order": 1, "T": 1, "coeffs": []}],  # a top-level list: TypeError
-], ids=["missing-coeffs", "string-coefficient", "top-level-list"])
+    # a zero denominator in a term or a trunc: ZeroDivisionError
+    {"order": 1, "T": 1, "coeffs": [{"terms": [["1", "1/0"]], "trunc": "4"}]},
+    {"order": 1, "T": 1, "coeffs": [{"terms": [["1", "1"]], "trunc": "1/0"}]},
+], ids=["missing-coeffs", "string-coefficient", "top-level-list",
+        "zero-denominator-term", "zero-denominator-trunc"])
 def test_frobenius_malformed_file_is_an_error(capsys, tmp_path, data):
     p = tmp_path / "ode.json"
     p.write_text(json.dumps(data))
@@ -251,6 +255,12 @@ def test_usage_errors(capsys):
     capsys.readouterr()
     assert run(["qk", "2", "bogus", "1/3"]) == 2
     capsys.readouterr()
+    # a zero denominator is a usage error, not a ZeroDivisionError traceback
+    for argv in (["qk", "2", "1/2", "1/0"], ["bernoulli", "2", "1/0"],
+                 ["eisenstein", "4", "--trunc", "1/0"],
+                 ["verify", "Q_modularity", "--pair", "1/0,1/2"]):
+        assert run(argv) == 2
+        assert "usage error" in capsys.readouterr().err
 
 
 def test_trunc_out_of_range_is_a_usage_error(capsys, tmp_path):

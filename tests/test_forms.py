@@ -44,7 +44,7 @@ from orbiform.forms import (
     zhu_coeff_binomial_oracle,
 )
 from orbiform.modular import TorsionPair
-from orbiform.series import Puiseux, eval_at_tau, theta
+from orbiform.series import Puiseux, _nterms, eval_at_tau, product_expand, theta
 
 
 def test_bernoulli_polynomials_exact():
@@ -349,6 +349,31 @@ def test_klein_hecke_vs_twisted_series():
         assert rep.passed, rep.check
     g, h = klein_hecke_series(pair, 25)
     assert g.normalized().lead == bernoulli_poly(2)(Fraction(1, 2)) / 2
+
+
+def _assert_made_as_checked(s: Puiseux):
+    """What Puiseux(...) would check and coerce, on a series built by the
+    unchecked Puiseux._make: Fraction lead and trunc, one slot per exponent
+    below trunc, and every slot a CycQ with Fraction coordinates."""
+    assert type(s.lead) is Fraction and type(s.trunc) is Fraction
+    assert len(s.coeffs) == _nterms(s.lead, s.trunc, s.T)
+    for c in s.coeffs:
+        assert type(c) is CycQ
+        assert all(type(x) is Fraction for x in c.coeffs)
+
+
+@pytest.mark.parametrize("trunc", [Fraction(0), Fraction(1, 2), Fraction(7), Fraction(19, 3)])
+@pytest.mark.parametrize("a,b", [(Fraction(1, 2), Fraction(1, 3)),
+                                 (Fraction(3, 4), Fraction(0)),
+                                 (Fraction(0), Fraction(2, 5))])
+def test_builders_keep_the_unchecked_constructor_contract(a, b, trunc):
+    pair = TorsionPair(a, b)
+    for s in (eisenstein(4, trunc), eisenstein(2, trunc),
+              product_expand([(1, 24)], trunc), product_expand([(1, -1), (2, 2)], trunc),
+              qk_series(2, pair, trunc), qk_series(3, pair, trunc),
+              *pbar_series(2, pair, (-2, 2), trunc).coeffs,
+              *klein_hecke_series(pair, trunc)):
+        _assert_made_as_checked(s)
 
 
 def _reference_klein_g(pair, trunc):

@@ -540,6 +540,13 @@ def _assert_same_slots(got: LogQSeries, want: LogQSeries):
 
 @settings(max_examples=100, deadline=None)
 @given(odes(), log_series())
+# every slot of both coefficients is nonzero: one row add per slot
+@example(RegularSingularODE(2, 1, [Puiseux(1, 0, [1, -2, 3, Fraction(1, 2)], 4),
+                                   Puiseux(1, 0, [2, 1, -1, 5], 4)]),
+         LogQSeries(1, [Puiseux(1, 0, [1, 3, -1], 3), Puiseux(1, 1, [2, Fraction(1, 3)], 3)]))
+# the coefficient's q^4 lies past the part's three slots and the product's
+@example(RegularSingularODE(1, 1, [Puiseux.from_terms([(0, 1), (4, 5)], 6)]),
+         LogQSeries(1, [Puiseux(1, 0, [1, 2, 3], 3)]))
 def test_integer_row_residual_matches_cyclotomic_residual(ode, s):
     got, rows = _apply_ode_recording(ode, s)
     assert rows
