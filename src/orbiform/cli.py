@@ -38,6 +38,9 @@ DEFAULT_TERMS = 60
 DEFAULT_TOL = 1e-8
 # the most coefficient slots (trunc times the branching) a --trunc may ask for
 MAX_TRUNC_SLOTS = 10_000
+# the largest weight k (bernoulli, eisenstein, qk, pk-eval, verify --k) and zhu-coeff
+# i and m the CLI takes; past it the exact sums run for seconds to minutes
+MAX_WEIGHT = 200
 
 
 def _parse_fraction(s: str) -> Fraction:
@@ -49,6 +52,16 @@ def _parse_fraction(s: str) -> Fraction:
 
 class UsageError(Exception):
     pass
+
+
+def _parse_weight(s: str) -> int:
+    try:
+        k = int(s)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {s!r}") from None
+    if k > MAX_WEIGHT:
+        raise argparse.ArgumentTypeError(f"must be at most MAX_WEIGHT = {MAX_WEIGHT}, got {k}")
+    return k
 
 
 def _parse_pair(s: str) -> TorsionPair:
@@ -166,28 +179,31 @@ def _cmd_zhu_coeff(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    params = {}
+    if args.k is not None:
+        params["k"] = args.k
+    if args.pair is not None:
+        params["pair"] = _parse_pair(args.pair)
+    if args.gamma is not None:
+        params["gamma"] = _parse_gamma(args.gamma)
+    if args.z is not None:
+        params["z"] = _parse_complex(args.z)
+    if args.terms is not None:
+        if not 1 <= args.terms <= MAX_TRUNC_SLOTS:
+            raise UsageError(
+                f"--terms must be between 1 and {MAX_TRUNC_SLOTS}, got {args.terms}"
+            )
+        params["terms"] = args.terms
     if args.suite:
         if args.suite != "all":
             raise UsageError("only --suite all is supported")
+        if args.law_id is not None or params:
+            raise UsageError("--suite all takes no law id and no law option "
+                             "(--k, --pair, --gamma, --z, --terms)")
         reports = verify_suite(tol=args.tol)
     else:
         if args.law_id is None:
             raise UsageError(f"give a law id ({', '.join(LAW_IDS)}) or --suite all")
-        params = {}
-        if args.k is not None:
-            params["k"] = args.k
-        if args.pair is not None:
-            params["pair"] = _parse_pair(args.pair)
-        if args.gamma is not None:
-            params["gamma"] = _parse_gamma(args.gamma)
-        if args.z is not None:
-            params["z"] = _parse_complex(args.z)
-        if args.terms is not None:
-            if not 1 <= args.terms <= MAX_TRUNC_SLOTS:
-                raise UsageError(
-                    f"--terms must be between 1 and {MAX_TRUNC_SLOTS}, got {args.terms}"
-                )
-            params["terms"] = args.terms
         try:
             law_params(args.law_id, params)
         except ValueError as e:
@@ -246,21 +262,24 @@ def _cmd_frobenius(args) -> int:
 def _cmd_moonshine(args) -> int:
     trunc = _default_trunc(args, 1)
     what = args.what
+    if args.cls is not None and what in ("J", "weight4", "chars"):
+        raise UsageError(f"moonshine {what} reads no --class")
+    cls = "1A" if args.cls is None else args.cls
     if what == "J":
         _, _, J = delta_j_J(trunc)
         _emit(_series_json(J), f"J to order q^{trunc}")
     elif what == "hauptmodul":
-        s = hauptmodul(args.cls, trunc)
-        _emit(_series_json(s), f"T_{args.cls} to order q^{trunc}")
+        s = hauptmodul(cls, trunc)
+        _emit(_series_json(s), f"T_{cls} to order q^{trunc}")
     elif what == "weight4":
         _, braces = weight4_onepoint(trunc)
         _emit(_series_json(braces), f"weight-4 braced series to order q^{trunc}")
     elif what == "twisted4":
-        s = twisted_weight4(args.cls, trunc)
-        _emit(_series_json(s), f"twisted weight-4 series for {args.cls}")
+        s = twisted_weight4(cls, trunc)
+        _emit(_series_json(s), f"twisted weight-4 series for {cls}")
     elif what == "theta":
-        s = theta_trace(args.cls, trunc)
-        _emit(_series_json(s), f"theta of T_{args.cls}")
+        s = theta_trace(cls, trunc)
+        _emit(_series_json(s), f"theta of T_{cls}")
     elif what == "chars":
         _, braces = weight4_onepoint(max(trunc, 4))
         chars = char_solve(braces)
@@ -303,24 +322,24 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bernoulli", help="Bernoulli polynomial or value")
-    p.add_argument("k", type=int)
+    p.add_argument("k", type=_parse_weight)
     p.add_argument("x", nargs="?", default=None)
     p.set_defaults(func=_cmd_bernoulli)
 
     p = sub.add_parser("eisenstein", help="Eisenstein series q-expansion")
-    p.add_argument("k", type=int)
+    p.add_argument("k", type=_parse_weight)
     p.add_argument("--trunc", default=None)
     p.set_defaults(func=_cmd_eisenstein)
 
     p = sub.add_parser("qk", help="twisted Eisenstein q-expansion")
-    p.add_argument("k", type=int)
+    p.add_argument("k", type=_parse_weight)
     p.add_argument("j_over_M")
     p.add_argument("l_over_N")
     p.add_argument("--trunc", default=None)
     p.set_defaults(func=_cmd_qk)
 
     p = sub.add_parser("pk-eval", help="numeric two-variable series value")
-    p.add_argument("k", type=int)
+    p.add_argument("k", type=_parse_weight)
     p.add_argument("j_over_M")
     p.add_argument("l_over_N")
     p.add_argument("--z", required=True)
@@ -330,14 +349,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("zhu-coeff", help="square-bracket change-of-basis coefficient")
     p.add_argument("p", type=int)
-    p.add_argument("i", type=int)
-    p.add_argument("m", type=int)
+    p.add_argument("i", type=_parse_weight)
+    p.add_argument("m", type=_parse_weight)
     p.set_defaults(func=_cmd_zhu_coeff)
 
     p = sub.add_parser("verify", help="check a transformation law numerically")
     p.add_argument("law_id", nargs="?", default=None, choices=(*LAW_IDS, None))
     p.add_argument("--suite", default=None)
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=_parse_weight, default=None)
     p.add_argument("--pair", default=None)
     p.add_argument("--gamma", default=None)
     p.add_argument("--z", default=None)
@@ -354,7 +373,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "what", choices=("J", "hauptmodul", "weight4", "twisted4", "theta", "chars")
     )
-    p.add_argument("--class", dest="cls", default="1A")
+    # read by hauptmodul, twisted4 and theta, where it defaults to 1A
+    p.add_argument("--class", dest="cls", default=None)
     p.add_argument("--trunc", default=None)
     p.set_defaults(func=_cmd_moonshine)
 

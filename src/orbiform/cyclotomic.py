@@ -186,23 +186,12 @@ class CycQ:
         other = CycQ._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.conductor == 1 and other.conductor == 1:
-            return CycQ._make(1, (self.coeffs[0] + other.coeffs[0],))
-        if self.conductor == other.conductor:
-            return CycQ._make(
-                self.conductor, tuple(x + y for x, y in zip(self.coeffs, other.coeffs))
-            )
-        if other.conductor == 1:
-            c = other.coeffs[0]
-            return CycQ._make(
-                self.conductor, (self.coeffs[0] + c,) + self.coeffs[1:]
-            )
-        if self.conductor == 1:
-            c = self.coeffs[0]
-            return CycQ._make(
-                other.conductor, (other.coeffs[0] + c,) + other.coeffs[1:]
-            )
-        a, b = self._common(other)
+        # a conductor-1 operand goes second and adds to the first coordinate
+        a, b = (other, self) if self.conductor == 1 else (self, other)
+        if b.conductor == 1:
+            return CycQ._make(a.conductor, (a.coeffs[0] + b.coeffs[0],) + a.coeffs[1:])
+        if a.conductor != b.conductor:
+            a, b = a._common(b)
         return CycQ._make(a.conductor, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
 
     __radd__ = __add__
@@ -223,8 +212,6 @@ class CycQ:
         if isinstance(other, (int, Fraction)):
             if self.conductor == 1:
                 return CycQ._make(1, (self.coeffs[0] * other,))
-            if other == 0:
-                return CycQ._make(self.conductor, (Fraction(0),) * len(self.coeffs))
             return CycQ._make(self.conductor, tuple(c * other for c in self.coeffs))
         if not isinstance(other, CycQ):
             return NotImplemented

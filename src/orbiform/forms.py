@@ -297,7 +297,7 @@ def pbar_series(k: int, pair: TorsionPair, window: tuple[int, int], trunc) -> Bi
     return BiSeries(a1, lo, coeffs)
 
 
-# -- numeric evaluators for P_k, wp1, P_lambda ----------------------------------
+# -- numeric evaluators for P_k and wp1 -----------------------------------------
 
 def _lerch_positive(k: int, a: float, z: complex) -> complex:
     """Analytic continuation of sum_(r>=0) (a+r)^(k-1) q_z^(a+r).
@@ -432,22 +432,6 @@ def wp1_eval(z: complex, tau: complex, trunc: int = 200) -> complex:
     if near.size:
         raise NearPole(f"lattice denominator vanishes at n={near[0] + 1}")
     return value + TWO_PI_I * complex(np.sum((qn / qz) / d1 - (qz * qn) / d2))
-
-
-def plambda_eval(z: complex, tau: complex, lam: complex, cutoff: int = 200) -> complex:
-    """2 pi i sum'_{n != 0} q_z^n / (1 - lam q_tau^n), stabilized form."""
-    qz = cmath.exp(TWO_PI_I * z)
-    qt = cmath.exp(TWO_PI_I * tau)
-    if not (abs(qt) < abs(qz) < 1):
-        raise OutsideRegion("need |q_tau| < |q_z| < 1")
-    if abs(qz - 1) < 1e-12:
-        raise NearPole("q_z too close to 1")
-    value = qz / (1 - qz)
-    for m in range(1, cutoff + 1):
-        qm = qt**m
-        value += lam**m * qz * qm / (1 - qz * qm)
-        value -= lam ** (-m) * qm / qz / (1 - qm / qz)
-    return TWO_PI_I * value
 
 
 # -- Klein and Hecke forms -------------------------------------------------------
@@ -602,10 +586,16 @@ def lemma_plambda_check(
     z: complex, tau: complex, l_over_N: Fraction, tol: float = 1e-8
 ) -> CheckReport:
     """P_lambda against the cyclic average of wp1 at scaled period."""
+    if not abs(cmath.exp(TWO_PI_I * tau)) < abs(cmath.exp(TWO_PI_I * z)) < 1:
+        raise OutsideRegion("need |q_tau| < |q_z| < 1")
     l_over_N = Fraction(l_over_N)
     n = l_over_N.denominator
-    lam = complex(cyc_root_of(l_over_N).embed())
-    lhs = plambda_eval(z, tau, lam)
+    pair = TorsionPair(Fraction(1), l_over_N)
+    lam = complex(pair.lam.embed())
+    # P_lambda = 2 pi i sum'_(n != 0) q_z^n/(1 - lam q_tau^n): P_1 at mu = 1 less
+    # its n = 0 term 1/(1 - lam), which pk_eval leaves out itself at lam = 1
+    p1, _ = pk_eval(1, pair, z, tau)
+    lhs = TWO_PI_I * (p1 if pair.is_trivial() else p1 - 1 / (1 - lam))
     rhs = 0j
     g2n = g2_eval(n * tau)
     for kk in range(n):

@@ -96,17 +96,15 @@ class Puiseux:
 
     @staticmethod
     def constant(value, trunc, T: int = 1) -> "Puiseux":
-        value = _coerce_coeff(value)
-        trunc = Fraction(trunc)
-        return Puiseux(T, 0, [value][:_nterms(Fraction(0), trunc, T)], trunc)
+        return Puiseux.monomial(value, 0, trunc, T)
 
     @staticmethod
     def monomial(coeff, exponent, trunc, T: int = 1) -> "Puiseux":
+        coeff = _coerce_coeff(coeff)
+        trunc = Puiseux.zero(trunc, T).trunc  # checks T and trunc
         exponent = Fraction(exponent)
         if (exponent * T).denominator != 1:
             raise ValueError("exponent not representable with this branching")
-        coeff = _coerce_coeff(coeff)
-        trunc = Fraction(trunc)
         return Puiseux(T, exponent, [coeff][:_nterms(exponent, trunc, T)], trunc)
 
     @staticmethod

@@ -1,11 +1,12 @@
 """End-to-end tests of the command-line interface via run(argv)."""
 
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
-from orbiform.cli import MAX_TRUNC_SLOTS, run
+from orbiform.cli import MAX_TRUNC_SLOTS, MAX_WEIGHT, run
 from orbiform.forms import PK_CUTOFF_CAP
 
 
@@ -223,6 +224,13 @@ def test_moonshine_subcommands(capsys):
     assert obj["terms"][1] == ["1", "276"]
 
 
+def test_moonshine_class_defaults_to_1A(capsys):
+    code, (obj,) = run_json(capsys, ["moonshine", "hauptmodul", "--trunc", "3"])
+    assert code == 0 and obj["terms"] == [["-1", "1"], ["1", "196884"], ["2", "21493760"]]
+    assert run(["moonshine", "twisted4"]) == 1  # no twisted formula for 1A
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_moonshine_twisted4_and_theta(capsys):
     code, (obj,) = run_json(capsys, ["moonshine", "twisted4", "--class", "2B", "--trunc", "3"])
     assert code == 0
@@ -261,6 +269,31 @@ def test_usage_errors(capsys):
                  ["verify", "Q_modularity", "--pair", "1/0,1/2"]):
         assert run(argv) == 2
         assert "usage error" in capsys.readouterr().err
+    # an option the command does not read is not ignored: --class outside
+    # hauptmodul, twisted4 and theta, and a law id or law option with --suite all
+    for argv in (["moonshine", "J", "--class", "2B", "--trunc", "3"],
+                 ["moonshine", "chars", "--class", "3B"],
+                 ["moonshine", "weight4", "--class", "1A"],
+                 ["verify", "--suite", "all", "--k", "7", "--gamma", "T"],
+                 ["verify", "Q_modularity", "--suite", "all"],
+                 ["verify", "--suite", "all", "--pair", "1/2,1/3"],
+                 ["verify", "--suite", "all", "--z", "0.1+0.2i"],
+                 ["verify", "--suite", "all", "--terms", "10"]):
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert "usage error" in captured.err and captured.out == ""
+    # weights and zhu-coeff's i and m stop at MAX_WEIGHT
+    over = str(MAX_WEIGHT + 1)
+    for argv in (["bernoulli", over], ["eisenstein", over], ["qk", over, "1/2", "1/3"],
+                 ["pk-eval", over, "1/2", "1/3", "--z", "0.1+0.3i", "--tau", "1.2i"],
+                 ["verify", "Q_modularity", "--k", over],
+                 ["zhu-coeff", "1", over, "3"], ["zhu-coeff", "1", "3", over],
+                 ["bernoulli", "two"]):
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert "argument" in captured.err and captured.out == ""
+    code, (obj,) = run_json(capsys, ["bernoulli", str(MAX_WEIGHT)])
+    assert code == 0 and len(obj["poly"]) == MAX_WEIGHT + 1
 
 
 def test_trunc_out_of_range_is_a_usage_error(capsys, tmp_path):
@@ -285,3 +318,52 @@ def test_determinism(capsys):
     run(["moonshine", "weight4", "--trunc", "4"])
     second = capsys.readouterr().out
     assert first == second
+
+
+_RESONANT_ODE = {"order": 2, "T": 2, "coeffs": [
+    {"terms": [["0", "-1/4"], ["1/2", "1"]], "trunc": "12"}, {"terms": [], "trunc": "12"}]}
+
+# sha256 of stdout for exact commands; the float commands (pk-eval, verify)
+# are left out, since their last bits can vary by platform
+STDOUT_SHA256 = {
+    "bernoulli 4":
+        "61989da60d823862c56745909dda82b21b5077975b71e0f316fd0a68bc050453",
+    "bernoulli 4 1/2":
+        "3c82d2e7fa5920513eac7f57e2b88e46963d305565f76ca654764db47f2c9863",
+    "eisenstein 4 --trunc 8":
+        "09669eaac2c2618965cfc7d1b37a7f9f08b378c6d6fda4918b550ce8cd2911e7",
+    "qk 3 1/4 2/3":
+        "e84b511771519215f40a63e0f691de7e331971937f8bec1d3aba9e67aac84b9b",
+    "qk 2 1/2 1/3 --trunc 6":
+        "19563fc2aca779ac411c90f7802a4cccc5a47e969133d998828687d54acb5d5a",
+    "zhu-coeff 3 2 1":
+        "a3bc75fe6beb931e53f152ccb076aa1f7d6860b0fcb90abb6cc839b4703fecd5",
+    "pairs reduce 2 3 5":
+        "52bfc69db0c237288d5c113a86bab9d73b1cad889719e89cc560acaef869fc06",
+    "pairs orbit 1/2 1/1":
+        "6fbbc3765aa5a754eb61643461252ae59439c336b0172393d0a1dd5402d7bbd5",
+    "moonshine J":
+        "4fd1200df9f3e912c6f36559b43dcdd97ce614e731b5d7caab74874a6228cf9e",
+    "moonshine hauptmodul --class 2B":
+        "8b3477ccbd8104966bb46a1d63ffd03d5e182eb118a07df47d829078feeb2c11",
+    "moonshine weight4":
+        "1d23ed4c18075d30283d8f5bc182020e257200369983ef0441b783cf39102908",
+    "moonshine twisted4 --class 2B":
+        "52616e83e309ca7150da6277d411e372ca540bd1e6bd0730a9995c410e3c2f7d",
+    "moonshine theta --class 3B":
+        "ac9f47d01cfd4e5590f1c3f81bef4d2c2c00ab7681ee065f924f723e559d0ba5",
+    "moonshine chars":
+        "13f652f45233bb8f15af68e28cd940bdb23ab931675d68890ad3a044d3d6fb20",
+    "frobenius --ode {ode} --trunc 5":
+        "8d8456fed99de0537ef9a26f77ffabec0c64be8fae4ac4eeb807e9602911863c",
+}
+
+
+@pytest.mark.parametrize("command", list(STDOUT_SHA256))
+def test_stdout_is_byte_identical(capsys, tmp_path, command):
+    # the digests also pin what the fingerprints leave out: T, conductors, trunc
+    ode = tmp_path / "ode.json"
+    ode.write_text(json.dumps(_RESONANT_ODE))
+    assert run(command.format(ode=ode).split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[command]

@@ -33,7 +33,6 @@ from orbiform.forms import (
     pbar_series,
     pk_double_sum_oracle,
     pk_eval,
-    plambda_eval,
     prop44_check,
     prop46_exact_checks,
     prop48_check,
@@ -250,13 +249,22 @@ def test_del_k_output_is_weight_six_modular():
 
 
 def test_pk_eval_against_double_sum_oracle():
-    pair = TorsionPair(Fraction(1, 2), Fraction(1, 3))
     z, tau = 0.1 + 0.3j, 1.2j
-    for k in (1, 2, 3):
-        v, tail = pk_eval(k, pair, z, tau, 300)
-        w = pk_double_sum_oracle(k, pair, z, tau, 300)
-        assert abs(v - w) < 1e-10
-        assert tail < 1e-10
+    # j/M = 1 puts an n = 0 term in the sum: 1/(1 - lam) for k = 1, none for k = 2,
+    # and none at the trivial pair
+    for pair, ks in ((TorsionPair(Fraction(1, 2), Fraction(1, 3)), (1, 2, 3)),
+                     (TorsionPair(Fraction(1), Fraction(1, 3)), (1, 2)),
+                     (TorsionPair(Fraction(1), Fraction(1)), (1, 2))):
+        for k in ks:
+            v, tail = pk_eval(k, pair, z, tau, 300)
+            w = pk_double_sum_oracle(k, pair, z, tau, 300)
+            assert abs(v - w) < 1e-10
+            assert tail < 1e-10
+            # near the annulus edge cutoff 10 leaves a tail bound of 1e-6 to 1e-3, so
+            # the cutoff doubles until the bound meets tol
+            v, tail = pk_eval(k, pair, 0.1 + 0.1j, 0.3j, 10, tol=1e-12)
+            w = pk_double_sum_oracle(k, pair, 0.1 + 0.1j, 0.3j, 300)
+            assert tail <= 1e-12 and abs(v - w) < 1e-10
 
 
 def test_pk_eval_region_checks():
@@ -339,8 +347,15 @@ def test_wp1_eval_matches_the_term_loop():
 
 
 def test_plambda_lemma():
-    r = lemma_plambda_check(0.3 + 0.2j, 1.1j, Fraction(1, 3))
-    assert r.passed and r.error < 1e-10
+    for l_over_N in (Fraction(1, 3), Fraction(1)):  # lam = 1 has no n = 0 term to drop
+        r = lemma_plambda_check(0.3 + 0.2j, 1.1j, l_over_N)
+        assert r.passed and r.error < 1e-10
+    # P_lambda's series needs |q_tau| < |q_z| < 1, and q_z away from 1
+    for z in (0.3 - 0.2j, 0.3 + 0j, 0.3 + 1.2j):
+        with pytest.raises(OutsideRegion, match=r"\|q_z\| < 1$"):
+            lemma_plambda_check(z, 1.1j, Fraction(1, 3))
+    with pytest.raises(NearPole):
+        lemma_plambda_check(1e-14j, 1.1j, Fraction(1, 3))
 
 
 def test_klein_hecke_vs_twisted_series():

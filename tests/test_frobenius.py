@@ -233,6 +233,10 @@ def test_truncation_guards():
         frobenius_solve(ode, 10)
     with pytest.raises(TruncationTooSmall):
         frobenius_solve(const_ode(1, [0], trunc=5), Fraction(1, 3))
+    # f must reach its lead plus the solve's span
+    with pytest.raises(TruncationTooSmall, match="inhomogeneous term"):
+        f = LogQSeries(1, [Puiseux.monomial(1, 3, 5)])
+        solve_inhomogeneous(const_ode(1, [-2], trunc=12), f, 8)
 
 
 def test_coefficient_off_the_grid_is_rejected():

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from orbiform.cyclotomic import cyc_root
 from orbiform.errors import NonIntegralCharacter, UnknownClass
 from orbiform.moonshine import (
     CharacterData,
@@ -19,7 +20,7 @@ from orbiform.moonshine import (
     twisted_weight4,
     weight4_onepoint,
 )
-from orbiform.series import eval_at_tau
+from orbiform.series import Puiseux
 
 
 def test_delta_and_j_coefficients():
@@ -79,6 +80,15 @@ def test_char_solve_rejects_bad_data():
         CharacterData((2, 5))
     with pytest.raises(NonIntegralCharacter):
         CharacterData((1, 10, 3))
+    # char_solve: an irrational coefficient, a combo that adds no single degree,
+    # and a degree that is not an integer or does not ascend
+    with pytest.raises(NonIntegralCharacter, match="not rational"):
+        char_solve(Puiseux.from_terms([(1, cyc_root(1, 3))], 3))
+    with pytest.raises(ValueError, match="exactly one degree"):
+        char_solve(Puiseux.from_terms([(1, 5)], 3), combos=((1,),))
+    for q1 in (Fraction(7, 2), 2):  # the degrees 5/2 and 1 after chi_1 = 1
+        with pytest.raises(NonIntegralCharacter, match="ascending positive integer"):
+            char_solve(Puiseux.from_terms([(1, q1)], 3), combos=((1, 1),))
 
 
 def test_twisted_weight4_known_classes_only():

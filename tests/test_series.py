@@ -59,6 +59,14 @@ def test_constructors_and_coeff_access():
         s.coeff_at(5)
     assert Puiseux.zero(4).is_zero()
     assert Puiseux.constant(7, 4).coeff_at(0) == 7
+    # the branching is checked before the exponent is read against it
+    for bad_t in (1.5, 0):
+        with pytest.raises(ValueError, match="branching must be a positive integer"):
+            Puiseux.monomial(1, 0, 5, bad_t)
+        with pytest.raises(ValueError, match="branching must be a positive integer"):
+            Puiseux.constant(1, 5, bad_t)
+    with pytest.raises(ValueError, match="not representable"):
+        Puiseux.monomial(1, Fraction(1, 3), 5, 2)
 
 
 def test_addition_and_truncation_propagation():
@@ -267,6 +275,16 @@ def test_biseries_residue_and_window():
     assert b.coeff_at_w(Fraction(1, 2)).is_zero()  # off the wlead grid
     with pytest.raises(WindowTooSmall):
         b.coeff_at_w(1)
+
+
+def test_residue_of_a_puiseux():
+    s = Puiseux.from_terms([(-2, 4), (-1, 3), (0, 1)], 2)
+    assert residue(s) == 3
+    assert residue(Puiseux.zero(0)) == 0
+    with pytest.raises(WindowTooSmall):
+        residue(Puiseux.constant(1, -1))  # q^-1 is past the truncation
+    with pytest.raises(TypeError):
+        residue(3)
 
 
 def test_residue_takes_no_variable():
