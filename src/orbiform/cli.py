@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 
 from .cyclotomic import CycQ
-from .errors import OrbiformError
+from .errors import NotUnimodular, OrbiformError
 from .forms import (
     PK_CUTOFF_CAP,
     bernoulli_poly,
@@ -59,8 +59,9 @@ def _parse_weight(s: str) -> int:
         k = int(s)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {s!r}") from None
-    if k > MAX_WEIGHT:
-        raise argparse.ArgumentTypeError(f"must be at most MAX_WEIGHT = {MAX_WEIGHT}, got {k}")
+    if not 0 <= k <= MAX_WEIGHT:
+        raise argparse.ArgumentTypeError(
+            f"must be between 0 and MAX_WEIGHT = {MAX_WEIGHT}, got {k}")
     return k
 
 
@@ -83,7 +84,10 @@ def _parse_gamma(s: str) -> GammaMat:
         raise UsageError(
             f"expected S/T words or four integers a,b,c,d, got {s!r}"
         )
-    return GammaMat(*(int(p) for p in parts))
+    try:
+        return GammaMat(*(int(p) for p in parts))
+    except (ValueError, NotUnimodular) as e:
+        raise UsageError(f"--gamma {s}: {e}") from e
 
 
 def _parse_complex(s: str) -> complex:

@@ -103,6 +103,17 @@ def _sparse_convolve(a, b, n: int, zero) -> list:
     return [zero if c is None else c for c in out]
 
 
+def _power(x, e: int):
+    """x^e for e >= 1 by square-and-multiply from x itself, with no squaring
+    after the last bit (x^3 is x * (x * x)); ``CycQ`` and ``Puiseux`` use it."""
+    result = x if e & 1 else None
+    while e := e >> 1:
+        x = x * x
+        if e & 1:
+            result = x if result is None else result * x
+    return result
+
+
 class CycQ:
     """An element of Q(zeta_N) in the power basis mod Phi_N.
 
@@ -200,9 +211,6 @@ class CycQ:
         return CycQ._make(self.conductor, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
-        other = CycQ._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
@@ -230,20 +238,9 @@ class CycQ:
         if self.is_rational():
             return CycQ(self.conductor, (1 / self.coeffs[0],) + self.coeffs[1:])
         n = self.conductor
-        phi = [Fraction(c) for c in cyclotomic_polynomial(n)]
-        a = list(self.coeffs)
-        # extended Euclid over Q[x]: s*a + t*phi = gcd = const
-        r0, r1 = phi, _trim(a)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while len(r1) > 1:
-            q, r = _poly_divmod_q(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        if not r1[0]:
-            raise ZeroDivisionError("element not invertible (zero divisor?)")
-        # the Bezout cofactor s1 of a against Phi_n has degree < phi(n)
-        c = r1[0]
-        return CycQ(n, [x / c for x in s1] + [Fraction(0)] * (euler_phi(n) - len(s1)))
+        # Phi_n is irreducible: the gcd is 1, and its cofactor s (degree < phi(n)) is 1/self
+        s = _poly_gcdex(self.coeffs, [Fraction(c) for c in cyclotomic_polynomial(n)])[1]
+        return CycQ(n, s + [Fraction(0)] * (euler_phi(n) - len(s)))
 
     def __truediv__(self, other):
         other = CycQ._coerce(other)
@@ -262,14 +259,7 @@ class CycQ:
             return NotImplemented
         if e < 0:
             return self.inverse() ** (-e)
-        result = CycQ.from_rational(1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, e) if e else CycQ.one
 
     def __eq__(self, other):
         other = CycQ._coerce(other)
@@ -342,7 +332,7 @@ def _trace_weights(n: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(sum(table[(i + k) % n][k] for k in range(d)), d) for i in range(d))
 
 
-# -- small Q[x] helpers for the extended Euclid -----------------------------
+# -- small K[x] helpers for the extended Euclid -----------------------------
 
 def _trim(p: list[Fraction]) -> list[Fraction]:
     p = list(p)
@@ -378,6 +368,19 @@ def _poly_divmod_q(a, b):
                 if y:
                     r[i + shift] -= c * y
     return _trim(q), _trim(r[:db] or [Fraction(0)])
+
+
+def _poly_gcdex(a, b):
+    """The monic gcd g of a and b in K[x], K = Q or Q(zeta_N), and the cofactor
+    s with s a = g mod b: the extended Euclid, run until the remainder is zero."""
+    r0, r1 = _trim(a), _trim(b)
+    s0, s1 = [Fraction(1)], [Fraction(0)]
+    while any(r1):
+        q, r = _poly_divmod_q(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
+    c = r0[-1]
+    return [x / c for x in r0], [x / c for x in s0]
 
 
 # -- public constructors ----------------------------------------------------

@@ -33,7 +33,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclotomic import CycQ, _poly_divmod_q, _poly_sub
+from .cyclotomic import CycQ, _poly_divmod_q, _poly_gcdex, _poly_sub
 from .errors import TruncationTooSmall
 from .series import (
     LogQSeries,
@@ -180,24 +180,17 @@ def _squarefree(f: list) -> list:
     comes back as [(f, 1)], unscaled."""
     deriv = lambda p: [c * k for k, c in enumerate(p)][1:]
     quo = lambda a, b: _poly_divmod_q(a, b)[0]
-    a = _gcd(f, deriv(f))
+    a = _poly_gcdex(f, deriv(f))[0]
     if len(a) == 1:
         return [(f, 1)]
     b, d = quo(f, a), quo(deriv(f), a)
     out = []
     while len(b) > 1:
         d = _poly_sub(d, deriv(b))
-        a = _gcd(b, d)
+        a = _poly_gcdex(b, d)[0]
         out.append((a, len(out) + 1))
         b, d = quo(b, a), quo(d, a)
     return out
-
-
-def _gcd(a: list, b: list) -> list:
-    """Monic gcd by Euclid's algorithm on ``cyclotomic._poly_divmod_q``."""
-    while any(b):
-        a, b = b, _poly_divmod_q(a, b)[1]
-    return [c / a[-1] for c in a]
 
 
 def _divisors(n: int) -> list[int]:

@@ -174,8 +174,8 @@ def twisted_weight4(class_label: str, trunc) -> Puiseux:
     s, c = _TWISTED[class_label]
     trunc = Fraction(trunc)
     tg = hauptmodul(class_label, trunc + 1)
-    e4_sub = eisenstein(4, trunc + 1).substituted(s).truncated(trunc + 1)
-    out = e4_sub * (tg + c) - eisenstein(4, trunc + 1).scalar_mul(c)
+    e4 = eisenstein(4, trunc + 1)
+    out = e4.substituted(s).truncated(trunc + 1) * (tg + c) - e4.scalar_mul(c)
     return out.scalar_mul(12 * 71).truncated(trunc)
 
 

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cyclotomic import CycQ, _root_powers, _sparse_convolve
+from .cyclotomic import CycQ, _power, _root_powers, _sparse_convolve
 from .errors import (
     NonInvertibleLeadingTerm,
     NotConvergent,
@@ -40,11 +40,10 @@ from .errors import (
 
 
 def _coerce_coeff(v) -> CycQ:
-    if isinstance(v, CycQ):
-        return v
-    if isinstance(v, (int, Fraction)):
-        return CycQ.from_rational(v)
-    raise TypeError(f"a series coefficient is a CycQ, int or Fraction, not {type(v).__name__}")
+    c = CycQ._coerce(v)
+    if c is NotImplemented:
+        raise TypeError(f"a series coefficient is a CycQ, int or Fraction, not {type(v).__name__}")
+    return c
 
 
 def _nterms(lead: Fraction, trunc: Fraction, t: int) -> int:
@@ -229,10 +228,6 @@ class Puiseux:
         return Puiseux._make(self.T, self.lead, [-c for c in self.coeffs], self.trunc)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, CycQ)):
-            other = Puiseux.constant(other, self.trunc, self.T)
-        if not isinstance(other, Puiseux):
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
@@ -277,15 +272,7 @@ class Puiseux:
         if e == 0:
             # the relative truncation window of the base
             return Puiseux.constant(1, self.trunc - self.normalized().lead, self.T)
-        result = None
-        base = self
-        while e:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return _power(self, e)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, CycQ)):
@@ -511,8 +498,6 @@ class LogQSeries:
         return LogQSeries(self.T, [-p for p in self.parts])
 
     def __sub__(self, other):
-        if isinstance(other, Puiseux):
-            other = LogQSeries(self.T, [other])
         return self + (-other)
 
     def mul_series(self, s: Puiseux) -> "LogQSeries":

@@ -84,6 +84,12 @@ def test_verify_single_law_and_suite(capsys):
     code, objs = run_json(capsys, ["verify", "--suite", "all"])
     assert code == 0
     assert len(objs) == 5 and all(o["pass"] for o in objs)
+    # --gamma as four integers a,b,c,d: S = (0, -1, 1, 0)
+    outs = []
+    for gamma in ("0,-1,1,0", "S"):
+        assert run(["verify", "Q_modularity", "--gamma", gamma, "--terms", "100"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
 
 
 def test_verify_terms_out_of_range_is_a_usage_error(capsys):
@@ -278,17 +284,21 @@ def test_usage_errors(capsys):
                  ["verify", "Q_modularity", "--suite", "all"],
                  ["verify", "--suite", "all", "--pair", "1/2,1/3"],
                  ["verify", "--suite", "all", "--z", "0.1+0.2i"],
-                 ["verify", "--suite", "all", "--terms", "10"]):
+                 ["verify", "--suite", "all", "--terms", "10"],
+                 # a malformed or non-unimodular --gamma
+                 ["verify", "Q_modularity", "--gamma", "1,x,0,1"],
+                 ["verify", "Q_modularity", "--gamma", "1,1,1,1"]):
         assert run(argv) == 2, argv
         captured = capsys.readouterr()
         assert "usage error" in captured.err and captured.out == ""
-    # weights and zhu-coeff's i and m stop at MAX_WEIGHT
+    # weights and zhu-coeff's i and m lie between 0 and MAX_WEIGHT
     over = str(MAX_WEIGHT + 1)
     for argv in (["bernoulli", over], ["eisenstein", over], ["qk", over, "1/2", "1/3"],
                  ["pk-eval", over, "1/2", "1/3", "--z", "0.1+0.3i", "--tau", "1.2i"],
                  ["verify", "Q_modularity", "--k", over],
                  ["zhu-coeff", "1", over, "3"], ["zhu-coeff", "1", "3", over],
-                 ["bernoulli", "two"]):
+                 ["bernoulli", "two"], ["qk", "-1", "1/2", "1/3"], ["bernoulli", "-1"],
+                 ["zhu-coeff", "1", "-1", "0"]):
         assert run(argv) == 2, argv
         captured = capsys.readouterr()
         assert "argument" in captured.err and captured.out == ""

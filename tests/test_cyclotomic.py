@@ -101,12 +101,45 @@ def test_inverse_and_division():
     assert (x / x) == CycQ.one
     with pytest.raises(ZeroDivisionError):
         CycQ.zero.inverse()
+    # powers, negative ones through the inverse, against repeated products
+    for y in (CycQ.from_rational(Fraction(-2, 3)), cyc_root(1, 3) - 1, x, 1 + cyc_root(5, 12) / 2):
+        for e in range(-3, 7):
+            expected = CycQ.one
+            for _ in range(abs(e)):
+                expected = expected * (y if e > 0 else y.inverse())
+            assert y**e == expected, (y, e)
 
 
 @settings(max_examples=60, deadline=None)
 @given(cycq_elements().filter(lambda x: not x.is_zero()))
 def test_every_nonzero_element_has_an_inverse(x):
     assert x * x.inverse() == CycQ.one
+
+
+def polys(coeffs, max_degree=3):
+    """Polynomials with a nonzero top coefficient, as ascending lists."""
+    return st.tuples(
+        st.lists(coeffs, max_size=max_degree), coeffs.filter(bool)
+    ).map(lambda lt: lt[0] + [lt[1]])
+
+
+# coefficients in Q and in Q(zeta_3)
+_fields = st.sampled_from(
+    [rationals, st.builds(lambda a, b: a + b * cyc_root(1, 3), rationals, rationals)]
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_fields.flatmap(lambda k: st.tuples(polys(k), polys(k), polys(k))))
+def test_poly_gcdex_gives_the_monic_gcd_and_its_cofactor(cuv):
+    # a = c u and b = c v, so c divides the gcd
+    c, u, v = cuv
+    a, b = cyclotomic._poly_mul(c, u), cyclotomic._poly_mul(c, v)
+    g, s = cyclotomic._poly_gcdex(a, b)
+    rem = lambda x, y: cyclotomic._poly_divmod_q(x, y)[1]
+    assert g[-1] == 1
+    assert not any(rem(a, g)) and not any(rem(b, g)) and not any(rem(g, c))
+    assert not any(rem(cyclotomic._poly_sub(cyclotomic._poly_mul(s, a), g), b))
 
 
 def test_high_precision_embedding():

@@ -119,6 +119,14 @@ def test_pow_and_shift_and_substitute():
     g = geometric(8)
     assert g**2 == g * g
     assert g**0 == 1
+    # powers, negative ones through the inverse, against repeated products
+    x = Puiseux(2, Fraction(-1, 2), [cyc_root(1, 3), 0, Fraction(1, 2), -1], 3)
+    for e in (-2, -1, 1, 2, 3, 4):
+        y = x if e > 0 else x.inverse()
+        expected = y
+        for _ in range(abs(e) - 1):
+            expected = expected * y
+        assert (x**e).to_json() == expected.to_json(), e
     s = g.shifted(Fraction(3, 2))
     assert s.coeff_at(Fraction(3, 2)) == 1
     sub = g.substituted(2)
@@ -427,6 +435,18 @@ def test_eval_agrees_with_the_term_sum_and_across_branchings(t, parts, logq, m, 
     assert abs(got.value - want) <= 1e-12 * scale
     assert abs(eval_at_tau(s.with_branching(m * t), tau).value - want) <= 1e-12 * scale
     assert eval_at_tau(Embedded(s), tau) == got
+
+
+def test_subtraction_adds_the_negation():
+    p = Puiseux(2, Fraction(-1, 2), [1, cyc_root(1, 4), 0, Fraction(-3, 2)], 3)
+    z = 2 - cyc_root(1, 3)
+    for a, b in ((z, p), (p, z), (p, 5), (LogQSeries(2, [p, p.shifted(1)]), p)):
+        assert (a - b).to_json() == (a + (-b)).to_json()
+    with pytest.raises(TypeError):
+        p - "x"
+    with pytest.raises(TypeError):
+        z - object()
+    assert (p == "x") is False
 
 
 @pytest.mark.parametrize("value", [0.5, 1.5j])
