@@ -1,5 +1,9 @@
 """orbiform: exact q-series, twisted Eisenstein forms, modular actions,
-Frobenius expansions, and Moonshine identities."""
+Frobenius expansions, and Moonshine identities.
+
+The exact layers need only the standard library: numpy and mpmath are
+imported inside the numeric functions that use them, so importing orbiform
+loads neither."""
 
 from .cyclotomic import CycQ, Rational, cyc_root, cyc_root_of
 from .forms import (

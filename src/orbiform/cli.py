@@ -7,6 +7,7 @@ Exit codes: 0 on success / all checks passing, 1 on a failing check,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -54,14 +55,17 @@ class UsageError(Exception):
     pass
 
 
-def _parse_weight(s: str) -> int:
+def _parse_weight(s: str, low: int = 0, even: bool = False) -> int:
+    """An argparse type: an integer in low..MAX_WEIGHT, and even if asked."""
     try:
         k = int(s)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {s!r}") from None
-    if not 0 <= k <= MAX_WEIGHT:
+    if not low <= k <= MAX_WEIGHT:
         raise argparse.ArgumentTypeError(
-            f"must be between 0 and MAX_WEIGHT = {MAX_WEIGHT}, got {k}")
+            f"must be between {low} and MAX_WEIGHT = {MAX_WEIGHT}, got {k}")
+    if even and k % 2:
+        raise argparse.ArgumentTypeError(f"must be even, got {k}")
     return k
 
 
@@ -331,7 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bernoulli)
 
     p = sub.add_parser("eisenstein", help="Eisenstein series q-expansion")
-    p.add_argument("k", type=_parse_weight)
+    p.add_argument("k", type=functools.partial(_parse_weight, low=2, even=True))
     p.add_argument("--trunc", default=None)
     p.set_defaults(func=_cmd_eisenstein)
 
@@ -343,7 +347,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_qk)
 
     p = sub.add_parser("pk-eval", help="numeric two-variable series value")
-    p.add_argument("k", type=_parse_weight)
+    p.add_argument("k", type=functools.partial(_parse_weight, low=1))
     p.add_argument("j_over_M")
     p.add_argument("l_over_N")
     p.add_argument("--z", required=True)

@@ -21,8 +21,6 @@ import functools
 from fractions import Fraction
 from math import gcd, lcm
 
-import mpmath
-
 Rational = Fraction
 
 
@@ -294,6 +292,7 @@ class CycQ:
                 (float(c) * omega[i] for i, c in enumerate(self.coeffs) if c),
                 complex(0),
             )
+        import mpmath
         with mpmath.workprec(precision + 10):
             w = mpmath.expjpi(mpmath.mpf(2) / self.conductor)
             acc = mpmath.mpc(0)

@@ -3,7 +3,8 @@ closed-form numeric evaluators built on them.
 
 Exact series keep every 2*pi*i factor outside the coefficients, so all
 coefficients live in cyclotomic fields; numeric evaluators reinstate the
-transcendental factors.
+transcendental factors.  Each numeric evaluator imports numpy when it runs
+(``prop44_check`` mpmath too), not when this module is imported.
 """
 
 from __future__ import annotations
@@ -13,9 +14,6 @@ import functools
 import math
 from fractions import Fraction
 from math import gcd, lcm
-
-import mpmath
-import numpy as np
 
 from .cyclotomic import CycQ, _power_basis, cyc_root_of
 from .errors import (
@@ -125,8 +123,9 @@ def eisenstein(k: int, trunc) -> Puiseux:
     return Puiseux._make(1, Fraction(0), _from_rationals(coeffs), trunc)
 
 
-def _sigma1(n: int) -> np.ndarray:
+def _sigma1(n: int):
     """sigma_1(m) for m = 0 .. n-1 (0 at m = 0): each d < n added at its multiples."""
+    import numpy as np
     divisor = np.repeat(np.arange(1, n), (n - 1) // np.arange(1, n))
     # entry j of the block of d, counted from the block's start, stands for (j + 1) d
     multiple = divisor * (np.arange(divisor.size) - np.searchsorted(divisor, divisor) + 1)
@@ -135,6 +134,7 @@ def _sigma1(n: int) -> np.ndarray:
 
 def g2_eval(tau: complex, trunc=60) -> complex:
     """(2 pi i)^2 E_2(tau) summed over eisenstein(2, trunc): -1/12 + 2 sum sigma_1(m) q^m."""
+    import numpy as np
     if tau.imag <= 0:
         raise NotConvergent("evaluation requires Im(tau) > 0")
     n = max(0, math.ceil(Fraction(trunc)))
@@ -336,6 +336,7 @@ def pk_eval(
     n are rewritten against q_tau^(-n) for stability; the cutoff escalates
     until the geometric tail bound drops below tol (at most PK_CUTOFF_CAP).
     """
+    import numpy as np
     if k < 1:
         raise ValueError("k must be at least 1")
     if cutoff < 1:
@@ -420,6 +421,7 @@ def pk_double_sum_oracle(
 
 def wp1_eval(z: complex, tau: complex, trunc: int = 200) -> complex:
     """G2(tau) z + pi i (q_z+1)/(q_z-1) + lattice corrections, truncated."""
+    import numpy as np
     if tau.imag <= 0:
         raise ValueError("need Im(tau) > 0")
     qz = cmath.exp(TWO_PI_I * z)
@@ -540,6 +542,8 @@ def prop44_check(k: int, j: int, m: int, cutoff: int = 10**6, tol: float = 1e-9)
     Compares (1/(2 pi i)^k) sum_{0<|n|<=cutoff} mu^n/n^k with the exact
     Bernoulli value and reports the absolute error.
     """
+    import mpmath
+    import numpy as np
     if not (1 <= j <= m):
         raise ValueError("need 1 <= j <= M")
     if k < 2:

@@ -31,8 +31,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .cyclotomic import CycQ, _poly_divmod_q, _poly_gcdex, _poly_sub
 from .errors import TruncationTooSmall
 from .series import (
@@ -144,6 +142,7 @@ def indicial_roots(ode: RegularSingularODE) -> list:
     if all(c.is_rational() for c in poly):
         roots, rest = _rational_roots([c.rational_value() for c in poly])
     if len(rest) > 1:
+        import numpy as np
         for factor, k in _squarefree(rest):
             arr = [complex(c) if isinstance(c, Fraction) else c.embed() for c in factor]
             roots += [complex(z) for z in np.roots(arr[::-1]) for _ in range(k)]

@@ -28,8 +28,6 @@ from fractions import Fraction
 from itertools import chain
 from typing import NamedTuple
 
-import numpy as np
-
 from .cyclotomic import CycQ, _power, _root_powers, _sparse_convolve
 from .errors import (
     NonInvertibleLeadingTerm,
@@ -548,6 +546,7 @@ class Embedded:
     __slots__ = ("T", "leads", "truncs", "coeffs", "maxabs")
 
     def __init__(self, s):
+        import numpy as np
         parts = s.parts if isinstance(s, LogQSeries) else (s,)
         self.T = s.T
         self.leads = [float(p.lead) for p in parts]
@@ -572,6 +571,7 @@ def eval_at_tau(s, tau: complex, precision: int = 53) -> EvalResult:
     at many points).  The value is a 53-bit ``complex``; any other precision
     raises ``UnsupportedPrecision`` rather than being ignored.
     """
+    import numpy as np
     if precision != 53:
         raise UnsupportedPrecision(f"eval_at_tau computes in 53 bits, not {precision}")
     if tau.imag <= 0:

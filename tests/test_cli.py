@@ -2,10 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import orbiform
 from orbiform.cli import MAX_TRUNC_SLOTS, MAX_WEIGHT, run
 from orbiform.forms import PK_CUTOFF_CAP
 
@@ -140,12 +145,15 @@ def test_frobenius_from_file(capsys, tmp_path):
     assert obj["exponent_classes"] == [["1/2", "-1/2"]]
 
 
+# theta^2 - 2 + q: exponents +-sqrt(2), found by np.roots
+_NUMERIC_ODE = {"order": 2, "T": 1, "coeffs": [{"terms": [["0", "-2"], ["1", "1"]], "trunc": "8"},
+                                               {"terms": [], "trunc": "8"}]}
+
+
 def test_frobenius_numeric_exponents_from_file(capsys, tmp_path):
-    # theta^2 - 2 + q: exponents +-sqrt(2), and c_1 = -1/((sqrt(2) + 1)^2 - 2)
-    ode = {"order": 2, "T": 1, "coeffs": [{"terms": [["0", "-2"], ["1", "1"]], "trunc": "8"},
-                                          {"terms": [], "trunc": "8"}]}
+    # c_1 = -1/((sqrt(2) + 1)^2 - 2)
     p = tmp_path / "ode.json"
-    p.write_text(json.dumps(ode))
+    p.write_text(json.dumps(_NUMERIC_ODE))
     code, (obj,) = run_json(capsys, ["frobenius", "--ode", str(p), "--trunc", "3"])
     assert code == 0 and obj["numeric"] is True and obj["max_log_power"] == 0
     assert obj["exponent_classes"] == [[s["exponent"]] for s in obj["solutions"]]
@@ -291,19 +299,24 @@ def test_usage_errors(capsys):
         assert run(argv) == 2, argv
         captured = capsys.readouterr()
         assert "usage error" in captured.err and captured.out == ""
-    # weights and zhu-coeff's i and m lie between 0 and MAX_WEIGHT
+    # weights and zhu-coeff's i and m lie between 0 and MAX_WEIGHT; pk-eval
+    # takes k >= 1 and eisenstein an even k >= 2
     over = str(MAX_WEIGHT + 1)
     for argv in (["bernoulli", over], ["eisenstein", over], ["qk", over, "1/2", "1/3"],
                  ["pk-eval", over, "1/2", "1/3", "--z", "0.1+0.3i", "--tau", "1.2i"],
                  ["verify", "Q_modularity", "--k", over],
                  ["zhu-coeff", "1", over, "3"], ["zhu-coeff", "1", "3", over],
                  ["bernoulli", "two"], ["qk", "-1", "1/2", "1/3"], ["bernoulli", "-1"],
-                 ["zhu-coeff", "1", "-1", "0"]):
+                 ["zhu-coeff", "1", "-1", "0"], ["eisenstein", "0"], ["eisenstein", "3"],
+                 ["eisenstein", str(MAX_WEIGHT - 1)],
+                 ["pk-eval", "0", "1/2", "1/3", "--z", "0.1+0.3i", "--tau", "1.2i"]):
         assert run(argv) == 2, argv
         captured = capsys.readouterr()
         assert "argument" in captured.err and captured.out == ""
     code, (obj,) = run_json(capsys, ["bernoulli", str(MAX_WEIGHT)])
     assert code == 0 and len(obj["poly"]) == MAX_WEIGHT + 1
+    code, (obj,) = run_json(capsys, ["eisenstein", "2", "--trunc", "2"])
+    assert code == 0 and obj["terms"] == [["0", "-1/12"], ["1", "2"]]
 
 
 def test_trunc_out_of_range_is_a_usage_error(capsys, tmp_path):
@@ -377,3 +390,45 @@ def test_stdout_is_byte_identical(capsys, tmp_path, command):
     assert run(command.format(ode=ode).split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[command]
+
+
+# run(argv) in a fresh interpreter; prints its exit code, its stdout and
+# whether numpy and mpmath were imported
+_COLD_RUN = """
+import contextlib, io, json, sys
+from orbiform.cli import run
+out = io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    code = run(sys.argv[1:])
+print(json.dumps([code, out.getvalue(), "numpy" in sys.modules, "mpmath" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("command, numeric", [
+    ("bernoulli 4", False),
+    ("qk 3 1/4 2/3", False),
+    ("moonshine chars", False),
+    ("moonshine J --trunc 20", False),
+    ("frobenius --ode {ode} --trunc 5", False),
+    ("pk-eval 2 1/2 1/3 --z 0.1+0.2i --tau 1.1i", True),
+    ("verify Q_modularity --gamma S --terms 100", True),
+    ("frobenius --ode {numeric_ode} --trunc 3", True),
+])
+def test_cold_process_loads_numpy_and_mpmath_only_for_numeric_commands(
+        capsys, tmp_path, command, numeric):
+    # the exact commands load neither library; the numeric ones load numpy on
+    # first use, and from a cold process print what run() prints here
+    ode, numeric_ode = tmp_path / "ode.json", tmp_path / "numeric.json"
+    ode.write_text(json.dumps(_RESONANT_ODE))
+    numeric_ode.write_text(json.dumps(_NUMERIC_ODE))
+    argv = command.format(ode=ode, numeric_ode=numeric_ode).split()
+    src = str(Path(orbiform.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", _COLD_RUN, *argv], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    code, out, has_numpy, has_mpmath = json.loads(proc.stdout.splitlines()[-1])
+    assert code == run(argv) == 0
+    assert out == capsys.readouterr().out
+    assert has_numpy == numeric
+    assert numeric or not has_mpmath
