@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -67,6 +68,18 @@ def _parse_weight(s: str, low: int = 0, even: bool = False) -> int:
     if even and k % 2:
         raise argparse.ArgumentTypeError(f"must be even, got {k}")
     return k
+
+
+def _parse_tol(s: str) -> float:
+    """An argparse type: a finite float above 0 (an infinite tol passes
+    every law, and nan, 0 or a negative tol fails every law)."""
+    try:
+        tol = float(s)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {s!r}") from None
+    if not (math.isfinite(tol) and tol > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and above 0, got {s}")
+    return tol
 
 
 def _parse_pair(s: str) -> TorsionPair:
@@ -369,7 +382,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", default=None)
     p.add_argument("--z", default=None)
     p.add_argument("--terms", type=int, default=None)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=_parse_tol, default=DEFAULT_TOL)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("frobenius", help="solve a regular-singular ODE")

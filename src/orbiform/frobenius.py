@@ -16,13 +16,12 @@ chosen by the input: when every indicial and series coefficient of the ODE
 coefficient of conductor > 1 keeps it on ``CycQ`` values, and indicial
 roots that are not all rational send it to ``complex`` values.
 
-The residual ``apply_ode`` picks its path the same way.  When every slot of
-the series and of the ODE's coefficients has conductor 1, each log part is
-an integer row over one denominator: theta multiplies slot k by an integer,
-a product adds the part's row, shifted and scaled, once per nonzero slot of
-the coefficient, and each residual part is one n-ary sum over the lcm of
-the denominators, as ``Puiseux.sum`` builds it.  Any slot of conductor > 1
-keeps it on ``LogQSeries`` arithmetic over ``CycQ`` values.
+The residual ``apply_ode`` takes each log part of the series and each of
+the ODE's coefficients as a row over one denominator, of ints when every
+slot has conductor 1 and of ints and ``CycQ`` values otherwise: theta
+multiplies slot k by an integer, a product adds the part's row, shifted and
+scaled, once per nonzero slot of the coefficient, and each residual part is
+one n-ary sum over the lcm of the denominators, as ``Puiseux.sum`` builds it.
 """
 
 from __future__ import annotations
@@ -440,41 +439,45 @@ def apply_ode(ode: RegularSingularODE, s: LogQSeries) -> LogQSeries:
     """theta^m s + sum r_i theta^i s; zero to truncation order on solutions.
 
     Both are brought to the least multiple t of lcm(ode.T, s.T) whose grid
-    holds the lead of every part of s and of every r_i.  When every slot of
-    s and of the coefficients r_i has conductor 1, the residual is formed on
-    integer rows (``_apply_ode_rows``): each product costs one row add per
-    nonzero coefficient slot, and each part is one sum of its m + 1 terms.
-    Any slot of conductor > 1 keeps it on ``LogQSeries`` arithmetic over
-    ``CycQ`` values.  Both paths give the same parts, leads, truncations and
-    values.
+    holds the lead of every part of s and of every r_i, as rows (``_row``).
+    Each product costs one row add per nonzero coefficient slot, and residual
+    part j sums part j of theta^m s and of every r_i theta^i s as
+    LogQSeries.__add__ does: lead at most 0, trunc the smallest over every
+    part of every term.
     """
     t = _lead_grid(math.lcm(ode.T, s.T), s.parts + ode.coeffs)
     scale = t // s.T
-    rows = [_int_row(p, t, scale**j) for j, p in enumerate(s.parts)]
-    coeff_rows = [_int_row(r, t) for r in ode.coeffs]
-    if None not in rows and None not in coeff_rows:
-        return _apply_ode_rows(ode.order, t, rows, coeff_rows)
-    images = [s.with_branching(t)]
+    coeff_rows = [_row(r, t) for r in ode.coeffs]
+    images = [[_row(p, t, scale**j) for j, p in enumerate(s.parts)]]
     for _ in range(ode.order):
-        images.append(images[-1].theta_full())
-    out = images[ode.order]
-    for i, r in enumerate(ode.coeffs):
-        out = out + images[i].mul_series(r.with_branching(t))
-    return out
+        images.append(_theta_rows(images[-1], t))
+    terms = [images[-1]] + [[_mul_rows(p, r, t) for p in image]
+                            for image, r in zip(images, coeff_rows)]
+    trunc = min(p[1] for term in terms for p in term)
+    result = []
+    for col in zip(*terms):
+        lead, _, den, row = _sum_rows(col, t, min(Fraction(0), *(p[0] for p in col)), trunc)
+        inv = Fraction(1, den)
+        values = [CycQ.zero if not x else CycQ._make(1, (Fraction(x, den),)) if type(x) is int
+                  else x * inv for x in row]
+        result.append(Puiseux._make(t, lead, values, trunc))
+    return LogQSeries(t, result)
 
 
-# A conductor-1 Puiseux part at branching t is the integer row
-# (lead, trunc, den, row): slot i holds row[i]/den at q^(lead + i/t).  Each
+# A Puiseux part at branching t is the row (lead, trunc, den, row): slot i
+# holds row[i]/den at q^(lead + i/t), each row[i] an int or a CycQ and each
+# zero the int 0, which ``_add_into`` skips rather than scale by a CycQ.  Each
 # helper below gives the leads, truncations and lengths of the Puiseux or
 # LogQSeries operation it stands for.
 
-def _int_row(p: Puiseux, t: int, scale: int = 1):
-    """scale * p at branching t as an integer row; None if a slot of p has
-    conductor > 1."""
+def _row(p: Puiseux, t: int, scale: int = 1):
+    """scale * p at branching t as a row: ints over the common denominator
+    when every slot of p has conductor 1, else p's values over 1."""
     values = _rationals(p.coeffs)
     if values is None:
-        return None
-    den, ints = _scaled(values)
+        den, ints = 1, [c if c else 0 for c in p.coeffs]
+    else:
+        den, ints = _scaled(values)
     if scale != 1:
         ints = [x * scale for x in ints]
     if t != p.T:
@@ -485,8 +488,8 @@ def _int_row(p: Puiseux, t: int, scale: int = 1):
 
 
 def _sum_rows(terms: list, t: int, lead: Fraction, trunc: Fraction):
-    """Puiseux.sum on integer rows, for the lead and trunc the caller gives
-    (each at most the terms' own): each row is placed at its offset
+    """Puiseux.sum on rows, for the lead and trunc the caller gives (each at
+    most the terms' own): each row is placed at its offset
     int((lead_x - lead) t), over the lcm of the dens."""
     n = _nterms(lead, trunc, t)
     den = math.lcm(*(x[2] for x in terms))
@@ -496,10 +499,10 @@ def _sum_rows(terms: list, t: int, lead: Fraction, trunc: Fraction):
     return lead, trunc, den, out
 
 
-def _add_into(out: list, off: int, k: int, row: list) -> None:
-    """out[off + i] += k row[i] for every i with off + i < len(out)."""
+def _add_into(out: list, off: int, k, row: list) -> None:
+    """out[off + i] += k row[i] for every nonzero row[i] with off + i < len(out)."""
     seg = row[:max(0, len(out) - off)]
-    out[off:off + len(seg)] = [u + k * v for u, v in zip(out[off:], seg)]
+    out[off:off + len(seg)] = [u + k * v if v else u for u, v in zip(out[off:], seg)]
 
 
 def _theta_rows(parts: list, t: int) -> list:
@@ -530,27 +533,6 @@ def _mul_rows(a, b, t: int):
         if c:
             _add_into(out, j, c, a[3])
     return lead, trunc, a[2] * b[2], out
-
-
-def _apply_ode_rows(order: int, t: int, parts: list, coeffs: list) -> LogQSeries:
-    """apply_ode on the integer rows of s's parts and of r_0 .. r_{m-1}.
-
-    Residual part j sums part j of theta^m s and of every r_i theta^i s as
-    LogQSeries.__add__ does: lead at most 0, trunc the smallest over every
-    part of every term.
-    """
-    images = [parts]
-    for _ in range(order):
-        images.append(_theta_rows(images[-1], t))
-    terms = [images[order]] + [[_mul_rows(p, r, t) for p in image]
-                               for image, r in zip(images, coeffs)]
-    trunc = min(p[1] for term in terms for p in term)
-    result = []
-    for col in zip(*terms):
-        lead, _, den, row = _sum_rows(col, t, min(Fraction(0), *(p[0] for p in col)), trunc)
-        values = [CycQ._make(1, (Fraction(x, den),)) if x else CycQ.zero for x in row]
-        result.append(Puiseux._make(t, lead, values, trunc))
-    return LogQSeries(t, result)
 
 
 def solve_inhomogeneous(ode: RegularSingularODE, f: LogQSeries, trunc) -> LogQSeries:

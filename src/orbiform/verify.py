@@ -137,7 +137,8 @@ LAW_IDS = tuple(_LAWS)
 def law_params(law_id: str, params: dict | None = None) -> dict:
     """The law's defaults updated by params.
 
-    Raises ValueError for an unknown law or a parameter the law does not read.
+    Raises ValueError for an unknown law, a parameter the law does not read,
+    or a k below 1 for P_invariance (P_k starts at k = 1; Q_0 is -1).
     """
     if law_id not in _LAWS:
         raise ValueError(f"unknown law {law_id!r}; known: {', '.join(LAW_IDS)}")
@@ -147,7 +148,10 @@ def law_params(law_id: str, params: dict | None = None) -> dict:
         raise ValueError(
             f"{law_id} does not read {', '.join(unread)}; it reads {', '.join(defaults)}"
         )
-    return {**defaults, **(params or {})}
+    read = {**defaults, **(params or {})}
+    if law_id == "P_invariance" and read["k"] < 1:
+        raise ValueError(f"P_invariance needs k >= 1, got {read['k']}")
+    return read
 
 
 def verify_law(law_id: str, params: dict | None = None,

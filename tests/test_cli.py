@@ -295,7 +295,9 @@ def test_usage_errors(capsys):
                  ["verify", "--suite", "all", "--terms", "10"],
                  # a malformed or non-unimodular --gamma
                  ["verify", "Q_modularity", "--gamma", "1,x,0,1"],
-                 ["verify", "Q_modularity", "--gamma", "1,1,1,1"]):
+                 ["verify", "Q_modularity", "--gamma", "1,1,1,1"],
+                 # P_k starts at k = 1
+                 ["verify", "P_invariance", "--k", "0"]):
         assert run(argv) == 2, argv
         captured = capsys.readouterr()
         assert "usage error" in captured.err and captured.out == ""
@@ -309,10 +311,19 @@ def test_usage_errors(capsys):
                  ["bernoulli", "two"], ["qk", "-1", "1/2", "1/3"], ["bernoulli", "-1"],
                  ["zhu-coeff", "1", "-1", "0"], ["eisenstein", "0"], ["eisenstein", "3"],
                  ["eisenstein", str(MAX_WEIGHT - 1)],
-                 ["pk-eval", "0", "1/2", "1/3", "--z", "0.1+0.3i", "--tau", "1.2i"]):
+                 ["pk-eval", "0", "1/2", "1/3", "--z", "0.1+0.3i", "--tau", "1.2i"],
+                 # a tol that is not finite and above 0 would pass or fail every law
+                 ["verify", "Q_modularity", "--pair", "0,0", "--tol", "inf"],
+                 ["verify", "--suite", "all", "--tol", "inf"],
+                 ["verify", "Q_modularity", "--tol", "nan"],
+                 ["verify", "Q_modularity", "--tol", "0"],
+                 ["verify", "Q_modularity", "--tol", "-1"]):
         assert run(argv) == 2, argv
         captured = capsys.readouterr()
         assert "argument" in captured.err and captured.out == ""
+    # Q_0 is the constant -1: its law holds
+    code, (obj,) = run_json(capsys, ["verify", "Q_modularity", "--k", "0"])
+    assert code == 0 and obj["pass"]
     code, (obj,) = run_json(capsys, ["bernoulli", str(MAX_WEIGHT)])
     assert code == 0 and len(obj["poly"]) == MAX_WEIGHT + 1
     code, (obj,) = run_json(capsys, ["eisenstein", "2", "--trunc", "2"])

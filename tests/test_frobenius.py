@@ -21,7 +21,7 @@ from orbiform.frobenius import (
     indicial_roots,
     solve_inhomogeneous,
 )
-from orbiform.series import LogQSeries, Puiseux, product_expand, theta
+from orbiform.series import LogQSeries, Puiseux, _lead_grid, product_expand, theta
 
 
 def const_ode(order, consts, T=1, trunc=20):
@@ -516,21 +516,16 @@ def _lifted_log(s: LogQSeries, n: int) -> LogQSeries:
     return LogQSeries(s.T, [_lifted(p, n) for p in s.parts])
 
 
-def _apply_ode_recording(ode, s):
-    """apply_ode(ode, s), and whether the integer-row path ran."""
-    ran = []
-    real = frobenius._apply_ode_rows
-
-    def spy(*args):
-        ran.append(True)
-        return real(*args)
-
-    frobenius._apply_ode_rows = spy
-    try:
-        out = apply_ode(ode, s)
-    finally:
-        frobenius._apply_ode_rows = real
-    return out, bool(ran)
+def _reference_residual(ode, s):
+    """theta^m s + sum r_i theta^i s in LogQSeries arithmetic over CycQ values."""
+    t = _lead_grid(lcm(ode.T, s.T), s.parts + ode.coeffs)
+    images = [s.with_branching(t)]
+    for _ in range(ode.order):
+        images.append(images[-1].theta_full())
+    out = images[ode.order]
+    for i, r in enumerate(ode.coeffs):
+        out = out + images[i].mul_series(r.with_branching(t))
+    return out
 
 
 def _assert_same_slots(got: LogQSeries, want: LogQSeries):
@@ -551,15 +546,13 @@ def _assert_same_slots(got: LogQSeries, want: LogQSeries):
 # the coefficient's q^4 lies past the part's three slots and the product's
 @example(RegularSingularODE(1, 1, [Puiseux.from_terms([(0, 1), (4, 5)], 6)]),
          LogQSeries(1, [Puiseux(1, 0, [1, 2, 3], 3)]))
-def test_integer_row_residual_matches_cyclotomic_residual(ode, s):
-    got, rows = _apply_ode_recording(ode, s)
-    assert rows
-    assume(not got.is_zero())
-    # at conductor 3 no slot of s is a rational row: the CycQ path runs
-    want, rows = _apply_ode_recording(ode, _lifted_log(s, 3))
-    assert not rows
-    _assert_same_slots(got, want)
-    assert all(c.conductor == 1 for p in got.parts for c in p.coeffs)
+def test_row_residual_matches_series_residual(ode, s):
+    # rational, lifted to conductor 3, and each of the two mixed cases
+    lifted_ode = RegularSingularODE(ode.order, ode.T, [_lifted(r, 3) for r in ode.coeffs])
+    lifted_s = _lifted_log(s, 3)
+    for o, x in [(ode, s), (lifted_ode, lifted_s), (lifted_ode, s), (ode, lifted_s)]:
+        _assert_same_slots(apply_ode(o, x), _reference_residual(o, x))
+    assert all(c.conductor == 1 for p in apply_ode(ode, s).parts for c in p.coeffs)
 
 
 @settings(max_examples=40, deadline=None)
