@@ -70,6 +70,17 @@ def _parse_weight(s: str, low: int = 0, even: bool = False) -> int:
     return k
 
 
+def _parse_modulus(s: str) -> int:
+    """An argparse type: a positive integer."""
+    try:
+        n = int(s)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {s!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {n}")
+    return n
+
+
 def _parse_tol(s: str) -> float:
     """An argparse type: a finite float above 0 (an infinite tol passes
     every law, and nan, 0 or a negative tol fails every law)."""
@@ -404,7 +415,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pr = psub.add_parser("reduce")
     pr.add_argument("a", type=int)
     pr.add_argument("c", type=int)
-    pr.add_argument("n", type=int)
+    pr.add_argument("n", type=_parse_modulus)
     po = psub.add_parser("orbit")
     po.add_argument("a")
     po.add_argument("c")

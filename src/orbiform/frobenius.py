@@ -11,10 +11,11 @@ q^(mu + n/T) c(l) as (T mu + n) + d/dl, on rows of the nonzero terms of each
 r_i.  It keeps c(l) in divided powers l^j/j!, where d/dl is a shift, and
 converts only where a solution is seeded or assembled.  Its value type is
 chosen by the input: when every indicial and series coefficient of the ODE
-(and, for an inhomogeneous solve, of f) has conductor 1, it runs on plain
-``Fraction`` values, made ``CycQ`` only when the solution is assembled; any
-coefficient of conductor > 1 keeps it on ``CycQ`` values, and indicial
-roots that are not all rational send it to ``complex`` values.
+(and, for an inhomogeneous solve, of f) has conductor 1, it runs on integer
+numerators, each c_n over one denominator, and makes one ``Fraction`` per
+coefficient when the solution is assembled; any coefficient of conductor > 1
+keeps it on ``CycQ`` values, and indicial roots that are not all rational
+send it to ``complex`` values.
 
 The residual ``apply_ode`` takes each log part of the series and each of
 the ODE's coefficients as a row over one denominator, of ints when every
@@ -206,7 +207,7 @@ def _ptrim(p: list) -> list:
 
 
 def _pzero(c) -> bool:
-    """Exact zero test for CycQ and Fraction values; only a complex value
+    """Exact zero test for int, Fraction and CycQ values; only a complex value
     counts as zero below 1e-300."""
     if isinstance(c, complex):
         return abs(c) < 1e-300
@@ -238,11 +239,13 @@ def _taylor_at(poly: list, x) -> list:
 
 def _solve_step(tay: list, g: list, zero):
     """Solve P(X_n + d/dl) b = g for b in divided powers, that is
-    sum_u tay[u] b[s + u] = g[s] for every s.
+    sum_u tay[u] b[s + u] = g[s] for every s; the solution is b/k.
 
     tay are the Taylor coefficients of the indicial polynomial at X_n; the
     multiplicity r of X_n as a root forces b's bottom r coefficients to
-    zero and raises the log degree by r.
+    zero and raises the log degree by r.  On ints the back substitution is
+    fraction-free: where it would divide by tay[r], it multiplies what it has
+    by tay[r] and k by it; on other values it divides, and k = 1.
     """
     if isinstance(zero, complex):
         # numeric resonance: a root hit only to rounding error must still
@@ -254,78 +257,109 @@ def _solve_step(tay: list, g: list, zero):
     r = 0
     while r < len(tay) and tiny(tay[r]):
         r += 1
+    lead, k = tay[r], 1
     b = [zero] * (len(g) + r)
     for s in range(len(g) - 1, -1, -1):
-        acc = g[s]
+        acc = g[s] * k if k != 1 else g[s]
         for u in range(r + 1, min(len(tay), len(b) - s)):
             if not _pzero(tay[u]) and not _pzero(b[s + u]):
                 acc = acc - b[s + u] * tay[u]
-        b[s + r] = acc / tay[r]
-    return _ptrim(b)
+        if type(lead) is int:
+            b, k = [x * lead for x in b], k * lead
+            b[s + r] = acc
+        else:
+            b[s + r] = acc / lead
+    return _ptrim(b), k
 
 
 # -- the solver -----------------------------------------------------------------
 
 def _recurse(indicial, rows, x0, seed_power: int, steps: int, extra_g=None):
     """Coefficient polynomials c_0 .. c_{steps-1} of one Frobenius solution,
-    in divided powers l^j/j!.
+    in divided powers, as (cs, dens, d, max_log): c_n's coefficient of
+    l^j/j! is cs[n][j] / (dens[n] d^j).
 
     c_n solves P(E_n) c_n = -sum_{i,s>=1} r_{i,s} E_{n-s}^i c_{n-s} (+ the
     inhomogeneous term), with E_n = (x0 + n) + d/dl and x0 = T mu; P and the
-    rows r_i are those of ``_setup``.  The values are of the type of the
-    indicial coefficients: Fraction, CycQ or complex.
+    rows r_i are those of ``_setup``.  On Fraction coefficients it runs on
+    ints: with d = den(x0), d E_n = (d x0 + d n) + d/dl' is integral in
+    l' = l/d, so the equation times L d^m, for L the lcm of the denominators
+    of P and the rows, has int coefficients, and c_n is kept in divided powers
+    of l' as ints over its own positive denominator dens[n], in lowest terms.
+    CycQ and complex coefficients are kept as they are, with d and every
+    den 1.
     """
     m = len(indicial) - 1
-    one = indicial[-1]  # the indicial polynomial is monic
+    one, d, f_scale = indicial[-1], 1, 1  # the indicial polynomial is monic
+    if type(one) is Fraction:
+        d = x0.denominator
+        L, ints = _scaled(indicial + [c for row in rows for _, c in row])
+        ints = iter(ints)
+        indicial = [next(ints) * d ** (m - u) for u in range(m + 1)]
+        rows = [[(s, next(ints) * d ** (m - i)) for s, _ in row] for i, row in enumerate(rows)]
+        one, x0, f_scale = 1, x0.numerator, L * d ** m
     zero = one - one
-    if extra_g is not None:  # seed_power is -1: c_0 solves P(E_0) c_0 = f_0
-        cs = [_solve_step(_taylor_at(indicial, x0), _ptrim(list(extra_g(0))), zero)]
-    else:  # l^j is j! in divided powers
-        cs = [[zero] * seed_power + [one * math.factorial(seed_power)]]
+    # l^j is j! in divided powers of l, and d^j j! in those of l'
+    cs = [] if extra_g is not None else [
+        [zero] * seed_power + [one * (math.factorial(seed_power) * d ** seed_power)]]
+    dens = [1] * len(cs)
     # images[k][i] is E_k^i c_k, made when a row first reads it
-    images = [[cs[0]]]
+    images = [[c] for c in cs]
     def image(k: int, i: int) -> list:
         made = images[k]
         while len(made) <= i:
-            made.append(_apply_E(made[-1], x0 + k))
+            made.append(_apply_E(made[-1], x0 + d * k))
         return made[i]
-    for n in range(1, steps):
-        g: list = []
+    for n in range(len(cs), steps):
+        terms = []  # (coefficient, den, polynomial), subtracted from g
         for i in range(m):
             for s, c in rows[i]:
                 if s > n:
                     break
                 p = image(n - s, i)
-                if not p:
-                    continue
-                g += [zero] * (len(p) - len(g))
-                for t, pc in enumerate(p):
-                    g[t] = g[t] - c * pc
+                if p:
+                    terms.append((c, dens[n - s], p))
         if extra_g is not None:
-            fn = extra_g(n)
-            g += [zero] * (len(fn) - len(g))
-            for t, pc in enumerate(fn):
-                g[t] = g[t] + pc
-        cs.append(_solve_step(_taylor_at(indicial, x0 + n), _ptrim(g), zero))
-        images.append([cs[-1]])
-    return cs, max(1, *map(len, cs)) - 1
+            fden, fn = 1, extra_g(n)
+            if type(one) is int:  # f_n times L d^m in divided powers of l'
+                fden, fn = _scaled(fn)
+                fn = [x * f_scale * d ** j for j, x in enumerate(fn)]
+            terms.append((-one, fden, fn))
+        den = math.lcm(*(k for _, k, _ in terms))
+        g: list = []
+        for c, k, p in terms:
+            if k != den:
+                c = c * (den // k)
+            g += [zero] * (len(p) - len(g))
+            for t, pc in enumerate(p):
+                g[t] = g[t] - c * pc
+        b, k = _solve_step(_taylor_at(indicial, x0 + d * n), _ptrim(g), zero)
+        den *= k
+        if den != 1:  # one gcd per step keeps b/den in lowest terms, den > 0
+            h = math.gcd(den, *b) if den > 0 else -math.gcd(den, *b)
+            den, b = den // h, [x // h for x in b]
+        cs.append(b)
+        dens.append(den)
+        images.append([b])
+    return cs, dens, d, max(1, *map(len, cs)) - 1
 
 
-def _fold_solution(cs: list, mu: Fraction, T: int, span: Fraction,
+def _fold_solution(cs: list, dens: list, d: int, mu: Fraction, T: int, span: Fraction,
                    max_log: int) -> LogQSeries:
-    """Assemble q^mu sum_n c_n(l) q^(n/T), c_n in divided powers, into a
-    LogQSeries.
+    """Assemble q^mu sum_n c_n(l) q^(n/T) into a LogQSeries, from
+    ``_recurse``'s cs, dens and d.
 
     The leading exponent is folded into the Puiseux parts; refining the
     branching rescales l = log q_(1/T) to log q_(1/t), so the part of
-    l^j/j! picks up (t/T)^j / j!.
+    l^j/j! picks up (t/T)^j / j!.  An int x becomes the one Fraction
+    x (t/T)^j / (den d^j j!).
     """
     t = math.lcm(T, mu.denominator)
     step = t // T
     trunc = mu + span
     parts = []
     for j in range(max_log + 1):
-        scale = Fraction(t, T) ** j / math.factorial(j)
+        num, div = step ** j, d ** j * math.factorial(j)
         occupied = [n for n, c in enumerate(cs) if j < len(c) and not _pzero(c[j])]
         if not occupied:
             parts.append(Puiseux.zero(trunc, t))
@@ -334,8 +368,9 @@ def _fold_solution(cs: list, mu: Fraction, T: int, span: Fraction,
         lead = mu + Fraction(first, T)
         coeffs = [CycQ.zero] * _nterms(lead, trunc, t)
         for n in occupied:
-            c = cs[n][j] * scale
-            coeffs[(n - first) * step] = c if isinstance(c, CycQ) else CycQ._make(1, (c,))
+            x = cs[n][j]
+            coeffs[(n - first) * step] = (CycQ._make(1, (Fraction(x * num, dens[n] * div),))
+                                          if type(x) is int else x * Fraction(num, div))
         parts.append(Puiseux._make(t, lead, coeffs, trunc))
     return LogQSeries(t, parts)
 
@@ -375,7 +410,8 @@ def _setup(ode: RegularSingularODE, trunc, rational: bool):
 
     p_i and row i are scaled by T^(m-i); row i holds the nonzero
     (s, T^(m-i) r_{i,s}) with 0 < s < steps, s ascending.  The values are
-    Fractions when ``rational`` and every one has conductor 1, else CycQ.
+    Fractions when ``rational`` and every one has conductor 1, which
+    ``_recurse`` clears to ints, else CycQ.
     """
     T, m = ode.T, ode.order
     span = Fraction(trunc)
@@ -418,9 +454,9 @@ def frobenius_solve(ode: RegularSingularODE, trunc) -> FrobeniusBasis:
         for equal in _group(cls, _same):
             mu = equal[0] if exact else complex(equal[0])
             for j in range(len(equal)):
-                cs, ml = _recurse(indicial, rows, T * mu, j, steps)
+                cs, dens, d, ml = _recurse(indicial, rows, T * mu, j, steps)
                 if exact:
-                    solutions.append(_fold_solution(cs, mu, T, span, ml))
+                    solutions.append(_fold_solution(cs, dens, d, mu, T, span, ml))
                 else:  # back to ordinary powers: divide by k!, which is 1 below k = 2
                     cs = [[c / math.factorial(k) if k > 1 else c for k, c in enumerate(p)]
                           for p in cs]
@@ -567,5 +603,5 @@ def solve_inhomogeneous(ode: RegularSingularODE, f: LogQSeries, trunc) -> LogQSe
             coeffs = [c.coeffs[0] for c in coeffs]
         return _ptrim([c * k for c, k in zip(coeffs, scales)])
 
-    cs, max_log = _recurse(indicial, rows, T * lam, -1, steps, extra_g=extra_g)
-    return _fold_solution(cs, lam, T, span, max_log)
+    cs, dens, d, max_log = _recurse(indicial, rows, T * lam, -1, steps, extra_g=extra_g)
+    return _fold_solution(cs, dens, d, lam, T, span, max_log)

@@ -13,6 +13,8 @@ import pytest
 import orbiform
 from orbiform.cli import MAX_TRUNC_SLOTS, MAX_WEIGHT, run
 from orbiform.forms import PK_CUTOFF_CAP
+from orbiform.frobenius import RegularSingularODE
+from orbiform.series import Puiseux
 
 
 def run_json(capsys, argv):
@@ -270,6 +272,15 @@ def test_pairs_reduce_and_orbit(capsys):
     assert len(obj["orbit"]) == 3  # the three 2-torsion pairs
 
 
+def test_pairs_reduce_modulus_must_be_positive(capsys):
+    # a zero or negative modulus is a usage error (exit 2), not the library's
+    # ValueError (exit 1)
+    for n in ("0", "-5"):
+        assert run(["pairs", "reduce", "2", "3", n]) == 2
+        captured = capsys.readouterr()
+        assert "argument n" in captured.err and captured.out == ""
+
+
 def test_usage_errors(capsys):
     assert run(["definitely-not-a-command"]) == 2
     capsys.readouterr()
@@ -356,6 +367,29 @@ def test_determinism(capsys):
 
 _RESONANT_ODE = {"order": 2, "T": 2, "coeffs": [
     {"terms": [["0", "-1/4"], ["1/2", "1"]], "trunc": "12"}, {"terms": [], "trunc": "12"}]}
+# roots 1/4 and -5/12 at T = 3, two steps apart: a log, and den(T mu) = 4
+_BRANCHED_ODE = {"order": 2, "T": 3, "coeffs": [
+    {"terms": [["0", "-5/48"], ["1/3", "1"]], "trunc": "6"},
+    {"terms": [["0", "1/6"], ["2/3", "1/2"]], "trunc": "6"}]}
+# (theta - 1/2)^3 plus q-terms: a triple root, log power 2
+_TRIPLE_ROOT_ODE = {"order": 3, "T": 1, "coeffs": [
+    {"terms": [["0", "-1/8"], ["1", "1"]], "trunc": "8"},
+    {"terms": [["0", "3/4"], ["2", "-2"]], "trunc": "8"},
+    {"terms": [["0", "-3/2"], ["1", "1/3"]], "trunc": "8"}]}
+
+
+def _ode_files(tmp_path) -> dict:
+    """The ODE files the pinned commands read; "conductor3" is _RESONANT_ODE
+    with every coefficient written at conductor 3 by Puiseux.to_json."""
+    resonant = RegularSingularODE.from_json(_RESONANT_ODE)
+    lifted = RegularSingularODE(resonant.order, resonant.T, [
+        Puiseux(r.T, r.lead, [c.lift(3) for c in r.coeffs], r.trunc) for r in resonant.coeffs])
+    files = {}
+    for name, obj in [("ode", _RESONANT_ODE), ("branched", _BRANCHED_ODE),
+                      ("triple", _TRIPLE_ROOT_ODE), ("conductor3", lifted.to_json())]:
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(obj))
+    return files
 
 # sha256 of stdout for exact commands; the float commands (pk-eval, verify)
 # are left out, since their last bits can vary by platform
@@ -390,15 +424,19 @@ STDOUT_SHA256 = {
         "13f652f45233bb8f15af68e28cd940bdb23ab931675d68890ad3a044d3d6fb20",
     "frobenius --ode {ode} --trunc 5":
         "8d8456fed99de0537ef9a26f77ffabec0c64be8fae4ac4eeb807e9602911863c",
+    "frobenius --ode {branched} --trunc 5":
+        "c7bb180ec8b65dea790f95c156b920249ee0b27d78d3e274d51816743a61fafd",
+    "frobenius --ode {triple} --trunc 5":
+        "16e872c2387724bef19d3ff72f339ba02a3c3b5689e46b8060bdd65a7e5f9dab",
+    "frobenius --ode {conductor3} --trunc 5":
+        "95c1dfd40ab74ffea5e004ee3125cc1fb5b016d747a93363ffb742af479a63ad",
 }
 
 
 @pytest.mark.parametrize("command", list(STDOUT_SHA256))
 def test_stdout_is_byte_identical(capsys, tmp_path, command):
     # the digests also pin what the fingerprints leave out: T, conductors, trunc
-    ode = tmp_path / "ode.json"
-    ode.write_text(json.dumps(_RESONANT_ODE))
-    assert run(command.format(ode=ode).split()) == 0
+    assert run(command.format(**_ode_files(tmp_path)).split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[command]
 

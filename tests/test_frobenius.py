@@ -381,6 +381,16 @@ couplings = st.lists(
 )
 
 
+def _monic(roots) -> list:
+    """Ascending coefficients of prod (x - rho) over the roots."""
+    poly = [Fraction(1)]
+    for rho in roots:
+        poly = [Fraction(0)] + poly
+        for i in range(len(poly) - 1):
+            poly[i] -= rho * poly[i + 1]
+    return poly
+
+
 @st.composite
 def rational_odes(draw):
     """(ode, f, trunc): seeded ODEs with rational indicial roots and couplings
@@ -399,11 +409,7 @@ def rational_odes(draw):
     }[kind]
     steps = 4 if kind == "third" else 6
     trunc = Fraction(steps, T)
-    poly = [Fraction(1)]
-    for rho in root_set:
-        poly = [Fraction(0)] + poly
-        for i in range(len(poly) - 1):
-            poly[i] -= rho * poly[i + 1]
+    poly = _monic(root_set)
     coeffs = []
     for i in range(len(root_set)):
         terms = [(0, poly[i])]
@@ -425,15 +431,14 @@ def _lifted(s: Puiseux, n: int) -> Puiseux:
 
 
 def _solve_recording(ode, f, trunc):
-    """The solutions, and the value types the recursion took and made."""
+    """The solutions, and the value types the recursion made."""
     seen = set()
     real = frobenius._recurse
 
-    def spy(indicial, *args, **kwargs):
-        cs, max_log = real(indicial, *args, **kwargs)
-        seen.add(type(indicial[-1]))
-        seen.update(type(c) for poly in cs for c in poly)
-        return cs, max_log
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        seen.update(type(c) for poly in out[0] for c in poly)
+        return out
 
     frobenius._recurse = spy
     try:
@@ -451,7 +456,7 @@ def _solve_recording(ode, f, trunc):
 def test_fraction_recursion_matches_cyclotomic_recursion(case):
     ode, f, trunc = case
     sols, seen = _solve_recording(ode, f, trunc)
-    assert seen == {Fraction}
+    assert seen == {int}  # the rational path runs on integer numerators
     # at conductor 3 no coefficient is a rational row: the CycQ recursion runs
     lifted = RegularSingularODE(ode.order, ode.T, [_lifted(r, 3) for r in ode.coeffs])
     lifted_f = None if f is None else LogQSeries(f.T, [_lifted(p, 3) for p in f.parts])
@@ -465,6 +470,40 @@ def test_fraction_recursion_matches_cyclotomic_recursion(case):
             assert a.coeffs == b.coeffs
             assert all(c.conductor == 1 for c in a.coeffs)
         resid = apply_ode(ode, got)
+        assert (resid if f is None else resid + f).is_zero()
+
+
+def _ode_with_roots(roots, couplings: dict, trunc) -> RegularSingularODE:
+    """The ODE at T = 1 with these indicial roots, plus couplings[i], a list
+    of terms (e, c), in r_i."""
+    poly = _monic(roots)
+    return RegularSingularODE(len(roots), 1, [
+        Puiseux.from_terms([(0, poly[i])] + couplings.get(i, []), trunc)
+        for i in range(len(roots))])
+
+
+@pytest.mark.parametrize("kind", ["resonant", "triple", "inhom"])
+def test_deep_recursion_has_an_exactly_zero_residual(kind):
+    # 150 steps on integer numerators, where the denominators grow to
+    # thousands of bits; apply_ode does not share the recursion's arithmetic
+    steps, F = 150, Fraction
+    f = None
+    if kind == "resonant":  # roots 1/3 and -5/3, d = 3
+        ode = _ode_with_roots((F(1, 3), F(-5, 3)),
+                              {0: [(1, F(-2, 5)), (2, F(3, 7))], 1: [(1, F(1, 2))]}, steps + 1)
+    elif kind == "triple":  # a triple root -1/4: log power 2, d = 4
+        ode = _ode_with_roots((F(-1, 4),) * 3, {0: [(1, F(5, 3))], 2: [(2, F(-1, 6))]},
+                              steps + 1)
+    else:  # f = 7/2 q^(1/5) - q^(6/5) l resonates with both roots 6/5 and 1/5
+        ode = _ode_with_roots((F(6, 5), F(1, 5)), {0: [(1, F(3, 4))]}, steps + 4)
+        trunc = F(1, 5) + steps + 2
+        f = LogQSeries(5, [Puiseux.monomial(F(7, 2), F(1, 5), trunc, 5),
+                           Puiseux.monomial(-1, F(6, 5), trunc, 5)])
+    sols, seen = _solve_recording(ode, f, steps)
+    assert seen == {int}
+    assert max(len(s.parts) for s in sols) == (2 if kind == "resonant" else 3)
+    for sol in sols:
+        resid = apply_ode(ode, sol)
         assert (resid if f is None else resid + f).is_zero()
 
 
