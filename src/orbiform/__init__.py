@@ -33,7 +33,7 @@ from .moonshine import (
     weight4_onepoint,
 )
 from .report import CheckReport
-from .series import BiSeries, LogQSeries, Puiseux, eval_at_tau, product_expand, residue, theta
+from .series import BiSeries, LogQSeries, Puiseux, eval_at_tau, product_expand, theta
 from .verify import verify_law, verify_suite
 
 __all__ = [
@@ -65,7 +65,6 @@ __all__ = [
     "prop48_check",
     "qk_series",
     "reduce_cyclic_pair",
-    "residue",
     "slash_eval",
     "solve_inhomogeneous",
     "theta",

@@ -144,13 +144,6 @@ def g2_eval(tau: complex, trunc=60) -> complex:
     return TWO_PI_I**2 * complex((coeffs * np.exp(TWO_PI_I * tau * np.arange(n))).sum())
 
 
-def del_k(f: Puiseux, k: int) -> Puiseux:
-    """theta(f) + k E_2 f, the weight-raising derivative."""
-    window = f.trunc - f.lead
-    e2 = eisenstein(2, window)
-    return theta(f, "full") + (e2 * f).scalar_mul(Fraction(k))
-
-
 # -- twisted Eisenstein series Q_k ---------------------------------------------
 
 def _add_geometric(rows: list, step: int, s: Fraction, weight: int):

@@ -410,7 +410,7 @@ def _setup(ode: RegularSingularODE, trunc, rational: bool):
 
     p_i and row i are scaled by T^(m-i); row i holds the nonzero
     (s, T^(m-i) r_{i,s}) with 0 < s < steps, s ascending.  The values are
-    Fractions when ``rational`` and every one has conductor 1, which
+    Fractions when ``rational`` and ``_rationals`` reads every one, which
     ``_recurse`` clears to ints, else CycQ.
     """
     T, m = ode.T, ode.order
@@ -426,9 +426,11 @@ def _setup(ode: RegularSingularODE, trunc, rational: bool):
                 f"coefficient series truncated at {r.trunc} < requested {span}"
             )
         rows.append([(int(e * T), c * T ** (m - i)) for e, c in r.terms() if 0 < e * T < steps])
-    if rational and all(c.conductor == 1 for c in indicial + [c for row in rows for _, c in row]):
-        indicial = [c.coeffs[0] for c in indicial]
-        rows = [[(s, c.coeffs[0]) for s, c in row] for row in rows]
+    if rational:
+        ind, vals = _rationals(indicial), [_rationals([c for _, c in row]) for row in rows]
+        if ind is not None and None not in vals:
+            indicial = ind
+            rows = [[(s, v) for (s, _), v in zip(row, vs)] for row, vs in zip(rows, vals)]
     return span, steps, indicial, rows
 
 
@@ -477,9 +479,8 @@ def apply_ode(ode: RegularSingularODE, s: LogQSeries) -> LogQSeries:
     Both are brought to the least multiple t of lcm(ode.T, s.T) whose grid
     holds the lead of every part of s and of every r_i, as rows (``_row``).
     Each product costs one row add per nonzero coefficient slot, and residual
-    part j sums part j of theta^m s and of every r_i theta^i s as
-    LogQSeries.__add__ does: lead at most 0, trunc the smallest over every
-    part of every term.
+    part j sums part j of theta^m s and of every r_i theta^i s with lead at
+    most 0 and trunc the smallest over every part of every term.
     """
     t = _lead_grid(math.lcm(ode.T, s.T), s.parts + ode.coeffs)
     scale = t // s.T
@@ -542,7 +543,9 @@ def _add_into(out: list, off: int, k, row: list) -> None:
 
 
 def _theta_rows(parts: list, t: int) -> list:
-    """LogQSeries.theta_full: theta on part i, plus part i+1 times (i+1)/t.
+    """theta = q d/dq on a polynomial in l = log q_(1/t), by the product rule
+    theta(l^i f) = l^i theta f + (i/t) l^(i-1) f: theta on part i, plus
+    part i+1 times (i+1)/t.
 
     Slot k of a part of lead P'/Q sits at (P' t + k Q)/(Q t), so theta
     multiplies it by P' t + k Q and the den by Q t.

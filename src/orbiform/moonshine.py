@@ -51,10 +51,6 @@ def load_data() -> dict:
         return json.load(fh)
 
 
-def available_classes() -> list[str]:
-    return [c["label"] for c in load_data()["classes"]]
-
-
 def hauptmodul_spec(class_label: str) -> HauptmodulSpec:
     for c in load_data()["classes"]:
         if c["label"] == class_label:
@@ -64,10 +60,6 @@ def hauptmodul_spec(class_label: str) -> HauptmodulSpec:
                 Fraction(c["const"]),
             )
     raise UnknownClass(f"no hauptmodul data for class {class_label!r}")
-
-
-def data_degrees_hint() -> list[int]:
-    return list(load_data().get("char_degrees_hint", []))
 
 
 # -- Delta, j, J ----------------------------------------------------------------

@@ -473,15 +473,7 @@ class LogQSeries:
         parts = [p.scalar_mul(scale**j) for j, p in enumerate(self.parts)]
         return LogQSeries(t, parts)
 
-    def trimmed(self) -> "LogQSeries":
-        parts = list(self.parts)
-        while len(parts) > 1 and parts[-1].is_zero():
-            parts.pop()
-        return LogQSeries(self.T, parts)
-
     def __add__(self, other):
-        if isinstance(other, Puiseux):
-            other = LogQSeries(self.T, [other])
         if not isinstance(other, LogQSeries):
             return NotImplemented
         t = _lead_grid(math.lcm(self.T, other.T), self.parts + other.parts)
@@ -491,29 +483,6 @@ class LogQSeries:
         parts = [Puiseux.sum([Puiseux.zero(trunc, t), *a.parts[i:i + 1], *b.parts[i:i + 1]])
                  for i in range(max(len(a.parts), len(b.parts)))]
         return LogQSeries(t, parts)
-
-    def __neg__(self):
-        return LogQSeries(self.T, [-p for p in self.parts])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def mul_series(self, s: Puiseux) -> "LogQSeries":
-        return LogQSeries(self.T, [p * s for p in self.parts])
-
-    def scalar_mul(self, c) -> "LogQSeries":
-        return LogQSeries(self.T, [p.scalar_mul(c) for p in self.parts])
-
-    def theta_full(self) -> "LogQSeries":
-        """q d/dq, acting on log factors via theta(l^i f) = (i/T) l^(i-1) f + l^i theta f."""
-        s = self.with_branching(_lead_grid(self.T, self.parts))
-        parts = []
-        for i, p in enumerate(s.parts):
-            term = theta(p, "full")
-            if i + 1 < len(s.parts):
-                term = term + s.parts[i + 1].scalar_mul(Fraction(i + 1, s.T))
-            parts.append(term)
-        return LogQSeries(s.T, parts)
 
     def is_zero(self) -> bool:
         return all(p.is_zero() for p in self.parts)
@@ -638,10 +607,6 @@ class BiSeries:
         if not self.coeffs:
             raise ValueError("empty window")
 
-    @property
-    def max_off(self) -> int:
-        return self.min_off + len(self.coeffs) - 1
-
     def coeff_at_w(self, exponent) -> Puiseux:
         """Coefficient of w^exponent; zero off the wlead grid."""
         exponent = Fraction(exponent)
@@ -652,8 +617,8 @@ class BiSeries:
         k = int(off) - self.min_off
         if not 0 <= k < len(self.coeffs):
             raise WindowTooSmall(
-                f"w-exponent {exponent} outside window "
-                f"[{self.wlead + self.min_off}, {self.wlead + self.max_off}]"
+                f"w-exponent {exponent} outside window [{self.wlead + self.min_off}, "
+                f"{self.wlead + self.min_off + len(self.coeffs) - 1}]"
             )
         return self.coeffs[k]
 
@@ -666,23 +631,3 @@ class BiSeries:
         # a Puiseux is always truthy, so every pair is taken and no slot is unreached
         slots = _sparse_convolve(self.coeffs, other.coeffs, n, None)
         return BiSeries(self.wlead + other.wlead, self.min_off + other.min_off, slots)
-
-    def __repr__(self):
-        return (
-            f"BiSeries(w^{self.wlead}+Z, offsets {self.min_off}..{self.max_off})"
-        )
-
-
-def residue(s):
-    """Coefficient of the (-1)-power of the outer variable.
-
-    Accepts a BiSeries (the coefficient of w^-1, a Puiseux in q) or a plain
-    Puiseux (the coefficient of q^-1, a CycQ).
-    """
-    if isinstance(s, BiSeries):
-        return s.coeff_at_w(-1)
-    if isinstance(s, Puiseux):
-        if Fraction(-1) >= s.trunc:
-            raise WindowTooSmall("exponent -1 is past the truncation order")
-        return s.coeff_at(Fraction(-1))
-    raise TypeError(f"cannot take a residue of {type(s).__name__}")

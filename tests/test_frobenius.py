@@ -54,7 +54,7 @@ def test_double_root_produces_log():
     ode = const_ode(2, [0, 0])  # theta^2 S = 0: solutions 1 and log q
     basis = frobenius_solve(ode, 8)
     assert len(basis.solutions) == 2
-    logs = sorted(len(s.trimmed().parts) for s in basis.solutions)
+    logs = sorted(len(s.parts) for s in basis.solutions)
     assert logs == [1, 2]
     for sol in basis.solutions:
         assert apply_ode(ode, sol).is_zero()
@@ -97,7 +97,8 @@ def test_inhomogeneous_resonant_log():
     ode = const_ode(1, [0], trunc=10)
     f = LogQSeries(1, [Puiseux.constant(1, 10)])
     sol = solve_inhomogeneous(ode, f, 8)
-    assert len(sol.trimmed().parts) == 2
+    assert len(sol.parts) == 2
+    assert sol.max_log_power == 1  # the traced benchmark reads it off every solve
     assert sol.parts[1].coeff_at(0) == -1
     assert (apply_ode(ode, sol) + f).is_zero()
 
@@ -109,7 +110,7 @@ def test_inhomogeneous_log_squared_term_at_a_finer_branching():
     ode = RegularSingularODE(1, 2, [Puiseux.from_terms([(0, -2), (Fraction(1, 2), 1)], 12, 2)])
     f = LogQSeries(1, [Puiseux.zero(12), Puiseux.monomial(3, 1, 12), Puiseux.monomial(1, 1, 12)])
     sol = solve_inhomogeneous(ode, f, 4)
-    assert len(sol.trimmed().parts) == 4
+    assert len(sol.parts) == 4
     assert (apply_ode(ode, sol) + f).is_zero()
 
 
@@ -555,15 +556,32 @@ def _lifted_log(s: LogQSeries, n: int) -> LogQSeries:
     return LogQSeries(s.T, [_lifted(p, n) for p in s.parts])
 
 
+def _theta_full(s: LogQSeries) -> LogQSeries:
+    """q d/dq on Puiseux parts, acting on log factors by the product rule
+    theta(l^i f) = (i/T) l^(i-1) f + l^i theta f."""
+    s = s.with_branching(_lead_grid(s.T, s.parts))
+    parts = []
+    for i, p in enumerate(s.parts):
+        term = theta(p, "full")
+        if i + 1 < len(s.parts):
+            term = term + s.parts[i + 1].scalar_mul(Fraction(i + 1, s.T))
+        parts.append(term)
+    return LogQSeries(s.T, parts)
+
+
+def _mul_series(s: LogQSeries, r: Puiseux) -> LogQSeries:
+    return LogQSeries(s.T, [p * r for p in s.parts])
+
+
 def _reference_residual(ode, s):
     """theta^m s + sum r_i theta^i s in LogQSeries arithmetic over CycQ values."""
     t = _lead_grid(lcm(ode.T, s.T), s.parts + ode.coeffs)
     images = [s.with_branching(t)]
     for _ in range(ode.order):
-        images.append(images[-1].theta_full())
+        images.append(_theta_full(images[-1]))
     out = images[ode.order]
     for i, r in enumerate(ode.coeffs):
-        out = out + images[i].mul_series(r.with_branching(t))
+        out = out + _mul_series(images[i], r.with_branching(t))
     return out
 
 
@@ -614,17 +632,9 @@ def test_coefficient_table_reads_coeff_at(ode, steps, rational):
     assert {type(c) for c in values} == {Fraction if rational else CycQ}
 
 
-# -- branching: refining commutes with theta, add and the residual -----------------
-# A lead off the (1/T)Z grid refines the branching of a sum, theta or residual,
-# so a refined input may give the same value at another T.
-
-@settings(max_examples=60, deadline=None)
-@given(log_series(on_grid=True), st.integers(2, 3))
-def test_theta_commutes_with_branching(s, k):
-    t = k * s.T
-    _assert_same_slots(s.with_branching(t).theta_full(),
-                       s.theta_full().with_branching(t))
-
+# -- branching: refining commutes with add and the residual -----------------------
+# A lead off the (1/T)Z grid refines the branching of a sum or residual, so a
+# refined input may give the same value at another T.
 
 @settings(max_examples=60, deadline=None)
 @given(log_series(on_grid=True), log_series(on_grid=True), st.integers(1, 2))
@@ -646,12 +656,6 @@ def test_residual_commutes_with_branching(ode, s, lift):
 def _assert_same_at_a_common_T(got: LogQSeries, want: LogQSeries):
     t = lcm(got.T, want.T)
     _assert_same_slots(got.with_branching(t), want.with_branching(t))
-
-
-@settings(max_examples=60, deadline=None)
-@given(log_series(), st.integers(2, 3))
-def test_theta_commutes_with_branching_off_the_grid(s, k):
-    _assert_same_at_a_common_T(s.with_branching(k * s.T).theta_full(), s.theta_full())
 
 
 @settings(max_examples=60, deadline=None)

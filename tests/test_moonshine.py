@@ -10,12 +10,11 @@ from orbiform.cyclotomic import cyc_root
 from orbiform.errors import NonIntegralCharacter, UnknownClass
 from orbiform.moonshine import (
     CharacterData,
-    available_classes,
     char_solve,
-    data_degrees_hint,
     delta_j_J,
     e4_standard,
     hauptmodul,
+    load_data,
     theta_trace,
     twisted_weight4,
     weight4_onepoint,
@@ -44,7 +43,7 @@ def test_e4_standard_normalization():
 
 
 def test_available_classes_and_hauptmoduln():
-    assert set(available_classes()) >= {"1A", "2B", "3B"}
+    assert {c["label"] for c in load_data()["classes"]} >= {"1A", "2B", "3B"}
     for label in ("1A", "2B", "3B"):
         t = hauptmodul(label, 4)
         assert t.coeff_at(-1) == 1
@@ -72,7 +71,6 @@ def test_char_solve_degrees():
     _, braces = weight4_onepoint(4)
     chars = char_solve(braces)
     assert chars.degrees == (1, 196883, 21296876)
-    assert data_degrees_hint() == [1, 196883, 21296876]
 
 
 def test_char_solve_rejects_bad_data():
@@ -108,18 +106,16 @@ def test_theta_trace_weights_coefficients():
 
 
 def test_data_override(tmp_path, monkeypatch):
-    data = {
-        "classes": [{"label": "XX", "eta": [[1, 24], [2, -24]], "const": "24"}],
-        "char_degrees_hint": [1],
-    }
+    data = {"classes": [{"label": "XX", "eta": [[1, 24], [2, -24]], "const": "24"}]}
     p = tmp_path / "moonshine.json"
     p.write_text(json.dumps(data))
-    monkeypatch.setenv("ORBIFORM_DATA", str(tmp_path))
-    assert available_classes() == ["XX"]
-    t = hauptmodul("XX", 3)
-    assert t.coeff_at(1) == 276
-    monkeypatch.setenv("ORBIFORM_DATA", str(p))
-    assert available_classes() == ["XX"]
+    # a directory or the file itself; either replaces the packaged classes
+    for override in (tmp_path, p):
+        monkeypatch.setenv("ORBIFORM_DATA", str(override))
+        assert load_data() == data
+        assert hauptmodul("XX", 3).coeff_at(1) == 276
+        with pytest.raises(UnknownClass):
+            hauptmodul("2B", 3)
 
 
 def test_bad_hauptmodul_data_rejected(tmp_path, monkeypatch):

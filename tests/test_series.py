@@ -18,6 +18,7 @@ from orbiform.errors import (
     WindowTooSmall,
 )
 from orbiform.forms import klein_hecke_series
+from orbiform.frobenius import RegularSingularODE, apply_ode
 from orbiform.modular import TorsionPair
 from orbiform.series import (
     BiSeries,
@@ -27,7 +28,6 @@ from orbiform.series import (
     _convolve,
     eval_at_tau,
     product_expand,
-    residue,
     theta,
 )
 
@@ -254,7 +254,7 @@ def test_eval_at_tau_rejects_other_precisions():
 def test_logq_theta_product_rule():
     base = geometric(8)
     s = LogQSeries(1, [base, Puiseux.constant(1, 8)])  # f + l * 1
-    d = s.theta_full()
+    d = apply_ode(RegularSingularODE(1, 1, [Puiseux.zero(20)]), s)  # theta S + 0 S
     # theta(l) = 1/T = 1, carried into the log^0 part
     assert d.parts[0].coeff_at(0) == 1
     assert d.parts[1].is_zero()
@@ -273,33 +273,19 @@ def test_logq_eval_realizes_log_q():
 def test_logq_json_roundtrip():
     s = LogQSeries(2, [geometric(5).with_branching(2), Puiseux.constant(3, 5, 2)])
     back = LogQSeries.from_json(s.to_json())
-    assert (s - back).is_zero()
+    assert back.T == s.T and len(back.parts) == len(s.parts)
+    for a, b in zip(s.parts, back.parts):
+        assert (a.T, a.lead, a.trunc) == (b.T, b.lead, b.trunc)
+        assert a.coeffs == b.coeffs
 
 
 def test_biseries_residue_and_window():
     one = Puiseux.constant(1, 5)
     b = BiSeries(0, -2, [one.scalar_mul(7), one.scalar_mul(5), one])
-    assert residue(b).coeff_at(0) == 5
+    assert b.coeff_at_w(-1).coeff_at(0) == 5
     assert b.coeff_at_w(Fraction(1, 2)).is_zero()  # off the wlead grid
     with pytest.raises(WindowTooSmall):
         b.coeff_at_w(1)
-
-
-def test_residue_of_a_puiseux():
-    s = Puiseux.from_terms([(-2, 4), (-1, 3), (0, 1)], 2)
-    assert residue(s) == 3
-    assert residue(Puiseux.zero(0)) == 0
-    with pytest.raises(WindowTooSmall):
-        residue(Puiseux.constant(1, -1))  # q^-1 is past the truncation
-    with pytest.raises(TypeError):
-        residue(3)
-
-
-def test_residue_takes_no_variable():
-    # the outer variable is fixed by the type; a named one is not ignored
-    b = BiSeries(0, -1, [Puiseux.constant(1, 5)])
-    with pytest.raises(TypeError):
-        residue(b, variable="q")
 
 
 def test_biseries_product_shifts_window():
@@ -440,7 +426,7 @@ def test_eval_agrees_with_the_term_sum_and_across_branchings(t, parts, logq, m, 
 def test_subtraction_adds_the_negation():
     p = Puiseux(2, Fraction(-1, 2), [1, cyc_root(1, 4), 0, Fraction(-3, 2)], 3)
     z = 2 - cyc_root(1, 3)
-    for a, b in ((z, p), (p, z), (p, 5), (LogQSeries(2, [p, p.shifted(1)]), p)):
+    for a, b in ((z, p), (p, z), (p, 5)):
         assert (a - b).to_json() == (a + (-b)).to_json()
     with pytest.raises(TypeError):
         p - "x"
