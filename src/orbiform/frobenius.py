@@ -9,13 +9,13 @@ congruence class mod (1/T)Z resonate.
 The recursion solves the ODE times T^m in theta_T = T theta, which acts on
 q^(mu + n/T) c(l) as (T mu + n) + d/dl, on rows of the nonzero terms of each
 r_i.  It keeps c(l) in divided powers l^j/j!, where d/dl is a shift, and
-converts only where a solution is seeded or assembled.  Its value type is
-chosen by the input: when every indicial and series coefficient of the ODE
-(and, for an inhomogeneous solve, of f) has conductor 1, it runs on integer
-numerators, each c_n over one denominator, and makes one ``Fraction`` per
-coefficient when the solution is assembled; any coefficient of conductor > 1
-keeps it on ``CycQ`` values, and indicial roots that are not all rational
-send it to ``complex`` values.
+converts only where a solution is seeded or assembled.  One function,
+``_setup``, picks its value type from the indicial roots and every value it
+reads (the ODE's, and for an inhomogeneous solve f's): on exact roots and
+rational values, integer numerators over one denominator, with each c_n over
+its own and one ``Fraction`` per coefficient when the solution is assembled;
+on exact roots and some value of conductor > 1, ``CycQ`` values; on roots
+that are not all rational, ``complex`` values.
 
 The residual ``apply_ode`` takes each log part of the series and each of
 the ODE's coefficients as a row over one denominator, of ints when every
@@ -274,33 +274,32 @@ def _solve_step(tay: list, g: list, zero):
 
 # -- the solver -----------------------------------------------------------------
 
-def _recurse(indicial, rows, x0, seed_power: int, steps: int, extra_g=None):
+def _recurse(indicial, rows, x0, seed_power: int, steps: int, f=None):
     """Coefficient polynomials c_0 .. c_{steps-1} of one Frobenius solution,
     in divided powers, as (cs, dens, d, max_log): c_n's coefficient of
     l^j/j! is cs[n][j] / (dens[n] d^j).
 
-    c_n solves P(E_n) c_n = -sum_{i,s>=1} r_{i,s} E_{n-s}^i c_{n-s} (+ the
-    inhomogeneous term), with E_n = (x0 + n) + d/dl and x0 = T mu; P and the
-    rows r_i are those of ``_setup``.  On Fraction coefficients it runs on
-    ints: with d = den(x0), d E_n = (d x0 + d n) + d/dl' is integral in
-    l' = l/d, so the equation times L d^m, for L the lcm of the denominators
-    of P and the rows, has int coefficients, and c_n is kept in divided powers
-    of l' as ints over its own positive denominator dens[n], in lowest terms.
-    CycQ and complex coefficients are kept as they are, with d and every
-    den 1.
+    c_n solves P(E_n) c_n = -sum_{i,s>=1} r_{i,s} E_{n-s}^i c_{n-s} + f[n],
+    with E_n = (x0 + n) + d/dl and x0 = T mu; P, the rows r_i and the
+    inhomogeneous terms f are those of ``_setup``, and without f the solution
+    is seeded with l^seed_power.  On ints it stays on ints: with d = den(x0),
+    d E_n = (d x0 + d n) + d/dl' is integral in l' = l/d, so the equation
+    times d^m has int coefficients, and c_n is kept in divided powers of l' as
+    ints over its own positive denominator dens[n], in lowest terms.  CycQ
+    and complex coefficients are kept as they are, with d and every den 1.
     """
     m = len(indicial) - 1
-    one, d, f_scale = indicial[-1], 1, 1  # the indicial polynomial is monic
-    if type(one) is Fraction:
+    one, d = indicial[-1], 1  # the indicial polynomial is monic, or L on ints
+    if type(one) is int:
         d = x0.denominator
-        L, ints = _scaled(indicial + [c for row in rows for _, c in row])
-        ints = iter(ints)
-        indicial = [next(ints) * d ** (m - u) for u in range(m + 1)]
-        rows = [[(s, next(ints) * d ** (m - i)) for s, _ in row] for i, row in enumerate(rows)]
-        one, x0, f_scale = 1, x0.numerator, L * d ** m
+        indicial = [c * d ** (m - u) for u, c in enumerate(indicial)]
+        rows = [[(s, c * d ** (m - i)) for s, c in row] for i, row in enumerate(rows)]
+        if f is not None:  # f_n in divided powers of l'
+            f = [[x * d ** (m + j) for j, x in enumerate(fn)] for fn in f]
+        one, x0 = 1, x0.numerator
     zero = one - one
     # l^j is j! in divided powers of l, and d^j j! in those of l'
-    cs = [] if extra_g is not None else [
+    cs = [] if f is not None else [
         [zero] * seed_power + [one * (math.factorial(seed_power) * d ** seed_power)]]
     dens = [1] * len(cs)
     # images[k][i] is E_k^i c_k, made when a row first reads it
@@ -319,12 +318,8 @@ def _recurse(indicial, rows, x0, seed_power: int, steps: int, extra_g=None):
                 p = image(n - s, i)
                 if p:
                     terms.append((c, dens[n - s], p))
-        if extra_g is not None:
-            fden, fn = 1, extra_g(n)
-            if type(one) is int:  # f_n times L d^m in divided powers of l'
-                fden, fn = _scaled(fn)
-                fn = [x * f_scale * d ** j for j, x in enumerate(fn)]
-            terms.append((-one, fden, fn))
+        if f is not None and f[n]:
+            terms.append((-1, 1, f[n]))
         den = math.lcm(*(k for _, k, _ in terms))
         g: list = []
         for c, k, p in terms:
@@ -404,14 +399,20 @@ def _group(roots: list, same) -> list:
     return groups
 
 
-def _setup(ode: RegularSingularODE, trunc, rational: bool):
-    """Span, step count, indicial polynomial and coefficient rows of a solve
-    to relative order q^trunc, for the ODE times T^m in theta_T = T theta.
+def _setup(ode: RegularSingularODE, trunc, exact: bool, f: LogQSeries | None = None,
+           lam: Fraction | None = None):
+    """Span, step count, indicial polynomial, coefficient rows and
+    inhomogeneous terms of a solve to relative order q^trunc, for the ODE
+    times T^m in theta_T = T theta, in the one value type of the solve.
 
     p_i and row i are scaled by T^(m-i); row i holds the nonzero
-    (s, T^(m-i) r_{i,s}) with 0 < s < steps, s ascending.  The values are
-    Fractions when ``rational`` and ``_rationals`` reads every one, which
-    ``_recurse`` clears to ints, else CycQ.
+    (s, T^(m-i) r_{i,s}) with 0 < s < steps, s ascending.  With f (at a
+    branching that T divides) and its leading exponent lam, fs[n] holds -T^m
+    times f's coefficients at q^(lam + n/T) in divided powers of
+    l = log q_(1/T), trailing zeros trimmed; without f, fs is empty.  The
+    values are ints over one positive lcm L when ``exact`` and ``_rationals``
+    reads every one, CycQ when ``exact`` and some value is not rational, and
+    complex embeddings of the CycQ values when not ``exact``.
     """
     T, m = ode.T, ode.order
     span = Fraction(trunc)
@@ -426,12 +427,26 @@ def _setup(ode: RegularSingularODE, trunc, rational: bool):
                 f"coefficient series truncated at {r.trunc} < requested {span}"
             )
         rows.append([(int(e * T), c * T ** (m - i)) for e, c in r.terms() if 0 < e * T < steps])
-    if rational:
-        ind, vals = _rationals(indicial), [_rationals([c for _, c in row]) for row in rows]
-        if ind is not None and None not in vals:
-            indicial = ind
-            rows = [[(s, v) for (s, _), v in zip(row, vs)] for row, vs in zip(rows, vals)]
-    return span, steps, indicial, rows
+    fs = []
+    if f is not None:
+        for p in f.parts:
+            if p.trunc < lam + span:
+                raise TruncationTooSmall(
+                    f"inhomogeneous term truncated at {p.trunc} < {lam + span}"
+                )
+        # l is (f.T/T) log q_(1/f.T), so f's l'^j part is (T/f.T)^j j! l^j/j!
+        scales = [-T**m * Fraction(T, f.T) ** j * math.factorial(j) for j in range(len(f.parts))]
+        fs = [_ptrim([p.coeff_at(lam + Fraction(n, T)) * k for p, k in zip(f.parts, scales)])
+              for n in range(steps)]
+    values = indicial + [c for row in rows for _, c in row] + [x for fn in fs for x in fn]
+    if not exact:
+        values = [c.embed() for c in values]
+    elif (rational := _rationals(values)) is not None:
+        values = _scaled(rational)[1]
+    values = iter(values)
+    indicial = [next(values) for _ in indicial]
+    rows = [[(s, next(values)) for s, _ in row] for row in rows]
+    return span, steps, indicial, rows, [[next(values) for _ in fn] for fn in fs]
 
 
 def frobenius_solve(ode: RegularSingularODE, trunc) -> FrobeniusBasis:
@@ -445,10 +460,7 @@ def frobenius_solve(ode: RegularSingularODE, trunc) -> FrobeniusBasis:
     T = ode.T
     roots = indicial_roots(ode)
     exact = all(isinstance(r, Fraction) for r in roots)
-    span, steps, indicial, rows = _setup(ode, trunc, exact)
-    if not exact:
-        indicial = [c.embed() for c in indicial]
-        rows = [[(s, c.embed()) for s, c in row] for row in rows]
+    span, steps, indicial, rows, _ = _setup(ode, trunc, exact)
     classes = _group(roots, lambda r, s: _same(r, s, T))
     solutions = []
     max_log = 0
@@ -579,32 +591,12 @@ def solve_inhomogeneous(ode: RegularSingularODE, f: LogQSeries, trunc) -> LogQSe
 
     f's exponents must lie in lambda + (1/T)Z for the leading exponent
     lambda of f; resonances with indicial roots escalate the log power,
-    with the resonant degrees of freedom fixed to zero.
+    with the resonant degrees of freedom fixed to zero.  ``_setup`` reads f
+    with the ODE, so the solve runs on ints only when both are rational.
     """
     T = ode.T
     f = f.with_branching(math.lcm(f.T, T))
     lam = min(p.normalized().lead for p in f.parts if not p.is_zero())
-    # the Fraction path needs f rational as well as the ODE
-    f_rational = all(_rationals(p.coeffs) is not None for p in f.parts)
-    span, steps, indicial, rows = _setup(ode, trunc, f_rational)
-    for p in f.parts:
-        if p.trunc < lam + span:
-            raise TruncationTooSmall(
-                f"inhomogeneous term truncated at {p.trunc} < {lam + span}"
-            )
-    rational = isinstance(indicial[-1], Fraction)
-
-    # the recursion solves the ODE times T^m in l = log q_(1/T), which is
-    # (f.T/T) times log q_(1/f.T), in divided powers: l'^j is (T/f.T)^j j! l^j/j!
-    scales = [-T**ode.order * Fraction(T, f.T) ** j * math.factorial(j)
-              for j in range(len(f.parts))]
-
-    def extra_g(n: int):
-        e = lam + Fraction(n, T)
-        coeffs = [part.coeff_at(e) for part in f.parts]
-        if rational:
-            coeffs = [c.coeffs[0] for c in coeffs]
-        return _ptrim([c * k for c, k in zip(coeffs, scales)])
-
-    cs, dens, d, max_log = _recurse(indicial, rows, T * lam, -1, steps, extra_g=extra_g)
+    span, steps, indicial, rows, fs = _setup(ode, trunc, True, f, lam)
+    cs, dens, d, max_log = _recurse(indicial, rows, T * lam, -1, steps, fs)
     return _fold_solution(cs, dens, d, lam, T, span, max_log)

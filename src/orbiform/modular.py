@@ -131,18 +131,6 @@ def _bezout(a: int, b: int) -> tuple[int, int]:
     return old_u, old_v
 
 
-def slash_eval(evaluator, k: int, gamma: GammaMat, tau: complex, *aux, **kwargs):
-    """(F |_k gamma)(tau) = (c tau + d)^(-k) F(gamma tau).
-
-    For two-variable evaluators pass rescale_z=True; the first positional
-    auxiliary argument is then treated as z and rescaled to z/(c tau + d).
-    """
-    rescale_z = kwargs.pop("rescale_z", False)
-    j = gamma.automorphy(tau)
-    gt = gamma.apply(tau)
-    if rescale_z:
-        z, *rest = aux
-        value = evaluator(z / j, gt, *rest, **kwargs)
-    else:
-        value = evaluator(gt, *aux, **kwargs)
-    return j ** (-k) * value
+def slash_eval(evaluator, k: int, gamma: GammaMat, tau: complex):
+    """(F |_k gamma)(tau) = (c tau + d)^(-k) F(gamma tau)."""
+    return gamma.automorphy(tau) ** (-k) * evaluator(gamma.apply(tau))

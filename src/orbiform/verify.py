@@ -84,17 +84,11 @@ def _wp1_laws(params: dict, tau_grid, tol: float):
         yield wp1_eval(z / j, gamma.apply(tau), trunc) - j * base
 
 
-def _finite_diff_theta(F, tau: complex, h: float = 1e-3) -> complex:
-    """(1/2 pi i) dF/dtau via a five-point central stencil."""
-    d = (
-        -F(tau + 2 * h) + 8 * F(tau + h) - 8 * F(tau - h) + F(tau - 2 * h)
-    ) / (12 * h)
-    return d / TWO_PI_I
-
-
 def _delk_commutes(params: dict, tau_grid, tol: float):
     """(del_k f)|_{k+2} gamma = del_k (f|_k gamma) on weight-4 and twisted
-    weight-2 samples, with q d/dq realized by finite differences."""
+    weight-2 samples, with theta = q d/dq taken exactly on the embedded
+    coefficients: slot i, at q^(lead + i/T), is multiplied by lead + i/T."""
+    import numpy as np
     gamma, terms, pair = params["gamma"], params["terms"], params["pair"]
     _check_terms(terms)
     acted = pair_act(pair, gamma)
@@ -103,10 +97,13 @@ def _delk_commutes(params: dict, tau_grid, tol: float):
         qk_series(2, pair, Fraction(terms, pair.M)),
         qk_series(2, acted, Fraction(terms, acted.M))))
 
-    def del_k(series, k):
-        def F(t):
-            return eval_at_tau(series, t).value
-        return lambda t: _finite_diff_theta(F, t) + k * eval_at_tau(e2, t).value * F(t)
+    def del_k(f, k):
+        exponents = f.leads[0] + np.arange(f.coeffs.shape[1]) / f.T
+
+        def at(t):
+            row = f.coeffs[0] * np.exp(TWO_PI_I * t * exponents)
+            return (row * exponents).sum() + k * eval_at_tau(e2, t).value * row.sum()
+        return at
 
     # (weight, f, f|gamma): both E4 slots are E4 since it is modular
     for k, f, fg in ((4, e4, e4), (2, q2, q2g)):

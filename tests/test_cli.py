@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface via run(argv)."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -9,9 +11,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import orbiform
 from orbiform.cli import MAX_TRUNC_SLOTS, MAX_WEIGHT, run
+from orbiform.verify import LAW_IDS
 from orbiform.forms import PK_CUTOFF_CAP
 from orbiform.frobenius import RegularSingularODE
 from orbiform.series import Puiseux
@@ -279,6 +284,73 @@ def test_pairs_reduce_modulus_must_be_positive(capsys):
         assert run(["pairs", "reduce", "2", "3", n]) == 2
         captured = capsys.readouterr()
         assert "argument n" in captured.err and captured.out == ""
+
+
+# -- every run ends in one of three ways ------------------------------------------
+
+moduli = st.integers(-2, 12)
+ratios = st.builds("{}/{}".format, st.integers(0, 13), moduli)  # a zero modulus is 1/0
+taus = st.sampled_from([1j, 0.5 + 1j, 0.3 + 1.7j, 1.2j, -0.4 + 0.9j])
+
+
+def _complex_arg(w: complex) -> str:
+    return f"{w.real!r}{w.imag:+}i"
+
+
+@st.composite
+def cli_argvs(draw):
+    """pk-eval, verify and pairs, with M, N <= 12, z in the annulus
+    -Im tau < Im z < Im tau, tau on a grid and moduli from -2 to 12; every
+    option value is given as --opt=value, so a leading minus is a value."""
+    tau = draw(taus)
+    z = complex(draw(st.floats(-1, 1)), draw(st.floats(-0.99, 0.99)) * tau.imag)
+    command = draw(st.sampled_from(["pk-eval", "verify", "pairs reduce", "pairs orbit"]))
+    if command == "pairs reduce":
+        return ["pairs", "reduce", *map(str, draw(st.tuples(moduli, moduli, moduli)))]
+    if command == "pairs orbit":
+        return ["pairs", "orbit", draw(ratios), draw(ratios)]
+    if command == "pk-eval":
+        argv = ["pk-eval", str(draw(st.integers(-1, 6))), draw(ratios), draw(ratios),
+                f"--z={_complex_arg(z)}", f"--tau={_complex_arg(tau)}"]
+        cutoff = draw(st.none() | st.integers(-2, 1000))
+        return argv if cutoff is None else argv + [f"--cutoff={cutoff}"]
+    argv = ["verify", draw(st.sampled_from(LAW_IDS))]
+    options = {
+        "k": st.integers(-1, 6).map(str),
+        "pair": st.builds("{},{}".format, ratios, ratios),
+        "gamma": st.sampled_from(["S", "T", "ST", "TS", "2,1,1,1", "1,1,1,1"]),
+        "z": st.just(_complex_arg(z)),
+        "terms": st.integers(-1, 40).map(str),
+    }
+    for name in draw(st.sets(st.sampled_from(sorted(options)), max_size=2)):
+        argv.append(f"--{name}={draw(options[name])}")
+    return argv
+
+
+@settings(max_examples=80, deadline=None)
+@given(cli_argvs())
+@example(["verify", "delk_commutes", "--terms=1"])  # a failing law: its report, exit 1
+@example(["pk-eval", "1", "1/2", "1/3", "--z=0.1-0.3i", "--tau=1.2i"])  # overflow: exit 1
+@example(["pairs", "reduce", "2", "3", "0"])  # a zero modulus: exit 2
+def test_every_run_ends_in_exit_0_1_or_2(argv):
+    # exit 0 with JSON, exit 1 with an error line (or, from verify, a failing
+    # law's report), or exit 2 with a usage error; an exception out of run()
+    # is a traceback and fails the test
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert "Traceback" not in err
+    reports = [json.loads(line) for line in out.splitlines()]
+    if code == 0:
+        assert reports and all(r.get("pass", True) for r in reports)
+    elif code == 1 and reports:
+        assert argv[0] == "verify" and not reports[0]["pass"] and err.startswith("FAIL ")
+    elif code == 1:
+        assert any(line.startswith("error: ") for line in err.splitlines())
+    else:
+        assert code == 2 and out == ""
+        assert "usage error: " in err or "usage: " in err
 
 
 def test_usage_errors(capsys):

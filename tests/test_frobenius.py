@@ -458,20 +458,25 @@ def test_fraction_recursion_matches_cyclotomic_recursion(case):
     ode, f, trunc = case
     sols, seen = _solve_recording(ode, f, trunc)
     assert seen == {int}  # the rational path runs on integer numerators
-    # at conductor 3 no coefficient is a rational row: the CycQ recursion runs
-    lifted = RegularSingularODE(ode.order, ode.T, [_lifted(r, 3) for r in ode.coeffs])
-    lifted_f = None if f is None else LogQSeries(f.T, [_lifted(p, 3) for p in f.parts])
-    expected, seen = _solve_recording(lifted, lifted_f, trunc)
-    assert seen == {CycQ}
-    assert len(sols) == len(expected)
-    for got, want in zip(sols, expected):
-        assert got.T == want.T and len(got.parts) == len(want.parts)
-        for a, b in zip(got.parts, want.parts):
-            assert (a.T, a.lead, a.trunc) == (b.T, b.lead, b.trunc)
-            assert a.coeffs == b.coeffs
-            assert all(c.conductor == 1 for c in a.coeffs)
+    for got in sols:
         resid = apply_ode(ode, got)
         assert (resid if f is None else resid + f).is_zero()
+    # at conductor 3 no coefficient is a rational row: the CycQ recursion runs
+    lifted = RegularSingularODE(ode.order, ode.T, [_lifted(r, 3) for r in ode.coeffs])
+    cases = [(lifted, None)]
+    if f is not None:  # and each mixed case: _setup reads f when it picks the type
+        lifted_f = _lifted_log(f, 3)
+        cases = [(lifted, lifted_f), (ode, lifted_f), (lifted, f)]
+    for o, g in cases:
+        expected, seen = _solve_recording(o, g, trunc)
+        assert seen == {CycQ}
+        assert len(sols) == len(expected)
+        for got, want in zip(sols, expected):
+            assert got.T == want.T and len(got.parts) == len(want.parts)
+            for a, b in zip(got.parts, want.parts):
+                assert (a.T, a.lead, a.trunc) == (b.T, b.lead, b.trunc)
+                assert a.coeffs == b.coeffs
+                assert all(c.conductor == 1 for c in a.coeffs)
 
 
 def _ode_with_roots(roots, couplings: dict, trunc) -> RegularSingularODE:
@@ -612,24 +617,47 @@ def test_row_residual_matches_series_residual(ode, s):
     assert all(c.conductor == 1 for p in apply_ode(ode, s).parts for c in p.coeffs)
 
 
-@settings(max_examples=40, deadline=None)
-@given(odes(), st.integers(1, 8), st.booleans())
-def test_coefficient_table_reads_coeff_at(ode, steps, rational):
+@settings(max_examples=60, deadline=None)
+@given(odes(), st.integers(1, 8), st.sampled_from(["none", "ode", "f"]),
+       st.none() | log_series())
+def test_coefficient_table_reads_coeff_at(ode, steps, lift, f):
     # _setup's indicial polynomial and sparse rows are those of the ODE times
-    # T^m in theta_T = T theta: p_i and r_i scaled by T^(m - i)
-    span = min(Fraction(steps, ode.T), *(r.trunc for r in ode.coeffs))
-    assume(span >= Fraction(1, ode.T))
-    _, n, indicial, rows = frobenius._setup(ode, span, rational)
-    m = ode.order
-    assert indicial[m] == 1
+    # T^m in theta_T = T theta, p_i and r_i scaled by T^(m - i), and fs[n] is
+    # -T^m times f at q^(lam + n/T) in divided powers of l = log q_(1/T); all
+    # ints times one L > 0 when every value read is rational, else CycQ
+    if lift == "ode":
+        ode = RegularSingularODE(ode.order, ode.T, [_lifted(r, 3) for r in ode.coeffs])
+    T, m = ode.T, ode.order
+    span = min(Fraction(steps, T), *(r.trunc for r in ode.coeffs))
+    lam = None
+    if f is not None:
+        f = f.with_branching(lcm(f.T, T))
+        assume(not all(p.is_zero() for p in f.parts))
+        if lift == "f":
+            f = _lifted_log(f, 3)
+        lam = min(p.normalized().lead for p in f.parts if not p.is_zero())
+        span = min(span, *(p.trunc - lam for p in f.parts))
+    assume(span >= Fraction(1, T))
+    _, n, indicial, rows, fs = frobenius._setup(ode, span, True, f, lam)
+    want = [c * T ** (m - i) for i, c in enumerate(indicial_polynomial(ode))]
     for i, (r, row) in enumerate(zip(ode.coeffs, rows)):
-        scale = ode.T ** (m - i)
-        assert indicial[i] == r.coeff_at(0) * scale
         assert [s for s, _ in row] == sorted(s for s, c in row if c)
-        assert [dict(row).get(s, 0) for s in range(1, n)] == [
-            r.coeff_at(Fraction(s, ode.T)) * scale for s in range(1, n)]
-    values = indicial + [c for row in rows for _, c in row]
-    assert {type(c) for c in values} == {Fraction if rational else CycQ}
+        want += [r.coeff_at(Fraction(s, T)) * T ** (m - i) for s in range(1, n)]
+    want_f = [] if f is None else [
+        [p.coeff_at(lam + Fraction(k, T)) * (-T ** m * Fraction(T, f.T) ** j * math.factorial(j))
+         for j, p in enumerate(f.parts)] for k in range(n)]
+    got = indicial + [dict(row).get(s, 0) for row in rows for s in range(1, n)]
+    got_f = [fn + [0] * (len(f.parts) - len(fn)) for fn in fs]
+    values = indicial + [c for row in rows for _, c in row] + [c for fn in fs for c in fn]
+    if all(c.conductor == 1 for c in want + [c for fn in want_f for c in fn]):
+        L = indicial[m]
+        assert {type(c) for c in values} == {int} and L > 0
+        assert got == [c.rational_value() * L for c in want]
+        assert got_f == [[c.rational_value() * L for c in fn] for fn in want_f]
+    else:
+        assert {type(c) for c in values} == {CycQ}
+        assert got == want and got_f == want_f
+    assert all(not fn or fn[-1] for fn in fs)  # trailing zeros trimmed
 
 
 # -- branching: refining commutes with add and the residual -----------------------

@@ -122,7 +122,3 @@ def test_slash_eval_weights():
     tau = 0.4 + 1.2j
     j = S.automorphy(tau)
     assert abs(slash_eval(F, 3, S, tau) - j ** (-3) * F(S.apply(tau))) < 1e-12
-    # two-variable rescaling
-    G = lambda z, tau: z * tau
-    got = slash_eval(G, 1, S, tau, 0.2j, rescale_z=True)
-    assert abs(got - j ** (-1) * G(0.2j / j, S.apply(tau))) < 1e-12

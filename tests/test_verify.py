@@ -63,6 +63,13 @@ def test_p_invariance_negative_at_trivial_pair():
     assert r.error > 1e-3
 
 
+def test_delk_law_takes_theta_exactly_on_the_default_grid():
+    # theta = q d/dq multiplies each embedded slot by its exponent; the
+    # five-point finite difference in its place would be off by 7.5e-13 here
+    r = verify_law("delk_commutes", tau_grid=verify.DEFAULT_TAU_GRID)
+    assert r.error < 1e-15
+
+
 def test_report_serialization():
     r = verify_law("G2_quasimodular")
     obj = r.to_json()
