@@ -5,7 +5,7 @@ The exact layers need only the standard library: numpy and mpmath are
 imported inside the numeric functions that use them, so importing orbiform
 loads neither."""
 
-from .cyclotomic import CycQ, Rational, cyc_root, cyc_root_of
+from .cyclotomic import CycQ, cyc_root, cyc_root_of
 from .forms import (
     bernoulli_number,
     bernoulli_poly,
@@ -44,7 +44,6 @@ __all__ = [
     "GammaMat",
     "LogQSeries",
     "Puiseux",
-    "Rational",
     "RegularSingularODE",
     "TorsionPair",
     "apply_ode",

@@ -45,39 +45,39 @@ MAX_TRUNC_SLOTS = 10_000
 MAX_WEIGHT = 200
 
 
+class UsageError(Exception):
+    """A rule across arguments (or the --ode file); argparse types check each value."""
+
+
 def _parse_fraction(s: str) -> Fraction:
+    """An argparse type: a rational like 2/3."""
     try:
         return Fraction(s)
-    except (ValueError, ZeroDivisionError) as e:
-        raise UsageError(f"expected a rational like 2/3, got {s!r}") from e
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"expected a rational like 2/3, got {s!r}") from None
 
 
-class UsageError(Exception):
-    pass
+def _parse_trunc(s: str) -> Fraction:
+    """An argparse type: a rational above 0 (its slots are checked against the
+    branching by _default_trunc)."""
+    trunc = _parse_fraction(s)
+    if trunc <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {s}")
+    return trunc
 
 
-def _parse_weight(s: str, low: int = 0, even: bool = False) -> int:
-    """An argparse type: an integer in low..MAX_WEIGHT, and even if asked."""
-    try:
-        k = int(s)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {s!r}") from None
-    if not low <= k <= MAX_WEIGHT:
-        raise argparse.ArgumentTypeError(
-            f"must be between {low} and MAX_WEIGHT = {MAX_WEIGHT}, got {k}")
-    if even and k % 2:
-        raise argparse.ArgumentTypeError(f"must be even, got {k}")
-    return k
-
-
-def _parse_modulus(s: str) -> int:
-    """An argparse type: a positive integer."""
+def _parse_int(s: str, low: int = 0, high: int | None = MAX_WEIGHT, even: bool = False) -> int:
+    """An argparse type: an integer in low..high (no upper bound if high is
+    None), and even if asked; by default a weight, 0..MAX_WEIGHT."""
     try:
         n = int(s)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {s!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be positive, got {n}")
+    if n < low or high is not None and n > high:
+        span = f"at least {low}" if high is None else f"between {low} and {high}"
+        raise argparse.ArgumentTypeError(f"must be {span}, got {n}")
+    if even and n % 2:
+        raise argparse.ArgumentTypeError(f"must be even, got {n}")
     return n
 
 
@@ -94,35 +94,39 @@ def _parse_tol(s: str) -> float:
 
 
 def _parse_pair(s: str) -> TorsionPair:
+    """An argparse type: a torsion pair like 1/2,1/3."""
     parts = s.split(",")
     if len(parts) != 2:
-        raise UsageError(f"expected a pair like 1/2,1/3, got {s!r}")
-    return TorsionPair(_parse_fraction(parts[0]), _parse_fraction(parts[1]))
+        raise argparse.ArgumentTypeError(f"expected a pair like 1/2,1/3, got {s!r}")
+    return TorsionPair(*map(_parse_fraction, parts))
 
 
 def _parse_gamma(s: str) -> GammaMat:
+    """An argparse type: a word in S, T and I, or four integers a,b,c,d with
+    ad - bc = 1."""
     words = {"S": S, "T": T, "I": GammaMat(1, 0, 0, 1)}
     if all(ch in words for ch in s):
         g = GammaMat(1, 0, 0, 1)
         for ch in s:
             g = g @ words[ch]
         return g
-    parts = s.split(",")
-    if len(parts) != 4:
-        raise UsageError(
-            f"expected S/T words or four integers a,b,c,d, got {s!r}"
-        )
     try:
-        return GammaMat(*(int(p) for p in parts))
-    except (ValueError, NotUnimodular) as e:
-        raise UsageError(f"--gamma {s}: {e}") from e
+        a, b, c, d = map(int, s.split(","))
+        return GammaMat(a, b, c, d)
+    except ValueError:  # not four integers
+        raise argparse.ArgumentTypeError(
+            f"expected S/T words or four integers a,b,c,d, got {s!r}") from None
+    except NotUnimodular as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
 def _parse_complex(s: str) -> complex:
+    """An argparse type: a complex number like 0.3+1.7i."""
     try:
         return complex(s.replace("i", "j"))
-    except ValueError as e:
-        raise UsageError(f"expected a complex number like 0.3+1.7j, got {s!r}") from e
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a complex number like 0.3+1.7i, got {s!r}") from None
 
 
 def _coeff_json(c: CycQ):
@@ -145,19 +149,16 @@ def _emit(obj, summary: str) -> None:
 
 
 def _default_trunc(args, branching: int) -> Fraction:
-    """--trunc, or DEFAULT_TERMS slots; it must be positive and need at
-    most MAX_TRUNC_SLOTS slots of width 1/branching."""
+    """--trunc, or DEFAULT_TERMS slots; it must need at most MAX_TRUNC_SLOTS
+    slots of width 1/branching."""
     if args.trunc is None:
         return Fraction(DEFAULT_TERMS, branching)
-    trunc = _parse_fraction(args.trunc)
-    if trunc <= 0:
-        raise UsageError(f"--trunc must be positive, got {args.trunc}")
-    if trunc * branching > MAX_TRUNC_SLOTS:
+    if args.trunc * branching > MAX_TRUNC_SLOTS:
         raise UsageError(
             f"--trunc {args.trunc} needs more than {MAX_TRUNC_SLOTS} slots "
             f"at branching {branching}"
         )
-    return trunc
+    return args.trunc
 
 
 # -- subcommand handlers ---------------------------------------------------------
@@ -170,7 +171,7 @@ def _cmd_bernoulli(args) -> int:
             f"Bernoulli polynomial B_{args.k}, ascending coefficients",
         )
     else:
-        v = bernoulli_value(args.k, _parse_fraction(args.x))
+        v = bernoulli_value(args.k, args.x)
         _emit({"value": str(v)}, f"B_{args.k}({args.x}) = {v}")
     return 0
 
@@ -182,24 +183,18 @@ def _cmd_eisenstein(args) -> int:
 
 
 def _cmd_qk(args) -> int:
-    pair = TorsionPair(_parse_fraction(args.j_over_M), _parse_fraction(args.l_over_N))
+    pair = TorsionPair(args.j_over_M, args.l_over_N)
     s = qk_series(args.k, pair, _default_trunc(args, pair.M))
     _emit(_series_json(s), f"Q_{args.k}{pair} to order q^{s.trunc}")
     return 0
 
 
 def _cmd_pk_eval(args) -> int:
-    pair = TorsionPair(_parse_fraction(args.j_over_M), _parse_fraction(args.l_over_N))
-    z = _parse_complex(args.z)
-    tau = _parse_complex(args.tau)
-    if not 1 <= args.cutoff <= PK_CUTOFF_CAP:
-        raise UsageError(
-            f"--cutoff must be between 1 and {PK_CUTOFF_CAP}, got {args.cutoff}"
-        )
-    value, tail = pk_eval(args.k, pair, z, tau, args.cutoff)
+    pair = TorsionPair(args.j_over_M, args.l_over_N)
+    value, tail = pk_eval(args.k, pair, args.z, args.tau, args.cutoff)
     _emit(
         {"value": [value.real, value.imag], "tail_bound": tail},
-        f"P_{args.k}{pair}(z={z}, tau={tau}) = {value} (tail <= {tail:g})",
+        f"P_{args.k}{pair}(z={args.z}, tau={args.tau}) = {value} (tail <= {tail:g})",
     )
     return 0
 
@@ -211,24 +206,9 @@ def _cmd_zhu_coeff(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    params = {}
-    if args.k is not None:
-        params["k"] = args.k
-    if args.pair is not None:
-        params["pair"] = _parse_pair(args.pair)
-    if args.gamma is not None:
-        params["gamma"] = _parse_gamma(args.gamma)
-    if args.z is not None:
-        params["z"] = _parse_complex(args.z)
-    if args.terms is not None:
-        if not 1 <= args.terms <= MAX_TRUNC_SLOTS:
-            raise UsageError(
-                f"--terms must be between 1 and {MAX_TRUNC_SLOTS}, got {args.terms}"
-            )
-        params["terms"] = args.terms
+    params = {key: value for key in ("k", "pair", "gamma", "z", "terms")
+              if (value := getattr(args, key)) is not None}
     if args.suite:
-        if args.suite != "all":
-            raise UsageError("only --suite all is supported")
         if args.law_id is not None or params:
             raise UsageError("--suite all takes no law id and no law option "
                              "(--k, --pair, --gamma, --z, --terms)")
@@ -312,12 +292,10 @@ def _cmd_moonshine(args) -> int:
     elif what == "theta":
         s = theta_trace(cls, trunc)
         _emit(_series_json(s), f"theta of T_{cls}")
-    elif what == "chars":
+    else:  # chars
         _, braces = weight4_onepoint(max(trunc, 4))
         chars = char_solve(braces)
         _emit({"chi": list(chars.degrees)}, f"character degrees {chars.degrees}")
-    else:
-        raise UsageError(f"unknown moonshine subcommand {what!r}")
     return 0
 
 
@@ -329,7 +307,7 @@ def _cmd_pairs(args) -> int:
             f"({args.a},{args.c}) mod {args.n} -> (0,{e}) via {gamma}",
         )
         return 0
-    pair = _parse_pair(f"{args.a},{args.c}")
+    pair = TorsionPair(args.a, args.c)
     seen = {pair}
     frontier = [pair]
     while frontier:
@@ -354,51 +332,53 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bernoulli", help="Bernoulli polynomial or value")
-    p.add_argument("k", type=_parse_weight)
-    p.add_argument("x", nargs="?", default=None)
+    p.add_argument("k", type=_parse_int)
+    p.add_argument("x", nargs="?", default=None, type=_parse_fraction)
     p.set_defaults(func=_cmd_bernoulli)
 
     p = sub.add_parser("eisenstein", help="Eisenstein series q-expansion")
-    p.add_argument("k", type=functools.partial(_parse_weight, low=2, even=True))
-    p.add_argument("--trunc", default=None)
+    p.add_argument("k", type=functools.partial(_parse_int, low=2, even=True))
+    p.add_argument("--trunc", default=None, type=_parse_trunc)
     p.set_defaults(func=_cmd_eisenstein)
 
     p = sub.add_parser("qk", help="twisted Eisenstein q-expansion")
-    p.add_argument("k", type=_parse_weight)
-    p.add_argument("j_over_M")
-    p.add_argument("l_over_N")
-    p.add_argument("--trunc", default=None)
+    p.add_argument("k", type=_parse_int)
+    p.add_argument("j_over_M", type=_parse_fraction)
+    p.add_argument("l_over_N", type=_parse_fraction)
+    p.add_argument("--trunc", default=None, type=_parse_trunc)
     p.set_defaults(func=_cmd_qk)
 
     p = sub.add_parser("pk-eval", help="numeric two-variable series value")
-    p.add_argument("k", type=functools.partial(_parse_weight, low=1))
-    p.add_argument("j_over_M")
-    p.add_argument("l_over_N")
-    p.add_argument("--z", required=True)
-    p.add_argument("--tau", required=True)
-    p.add_argument("--cutoff", type=int, default=400)
+    p.add_argument("k", type=functools.partial(_parse_int, low=1))
+    p.add_argument("j_over_M", type=_parse_fraction)
+    p.add_argument("l_over_N", type=_parse_fraction)
+    p.add_argument("--z", required=True, type=_parse_complex)
+    p.add_argument("--tau", required=True, type=_parse_complex)
+    p.add_argument("--cutoff", type=functools.partial(_parse_int, low=1, high=PK_CUTOFF_CAP),
+                   default=400)
     p.set_defaults(func=_cmd_pk_eval)
 
     p = sub.add_parser("zhu-coeff", help="square-bracket change-of-basis coefficient")
     p.add_argument("p", type=int)
-    p.add_argument("i", type=_parse_weight)
-    p.add_argument("m", type=_parse_weight)
+    p.add_argument("i", type=_parse_int)
+    p.add_argument("m", type=_parse_int)
     p.set_defaults(func=_cmd_zhu_coeff)
 
     p = sub.add_parser("verify", help="check a transformation law numerically")
     p.add_argument("law_id", nargs="?", default=None, choices=(*LAW_IDS, None))
-    p.add_argument("--suite", default=None)
-    p.add_argument("--k", type=_parse_weight, default=None)
-    p.add_argument("--pair", default=None)
-    p.add_argument("--gamma", default=None)
-    p.add_argument("--z", default=None)
-    p.add_argument("--terms", type=int, default=None)
+    p.add_argument("--suite", default=None, choices=("all",))
+    p.add_argument("--k", type=_parse_int, default=None)
+    p.add_argument("--pair", default=None, type=_parse_pair)
+    p.add_argument("--gamma", default=None, type=_parse_gamma)
+    p.add_argument("--z", default=None, type=_parse_complex)
+    p.add_argument("--terms", type=functools.partial(_parse_int, low=1, high=MAX_TRUNC_SLOTS),
+                   default=None)
     p.add_argument("--tol", type=_parse_tol, default=DEFAULT_TOL)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("frobenius", help="solve a regular-singular ODE")
     p.add_argument("--ode", required=True)
-    p.add_argument("--trunc", default=None)
+    p.add_argument("--trunc", default=None, type=_parse_trunc)
     p.set_defaults(func=_cmd_frobenius)
 
     p = sub.add_parser("moonshine", help="Moonshine series and identities")
@@ -407,7 +387,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     # read by hauptmodul, twisted4 and theta, where it defaults to 1A
     p.add_argument("--class", dest="cls", default=None)
-    p.add_argument("--trunc", default=None)
+    p.add_argument("--trunc", default=None, type=_parse_trunc)
     p.set_defaults(func=_cmd_moonshine)
 
     p = sub.add_parser("pairs", help="torsion-pair reduction and orbits")
@@ -415,10 +395,10 @@ def _build_parser() -> argparse.ArgumentParser:
     pr = psub.add_parser("reduce")
     pr.add_argument("a", type=int)
     pr.add_argument("c", type=int)
-    pr.add_argument("n", type=_parse_modulus)
+    pr.add_argument("n", type=functools.partial(_parse_int, low=1, high=None))
     po = psub.add_parser("orbit")
-    po.add_argument("a")
-    po.add_argument("c")
+    po.add_argument("a", type=_parse_fraction)
+    po.add_argument("c", type=_parse_fraction)
     p.set_defaults(func=_cmd_pairs)
 
     return ap

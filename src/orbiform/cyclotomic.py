@@ -21,8 +21,6 @@ import functools
 from fractions import Fraction
 from math import gcd, lcm
 
-Rational = Fraction
-
 
 @functools.lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:

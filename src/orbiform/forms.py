@@ -123,25 +123,20 @@ def eisenstein(k: int, trunc) -> Puiseux:
     return Puiseux._make(1, Fraction(0), _from_rationals(coeffs), trunc)
 
 
-def _sigma1(n: int):
-    """sigma_1(m) for m = 0 .. n-1 (0 at m = 0): each d < n added at its multiples."""
-    import numpy as np
-    divisor = np.repeat(np.arange(1, n), (n - 1) // np.arange(1, n))
-    # entry j of the block of d, counted from the block's start, stands for (j + 1) d
-    multiple = divisor * (np.arange(divisor.size) - np.searchsorted(divisor, divisor) + 1)
-    return np.bincount(multiple, weights=divisor, minlength=n).astype(np.int64)
-
-
 def g2_eval(tau: complex, trunc=60) -> complex:
-    """(2 pi i)^2 E_2(tau) summed over eisenstein(2, trunc): -1/12 + 2 sum sigma_1(m) q^m."""
+    """(2 pi i)^2 E_2(tau) summed over eisenstein(2, trunc): -1/12 + 2 sum_(m<n) sigma_1(m) q^m
+    (0 for n = 0), with each divisor d's part d sum_(j=1..K) q^(d j), K = (n-1)//d, in
+    closed form: d (q^d - q^(d (K+1)))/(1 - q^d)."""
     import numpy as np
     if tau.imag <= 0:
         raise NotConvergent("evaluation requires Im(tau) > 0")
     n = max(0, math.ceil(Fraction(trunc)))
-    coeffs = 2.0 * _sigma1(n)
-    if n:
-        coeffs[0] = -1 / 12
-    return TWO_PI_I**2 * complex((coeffs * np.exp(TWO_PI_I * tau * np.arange(n))).sum())
+    if not n:
+        return 0j
+    d = np.arange(1, n)
+    qd = np.exp(TWO_PI_I * tau * d)
+    top = np.exp(TWO_PI_I * tau * d * ((n - 1) // d + 1))
+    return TWO_PI_I**2 * (2 * complex((d * (qd - top) / (1 - qd)).sum()) - 1 / 12)
 
 
 # -- twisted Eisenstein series Q_k ---------------------------------------------
@@ -293,17 +288,18 @@ def pbar_series(k: int, pair: TorsionPair, window: tuple[int, int], trunc) -> Bi
 # -- numeric evaluators for P_k and wp1 -----------------------------------------
 
 def _lerch_positive(k: int, a: float, z: complex) -> complex:
-    """Analytic continuation of sum_(r>=0) (a+r)^(k-1) q_z^(a+r).
+    """Analytic continuation of sum_(r>=0) (a+r)^(k-1) q_z^(a+r) / (k-1)!.
 
-    Computed as theta^(k-1) applied to x^a/(1-x) with x = q_z; terms are
-    kept in the basis x^(a+j) (1-x)^(-i).
+    Computed as theta^(k-1)/(k-1)! applied to x^a/(1-x) with x = q_z; terms
+    are kept in the basis x^(a+j) (1-x)^(-i), and theta step s divides by s,
+    so no coefficient grows like (k-1)! before the factorial is applied.
     """
     terms = {(0, 1): 1.0 + 0j}
-    for _ in range(k - 1):
+    for step in range(1, k):
         new: dict[tuple[int, int], complex] = {}
         for (j, i), c in terms.items():
-            new[(j, i)] = new.get((j, i), 0j) + c * (a + j)
-            new[(j + 1, i + 1)] = new.get((j + 1, i + 1), 0j) + c * i
+            new[(j, i)] = new.get((j, i), 0j) + c * (a + j) / step
+            new[(j + 1, i + 1)] = new.get((j + 1, i + 1), 0j) + c * i / step
         terms = new
     x = cmath.exp(TWO_PI_I * z)
     return sum(
@@ -343,32 +339,43 @@ def pk_eval(
     a1 = pair.j_over_M
     lam = complex(pair.lam.embed())
     lam_inv = 1 / lam
-    km1fact = 1 / math.factorial(k - 1)
     ratio = max(abs(qz) * abs(qt), abs(qt) / abs(qz))
 
     def tail_bound(c: int) -> float:
-        # sum_{|n|>c} |n|^(k-1) r^|n| <= 2 (c+1)^(k-1) r^(c+1)/(1-r)^k
-        return 2 * (c + 1) ** (k - 1) * ratio ** (c + 1) / (1 - ratio) ** k * km1fact
+        # sum_{|n|>c} |n|^(k-1) r^|n| / (k-1)! <= 2 (c+1)^(k-1) r^(c+1) / ((1-r)^k (k-1)!),
+        # in logs: (c+1)^(k-1) overflows a float once k >= 120; a bound past the float
+        # range is inf, so a tol still doubles the cutoff
+        try:
+            return math.exp(math.log(2) + (k - 1) * math.log(c + 1) + (c + 1) * math.log(ratio)
+                            - k * math.log1p(-ratio) - math.lgamma(k))
+        except OverflowError:
+            return math.inf
+
+    def log_weight(m):
+        # log of m^(k-1)/(k-1)! for m = |n|: the power alone overflows near m = 400 once
+        # k >= 120, and it is added to a decaying exponent so no factor overflows alone
+        return (k - 1) * np.log(m) - math.lgamma(k)
 
     while tol is not None and tail_bound(cutoff) > tol and cutoff < PK_CUTOFF_CAP:
         cutoff *= 2
     # positive n = a1 + r: 1/(1 - lam q^n) = 1 + lam q^n/(1 - lam q^n); the
     # free "1" part is the closed-form geometric piece
-    value = km1fact * _lerch_positive(k, float(a1), z)
+    value = _lerch_positive(k, float(a1), z)
     # the n = 0 term (present only when j/M = 1, at offset -1)
     start = 1 if a1 < 1 else 2
     if a1 == 1 and not pair.is_trivial() and k == 1:
-        value += km1fact / (1 - lam)
+        value += 1 / (1 - lam)
     # where cmath.exp(q_z^n) would overflow (Im z < 0), the sum is not finite: raise below
     with np.errstate(over="ignore", invalid="ignore"):
         n = float(a1) + np.arange(cutoff + 1)  # positive n: lam q^n/(1 - lam q^n)
-        lq = lam * np.exp(TWO_PI_I * tau * n)
-        value += km1fact * complex(np.sum(n ** (k - 1) * np.exp(TWO_PI_I * z * n) * lq / (1 - lq)))
+        qn = TWO_PI_I * tau * n
+        value += complex(np.sum(np.exp(log_weight(n) + qn) * lam / (1 - lam * np.exp(qn))
+                                * np.exp(TWO_PI_I * z * n)))
         # negative n: q_z^n q_tau^(-n) = exp(2 pi i (z - tau) n) stays small
         n = float(a1) - np.arange(start, cutoff + 1)
         denom = 1 - lam_inv * np.exp(-TWO_PI_I * tau * n)
-        value -= km1fact * lam_inv * complex(
-            np.sum(n ** (k - 1) * np.exp(TWO_PI_I * (z - tau) * n) / denom))
+        value -= lam_inv * (-1) ** (k - 1) * complex(
+            np.sum(np.exp(log_weight(-n) + TWO_PI_I * (z - tau) * n) / denom))
     if not cmath.isfinite(value):
         raise OverflowError(f"the P_k sum overflows at z = {z}, tau = {tau}")
     return value, tail_bound(cutoff)

@@ -66,7 +66,7 @@ def test_pk_eval_cutoff_out_of_range_is_a_usage_error(capsys):
     argv = ["pk-eval", "1", "1/2", "1/3", "--z", "0.1+0.3i", "--tau", "1.2i"]
     for cutoff in ("-3", "0", str(PK_CUTOFF_CAP + 1)):
         assert run(argv + [f"--cutoff={cutoff}"]) == 2
-        assert "usage error" in capsys.readouterr().err
+        assert "argument --cutoff" in capsys.readouterr().err
     code, (obj,) = run_json(capsys, argv + ["--cutoff=1"])
     assert code == 0 and len(obj["value"]) == 2
 
@@ -77,6 +77,39 @@ def test_pk_eval_overflow_is_an_error_line(capsys):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+
+def _pk_reference(k, j_over_m, l_over_n, z, tau, terms=600):
+    """sum over n in j/M + Z, n != 0, of n^(k-1) q_z^n / ((k-1)! (1 - lam q_tau^n)) at 60
+    digits; it converges as it stands for |q_tau| < |q_z| < 1."""
+    import mpmath
+
+    with mpmath.workdps(60):
+        qz, qt = (mpmath.exp(2j * mpmath.pi * mpmath.mpc(w)) for w in (z, tau))
+        lam = mpmath.exp(2j * mpmath.pi * mpmath.mpf(l_over_n.numerator) / l_over_n.denominator)
+        a = mpmath.mpf(j_over_m.numerator) / j_over_m.denominator
+        total = mpmath.fsum((a + off) ** (k - 1) * qz ** (a + off) / (1 - lam * qt ** (a + off))
+                            for off in range(-terms, terms + 1) if a + off != 0)
+        return complex(total / mpmath.factorial(k - 1))
+
+
+@pytest.mark.parametrize("k, options", [(120, []), (200, []), (200, ["--cutoff", "5000"])])
+def test_pk_eval_up_to_max_weight(capsys, k, options):
+    # |n|^(k-1) overflowed a float near n = 400 for k >= 120: "the P_k sum overflows";
+    # past n = 2,600 at k = 200 so does |n|^(k-1)/(k-1)!
+    code, (obj,) = run_json(
+        capsys, ["pk-eval", str(k), "1/2", "1/3", "--z", "0.1+0.3i", "--tau", "1.2i", *options])
+    assert code == 0
+    want = _pk_reference(k, Fraction(1, 2), Fraction(1, 3), 0.1 + 0.3j, 1.2j)
+    assert abs(complex(*obj["value"]) - want) <= 1e-10 * abs(want)
+
+
+def test_verify_delk_too_few_terms_is_a_tail_error(capsys):
+    # one term leaves a tail far above tol/10: an error, not a failing report
+    assert run(["verify", "delk_commutes", "--terms", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith("error: series tail bound")
 
 
 def test_zhu_coeff(capsys):
@@ -114,7 +147,7 @@ def test_verify_terms_out_of_range_is_a_usage_error(capsys):
     ):
         assert run(argv) == 2, argv
         captured = capsys.readouterr()
-        assert "usage error" in captured.err and captured.out == ""
+        assert "argument --terms" in captured.err and captured.out == ""
 
 
 def test_verify_parameter_the_law_does_not_read_is_a_usage_error(capsys):
@@ -329,7 +362,8 @@ def cli_argvs(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(cli_argvs())
-@example(["verify", "delk_commutes", "--terms=1"])  # a failing law: its report, exit 1
+@example(["verify", "delk_commutes", "--terms=1"])  # too few terms: a tail error line, exit 1
+@example(["verify", "P_invariance", "--pair=1/1,1/1"])  # a failing law: its report, exit 1
 @example(["pk-eval", "1", "1/2", "1/3", "--z=0.1-0.3i", "--tau=1.2i"])  # overflow: exit 1
 @example(["pairs", "reduce", "2", "3", "0"])  # a zero modulus: exit 2
 def test_every_run_ends_in_exit_0_1_or_2(argv):
@@ -360,14 +394,21 @@ def test_usage_errors(capsys):
     capsys.readouterr()
     assert run(["qk", "2", "bogus", "1/3"]) == 2
     capsys.readouterr()
-    # a zero denominator is a usage error, not a ZeroDivisionError traceback
-    for argv in (["qk", "2", "1/2", "1/0"], ["bernoulli", "2", "1/0"],
-                 ["eisenstein", "4", "--trunc", "1/0"],
-                 ["verify", "Q_modularity", "--pair", "1/0,1/2"]):
-        assert run(argv) == 2
-        assert "usage error" in capsys.readouterr().err
-    # an option the command does not read is not ignored: --class outside
-    # hauptmodul, twisted4 and theta, and a law id or law option with --suite all
+    # a bad value is refused by its argparse type, which names the argument: a
+    # zero denominator (not a ZeroDivisionError traceback), a malformed or
+    # non-unimodular --gamma, a --suite other than all
+    for argv, name in ((["qk", "2", "1/2", "1/0"], "l_over_N"), (["bernoulli", "2", "1/0"], "x"),
+                       (["eisenstein", "4", "--trunc", "1/0"], "--trunc"),
+                       (["verify", "Q_modularity", "--pair", "1/0,1/2"], "--pair"),
+                       (["verify", "Q_modularity", "--gamma", "1,x,0,1"], "--gamma"),
+                       (["verify", "Q_modularity", "--gamma", "1,1,1,1"], "--gamma"),
+                       (["verify", "--suite", "some"], "--suite")):
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert f"argument {name}: " in captured.err and captured.out == ""
+    # a rule across arguments is a usage error: an option the command does not
+    # read is not ignored (--class outside hauptmodul, twisted4 and theta, and
+    # a law id or law option with --suite all), and P_k starts at k = 1
     for argv in (["moonshine", "J", "--class", "2B", "--trunc", "3"],
                  ["moonshine", "chars", "--class", "3B"],
                  ["moonshine", "weight4", "--class", "1A"],
@@ -376,10 +417,6 @@ def test_usage_errors(capsys):
                  ["verify", "--suite", "all", "--pair", "1/2,1/3"],
                  ["verify", "--suite", "all", "--z", "0.1+0.2i"],
                  ["verify", "--suite", "all", "--terms", "10"],
-                 # a malformed or non-unimodular --gamma
-                 ["verify", "Q_modularity", "--gamma", "1,x,0,1"],
-                 ["verify", "Q_modularity", "--gamma", "1,1,1,1"],
-                 # P_k starts at k = 1
                  ["verify", "P_invariance", "--k", "0"]):
         assert run(argv) == 2, argv
         captured = capsys.readouterr()
@@ -419,12 +456,14 @@ def test_trunc_out_of_range_is_a_usage_error(capsys, tmp_path):
     p.write_text(json.dumps(ode))
     # one slot past the cap is MAX_TRUNC_SLOTS/2 + 1/2 at branching 2
     over = str(Fraction(MAX_TRUNC_SLOTS + 1, 2))
+    # a trunc not above 0 is refused by its argparse type; too many slots for
+    # the branching is a usage error
     for trunc in ("0", "-1", "-1/2", over):
         assert run(["frobenius", "--ode", str(p), f"--trunc={trunc}"]) == 2
-        assert "usage error" in capsys.readouterr().err
+        assert ("usage error" if trunc == over else "argument --trunc") in capsys.readouterr().err
     for trunc in ("0", "-3", str(MAX_TRUNC_SLOTS + 1), "1000000000"):
         assert run(["moonshine", "J", f"--trunc={trunc}"]) == 2
-        assert "usage error" in capsys.readouterr().err
+        assert ("usage error" if int(trunc) > 0 else "argument --trunc") in capsys.readouterr().err
     code, (obj,) = run_json(capsys, ["frobenius", "--ode", str(p), "--trunc", "1/2"])
     assert code == 0 and len(obj["solutions"]) == 1
 

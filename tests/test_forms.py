@@ -20,7 +20,6 @@ from orbiform.errors import (
     UndefinedAtTrivialPair,
 )
 from orbiform.forms import (
-    _sigma1,
     bernoulli_identities_check,
     bernoulli_number,
     bernoulli_poly,
@@ -311,13 +310,17 @@ def test_pk_eval_returns_a_finite_value_or_raises(k, dens, x, frac, re_tau, im_t
     assert cmath.isfinite(value) and math.isfinite(tail)
 
 
+def test_pk_eval_tail_past_the_float_range_is_inf():
+    # near the annulus edge at k = 200, 2 (c+1)^(k-1) r^(c+1) / ((1-r)^k (k-1)!) passes
+    # 1e308: the bound is inf, and a tol doubles the cutoff until it is finite again
+    pair = TorsionPair(Fraction(1, 2), Fraction(1, 3))
+    assert pk_eval(200, pair, 0.1 + 1.19j, 1.2j)[1] == math.inf
+    assert pk_eval(200, pair, 0.1 + 1.19j, 1.2j, tol=1e-8)[1] <= 1e-8
+
+
 def test_pk_eval_overflow_is_an_overflow_error():
     with pytest.raises(OverflowError):
         pk_eval(1, TorsionPair(Fraction(1, 2), Fraction(1, 3)), 0.1 - 0.3j, 1.2j)
-
-
-def test_sigma1_sieve_matches_the_eisenstein_coefficients():
-    assert [2 * s for s in _sigma1(300).tolist()[1:]] == eisenstein(2, 300).coeffs[1:]
 
 
 @pytest.mark.parametrize("trunc", [0, 1, 2, 200, Fraction(7, 2)])
