@@ -1,9 +1,11 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
 Elements are stored in the power basis 1, zeta, ..., zeta^(phi(N)-1) modulo
-the N-th cyclotomic polynomial, with Fraction coordinates.  Rationals are
-plain ``fractions.Fraction`` throughout the package.  A CycQ is true when it
-is nonzero, so every layer zero-tests a coefficient with ``if c``.
+the N-th cyclotomic polynomial, as integer coordinates over one positive
+denominator in lowest terms; ``CycQ.coeffs`` reads them as Fractions.
+Rationals are plain ``fractions.Fraction`` throughout the package.  A CycQ
+is true when it is nonzero, so every layer zero-tests a coefficient with
+``if c``.
 
 Two private helpers hold the package's exact inner loops.
 ``_sparse_convolve`` is its one sparse product loop: ``CycQ.__mul__``, the
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import operator
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -69,12 +72,12 @@ def _reduction_table(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _power_basis(n: int, coeffs, step: int, zero) -> list:
-    """sum_i coeffs[i] zeta_n^(i step) as power-basis coordinates mod Phi_n:
-    each nonzero coeffs[i] scales row i step mod n of ``_reduction_table(n)``,
-    and the rows are added onto zero."""
+def _power_basis(n: int, coeffs, step: int) -> list:
+    """sum_i coeffs[i] zeta_n^(i step) as integer power-basis coordinates mod
+    Phi_n, for integer coeffs: each nonzero coeffs[i] scales row i step mod n
+    of ``_reduction_table(n)``, and the rows are added onto zero."""
     table = _reduction_table(n)
-    out = [zero] * len(table[0])
+    out = [0] * len(table[0])
     for i, c in enumerate(coeffs):
         if c:
             for t, r in enumerate(table[i * step % n]):
@@ -113,37 +116,64 @@ def _power(x, e: int):
 class CycQ:
     """An element of Q(zeta_N) in the power basis mod Phi_N.
 
+    Stored as integer coordinates ``nums`` over one denominator ``den`` in
+    lowest terms: den > 0 and gcd(den, *nums) == 1, so zero has den 1.  The
+    form is unique, so two values at one conductor are equal exactly when
+    their fields are; ``coeffs`` reads the coordinates as Fractions.
+
     Immutable; arithmetic between different conductors lifts both operands
     to the lcm.  Conductor reduction is lazy: values are kept at whatever
     conductor arithmetic produced, and equality lifts both sides.
     """
 
-    __slots__ = ("conductor", "coeffs")
+    __slots__ = ("conductor", "den", "nums")
 
     def __init__(self, conductor: int, coeffs):
         if not isinstance(conductor, int) or conductor < 1:
             raise ValueError(f"conductor must be a positive integer, got {conductor!r}")
         d = euler_phi(conductor)
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = [Fraction(c) for c in coeffs]
         if len(coeffs) != d:
             raise ValueError(f"need {d} coordinates for conductor {conductor}")
-        object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "coeffs", coeffs)
+        # over the lcm of denominators in lowest terms, no prime divides every numerator
+        den = lcm(*(c.denominator for c in coeffs))
+        _set_conductor(self, conductor)
+        _set_den(self, den)
+        _set_nums(self, tuple(c.numerator * (den // c.denominator) for c in coeffs))
 
-    @classmethod
-    def _make(cls, conductor: int, coeffs: tuple) -> "CycQ":
-        # internal: coeffs already a tuple of Fractions of the right length
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "conductor", conductor)
-        object.__setattr__(obj, "coeffs", coeffs)
+    @staticmethod
+    def _make(conductor: int, den: int, nums: tuple) -> "CycQ":
+        # internal: nums is a tuple of phi(conductor) ints over den, in lowest terms
+        obj = _new(CycQ)
+        _set_conductor(obj, conductor)
+        _set_den(obj, den)
+        _set_nums(obj, nums)
         return obj
+
+    @staticmethod
+    def _reduced(conductor: int, den: int, nums: tuple) -> "CycQ":
+        """nums / den for den > 0, brought to lowest terms by one gcd."""
+        if den != 1:
+            g = gcd(den, *nums)
+            if g != 1:
+                den //= g
+                nums = tuple([x // g for x in nums])
+        return CycQ._make(conductor, den, nums)
 
     def __setattr__(self, *a):
         raise AttributeError("CycQ is immutable")
 
+    @property
+    def coeffs(self) -> tuple:
+        """The power-basis coordinates as Fractions."""
+        den = self.den
+        return tuple(Fraction(x, den) for x in self.nums)
+
     @staticmethod
     def from_rational(x) -> "CycQ":
-        return CycQ._make(1, (Fraction(x),))
+        if not isinstance(x, (int, Fraction)):
+            x = Fraction(x)
+        return CycQ._make(1, x.denominator, (x.numerator,))
 
     zero = None  # set below
     one = None
@@ -151,18 +181,18 @@ class CycQ:
     # -- basic predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.nums)
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return any(self.nums)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("not a rational element")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     # -- conductor handling -------------------------------------------------
 
@@ -172,8 +202,9 @@ class CycQ:
             return self
         if n < 1 or n % self.conductor != 0:
             raise ValueError("can only lift to a positive multiple of the conductor")
-        step = n // self.conductor
-        return CycQ._make(n, tuple(_power_basis(n, self.coeffs, step, Fraction(0))))
+        # still in lowest terms: an element of Q(zeta_c) integral in Z[zeta_n] is in Z[zeta_c]
+        nums = _power_basis(n, self.nums, n // self.conductor)
+        return CycQ._make(n, self.den, tuple(nums))
 
     def _common(self, other: "CycQ") -> tuple["CycQ", "CycQ"]:
         n = lcm(self.conductor, other.conductor)
@@ -195,16 +226,24 @@ class CycQ:
             return NotImplemented
         # a conductor-1 operand goes second and adds to the first coordinate
         a, b = (other, self) if self.conductor == 1 else (self, other)
-        if b.conductor == 1:
-            return CycQ._make(a.conductor, (a.coeffs[0] + b.coeffs[0],) + a.coeffs[1:])
-        if a.conductor != b.conductor:
+        if b.conductor != 1 and a.conductor != b.conductor:
             a, b = a._common(b)
-        return CycQ._make(a.conductor, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        den, xs, ys = a.den, a.nums, b.nums
+        if den != b.den:
+            g = gcd(den, b.den)
+            ka, kb = b.den // g, den // g
+            den *= ka
+            xs, ys = [x * ka for x in xs], [y * kb for y in ys]
+        if b.conductor == 1:
+            nums = (xs[0] + ys[0], *xs[1:])
+        else:
+            nums = tuple(map(operator.add, xs, ys))
+        return CycQ._reduced(a.conductor, den, nums)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycQ._make(self.conductor, tuple(-c for c in self.coeffs))
+        return CycQ._make(self.conductor, self.den, tuple([-x for x in self.nums]))
 
     def __sub__(self, other):
         return self + (-other)
@@ -213,18 +252,22 @@ class CycQ:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, CycQ):
+            # a conductor-1 operand scales the other's coordinates
+            a, b = (other, self) if self.conductor == 1 else (self, other)
+            if b.conductor == 1:
+                y = b.nums[0]
+                return CycQ._reduced(a.conductor, a.den * b.den, tuple([x * y for x in a.nums]))
+            if a.conductor != b.conductor:
+                a, b = a._common(b)
+            n = a.conductor
+            prod = _sparse_convolve(a.nums, b.nums, 2 * len(a.nums) - 1, None)
+            return CycQ._reduced(n, a.den * b.den, tuple(_power_basis(n, prod, 1)))
         if isinstance(other, (int, Fraction)):
-            if self.conductor == 1:
-                return CycQ._make(1, (self.coeffs[0] * other,))
-            return CycQ._make(self.conductor, tuple(c * other for c in self.coeffs))
-        if not isinstance(other, CycQ):
-            return NotImplemented
-        if self.conductor == 1 and other.conductor == 1:
-            return CycQ._make(1, (self.coeffs[0] * other.coeffs[0],))
-        a, b = self._common(other)
-        n = a.conductor
-        prod = _sparse_convolve(a.coeffs, b.coeffs, 2 * len(a.coeffs) - 1, None)
-        return CycQ._make(n, tuple(_power_basis(n, prod, 1, Fraction(0))))
+            y = other.numerator
+            return CycQ._reduced(self.conductor, self.den * other.denominator,
+                                 tuple([x * y for x in self.nums]))
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -232,7 +275,8 @@ class CycQ:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic element")
         if self.is_rational():
-            return CycQ(self.conductor, (1 / self.coeffs[0],) + self.coeffs[1:])
+            x, den = self.nums[0], self.den
+            return CycQ._make(self.conductor, abs(x), (den if x > 0 else -den,) + self.nums[1:])
         n = self.conductor
         # Phi_n is irreducible: the gcd is 1, and its cofactor s (degree < phi(n)) is 1/self
         s = _poly_gcdex(self.coeffs, [Fraction(c) for c in cyclotomic_polynomial(n)])[1]
@@ -261,17 +305,17 @@ class CycQ:
         other = CycQ._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._common(other)
-        return a.coeffs == b.coeffs
+        a, b = (self, other) if self.conductor == other.conductor else self._common(other)
+        return a.den == b.den and a.nums == b.nums
 
     def __hash__(self):
         # the normalized trace Tr/phi(N): unchanged by lift, and a rational itself
         weights = _trace_weights(self.conductor)
-        return hash(sum(c * w for c, w in zip(self.coeffs, weights) if c))
+        return hash(Fraction(sum(map(operator.mul, self.nums, weights)), self.den * len(weights)))
 
     def __repr__(self):
         if self.is_rational():
-            return f"CycQ({self.coeffs[0]})"
+            return f"CycQ({self.rational_value()})"
         return f"CycQ(zeta_{self.conductor}; {list(map(str, self.coeffs))})"
 
     # -- embedding ----------------------------------------------------------
@@ -286,10 +330,9 @@ class CycQ:
             raise ValueError("precision must be at least 53 bits")
         if precision <= 53:
             omega = _root_powers(self.conductor)
-            return sum(
-                (float(c) * omega[i] for i, c in enumerate(self.coeffs) if c),
-                complex(0),
-            )
+            den = self.den
+            # x / den rounds as float(Fraction(x, den)) does
+            return sum((x / den * omega[i] for i, x in enumerate(self.nums) if x), complex(0))
         import mpmath
         with mpmath.workprec(precision + 10):
             w = mpmath.expjpi(mpmath.mpf(2) / self.conductor)
@@ -311,8 +354,12 @@ class CycQ:
         return CycQ(data["conductor"], [Fraction(c) for c in data["coeffs"]])
 
 
-CycQ.zero = CycQ(1, (Fraction(0),))
-CycQ.one = CycQ(1, (Fraction(1),))
+_new = object.__new__
+_set_conductor = CycQ.conductor.__set__
+_set_den = CycQ.den.__set__
+_set_nums = CycQ.nums.__set__
+CycQ.zero = CycQ._make(1, 1, (0,))
+CycQ.one = CycQ._make(1, 1, (1,))
 
 
 @functools.lru_cache(maxsize=64)
@@ -322,11 +369,11 @@ def _root_powers(n: int) -> tuple[complex, ...]:
 
 
 @functools.lru_cache(maxsize=64)
-def _trace_weights(n: int) -> tuple[Fraction, ...]:
-    """Tr(zeta_n^i)/phi(n) for i < phi(n), the trace of multiplying by zeta_n^i."""
+def _trace_weights(n: int) -> tuple[int, ...]:
+    """Tr(zeta_n^i) for i < phi(n), the trace of multiplying by zeta_n^i."""
     table = _reduction_table(n)
     d = len(table[0])
-    return tuple(Fraction(sum(table[(i + k) % n][k] for k in range(d)), d) for i in range(d))
+    return tuple(sum(table[(i + k) % n][k] for k in range(d)) for i in range(d))
 
 
 # -- small K[x] helpers for the extended Euclid -----------------------------

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .modular import TorsionPair
 from .report import CheckReport
-from .series import BiSeries, Puiseux, _divisor_sums, _from_rationals, rational_convolve, theta
+from .series import BiSeries, Puiseux, _divisor_sums, _from_ints, rational_convolve, theta
 
 TWO_PI_I = 2j * cmath.pi
 
@@ -116,11 +116,10 @@ def eisenstein(k: int, trunc) -> Puiseux:
         raise BadWeight("Eisenstein weight must be an even integer >= 2")
     trunc = Fraction(trunc)
     n = max(0, math.ceil(trunc))
-    two_over = Fraction(2, math.factorial(k - 1))
-    coeffs = [two_over * x for x in _divisor_sums(n, k - 1, 1)]
+    coeffs = _from_ints(math.factorial(k - 1), [2 * x for x in _divisor_sums(n, k - 1, 1)])
     if n:
-        coeffs[0] = -bernoulli_number(k) / math.factorial(k)
-    return Puiseux._make(1, Fraction(0), _from_rationals(coeffs), trunc)
+        coeffs[0] = CycQ.from_rational(-bernoulli_number(k) / math.factorial(k))
+    return Puiseux._make(1, Fraction(0), coeffs, trunc)
 
 
 def g2_eval(tau: complex, trunc=60) -> complex:
@@ -165,8 +164,7 @@ def _reduce_rows(rows: list, denom: int) -> list:
         if row and any(row):
             g = gcd(len(row), *(e for e, c in enumerate(row) if c))
             n = len(row) // g
-            coords = _power_basis(n, row[::g], 1, 0)
-            out[idx] = CycQ._make(n, tuple(Fraction(x, denom) for x in coords))
+            out[idx] = CycQ._reduced(n, denom, tuple(_power_basis(n, row[::g], 1)))
     return out
 
 
@@ -234,8 +232,9 @@ def qk_series_divisor_oracle(k: int, pair: TorsionPair, trunc) -> Puiseux:
             sieve(d, -l, d ** (k - 1))
         if (d - j) % m_den == 0:
             sieve(d, l, (-1) ** k * d ** (k - 1))
-    pref = Fraction((-1) ** k, m_den ** (k - 1) * math.factorial(k - 1))
-    coeffs = [CycQ._make(n_den, tuple(pref * x for x in _power_basis(n_den, row, 1, 0)))
+    # the prefactor (-1)^k / (M^(k-1) (k-1)!) as a sign over a denominator
+    sign, denom = (-1) ** k, m_den ** (k - 1) * math.factorial(k - 1)
+    coeffs = [CycQ._reduced(n_den, denom, tuple(sign * x for x in _power_basis(n_den, row, 1)))
               for row in acc]
     if nslots:
         coeffs[0] = CycQ.from_rational(-bernoulli_poly(k)(a1) / math.factorial(k))

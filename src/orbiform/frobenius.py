@@ -13,7 +13,7 @@ converts only where a solution is seeded or assembled.  One function,
 ``_setup``, picks its value type from the indicial roots and every value it
 reads (the ODE's, and for an inhomogeneous solve f's): on exact roots and
 rational values, integer numerators over one denominator, with each c_n over
-its own and one ``Fraction`` per coefficient when the solution is assembled;
+its own and one gcd per coefficient when the solution is assembled;
 on exact roots and some value of conductor > 1, ``CycQ`` values; on roots
 that are not all rational, ``complex`` values.
 
@@ -36,10 +36,9 @@ from .errors import TruncationTooSmall
 from .series import (
     LogQSeries,
     Puiseux,
+    _int_row,
     _lead_grid,
     _nterms,
-    _rationals,
-    _scaled,
 )
 
 # numeric indicial roots closer than this are clustered into one root
@@ -153,24 +152,32 @@ def indicial_roots(ode: RegularSingularODE) -> list:
 def _rational_roots(coeffs: list) -> tuple[list, list]:
     """All rational roots (with multiplicity) and the deflated cofactor; one
     pass suffices, since a root of a quotient is a root met at its own p.
-    On integer coefficients, p/q in lowest terms is a root when (q x - p)
-    divides exactly, and the quotient is integral again (Gauss's lemma)."""
+    On integer coefficients c_i, each candidate p/q in lowest terms is tested
+    once by the integer sum of c_i p^i q^(n-i); at a root, (q x - p) divides
+    exactly and the quotient is integral again (Gauss's lemma)."""
     den = math.lcm(*(c.denominator for c in coeffs))
-    cur = [c * den for c in coeffs]
+    cur = [c.numerator * (den // c.denominator) for c in coeffs]
     roots = []
     while len(cur) > 1 and cur[0] == 0:
         roots.append(Fraction(0))
         cur = cur[1:]
-    for p in _divisors(int(abs(cur[0]))):
-        for q in _divisors(int(abs(cur[-1]))):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                while len(cur) > 1:
-                    quo, rem = _poly_divmod_q(cur, [-cand.numerator, cand.denominator])
-                    if rem[0]:
-                        break
-                    roots.append(cand)
-                    cur = quo
-    return roots, cur
+    candidates = dict.fromkeys(Fraction(s * p, q) for p in _divisors(abs(cur[0]))
+                               for q in _divisors(abs(cur[-1])) for s in (1, -1))
+    for cand in candidates:
+        p, q = cand.numerator, cand.denominator
+        while len(cur) > 1 and not _homogeneous_value(cur, p, q):
+            roots.append(cand)
+            cur = [x.numerator for x in _poly_divmod_q(cur, [Fraction(-p), Fraction(q)])[0]]
+    return roots, [Fraction(x) for x in cur]
+
+
+def _homogeneous_value(coeffs: list, p: int, q: int) -> int:
+    """q^n P(p/q) = sum c_i p^i q^(n-i) for P of degree n, by Horner's scheme."""
+    acc, qk = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * p + c * qk
+        qk *= q
+    return acc
 
 
 def _squarefree(f: list) -> list:
@@ -346,8 +353,8 @@ def _fold_solution(cs: list, dens: list, d: int, mu: Fraction, T: int, span: Fra
 
     The leading exponent is folded into the Puiseux parts; refining the
     branching rescales l = log q_(1/T) to log q_(1/t), so the part of
-    l^j/j! picks up (t/T)^j / j!.  An int x becomes the one Fraction
-    x (t/T)^j / (den d^j j!).
+    l^j/j! picks up (t/T)^j / j!.  An int x becomes the conductor-1 value
+    x (t/T)^j / (den d^j j!), brought to lowest terms by one gcd.
     """
     t = math.lcm(T, mu.denominator)
     step = t // T
@@ -364,7 +371,7 @@ def _fold_solution(cs: list, dens: list, d: int, mu: Fraction, T: int, span: Fra
         coeffs = [CycQ.zero] * _nterms(lead, trunc, t)
         for n in occupied:
             x = cs[n][j]
-            coeffs[(n - first) * step] = (CycQ._make(1, (Fraction(x * num, dens[n] * div),))
+            coeffs[(n - first) * step] = (CycQ._reduced(1, dens[n] * div, (x * num,))
                                           if type(x) is int else x * Fraction(num, div))
         parts.append(Puiseux._make(t, lead, coeffs, trunc))
     return LogQSeries(t, parts)
@@ -410,7 +417,7 @@ def _setup(ode: RegularSingularODE, trunc, exact: bool, f: LogQSeries | None = N
     branching that T divides) and its leading exponent lam, fs[n] holds -T^m
     times f's coefficients at q^(lam + n/T) in divided powers of
     l = log q_(1/T), trailing zeros trimmed; without f, fs is empty.  The
-    values are ints over one positive lcm L when ``exact`` and ``_rationals``
+    values are ints over one positive lcm L when ``exact`` and ``_int_row``
     reads every one, CycQ when ``exact`` and some value is not rational, and
     complex embeddings of the CycQ values when not ``exact``.
     """
@@ -441,8 +448,8 @@ def _setup(ode: RegularSingularODE, trunc, exact: bool, f: LogQSeries | None = N
     values = indicial + [c for row in rows for _, c in row] + [x for fn in fs for x in fn]
     if not exact:
         values = [c.embed() for c in values]
-    elif (rational := _rationals(values)) is not None:
-        values = _scaled(rational)[1]
+    elif (row := _int_row(values)) is not None:
+        values = row[1]
     values = iter(values)
     indicial = [next(values) for _ in indicial]
     rows = [[(s, next(values)) for s, _ in row] for row in rows]
@@ -507,7 +514,7 @@ def apply_ode(ode: RegularSingularODE, s: LogQSeries) -> LogQSeries:
     for col in zip(*terms):
         lead, _, den, row = _sum_rows(col, t, min(Fraction(0), *(p[0] for p in col)), trunc)
         inv = Fraction(1, den)
-        values = [CycQ.zero if not x else CycQ._make(1, (Fraction(x, den),)) if type(x) is int
+        values = [CycQ.zero if not x else CycQ._reduced(1, den, (x,)) if type(x) is int
                   else x * inv for x in row]
         result.append(Puiseux._make(t, lead, values, trunc))
     return LogQSeries(t, result)
@@ -522,11 +529,7 @@ def apply_ode(ode: RegularSingularODE, s: LogQSeries) -> LogQSeries:
 def _row(p: Puiseux, t: int, scale: int = 1):
     """scale * p at branching t as a row: ints over the common denominator
     when every slot of p has conductor 1, else p's values over 1."""
-    values = _rationals(p.coeffs)
-    if values is None:
-        den, ints = 1, [c if c else 0 for c in p.coeffs]
-    else:
-        den, ints = _scaled(values)
+    den, ints = _int_row(p.coeffs) or (1, [c if c else 0 for c in p.coeffs])
     if scale != 1:
         ints = [x * scale for x in ints]
     if t != p.T:

@@ -8,15 +8,15 @@ Every coefficient is a ``CycQ``: an int or a Fraction is coerced to one,
 and any other value is a ``TypeError``.
 
 Products take one of two exact paths, chosen by the coefficients.  When
-every slot of both operands has conductor 1, ``rational_convolve`` scales
-each operand to integers over a common denominator, packs the row into one
-Python int (Kronecker substitution), multiplies once and unpacks
-(``_int_convolve``); the inverse of such a series is a Newton iteration on
-the same kernel.  Any other coefficient list goes through
-``cyclotomic._sparse_convolve``, the sparse loop that also multiplies CycQ
-coordinates and ``BiSeries`` windows, and the inverse through the sparse
-recurrence.  ``product_expand`` multiplies no series: it runs the Euler
-transform on integers over ``_divisor_sums``.
+every slot of both operands has conductor 1, ``_int_row`` reads each operand
+as integers over their common denominator, and ``_int_convolve`` packs each
+row into one Python int (Kronecker substitution), multiplies once and
+unpacks; the inverse of such a series is a Newton iteration on the same
+kernel (``rational_convolve``, which takes lists of rationals).  Any other
+coefficient list goes through ``cyclotomic._sparse_convolve``, the sparse
+loop that also multiplies CycQ coordinates and ``BiSeries`` windows, and the
+inverse through the sparse recurrence.  ``product_expand`` multiplies no
+series: it runs the Euler transform on integers over ``_divisor_sums``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import cmath
 import math
 import operator
 from fractions import Fraction
-from itertools import chain
 from typing import NamedTuple
 
 from .cyclotomic import CycQ, _power, _root_powers, _sparse_convolve
@@ -255,9 +254,11 @@ class Puiseux:
             raise NonInvertibleLeadingTerm(
                 "series has no invertible leading coefficient"
             )
-        rational = _rationals(s.coeffs)
-        if rational is not None:
-            b = _from_rationals(_newton_inverse(rational))
+        row = _int_row(s.coeffs)
+        if row is not None:
+            # 1/(ints/d) is d/ints
+            b = [CycQ.from_rational(row[0] * x) if x else CycQ.zero
+                 for x in _newton_inverse(row[1])]
         else:
             b = _sparse_inverse(s.coeffs)
         return Puiseux._make(s.T, -s.lead, b, s.trunc - 2 * s.lead)
@@ -305,16 +306,17 @@ class Puiseux:
 
 
 def _convolve(a, b, limit=None):
-    """Coefficient convolution: the rational kernel when every slot of both
+    """Coefficient convolution: the integer kernel when every slot of both
     operands has conductor 1, else ``_sparse_convolve`` over nonzero slots."""
-    ra = _rationals(a)
-    rb = ra if b is a else _rationals(b)
-    if ra is not None and rb is not None:
-        return _from_rationals(rational_convolve(ra, rb, limit))
     n = len(a) + len(b) - 1 if a and b else 0
     if limit is not None:
         n = min(n, limit)
-    return _sparse_convolve(a, b, max(n, 0), CycQ.zero)
+    n = max(n, 0)
+    ra = _int_row(a[:n])
+    rb = ra if b is a else _int_row(b[:n])
+    if ra is not None and rb is not None:
+        return _from_ints(ra[0] * rb[0], _int_convolve(ra[1], rb[1], n)) if n else []
+    return _sparse_convolve(a, b, n, CycQ.zero)
 
 
 def _sparse_inverse(a: list) -> list:
@@ -337,18 +339,21 @@ def _sparse_inverse(a: list) -> list:
 
 # -- the rational kernel --------------------------------------------------------
 
-def _rationals(coeffs):
-    """The Fraction values of conductor-1 coefficients; None if any is not one."""
-    out = []
+def _int_row(coeffs):
+    """(d, ints): conductor-1 coefficients as ints over their common
+    denominator d; None if any coefficient has conductor > 1."""
     for c in coeffs:
         if c.conductor != 1:
             return None
-        out.append(c.coeffs[0])
-    return out
+    d = math.lcm(*(c.den for c in coeffs))
+    if d == 1:
+        return 1, [c.nums[0] for c in coeffs]
+    return d, [c.nums[0] * (d // c.den) for c in coeffs]
 
 
-def _from_rationals(values: list) -> list:
-    return [CycQ._make(1, (v,)) if v else CycQ.zero for v in values]
+def _from_ints(den: int, ints: list) -> list:
+    """Conductor-1 coefficients ints[i] / den (den > 0), one gcd each."""
+    return [CycQ._reduced(1, den, (x,)) if x else CycQ.zero for x in ints]
 
 
 def _pack(row: list, width: int) -> int:
@@ -524,11 +529,11 @@ class Embedded:
         by_conductor: dict = {}
         for row, p in enumerate(parts):
             for col, c in enumerate(p.coeffs):
-                by_conductor.setdefault(c.conductor, []).append((row, col, c.coeffs))
+                by_conductor.setdefault(c.conductor, []).append((row, col, c))
         for n, slots in by_conductor.items():
-            rows, cols, coords = zip(*slots)
-            # a / b rounds as float(Fraction(a, b)) does, at a third of the cost
-            flat = [a / b for a, b in map(Fraction.as_integer_ratio, chain.from_iterable(coords))]
+            rows, cols, values = zip(*slots)
+            # x / den rounds as float(Fraction(x, den)) does
+            flat = [x / c.den for c in values for x in c.nums]
             self.coeffs[rows, cols] = (np.reshape(flat, (len(rows), -1)) * _root_powers(n)).sum(1)
         self.maxabs = np.abs(self.coeffs).max(axis=1, initial=0.0).tolist()
 
@@ -586,7 +591,7 @@ def product_expand(factors, trunc) -> Puiseux:
     c = [1][:n]
     for m in range(1, n):
         c.append(sum(map(operator.mul, b[m:0:-1], c)) // m)
-    return Puiseux._make(1, Fraction(0), _from_rationals([Fraction(x) for x in c]), trunc)
+    return Puiseux._make(1, Fraction(0), _from_ints(1, c), trunc)
 
 
 # -- two-variable series ----------------------------------------------------------

@@ -1,6 +1,7 @@
 """Unit and property tests for exact cyclotomic arithmetic."""
 
 import cmath
+import math
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from orbiform.cyclotomic import (
     cyclotomic_polynomial,
     euler_phi,
 )
+from orbiform.series import Embedded, Puiseux
 
 rationals = st.fractions(
     min_value=-10, max_value=10, max_denominator=6
@@ -183,6 +185,58 @@ def test_lift_keeps_the_complex_value(x, data):
     # the embedding reads no reduction table, so it checks every row a lift uses
     n = data.draw(st.sampled_from(range(x.conductor, 61, x.conductor)))
     assert abs(x.lift(n).embed() - x.embed()) < 1e-9
+
+
+# -- the stored form: integer coordinates over one denominator in lowest terms --
+
+NORMAL_FORM_CONDUCTORS = (1, 2, 3, 4, 5, 7, 12)
+wide_rationals = st.builds(Fraction, st.integers(-10**18, 10**18), st.integers(1, 10**12))
+
+
+def _coordinates(n):
+    return st.lists(wide_rationals | rationals, min_size=euler_phi(n), max_size=euler_phi(n))
+
+
+_conductor_and_coordinates = st.sampled_from(NORMAL_FORM_CONDUCTORS).flatmap(
+    lambda n: st.tuples(st.just(n), _coordinates(n)))
+
+
+def _in_normal_form(x) -> bool:
+    return (type(x.den) is int and x.den > 0 and len(x.nums) == euler_phi(x.conductor)
+            and all(type(v) is int for v in x.nums) and math.gcd(x.den, *x.nums) == 1
+            and (x.den == 1 or any(x.nums)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_conductor_and_coordinates, _conductor_and_coordinates, wide_rationals,
+       st.integers(-6, 6), st.integers(1, 4))
+def test_every_result_is_in_normal_form(a_data, b_data, r, k, lift_by):
+    (n, c), (m, d) = a_data, b_data
+    a, b = CycQ(n, c), CycQ(m, d)
+    assert a.coeffs == tuple(map(Fraction, c)) and b.coeffs == tuple(map(Fraction, d))
+    results = [a, b, a + b, a - b, a - a, -a, a * b, a * a, a * r, a * k, a + r, r - a, a + k,
+               a.lift(n * lift_by), (a * b).lift(math.lcm(n, m) * lift_by)]
+    results += [x.inverse() for x in (a, b) if x]
+    for x in results:
+        assert _in_normal_form(x), (x.conductor, x.den, x.nums)
+    assert (a - a).den == 1 and not any((a - a).nums)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(NORMAL_FORM_CONDUCTORS).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(_coordinates(n), min_size=1, max_size=6))))
+def test_embedding_matches_the_fraction_embedding_bit_for_bit(data):
+    import numpy as np
+    n, rows = data
+    slots = [CycQ(n, c) for c in rows]
+    got = Embedded(Puiseux(1, 0, slots, len(slots))).coeffs[0]
+    # float(Fraction) per coordinate, times the roots, summed per slot
+    want = (np.array([[float(x) for x in v.coeffs] for v in slots])
+            * cyclotomic._root_powers(n)).sum(1)
+    assert got.tolist() == want.tolist()
+    assert [v.embed() for v in slots] == [
+        sum((float(x) * w for x, w in zip(v.coeffs, cyclotomic._root_powers(n)) if x), complex(0))
+        for v in slots]
 
 
 def test_conductor_must_be_a_positive_integer():

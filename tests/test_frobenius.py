@@ -620,11 +620,13 @@ def test_row_residual_matches_series_residual(ode, s):
 @settings(max_examples=60, deadline=None)
 @given(odes(), st.integers(1, 8), st.sampled_from(["none", "ode", "f"]),
        st.none() | log_series())
+# the lifted ODE's only conductor-3 values are zeros, which no row keeps
+@example(RegularSingularODE(1, 1, [Puiseux(1, 1, [], 2)]), 2, "ode", None)
 def test_coefficient_table_reads_coeff_at(ode, steps, lift, f):
     # _setup's indicial polynomial and sparse rows are those of the ODE times
     # T^m in theta_T = T theta, p_i and r_i scaled by T^(m - i), and fs[n] is
     # -T^m times f at q^(lam + n/T) in divided powers of l = log q_(1/T); all
-    # ints times one L > 0 when every value read is rational, else CycQ
+    # ints times one L > 0 when every value it reads is rational, else CycQ
     if lift == "ode":
         ode = RegularSingularODE(ode.order, ode.T, [_lifted(r, 3) for r in ode.coeffs])
     T, m = ode.T, ode.order
@@ -649,7 +651,11 @@ def test_coefficient_table_reads_coeff_at(ode, steps, lift, f):
     got = indicial + [dict(row).get(s, 0) for row in rows for s in range(1, n)]
     got_f = [fn + [0] * (len(f.parts) - len(fn)) for fn in fs]
     values = indicial + [c for row in rows for _, c in row] + [c for fn in fs for c in fn]
-    if all(c.conductor == 1 for c in want + [c for fn in want_f for c in fn]):
+    # what _setup reads: the indicial polynomial, the nonzero row slots, and
+    # f's terms up to the last nonzero one of each step
+    read = (want[:m + 1] + [c for c in want[m + 1:] if c]
+            + [c for fn in want_f for c in frobenius._ptrim(list(fn))])
+    if all(c.conductor == 1 for c in read):
         L = indicial[m]
         assert {type(c) for c in values} == {int} and L > 0
         assert got == [c.rational_value() * L for c in want]
