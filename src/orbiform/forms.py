@@ -27,7 +27,7 @@ from .errors import (
 )
 from .modular import TorsionPair
 from .report import CheckReport
-from .series import BiSeries, Puiseux, _divisor_sums, _from_ints, rational_convolve, theta
+from .series import BiSeries, Puiseux, _divisor_sums, _from_ints, _int_convolve, theta
 
 TWO_PI_I = 2j * cmath.pi
 
@@ -492,12 +492,15 @@ def klein_hecke_series(pair: TorsionPair, trunc) -> tuple[Puiseux, Puiseux]:
 
 def zhu_coeff(p: int, i: int, m: int) -> Fraction:
     """Coefficient of z^i in (log(1+z))^m (1+z)^(p-1) / m!."""
+    if not isinstance(p, int):
+        # the binomial row is integral only for an integer p
+        raise TypeError(f"p must be an int, not {type(p).__name__}")
     if i < 0 or m < 0:
         raise ValueError("i and m must be nonnegative")
     if i < m:
         return Fraction(0)
-    series = _log_pow_times_binomial(p, m, i + 1)
-    return series[i] / math.factorial(m)
+    den, ints = _log_pow_times_binomial(p, m, i + 1)
+    return Fraction(ints[i], den * math.factorial(m))
 
 
 def zhu_coeff_binomial_oracle(p: int, i: int, m: int) -> Fraction:
@@ -517,20 +520,24 @@ def zhu_coeff_binomial_oracle(p: int, i: int, m: int) -> Fraction:
     return poly[m] if m < len(poly) else Fraction(0)
 
 
-def _log_pow_times_binomial(p: int, m: int, nterms: int) -> list[Fraction]:
-    log1p = [Fraction(0)] + [
-        Fraction((-1) ** (n - 1), n) for n in range(1, nterms)
-    ]
-    acc = [Fraction(1)] + [Fraction(0)] * (nterms - 1)
+def _log_pow_times_binomial(p: int, m: int, nterms: int) -> tuple[int, list[int]]:
+    """(den, ints): (log(1+z))^m (1+z)^(p-1) to nterms slots, as ints over den."""
+    # log(1+z) over L = lcm(1..nterms-1)
+    L = math.lcm(*range(1, nterms))
+    log1p = [0] + [(L if n % 2 else -L) // n for n in range(1, nterms)]
+    den, acc = 1, [1] + [0] * (nterms - 1)
     for _ in range(m):
-        acc = rational_convolve(acc, log1p, nterms)
-    # (1+z)^(p-1) via the generalized binomial series
-    binom = []
-    c = Fraction(1)
-    for n in range(nterms):
-        binom.append(c)
-        c = c * Fraction(p - 1 - n, n + 1)
-    return rational_convolve(acc, binom, nterms)
+        # one gcd a step keeps den a divisor of (nterms-1)!: the z^n slot of
+        # log(1+z)^m is m! s(n, m) / n!, s a Stirling number of the first kind
+        den, acc = den * L, _int_convolve(acc, log1p, nterms)
+        g = math.gcd(den, *acc)
+        den, acc = den // g, [x // g for x in acc]
+    # (1+z)^(p-1) via the binomial series: binom(p-1, n) is an integer for
+    # an integer p, so each step divides exactly
+    binom = [1]
+    for n in range(nterms - 1):
+        binom.append(binom[-1] * (p - 1 - n) // (n + 1))
+    return den, _int_convolve(acc, binom, nterms)
 
 
 # -- checks ----------------------------------------------------------------------

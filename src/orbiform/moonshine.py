@@ -70,13 +70,17 @@ def e4_standard(trunc) -> Puiseux:
 
 
 def delta_j_J(trunc) -> tuple[Puiseux, Puiseux, Puiseux]:
-    """Delta = q prod(1-q^n)^24, j = E4^3/Delta, J = j - 744, exact."""
+    """Delta = q prod(1-q^n)^24, j = E4^3/Delta, J = j - 744, exact.
+
+    1/Delta is q^-1 prod(1-q^n)^-24, an Euler product like Delta itself, so
+    no series is inverted; it equals delta.inverse() in T, lead, trunc and
+    every coefficient."""
     trunc = Fraction(trunc)
     if trunc < 3:
         raise ValueError("need truncation at least 3")
     pad = trunc + 2
     delta = product_expand([(1, 24)], pad).shifted(1)
-    jf = e4_standard(pad) ** 3 * delta.inverse()
+    jf = e4_standard(pad) ** 3 * product_expand([(1, -24)], pad).shifted(-1)
     return (
         delta.truncated(trunc),
         jf.truncated(trunc),

@@ -11,12 +11,13 @@ Products take one of two exact paths, chosen by the coefficients.  When
 every slot of both operands has conductor 1, ``_int_row`` reads each operand
 as integers over their common denominator, and ``_int_convolve`` packs each
 row into one Python int (Kronecker substitution), multiplies once and
-unpacks; the inverse of such a series is a Newton iteration on the same
-kernel (``rational_convolve``, which takes lists of rationals).  Any other
-coefficient list goes through ``cyclotomic._sparse_convolve``, the sparse
-loop that also multiplies CycQ coordinates and ``BiSeries`` windows, and the
-inverse through the sparse recurrence.  ``product_expand`` multiplies no
-series: it runs the Euler transform on integers over ``_divisor_sums``.
+unpacks; the inverse of such a series is a Newton iteration on
+``_int_convolve`` whose iterate is ints over one denominator, as every row
+of this kernel is.  Any other coefficient list goes through
+``cyclotomic._sparse_convolve``, the sparse loop that also multiplies CycQ
+coordinates and ``BiSeries`` windows, and the inverse through the sparse
+recurrence.  ``product_expand`` multiplies no series: it runs the Euler
+transform on integers over ``_divisor_sums``.
 """
 
 from __future__ import annotations
@@ -256,9 +257,9 @@ class Puiseux:
             )
         row = _int_row(s.coeffs)
         if row is not None:
-            # 1/(ints/d) is d/ints
-            b = [CycQ.from_rational(row[0] * x) if x else CycQ.zero
-                 for x in _newton_inverse(row[1])]
+            # 1/(ints/d) is d B/D
+            den, ints = _newton_inverse(row[1])
+            b = _from_ints(den, [row[0] * x for x in ints])
         else:
             b = _sparse_inverse(s.coeffs)
         return Puiseux._make(s.T, -s.lead, b, s.trunc - 2 * s.lead)
@@ -363,12 +364,6 @@ def _pack(row: list, width: int) -> int:
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
-def _scaled(row: list) -> tuple:
-    """(d, [d x for x in row]) for the common denominator d of the row."""
-    d = math.lcm(*(x.denominator for x in row))
-    return d, [x.numerator * (d // x.denominator) for x in row]
-
-
 def _int_convolve(ra: list, rb: list, n: int) -> list:
     """The first n coefficients of the product of two nonempty integer rows
     of at most n slots each, as ints (ra is rb squares one packed int).
@@ -398,39 +393,25 @@ def _int_convolve(ra: list, rb: list, n: int) -> list:
     return out
 
 
-def rational_convolve(a: list, b: list, limit=None) -> list:
-    """Product of two lists of rationals (ints or Fractions) as Fractions.
+def _newton_inverse(a: list) -> tuple:
+    """(D, B) with B/D = 1/a to len(a) slots, for an int row a with a[0] != 0
+    and D > 0, by b <- b (2 - a b), doubling the precision.
 
-    Both rows are scaled to integers over their common denominators da, db,
-    multiplied by ``_int_convolve`` and each slot divided by da*db.
-    """
-    n = len(a) + len(b) - 1 if a and b else 0
-    if limit is not None:
-        n = min(n, limit)
-    if n <= 0:
-        return []
-    da, ra = _scaled(a[:n])
-    db, rb = (da, ra) if b is a else _scaled(b[:n])
-    den = da * db
-    if den == 1:
-        return [Fraction(v) for v in _int_convolve(ra, rb, n)]
-    return [Fraction(v, den) for v in _int_convolve(ra, rb, n)]
-
-
-def _newton_inverse(a: list) -> list:
-    """1/a to len(a) slots by b <- b (2 - a b), doubling the precision.
-
-    With a b = 1 + q^p e mod q^(2p), the new slots p .. 2p-1 are -(b e).
+    With a B = D + q^p E mod q^(2p), the new slots p .. 2p-1 of B/D are
+    -(B E)/D^2, so B becomes (B D, -(B E)) over D^2, reduced by one gcd.
     """
     n = len(a)
-    b = [1 / Fraction(a[0])]
+    den, b = abs(a[0]), [1 if a[0] > 0 else -1]
     p = 1
     while p < n:
         p2 = min(2 * p, n)
-        e = rational_convolve(a[:p2], b, p2)[p:]
-        b += [-c for c in rational_convolve(b, e, p2 - p)]
+        e = _int_convolve(a[:p2], b, p2)[p:]
+        b = [x * den for x in b] + [-x for x in _int_convolve(b[:p2 - p], e, p2 - p)]
+        den *= den
+        g = math.gcd(den, *b)
+        den, b = den // g, [x // g for x in b]
         p = p2
-    return b
+    return den, b
 
 
 # -- the theta derivative -----------------------------------------------------

@@ -457,6 +457,28 @@ def test_zhu_coeff_against_binomial_oracle():
     assert zhu_coeff(3, 2, 1) == Fraction(3, 2)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=-30, max_value=30),
+    st.integers(min_value=0, max_value=40).flatmap(
+        lambda i: st.tuples(st.just(i), st.integers(min_value=0, max_value=i))
+    ),
+)
+@example(-30, (0, 0))  # one slot: log(1+z) is the zero row
+@example(0, (40, 0))  # m = 0: the binomial row alone, p - 1 < 0
+@example(-3, (4, 2))
+@example(30, (40, 40))
+def test_zhu_coeff_matches_binomial_oracle_at_any_p(p, im):
+    i, m = im
+    assert zhu_coeff(p, i, m) == zhu_coeff_binomial_oracle(p, i, m)
+
+
+@pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(3), 0.5])
+def test_zhu_coeff_takes_only_an_integer_p(p):
+    with pytest.raises(TypeError):
+        zhu_coeff(p, 3, 1)
+
+
 def test_prop44_small_cutoff():
     r = prop44_check(2, 1, 2, cutoff=20000, tol=1e-6)
     assert r.passed

@@ -499,6 +499,9 @@ def _lifted(s: Puiseux, n: int) -> Puiseux:
     st.integers(min_value=1, max_value=3),
 )
 @example(Fraction(3, 2), [Fraction(n % 7 - 3, n % 5 + 1) for n in range(39)], 1)
+# a negative non-unit lead: the sign is normalised and the denominator grows
+@example(Fraction(-7, 3), [Fraction(n % 5 - 2, n % 3 + 1) for n in range(40)], 2)
+@example(Fraction(1), [Fraction(n % 9 - 4) for n in range(40)], 1)  # the denominator stays 1
 def test_newton_inverse_matches_sparse_recurrence(lead, rest, t):
     g = Puiseux(t, Fraction(-1, t), [lead] + rest, Fraction(len(rest), t))
     inv = g.inverse()
@@ -507,6 +510,15 @@ def test_newton_inverse_matches_sparse_recurrence(lead, rest, t):
     assert (inv.T, inv.lead, inv.trunc) == (expected.T, expected.lead, expected.trunc)
     assert inv.coeffs == expected.coeffs
     assert g * inv == 1
+
+
+@pytest.mark.parametrize("trunc", [3, 20, 150, 400])
+def test_inverse_of_delta_is_its_euler_product(trunc):
+    # delta_j_J builds 1/Delta as q^-1 prod(1-q^n)^-24 and inverts no series
+    inv = product_expand([(1, 24)], trunc).shifted(1).inverse()
+    euler = product_expand([(1, -24)], trunc).shifted(-1)
+    assert (euler.T, euler.lead, euler.trunc) == (inv.T, inv.lead, inv.trunc)
+    assert euler.coeffs == inv.coeffs
 
 
 def test_delta_inverse_at_200_terms():
