@@ -102,14 +102,15 @@ def _sparse_convolve(a, b, n: int, zero) -> list:
     return [zero if c is None else c for c in out]
 
 
-def _power(x, e: int):
+def _power(x, e: int, mul=operator.mul):
     """x^e for e >= 1 by square-and-multiply from x itself, with no squaring
-    after the last bit (x^3 is x * (x * x)); ``CycQ`` and ``Puiseux`` use it."""
+    after the last bit (x^3 is x * (x * x)); ``CycQ`` and ``Puiseux`` use it,
+    and the Zhu kernel with its own mul on (den, ints) rows."""
     result = x if e & 1 else None
     while e := e >> 1:
-        x = x * x
+        x = mul(x, x)
         if e & 1:
-            result = x if result is None else result * x
+            result = x if result is None else mul(result, x)
     return result
 
 

@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 from math import gcd, lcm
 
-from .cyclotomic import CycQ, _power_basis, cyc_root_of
+from .cyclotomic import CycQ, _power, _power_basis, cyc_root_of
 from .errors import (
     BadWeight,
     NearPole,
@@ -140,17 +140,18 @@ def g2_eval(tau: complex, trunc=60) -> complex:
 
 # -- twisted Eisenstein series Q_k ---------------------------------------------
 
-def _add_geometric(rows: list, step: int, s: Fraction, weight: int):
-    """Add weight * sum_{m>=1} e^(2 pi i m s) q^(m step/t), step >= 1, into rows
-    whose slots end at the truncation.  rows[slot] is None until a term lands
-    there, then a row of Z[C_N], N = den(s): row[e] is the coefficient of zeta_N^e.
+def _add_geometric(rows: list, step: int, l: int, n: int, weight: int, start: int = 0,
+                   rot: int = 0):
+    """Add weight * sum_{m>=1} zeta_n^(m l + rot) q^(m step/t), step >= 1, into rows
+    whose slots end at the truncation, with q^0 at slot start.  rows[slot] is
+    None until a term lands there, then a row of Z[C_n]: row[e] is the
+    coefficient of zeta_n^e.
     """
-    l, n = s.numerator, s.denominator
-    for m, idx in enumerate(range(step, len(rows), step), 1):
+    for m, idx in enumerate(range(start + step, len(rows), step), 1):
         row = rows[idx]
         if row is None:
             row = rows[idx] = [0] * n
-        row[m * l % n] += weight
+        row[(m * l + rot) % n] += weight
 
 
 def _reduce_rows(rows: list, denom: int) -> list:
@@ -179,28 +180,43 @@ def qk_series(k: int, pair: TorsionPair, trunc) -> Puiseux:
     trunc = Fraction(trunc)
     if k == 0:
         return Puiseux.constant(-1, trunc)
+    t = pair.M
+    coeffs = _reduce_rows(_qk_rows(k, pair, max(0, math.ceil(trunc * t))),
+                          math.factorial(k - 1) * t ** (k - 1))
+    if coeffs:
+        coeffs[0] = _qk_constant(k, pair)
+    return Puiseux._make(t, Fraction(0), coeffs, trunc)
+
+
+def _qk_rows(k: int, pair: TorsionPair, nslots: int) -> list:
+    """Q_k (k >= 1) to nslots slots as rows of Z[C_N] over (k-1)! M^(k-1), None
+    where no term lands; slot 0, the constant, is left to _qk_constant."""
     if pair.is_trivial() and k < 2:
         # the boundary term 1/(1 - lam^-1) is a pole at lam = 1; for k >= 2
         # its weight (n - j/M)^(k-1) vanishes and the series is fine
         raise UndefinedAtTrivialPair("Q_1 is undefined at the pair (1,1)")
-    a1, s = pair.j_over_M, pair.l_over_N
-    t, j = pair.M, a1.numerator
-    nslots = max(0, math.ceil(trunc * t))
+    l, n = pair.l_over_N.numerator, pair.l_over_N.denominator
+    t, j = pair.M, pair.j_over_M.numerator
     rows = [None] * nslots
     # exponent x = step/M, weight x^(k-1)/(k-1)! = step^(k-1)/((k-1)! M^(k-1));
     # first sum: n >= 0, step = nM + j > 0; second: n >= 1, step = nM - j > 0
     for step in range(j, nslots, t):
-        _add_geometric(rows, step, s, step ** (k - 1))
+        _add_geometric(rows, step, l, n, step ** (k - 1))
     for step in range(t - j or t, nslots, t):
-        _add_geometric(rows, step, -s, (-1) ** k * step ** (k - 1))
-    coeffs = _reduce_rows(rows, math.factorial(k - 1) * t ** (k - 1))
-    if nslots:
-        coeffs[0] = CycQ.from_rational(-bernoulli_poly(k)(a1) / math.factorial(k))
-        if k == 1 and j == t:
-            # the step = 0 boundary term lam^-1 w/(1 - lam^-1), w = -1; lam != 1
-            lam_inv = cyc_root_of(-s)
-            coeffs[0] = coeffs[0] - lam_inv / (CycQ.one - lam_inv)
-    return Puiseux._make(t, Fraction(0), coeffs, trunc)
+        _add_geometric(rows, step, -l, n, (-1) ** k * step ** (k - 1))
+    return rows
+
+
+def _qk_constant(k: int, pair: TorsionPair) -> CycQ:
+    """The constant term of Q_k (k >= 1): -B_k(j/M)/k! plus, for k = 1 and
+    j/M = 1, the boundary term."""
+    a1 = pair.j_over_M
+    c = CycQ.from_rational(-bernoulli_poly(k)(a1) / math.factorial(k))
+    if k == 1 and a1 == 1:
+        # the step = 0 boundary term lam^-1 w/(1 - lam^-1), w = -1; lam != 1
+        lam_inv = cyc_root_of(-pair.l_over_N)
+        c = c - lam_inv / (CycQ.one - lam_inv)
+    return c
 
 
 def qk_series_divisor_oracle(k: int, pair: TorsionPair, trunc) -> Puiseux:
@@ -257,31 +273,43 @@ def pbar_series(k: int, pair: TorsionPair, window: tuple[int, int], trunc) -> Bi
         raise WindowTooSmall("empty w-window")
     trunc = Fraction(trunc)
     a1 = pair.j_over_M
-    s = pair.l_over_N
     t = a1.denominator
     if k == 0:
         zero = Puiseux.zero(trunc, t)
         return BiSeries(a1, lo, [zero] * (hi - lo + 1))
     nslots = max(0, math.ceil(trunc * t))
-    j = a1.numerator
     denom = math.factorial(k - 1) * t ** (k - 1)
     coeffs = []
     for off in range(lo, hi + 1):
-        step = j + off * t  # n = step/t
         rows = [None] * nslots
-        w = step ** (k - 1)  # 0^0 = 1: the k = 1 term at n = 0
-        if step > 0:
-            _add_geometric(rows, step, s, w)
-        elif step < 0:
-            _add_geometric(rows, -step, -s, -w)
+        const = _add_pbar_term(rows, k, pair, a1.numerator + off * t)
         buf = _reduce_rows(rows, denom)
-        if buf and step > 0:
-            buf[0] = CycQ.from_rational(Fraction(w, denom))
-        elif buf and step == 0 and w and not pair.is_trivial():
-            # n = 0 only for j/M = 1; lam = 1 there is the trivial pair, left out
-            buf[0] = (CycQ.one - pair.lam).inverse() * Fraction(w, denom)
+        if buf and const:
+            buf[0] = const
         coeffs.append(Puiseux._make(t, Fraction(0), buf, trunc))
     return BiSeries(a1, lo, coeffs)
+
+
+def _add_pbar_term(rows: list, k: int, pair: TorsionPair, step: int, start: int = 0,
+                   rot: int = 0) -> CycQ:
+    """Add zeta_N^rot P_n, n = step/M, into rows of Z[C_N] over (k-1)! M^(k-1),
+    with q^0 at slot start.  With w = step^(k-1), P_n is w (1 + sum_m lam^m q^(mn))
+    for n > 0 and -w sum_m lam^(-m) q^(-mn) for n < 0; the n = 0 term w/(1 - lam)
+    is no row, and is returned times zeta_N^rot (zero for every other n)."""
+    l, n = pair.l_over_N.numerator, pair.l_over_N.denominator
+    w = step ** (k - 1)  # 0^0 = 1: the k = 1 term at n = 0
+    if step > 0:
+        _add_geometric(rows, step, l, n, w, start, rot)
+        if start < len(rows):
+            row = rows[start] = rows[start] or [0] * n
+            row[rot % n] += w
+    elif step < 0:
+        _add_geometric(rows, -step, -l, n, -w, start, rot)
+    elif w and not pair.is_trivial():
+        # n = 0 only for j/M = 1 and k = 1, where the denominator is 1; lam = 1
+        # there is the trivial pair, left out
+        return (CycQ.one - pair.lam).inverse() * cyc_root_of(Fraction(rot, n))
+    return CycQ.zero
 
 
 # -- numeric evaluators for P_k and wp1 -----------------------------------------
@@ -476,9 +504,9 @@ def klein_hecke_series(pair: TorsionPair, trunc) -> tuple[Puiseux, Puiseux]:
     #              + sum_(m>=1) lam^-1 q^(m-a1)/(1 - lam^-1 q^(m-a1))
     rows = [None] * max(0, math.ceil(trunc * t))
     for step in range(j, len(rows), t):
-        _add_geometric(rows, step, a2, -1)
+        _add_geometric(rows, step, a2.numerator, a2.denominator, -1)
     for step in range(t - j or t, len(rows), t):
-        _add_geometric(rows, step, -a2, 1)
+        _add_geometric(rows, step, -a2.numerator, a2.denominator, 1)
     h = _reduce_rows(rows, 1)
     if h:
         h[0] = CycQ.from_rational(a1 - Fraction(1, 2))
@@ -521,17 +549,20 @@ def zhu_coeff_binomial_oracle(p: int, i: int, m: int) -> Fraction:
 
 
 def _log_pow_times_binomial(p: int, m: int, nterms: int) -> tuple[int, list[int]]:
-    """(den, ints): (log(1+z))^m (1+z)^(p-1) to nterms slots, as ints over den."""
+    """(den, ints): (log(1+z))^m (1+z)^(p-1) to nterms slots, as ints over den;
+    the power by square-and-multiply."""
     # log(1+z) over L = lcm(1..nterms-1)
     L = math.lcm(*range(1, nterms))
     log1p = [0] + [(L if n % 2 else -L) // n for n in range(1, nterms)]
-    den, acc = 1, [1] + [0] * (nterms - 1)
-    for _ in range(m):
-        # one gcd a step keeps den a divisor of (nterms-1)!: the z^n slot of
+
+    def mul(a, b):
+        # one gcd a product keeps den a divisor of (nterms-1)!: the z^n slot of
         # log(1+z)^m is m! s(n, m) / n!, s a Stirling number of the first kind
-        den, acc = den * L, _int_convolve(acc, log1p, nterms)
-        g = math.gcd(den, *acc)
-        den, acc = den // g, [x // g for x in acc]
+        den, ints = a[0] * b[0], _int_convolve(a[1], b[1], nterms)
+        g = math.gcd(den, *ints)
+        return den // g, [x // g for x in ints]
+
+    den, acc = _power((L, log1p), m, mul) if m else (1, [1] + [0] * (nterms - 1))
     # (1+z)^(p-1) via the binomial series: binom(p-1, n) is an integer for
     # an integer p, so each step divides exactly
     binom = [1]
@@ -620,6 +651,42 @@ def lemma_plambda_check(
     )
 
 
+def _residue_rows(k: int, m: int, pair: TorsionPair, trunc: Fraction) -> tuple:
+    """The right side of the residue identity (k >= 1) as one window of rows of
+    Z[C_N] over (k-1)! M^(k-1): (rows, const, base), slot i holding q^((i - base)/M).
+
+    The window starts at the least exponent of any term and ends where the
+    left side or a term is truncated, at min(trunc, trunc + max(m, 0) + the
+    least shift); const is the q^0 term that is no row (the n = 0 term).
+    """
+    t, j = pair.M, pair.j_over_M.numerator
+    depth = math.ceil(trunc) + abs(m) + 2
+    if depth < 0:
+        raise WindowTooSmall("empty w-window")
+    # the least shift n = j/M + 1 - m of the second sum puts q^0 at slot base
+    least = j + (1 - m) * t
+    base = max(0, -least)
+    # each P_n is taken to trunc + max(m, 0), so that the q^n shift of the second
+    # sum (negative n) still leaves everything exact to trunc; q^n P_n ends at
+    # trunc + max(m, 0) + n
+    end = min(trunc, trunc + max(m, 0) + Fraction(least, t))
+    rows = [None] * max(0, math.ceil(end * t) + base)
+    # first product: iota_(z,z1)(1/(z-z1)) * z^(j/M - m) * Pbar(w = z1/z).
+    # iota_(z,z1) = sum_(e>=0) z1^e z^(-1-e) has every coefficient 1, and the
+    # z1-exponent is suppressed (it is the constant j/M - m at the residue);
+    # w^n contributes z^(-n), so z^(-1) collects P_n with n = j/M - m - e.
+    consts = [_add_pbar_term(rows, k, pair, j + off * t, base)
+              for off in range(-m - depth, 1 - m)]
+    # second product: -lam * iota_(z1,z)(1/(z-z1)) * z^(j/M - m) * Pbar(w = z1 q/z).
+    # iota_(z1,z) = -sum_(e>=0) z^e z1^(-1-e) has every coefficient -1, and
+    # w -> w q multiplies P_n by q^n; z^(-1) collects n = j/M + 1 - m + e.
+    # Past depth, either sum's terms start at or beyond the window's end.
+    rot = pair.l_over_N.numerator  # lam = zeta_N^rot
+    consts += [_add_pbar_term(rows, k, pair, step, base + step, rot)
+               for step in range(least, least + (depth + 1) * t, t)]
+    return rows, sum(filter(None, consts), CycQ.zero), base
+
+
 def prop48_check(k: int, m: int, pair: TorsionPair, trunc) -> CheckReport:
     """Exact residue identity linking the two-variable series to Q_k.
 
@@ -630,6 +697,13 @@ def prop48_check(k: int, m: int, pair: TorsionPair, trunc) -> CheckReport:
 
         Q_k + B_k(1 - m + j/M)/k!
             = sum_(off=-m-depth)^(-m) P_n + lam sum_(off=1-m)^(1-m+depth) q^n P_n.
+
+    For k >= 1 the identity is summed in one window of rows of Z[C_N] over
+    (k-1)! M^(k-1), on the 1/M grid: each P_n of the first sum is added as it
+    is, each of the second shifted by n and rotated by lam, and Q_k's rows are
+    subtracted; the window is reduced to the power basis once, and every slot
+    must vanish, the q^0 slot together with the constants that are no row
+    (the n = 0 term, Q_k's constant and the Bernoulli term).
     """
     trunc = Fraction(trunc)
     params = {"k": k, "m": m, "pair": pair, "trunc": trunc}
@@ -640,33 +714,18 @@ def prop48_check(k: int, m: int, pair: TorsionPair, trunc) -> CheckReport:
         return CheckReport(
             "residue-pairing-identity", params, "exact" if ok else "mismatch", ok, flags
         )
-    a1 = pair.j_over_M
-    t = a1.denominator
-    depth = math.ceil(trunc) + abs(m) + 2
-    window = (-m - depth, 1 - m + depth)
-    # extra q-window so the q^n shift of the second product (negative n)
-    # still leaves everything exact to trunc
-    trunc_p = trunc + max(m, 0)
-    pbar = pbar_series(k, pair, window, trunc_p)
-
-    # first product: iota_(z,z1)(1/(z-z1)) * z^(j/M - m) * Pbar(w = z1/z).
-    # iota_(z,z1) = sum_(e>=0) z1^e z^(-1-e) has every coefficient 1, and the
-    # z1-exponent is suppressed (it is the constant j/M - m at the residue);
-    # w^n contributes z^(-n), so z^(-1) collects P_n with n = j/M - m - e.
-    first = Puiseux.sum(pbar.coeff_at_w(a1 + off) for off in range(-m - depth, 1 - m))
-    # second product: -lam * iota_(z1,z)(1/(z-z1)) * z^(j/M - m) * Pbar(w = z1 q/z).
-    # iota_(z1,z) = -sum_(e>=0) z^e z1^(-1-e) has every coefficient -1, and
-    # w -> w q multiplies P_n by q^n; z^(-1) collects n = j/M + 1 - m + e.
-    # Past depth, either sum's terms start at or beyond q^trunc_p.
-    second = Puiseux.sum(pbar.coeff_at_w(a1 + off).shifted(a1 + off)
-                         for off in range(1 - m, 2 - m + depth))
-    rhs = first + second.scalar_mul(pair.lam)
-
-    qk = qk_series(k, pair, trunc)
-    lhs = qk + Puiseux.constant(
-        bernoulli_poly(k)(1 - m + a1) / math.factorial(k), trunc, t
-    )
-    ok = (lhs - rhs).truncated(min(lhs.trunc, rhs.trunc, trunc)).is_zero()
+    rows, const, base = _residue_rows(k, m, pair, trunc)
+    # minus the left side, Q_k + B_k(1 - m + j/M)/k!
+    for idx, row in enumerate(_qk_rows(k, pair, max(0, len(rows) - base)), base):
+        if row:
+            cur = rows[idx] = rows[idx] or [0] * len(row)
+            for e, c in enumerate(row):
+                cur[e] -= c
+    coeffs = _reduce_rows(rows, math.factorial(k - 1) * pair.M ** (k - 1))
+    if base < len(coeffs):
+        bern = bernoulli_poly(k)(1 - m + pair.j_over_M) / math.factorial(k)
+        coeffs[base] += const - _qk_constant(k, pair) - bern
+    ok = not any(coeffs)
     return CheckReport(
         "residue-pairing-identity", params, "exact" if ok else "mismatch", ok, flags
     )

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from orbiform import forms
 from orbiform.cyclotomic import CycQ, cyc_root_of, lcm
 from orbiform.errors import (
     BadWeight,
@@ -20,6 +21,8 @@ from orbiform.errors import (
     UndefinedAtTrivialPair,
 )
 from orbiform.forms import (
+    _reduce_rows,
+    _residue_rows,
     bernoulli_identities_check,
     bernoulli_number,
     bernoulli_poly,
@@ -468,6 +471,7 @@ def test_zhu_coeff_against_binomial_oracle():
 @example(0, (40, 0))  # m = 0: the binomial row alone, p - 1 < 0
 @example(-3, (4, 2))
 @example(30, (40, 40))
+@example(3, (200, 199))  # log(1+z)^199 by square-and-multiply, at the CLI's largest i
 def test_zhu_coeff_matches_binomial_oracle_at_any_p(p, im):
     i, m = im
     assert zhu_coeff(p, i, m) == zhu_coeff_binomial_oracle(p, i, m)
@@ -519,3 +523,83 @@ def test_prop48_single_cases():
         for m in (-1, 0, 2):
             rep = prop48_check(k, m, pair, 8)
             assert rep.passed, (k, m)
+
+
+def _reference_residue_rhs(k, m, pair, trunc):
+    """The right side of the residue identity summed series by series: dense
+    P-bar coefficients from pbar_series, the second sum shifted by q^n, both
+    summed by Puiseux.sum, and the second scaled by lam."""
+    a1 = pair.j_over_M
+    depth = math.ceil(trunc) + abs(m) + 2
+    pbar = pbar_series(k, pair, (-m - depth, 1 - m + depth), trunc + max(m, 0))
+    first = Puiseux.sum(pbar.coeff_at_w(a1 + off) for off in range(-m - depth, 1 - m))
+    second = Puiseux.sum(pbar.coeff_at_w(a1 + off).shifted(a1 + off)
+                         for off in range(1 - m, 2 - m + depth))
+    return first + second.scalar_mul(pair.lam)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 6), st.integers(1, 6), st.integers(1, 6), st.integers(1, 6),
+    st.integers(1, 5), st.integers(-1, 3),
+    st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(2), Fraction(7, 3), Fraction(4)]),
+)
+@example(1, 1, 3, 1, 1, 0, Fraction(4))  # j/M = 1, k = 1: the n = 0 term in the first sum
+@example(1, 1, 4, 1, 1, 2, Fraction(4))  # ... and in the second, times lam
+@example(3, 2, 5, 2, 2, -1, Fraction(4))  # m = -1
+@example(4, 1, 6, 5, 3, 3, Fraction(4))  # m = 3: negative shifts in the second sum
+@example(5, 3, 5, 2, 4, 3, Fraction(2))  # conductor 5
+def test_residue_rows_match_the_summed_pbar_series(m_den, j, n, l, k, m, trunc):
+    pair = TorsionPair(Fraction(j, m_den), Fraction(l, n))
+    rows, const, base = _residue_rows(k, m, pair, trunc)
+    coeffs = _reduce_rows(rows, math.factorial(k - 1) * pair.M ** (k - 1))
+    if base < len(coeffs):
+        coeffs[base] += const
+    want = _reference_residue_rhs(k, m, pair, trunc)
+    # prop48_check compares to min(lhs.trunc, rhs.trunc, trunc); lhs.trunc is trunc
+    want = want.truncated(min(trunc, want.trunc))
+    assert (want.T, want.lead) == (pair.M, Fraction(-base, pair.M))
+    assert coeffs == want.coeffs
+
+
+def _plant_in_pbar_term(monkeypatch):
+    add, planted = forms._add_pbar_term, []
+
+    def plant(rows, k, pair, step, start=0, rot=0):
+        const = add(rows, k, pair, step, start, rot)
+        if not planted and start < len(rows):
+            row = rows[start] = rows[start] or [0] * pair.l_over_N.denominator
+            row[0] += 1
+            planted.append(step)
+        return const
+
+    monkeypatch.setattr(forms, "_add_pbar_term", plant)
+
+
+def _plant_in_qk_rows(monkeypatch):
+    qk_rows = forms._qk_rows
+
+    def plant(k, pair, nslots):
+        rows = qk_rows(k, pair, nslots)
+        rows[-1] = rows[-1] or [0] * pair.l_over_N.denominator
+        rows[-1][0] += 1
+        return rows
+
+    monkeypatch.setattr(forms, "_qk_rows", plant)
+
+
+def _plant_in_constant(monkeypatch):
+    qk_constant = forms._qk_constant
+    monkeypatch.setattr(forms, "_qk_constant", lambda k, pair: qk_constant(k, pair) + 1)
+
+
+@pytest.mark.parametrize("plant", [_plant_in_pbar_term, _plant_in_qk_rows, _plant_in_constant])
+@pytest.mark.parametrize("k,m,a,b", [(1, 2, Fraction(1), Fraction(1, 3)),
+                                     (2, -1, Fraction(2, 3), Fraction(1, 4)),
+                                     (4, 3, Fraction(3, 4), Fraction(1, 2))])
+def test_prop48_rejects_one_planted_unit(monkeypatch, plant, k, m, a, b):
+    pair = TorsionPair(a, b)
+    assert prop48_check(k, m, pair, 6).passed
+    plant(monkeypatch)
+    rep = prop48_check(k, m, pair, 6)
+    assert (rep.passed, rep.error) == (False, "mismatch")
