@@ -11,18 +11,18 @@ q^(mu + n/T) c(l) as (T mu + n) + d/dl, on rows of the nonzero terms of each
 r_i.  It keeps c(l) in divided powers l^j/j!, where d/dl is a shift, and
 converts only where a solution is seeded or assembled.  One function,
 ``_setup``, picks its value type from the indicial roots and every value it
-reads (the ODE's, and for an inhomogeneous solve f's): on exact roots and
-rational values, integer numerators over one denominator, with each c_n over
-its own and one gcd per coefficient when the solution is assembled;
-on exact roots and some value of conductor > 1, ``CycQ`` values; on roots
-that are not all rational, ``complex`` values.
+reads by slot index (the ODE's, and for an inhomogeneous solve f's): on
+exact roots and rational values, integer numerators over one denominator,
+with each c_n over its own and one gcd per coefficient when the solution is
+assembled; on exact roots and some value of conductor > 1, ``CycQ`` values;
+on roots that are not all rational, ``complex`` values.
 
 The residual ``apply_ode`` takes each log part of the series and each of
-the ODE's coefficients as a row over one denominator, of ints when every
-slot has conductor 1 and of ints and ``CycQ`` values otherwise: theta
-multiplies slot k by an integer, a product adds the part's row, shifted and
-scaled, once per nonzero slot of the coefficient, and each residual part is
-one n-ary sum over the lcm of the denominators, as ``Puiseux.sum`` builds it.
+the ODE's coefficients as a row of ints, or of ints and ``CycQ`` values when
+some slot has conductor > 1, over one denominator, with lead and trunc ints
+over one D on the 1/t grid: theta multiplies slot k by an integer, a product
+adds the part's row, shifted and scaled, once per nonzero slot of the
+coefficient, and each part is one n-ary sum, as ``Puiseux.sum`` builds it.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .cyclotomic import CycQ, _poly_divmod_q, _poly_gcdex, _poly_sub
 from .errors import TruncationTooSmall
@@ -152,22 +153,22 @@ def indicial_roots(ode: RegularSingularODE) -> list:
 def _rational_roots(coeffs: list) -> tuple[list, list]:
     """All rational roots (with multiplicity) and the deflated cofactor; one
     pass suffices, since a root of a quotient is a root met at its own p.
-    On integer coefficients c_i, each candidate p/q in lowest terms is tested
+    On integer coefficients c_i, each candidate p/q, a coprime pair, is tested
     once by the integer sum of c_i p^i q^(n-i); at a root, (q x - p) divides
-    exactly and the quotient is integral again (Gauss's lemma)."""
+    exactly and the quotient is integral again (Gauss's lemma), so synthetic
+    division from the top finds it: b_(k-1) = (c_k + p b_k)/q."""
     den = math.lcm(*(c.denominator for c in coeffs))
     cur = [c.numerator * (den // c.denominator) for c in coeffs]
     roots = []
     while len(cur) > 1 and cur[0] == 0:
         roots.append(Fraction(0))
         cur = cur[1:]
-    candidates = dict.fromkeys(Fraction(s * p, q) for p in _divisors(abs(cur[0]))
-                               for q in _divisors(abs(cur[-1])) for s in (1, -1))
-    for cand in candidates:
-        p, q = cand.numerator, cand.denominator
+    candidates = [(s * p, q) for p in _divisors(abs(cur[0])) for q in _divisors(abs(cur[-1]))
+                  for s in (1, -1) if math.gcd(p, q) == 1]
+    for p, q in candidates:
         while len(cur) > 1 and not _homogeneous_value(cur, p, q):
-            roots.append(cand)
-            cur = [x.numerator for x in _poly_divmod_q(cur, [Fraction(-p), Fraction(q)])[0]]
+            roots.append(Fraction(p, q))
+            cur = list(accumulate(cur[:0:-1], lambda b, c: (c + p * b) // q, initial=0))[:0:-1]
     return roots, [Fraction(x) for x in cur]
 
 
@@ -368,7 +369,7 @@ def _fold_solution(cs: list, dens: list, d: int, mu: Fraction, T: int, span: Fra
             continue
         first = occupied[0]
         lead = mu + Fraction(first, T)
-        coeffs = [CycQ.zero] * _nterms(lead, trunc, t)
+        coeffs = [CycQ.zero] * (_nterms(mu, trunc, t) - first * step)
         for n in occupied:
             x = cs[n][j]
             coeffs[(n - first) * step] = (CycQ._reduced(1, dens[n] * div, (x * num,))
@@ -433,18 +434,21 @@ def _setup(ode: RegularSingularODE, trunc, exact: bool, f: LogQSeries | None = N
             raise TruncationTooSmall(
                 f"coefficient series truncated at {r.trunc} < requested {span}"
             )
-        rows.append([(int(e * T), c * T ** (m - i)) for e, c in r.terms() if 0 < e * T < steps])
-    fs = []
-    if f is not None:
-        for p in f.parts:
-            if p.trunc < lam + span:
-                raise TruncationTooSmall(
-                    f"inhomogeneous term truncated at {p.trunc} < {lam + span}"
-                )
+        rows.append([(s, c * T ** (m - i)) for s, c in enumerate(r.coeffs, int(r.lead * T))
+                     if c and 0 < s < steps])
+    cols = []  # f's values at q^(lam + n/T), n < steps, one list per log part
+    for j, p in enumerate(f.parts if f is not None else ()):
+        if p.trunc < lam + span:
+            raise TruncationTooSmall(
+                f"inhomogeneous term truncated at {p.trunc} < {lam + span}"
+            )
         # l is (f.T/T) log q_(1/f.T), so f's l'^j part is (T/f.T)^j j! l^j/j!
-        scales = [-T**m * Fraction(T, f.T) ** j * math.factorial(j) for j in range(len(f.parts))]
-        fs = [_ptrim([p.coeff_at(lam + Fraction(n, T)) * k for p, k in zip(f.parts, scales)])
-              for n in range(steps)]
+        k = CycQ.from_rational(-T**m * Fraction(T, f.T) ** j * math.factorial(j))
+        first, step = (lam - p.lead) * f.T, f.T // T  # q^(lam + n/T) is slot first + n step
+        on_grid = first.denominator == 1  # else p has no term in lam + (1/T)Z
+        cols.append([p.coeffs[i] * k if on_grid and i >= 0 else CycQ.zero
+                     for i in range(first.numerator, first.numerator + steps * step, step)])
+    fs = [_ptrim(list(fn)) for fn in zip(*cols)]
     values = indicial + [c for row in rows for _, c in row] + [x for fn in fs for x in fn]
     if not exact:
         values = [c.embed() for c in values]
@@ -502,87 +506,91 @@ def apply_ode(ode: RegularSingularODE, s: LogQSeries) -> LogQSeries:
     most 0 and trunc the smallest over every part of every term.
     """
     t = _lead_grid(math.lcm(ode.T, s.T), s.parts + ode.coeffs)
-    scale = t // s.T
-    coeff_rows = [_row(r, t) for r in ode.coeffs]
-    images = [[_row(p, t, scale**j) for j, p in enumerate(s.parts)]]
+    D = math.lcm(t, *(p.trunc.denominator for p in s.parts + ode.coeffs))
+    g, scale = D // t, t // s.T
+    coeff_rows = [_row(r, t, D) for r in ode.coeffs]
+    images = [[_row(p, t, D, scale**j) for j, p in enumerate(s.parts)]]
     for _ in range(ode.order):
-        images.append(_theta_rows(images[-1], t))
-    terms = [images[-1]] + [[_mul_rows(p, r, t) for p in image]
+        images.append(_theta_rows(images[-1], D, g))
+    terms = [images[-1]] + [[_mul_rows(p, r, g) for p in image]
                             for image, r in zip(images, coeff_rows)]
     trunc = min(p[1] for term in terms for p in term)
     result = []
     for col in zip(*terms):
-        lead, _, den, row = _sum_rows(col, t, min(Fraction(0), *(p[0] for p in col)), trunc)
-        inv = Fraction(1, den)
+        lead, _, den, row = _sum_rows(col, g, min(0, *(p[0] for p in col)), trunc)
         values = [CycQ.zero if not x else CycQ._reduced(1, den, (x,)) if type(x) is int
-                  else x * inv for x in row]
-        result.append(Puiseux._make(t, lead, values, trunc))
+                  else x if den == 1 else CycQ._reduced(x.conductor, x.den * den, x.nums)
+                  for x in row]
+        result.append(Puiseux._make(t, Fraction(lead, D), values, Fraction(trunc, D)))
     return LogQSeries(t, result)
 
 
-# A Puiseux part at branching t is the row (lead, trunc, den, row): slot i
-# holds row[i]/den at q^(lead + i/t), each row[i] an int or a CycQ and each
-# zero the int 0, which ``_add_into`` skips rather than scale by a CycQ.  Each
-# helper below gives the leads, truncations and lengths of the Puiseux or
-# LogQSeries operation it stands for.
+# A Puiseux part at branching t is the row (lead, trunc, den, row), lead and
+# trunc ints over a D that t and every trunc's denominator divide: slot i holds
+# row[i]/den at q^((lead + i g)/D), g = D/t, each row[i] an int or a CycQ and
+# each zero the int 0, which ``_add_into`` skips rather than scale by a CycQ.
+# Each helper gives the leads, truncs and lengths of the operation it mirrors.
 
-def _row(p: Puiseux, t: int, scale: int = 1):
+def _row(p: Puiseux, t: int, D: int, scale: int = 1):
     """scale * p at branching t as a row: ints over the common denominator
     when every slot of p has conductor 1, else p's values over 1."""
     den, ints = _int_row(p.coeffs) or (1, [c if c else 0 for c in p.coeffs])
     if scale != 1:
         ints = [x * scale for x in ints]
+    lead, trunc = (x.numerator * (D // x.denominator) for x in (p.lead, p.trunc))
     if t != p.T:
         row = [0] * _nterms(p.lead, p.trunc, t)
         row[::t // p.T] = ints
         ints = row
-    return p.lead, p.trunc, den, ints
+    return lead, trunc, den, ints
 
 
-def _sum_rows(terms: list, t: int, lead: Fraction, trunc: Fraction):
+def _sum_rows(terms: list, g: int, lead: int, trunc: int):
     """Puiseux.sum on rows, for the lead and trunc the caller gives (each at
     most the terms' own): each row is placed at its offset
-    int((lead_x - lead) t), over the lcm of the dens."""
-    n = _nterms(lead, trunc, t)
+    (lead_x - lead)/g, over the lcm of the dens."""
     den = math.lcm(*(x[2] for x in terms))
-    out = [0] * n
+    out = [0] * max(0, -((lead - trunc) // g))  # ceil((trunc - lead)/g) slots
     for x_lead, _, x_den, x_row in terms:
-        _add_into(out, int((x_lead - lead) * t), den // x_den, x_row)
+        _add_into(out, (x_lead - lead) // g, den // x_den, x_row)
     return lead, trunc, den, out
 
 
 def _add_into(out: list, off: int, k, row: list) -> None:
     """out[off + i] += k row[i] for every nonzero row[i] with off + i < len(out)."""
     seg = row[:max(0, len(out) - off)]
-    out[off:off + len(seg)] = [u + k * v if v else u for u, v in zip(out[off:], seg)]
+    if type(k) is int and k == 1:
+        out[off:off + len(seg)] = [u + v if v else u for u, v in zip(out[off:], seg)]
+    else:
+        out[off:off + len(seg)] = [u + k * v if v else u for u, v in zip(out[off:], seg)]
 
 
-def _theta_rows(parts: list, t: int) -> list:
+def _theta_rows(parts: list, D: int, g: int) -> list:
     """theta = q d/dq on a polynomial in l = log q_(1/t), by the product rule
     theta(l^i f) = l^i theta f + (i/t) l^(i-1) f: theta on part i, plus
-    part i+1 times (i+1)/t.
+    part i+1 times (i+1)/t = (i+1) g/D.
 
-    Slot k of a part of lead P'/Q sits at (P' t + k Q)/(Q t), so theta
-    multiplies it by P' t + k Q and the den by Q t.
+    Slot k of a part of lead L/D sits at (L + k g)/D, so theta multiplies it
+    by L + k g and the den by D.
     """
     out = []
     for i, (lead, trunc, den, row) in enumerate(parts):
-        P, Q = lead.numerator * t, lead.denominator
-        term = (lead, trunc, den * Q * t, [x * (P + k * Q) for k, x in enumerate(row)])
+        term = (lead, trunc, den * D, [x * (lead + k * g) for k, x in enumerate(row)])
         if i + 1 < len(parts):
             n_lead, n_trunc, n_den, n_row = parts[i + 1]
-            term = _sum_rows([term, (n_lead, n_trunc, n_den * t, [x * (i + 1) for x in n_row])],
-                             t, min(lead, n_lead), min(trunc, n_trunc))
+            n_row = [x * ((i + 1) * g) for x in n_row]
+            term = _sum_rows([term, (n_lead, n_trunc, n_den * D, n_row)],
+                             g, min(lead, n_lead), min(trunc, n_trunc))
         out.append(term)
     return out
 
 
-def _mul_rows(a, b, t: int):
+def _mul_rows(a, b, g: int):
     """Puiseux.__mul__ of a part a by a coefficient b: one shifted, scaled
     add of a's row per nonzero slot of b, O(nnz(b) len(a))."""
     lead = a[0] + b[0]
     trunc = min(a[1] + b[0], b[1] + a[0])
-    out = [0] * _nterms(lead, trunc, t)
+    out = [0] * max(0, -((lead - trunc) // g))
     for j, c in enumerate(b[3][:len(out)]):
         if c:
             _add_into(out, j, c, a[3])

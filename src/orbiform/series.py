@@ -4,8 +4,9 @@ A Puiseux series is sum_n a_n q^(lead + n/T) with exact cyclotomic
 coefficients.  Truncation is explicit: exponents >= trunc are unknown and
 every operation propagates the most pessimistic truncation of its inputs.
 
-Every coefficient is a ``CycQ``: an int or a Fraction is coerced to one,
-and any other value is a ``TypeError``.
+Every coefficient is a ``CycQ``, coerced from an int or a Fraction; leads
+and truncations are Fractions, counted and compared as ints on the 1/T grid.
+Any other coefficient, and a float or complex exponent, is a ``TypeError``.
 
 Products take one of two exact paths, chosen by the coefficients.  When
 every slot of both operands has conductor 1, ``_int_row`` reads each operand
@@ -44,9 +45,17 @@ def _coerce_coeff(v) -> CycQ:
     return c
 
 
+def _exponent(x) -> Fraction:
+    """An exponent as a Fraction; a float or complex is a TypeError (0.1 is not 1/10)."""
+    if isinstance(x, (float, complex)):
+        raise TypeError(f"an exponent is an int, Fraction or str, not {type(x).__name__}")
+    return Fraction(x)
+
+
 def _nterms(lead: Fraction, trunc: Fraction, t: int) -> int:
-    span = (trunc - lead) * t
-    return max(0, math.ceil(span))
+    """max(0, ceil((trunc - lead) t)), the slots at branching t, on ints."""
+    b, d = lead.denominator, trunc.denominator
+    return max(0, -((lead.numerator * d - trunc.numerator * b) * t // (b * d)))
 
 
 class EvalResult(NamedTuple):
@@ -64,8 +73,7 @@ class Puiseux:
     def __init__(self, T: int, lead, coeffs, trunc):
         if not isinstance(T, int) or T < 1:
             raise ValueError(f"branching must be a positive integer, got {T!r}")
-        lead = Fraction(lead)
-        trunc = Fraction(trunc)
+        lead, trunc = _exponent(lead), _exponent(trunc)
         coeffs = [_coerce_coeff(c) for c in coeffs]
         n = _nterms(lead, trunc, T)
         if len(coeffs) < n:
@@ -99,7 +107,7 @@ class Puiseux:
     def monomial(coeff, exponent, trunc, T: int = 1) -> "Puiseux":
         coeff = _coerce_coeff(coeff)
         trunc = Puiseux.zero(trunc, T).trunc  # checks T and trunc
-        exponent = Fraction(exponent)
+        exponent = _exponent(exponent)
         if (exponent * T).denominator != 1:
             raise ValueError("exponent not representable with this branching")
         return Puiseux(T, exponent, [coeff][:_nterms(exponent, trunc, T)], trunc)
@@ -108,16 +116,15 @@ class Puiseux:
     def from_terms(terms, trunc, T: int = 1) -> "Puiseux":
         """terms: iterable of (exponent, coefficient)."""
         zero = Puiseux.zero(trunc, T)  # checks T and trunc
-        terms = [(Fraction(e), _coerce_coeff(c)) for e, c in terms]
+        terms = [(_exponent(e), _coerce_coeff(c)) for e, c in terms]
         if not terms:
             return zero
         lead = min(e for e, _ in terms)
         coeffs = [CycQ.zero] * _nterms(lead, zero.trunc, T)
         for e, c in terms:
-            idx = (e - lead) * T
-            if idx.denominator != 1:
+            idx, off = divmod((e - lead) * T, 1)
+            if off:
                 raise ValueError("exponent not on the 1/T grid")
-            idx = int(idx)
             if 0 <= idx < len(coeffs):
                 coeffs[idx] = coeffs[idx] + c
             elif e >= zero.trunc:
@@ -136,7 +143,7 @@ class Puiseux:
         return Puiseux._make(t, self.lead, coeffs, self.trunc)
 
     def truncated(self, new_trunc) -> "Puiseux":
-        new_trunc = Fraction(new_trunc)
+        new_trunc = _exponent(new_trunc)
         if new_trunc > self.trunc:
             raise ValueError("cannot extend a truncated series")
         n = _nterms(self.lead, new_trunc, self.T)
@@ -153,7 +160,7 @@ class Puiseux:
 
     def shifted(self, r) -> "Puiseux":
         """Multiply by q^r."""
-        r = Fraction(r)
+        r = _exponent(r)
         return Puiseux._make(self.T, self.lead + r, list(self.coeffs), self.trunc + r)
 
     def substituted(self, s: int) -> "Puiseux":
@@ -166,14 +173,13 @@ class Puiseux:
         return Puiseux._make(self.T, lead, coeffs, trunc)
 
     def coeff_at(self, exponent):
-        """Exact coefficient of q^exponent; raises if past truncation."""
-        exponent = Fraction(exponent)
-        if exponent >= self.trunc:
-            raise KeyError(f"exponent {exponent} at or past truncation {self.trunc}")
-        idx = (exponent - self.lead) * self.T
-        if exponent < self.lead or idx.denominator != 1:
-            return CycQ.zero
-        return self.coeffs[int(idx)]
+        """Exact coefficient of q^exponent, 0 below lead or off the grid; raises past truncation."""
+        e = _exponent(exponent)
+        if e.numerator * self.trunc.denominator >= self.trunc.numerator * e.denominator:
+            raise KeyError(f"exponent {e} at or past truncation {self.trunc}")
+        a, b = self.lead.numerator, self.lead.denominator
+        idx, off = divmod((e.numerator * b - a * e.denominator) * self.T, e.denominator * b)
+        return self.coeffs[idx] if idx >= 0 and not off else CycQ.zero
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -191,10 +197,10 @@ class Puiseux:
 
         The branching t is the lcm of every T and of the denominators of the
         lead differences, so no term moves off its exponent; lead and trunc
-        are the smallest ones.  Slot k of a term lands at its offset plus
-        k t/T.  The first term is copied as it is, zero slots included, and
-        each later term adds its nonzero slots in order, exactly as a chain
-        of two-term sums does.
+        are the smallest ones.  Slot k of a term lands at its offset, the
+        whole number ``_nterms(lead, x.lead, t)``, plus k t/T.  The first term
+        is copied as it is, zero slots included, and each later term adds its
+        nonzero slots in order, exactly as a chain of two-term sums does.
         """
         terms = list(terms)
         first, *rest = terms
@@ -203,11 +209,11 @@ class Puiseux:
         trunc = min(x.trunc for x in terms)
         buf = [CycQ.zero] * _nterms(lead, trunc, t)
         n = len(buf)
-        off, step = int((first.lead - lead) * t), t // first.T
+        off, step = _nterms(lead, first.lead, t), t // first.T
         buf[off:n:step] = first.coeffs[:len(range(off, n, step))]
         zero = CycQ.zero
         for x in rest:
-            for j, c in zip(range(int((x.lead - lead) * t), n, t // x.T), x.coeffs):
+            for j, c in zip(range(_nterms(lead, x.lead, t), n, t // x.T), x.coeffs):
                 if c:
                     cur = buf[j]
                     buf[j] = c if cur is zero else cur + c
@@ -420,9 +426,10 @@ def theta(s: Puiseux, scale: str = "full") -> Puiseux:
     """q d/dq (scale="full") or q_(1/T) d/dq_(1/T) (scale="one_over_T")."""
     if scale not in ("full", "one_over_T"):
         raise ValueError("scale must be 'full' or 'one_over_T'")
-    factor = s.T if scale == "one_over_T" else 1
-    coeffs = [c * ((s.lead + Fraction(i, s.T)) * factor) if c else CycQ.zero
-              for i, c in enumerate(s.coeffs)]
+    a, b, T = s.lead.numerator, s.lead.denominator, s.T
+    den = b * T if scale == "full" else b  # slot i sits at (a T + i b)/(b T)
+    coeffs = [CycQ._reduced(c.conductor, c.den * den, tuple([x * (a * T + i * b) for x in c.nums]))
+              if c else CycQ.zero for i, c in enumerate(s.coeffs)]
     return Puiseux._make(s.T, s.lead, coeffs, s.trunc)
 
 

@@ -537,6 +537,9 @@ STDOUT_SHA256 = {
         "8d8456fed99de0537ef9a26f77ffabec0c64be8fae4ac4eeb807e9602911863c",
     "frobenius --ode {branched} --trunc 5":
         "c7bb180ec8b65dea790f95c156b920249ee0b27d78d3e274d51816743a61fafd",
+    # a span off the (1/3)Z grid: each part's trunc is 73/20, at T = 12
+    "frobenius --ode {branched} --trunc 17/5":
+        "2c5342c8b999f13c562ac98096b0782216fbbc0fa523c268bae1075999a3bd6c",
     "frobenius --ode {triple} --trunc 5":
         "16e872c2387724bef19d3ff72f339ba02a3c3b5689e46b8060bdd65a7e5f9dab",
     "frobenius --ode {conductor3} --trunc 5":

@@ -452,6 +452,34 @@ def test_puiseux_rejects_float_and_complex_coefficients(value):
         geometric(3).scalar_mul(value)
 
 
+@pytest.mark.parametrize("value", [0.1, 0.5, 1.5j])
+def test_puiseux_rejects_float_and_complex_exponents(value):
+    # a float exponent is its binary value: 0.1 is 3602879701896397/2^55, not
+    # 1/10, so it read zero from the q^(1/10) slot and made a wrong lead
+    s = Puiseux(10, 0, [0, 5], Fraction(1, 5))
+    assert s.coeff_at(Fraction(1, 10)) == 5 and s.coeff_at("1/10") == 5
+    with pytest.raises(TypeError):
+        Puiseux(1, value, [1], 2)
+    with pytest.raises(TypeError):
+        Puiseux(1, 0, [1], value + 2)
+    with pytest.raises(TypeError):
+        Puiseux.zero(value)
+    with pytest.raises(TypeError):
+        Puiseux.monomial(1, value, 3, 10)
+    with pytest.raises(TypeError):
+        Puiseux.monomial(1, 0, value + 3)
+    with pytest.raises(TypeError):
+        Puiseux.from_terms([(0, 1), (value, 1)], 3, 10)
+    with pytest.raises(TypeError):
+        Puiseux.from_terms([(0, 1)], value + 3)
+    with pytest.raises(TypeError):
+        s.coeff_at(value)
+    with pytest.raises(TypeError):
+        s.shifted(value)
+    with pytest.raises(TypeError):
+        s.truncated(value / 10)
+
+
 def test_klein_form_inverse_at_branching_96():
     g, _ = klein_hecke_series(TorsionPair(Fraction(1, 4), Fraction(2, 3)), 10)
     assert g.T == 96
