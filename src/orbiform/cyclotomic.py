@@ -9,11 +9,11 @@ is true when it is nonzero, so every layer zero-tests a coefficient with
 
 Two private helpers hold the package's exact inner loops.
 ``_sparse_convolve`` is its one sparse product loop: ``CycQ.__mul__``, the
-Euclid helper ``_poly_mul``, the cyclotomic path of ``series._convolve`` and
-``BiSeries.__mul__`` call it.  ``_power_basis`` is its one reduction of
-sum c zeta_n^e through ``_reduction_table(n)``, the table of zeta_n^e for
-every e mod n: ``CycQ.lift``, the reduction step of ``CycQ.__mul__`` and
-``forms._reduce_rows`` call it.
+Euclid helper ``_poly_mul``, the cyclotomic path of ``series._convolve``,
+``BiSeries.__mul__`` and ``series._mul_rows`` call it.  ``_power_basis`` is
+its one reduction of sum c zeta_n^e through ``_reduction_table(n)``, the
+table of zeta_n^e for every e mod n: ``CycQ.lift``, the reduction step of
+``CycQ.__mul__`` and ``forms._reduce_rows`` call it.
 """
 
 from __future__ import annotations
@@ -352,7 +352,10 @@ class CycQ:
 
     @staticmethod
     def from_json(data: dict) -> "CycQ":
-        return CycQ(data["conductor"], [Fraction(c) for c in data["coeffs"]])
+        coeffs = data["coeffs"]
+        if any(isinstance(c, float) for c in coeffs):  # 0.1 is not 1/10
+            raise TypeError("a coordinate is an int or str, not float")
+        return CycQ(data["conductor"], [Fraction(c) for c in coeffs])
 
 
 _new = object.__new__

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .modular import TorsionPair
 from .report import CheckReport
-from .series import BiSeries, Puiseux, _divisor_sums, _from_ints, _int_convolve, theta
+from .series import BiSeries, Puiseux, _divisor_sums, _exponent, _from_row, _int_convolve, theta
 
 TWO_PI_I = 2j * cmath.pi
 
@@ -114,9 +114,9 @@ def eisenstein(k: int, trunc) -> Puiseux:
     """Normalized weight-k Eisenstein series, constant term -B_k(0)/k!."""
     if k < 2 or k % 2 != 0:
         raise BadWeight("Eisenstein weight must be an even integer >= 2")
-    trunc = Fraction(trunc)
+    trunc = _exponent(trunc)
     n = max(0, math.ceil(trunc))
-    coeffs = _from_ints(math.factorial(k - 1), [2 * x for x in _divisor_sums(n, k - 1, 1)])
+    coeffs = _from_row(math.factorial(k - 1), [2 * x for x in _divisor_sums(n, k - 1, 1)])
     if n:
         coeffs[0] = CycQ.from_rational(-bernoulli_number(k) / math.factorial(k))
     return Puiseux._make(1, Fraction(0), coeffs, trunc)
@@ -129,7 +129,7 @@ def g2_eval(tau: complex, trunc=60) -> complex:
     import numpy as np
     if tau.imag <= 0:
         raise NotConvergent("evaluation requires Im(tau) > 0")
-    n = max(0, math.ceil(Fraction(trunc)))
+    n = max(0, math.ceil(_exponent(trunc)))
     if not n:
         return 0j
     d = np.arange(1, n)
@@ -177,7 +177,7 @@ def qk_series(k: int, pair: TorsionPair, trunc) -> Puiseux:
     """
     if k < 0:
         raise ValueError("weight must be nonnegative")
-    trunc = Fraction(trunc)
+    trunc = _exponent(trunc)
     if k == 0:
         return Puiseux.constant(-1, trunc)
     t = pair.M
@@ -229,7 +229,7 @@ def qk_series_divisor_oracle(k: int, pair: TorsionPair, trunc) -> Puiseux:
     """
     if k < 3:
         raise ValueError("the lattice rearrangement needs k >= 3")
-    trunc = Fraction(trunc)
+    trunc = _exponent(trunc)
     a1 = pair.j_over_M
     m_den = pair.M
     j = a1.numerator  # mu = zeta_M^j, 1 <= j <= M
@@ -271,7 +271,7 @@ def pbar_series(k: int, pair: TorsionPair, window: tuple[int, int], trunc) -> Bi
     lo, hi = window
     if hi < lo:
         raise WindowTooSmall("empty w-window")
-    trunc = Fraction(trunc)
+    trunc = _exponent(trunc)
     a1 = pair.j_over_M
     t = a1.denominator
     if k == 0:
@@ -475,7 +475,7 @@ def klein_hecke_series(pair: TorsionPair, trunc) -> tuple[Puiseux, Puiseux]:
     a1, a2 = pair.j_over_M, pair.l_over_N
     if a1 == 1 and a2 == 1:
         raise UndefinedAtLatticePoint("Klein/Hecke forms need (a1,a2) not in Z^2")
-    trunc = Fraction(trunc)
+    trunc = _exponent(trunc)
     t, j = a1.denominator, a1.numerator
     # g = -zeta^p q^lead prod (1 - root q^e), p = a2 (a1 - 1)/2, over e = a1 + m (root
     # lam, m >= 0) and m - a1 (root lam^-1, m >= 1).  Every e is on the 1/t grid, so
@@ -705,7 +705,7 @@ def prop48_check(k: int, m: int, pair: TorsionPair, trunc) -> CheckReport:
     must vanish, the q^0 slot together with the constants that are no row
     (the n = 0 term, Q_k's constant and the Bernoulli term).
     """
-    trunc = Fraction(trunc)
+    trunc = _exponent(trunc)
     params = {"k": k, "m": m, "pair": pair, "trunc": trunc}
     flags = [QK_DENOMINATOR_FLAG, RESIDUE_BERNOULLI_FLAG]
     if k == 0:

@@ -17,12 +17,10 @@ with each c_n over its own and one gcd per coefficient when the solution is
 assembled; on exact roots and some value of conductor > 1, ``CycQ`` values;
 on roots that are not all rational, ``complex`` values.
 
-The residual ``apply_ode`` takes each log part of the series and each of
-the ODE's coefficients as a row of ints, or of ints and ``CycQ`` values when
-some slot has conductor > 1, over one denominator, with lead and trunc ints
-over one D on the 1/t grid: theta multiplies slot k by an integer, a product
-adds the part's row, shifted and scaled, once per nonzero slot of the
-coefficient, and each part is one n-ary sum, as ``Puiseux.sum`` builds it.
+The residual ``apply_ode`` runs on the rows of ``series``, which
+``Puiseux.sum`` and ``theta`` run on too: each log part of the series and
+each of the ODE's coefficients is a row of ints, or of ints and ``CycQ``
+values, over one denominator, its lead and trunc ints over one D.
 """
 
 from __future__ import annotations
@@ -37,9 +35,15 @@ from .errors import TruncationTooSmall
 from .series import (
     LogQSeries,
     Puiseux,
+    _exponent,
+    _from_row,
     _int_row,
     _lead_grid,
+    _mul_rows,
     _nterms,
+    _row,
+    _sum_rows,
+    _theta_rows,
 )
 
 # numeric indicial roots closer than this are clustered into one root
@@ -84,13 +88,8 @@ class RegularSingularODE:
         coeffs = []
         for entry in data["coeffs"]:
             if "terms" in entry:
-                coeffs.append(
-                    Puiseux.from_terms(
-                        [(Fraction(e), Fraction(c)) for e, c in entry["terms"]],
-                        Fraction(entry["trunc"]),
-                        T,
-                    )
-                )
+                coeffs.append(Puiseux.from_terms(
+                    [(e, _exponent(c)) for e, c in entry["terms"]], entry["trunc"], T))
             else:
                 coeffs.append(Puiseux.from_json(entry))
         return RegularSingularODE(data["order"], T, coeffs)
@@ -423,7 +422,7 @@ def _setup(ode: RegularSingularODE, trunc, exact: bool, f: LogQSeries | None = N
     complex embeddings of the CycQ values when not ``exact``.
     """
     T, m = ode.T, ode.order
-    span = Fraction(trunc)
+    span = _exponent(trunc)
     if span < Fraction(1, T):
         raise TruncationTooSmall(f"truncation {span} is below one step 1/{T}")
     steps = math.ceil(span * T)
@@ -501,9 +500,10 @@ def apply_ode(ode: RegularSingularODE, s: LogQSeries) -> LogQSeries:
 
     Both are brought to the least multiple t of lcm(ode.T, s.T) whose grid
     holds the lead of every part of s and of every r_i, as rows (``_row``).
-    Each product costs one row add per nonzero coefficient slot, and residual
-    part j sums part j of theta^m s and of every r_i theta^i s with lead at
-    most 0 and trunc the smallest over every part of every term.
+    Each product is one ``_sparse_convolve`` over the coefficient's nonzero
+    slots, and residual part j sums part j of theta^m s and of every
+    r_i theta^i s with lead at most 0 and trunc the smallest over every part
+    of every term.
     """
     t = _lead_grid(math.lcm(ode.T, s.T), s.parts + ode.coeffs)
     D = math.lcm(t, *(p.trunc.denominator for p in s.parts + ode.coeffs))
@@ -518,96 +518,27 @@ def apply_ode(ode: RegularSingularODE, s: LogQSeries) -> LogQSeries:
     result = []
     for col in zip(*terms):
         lead, _, den, row = _sum_rows(col, g, min(0, *(p[0] for p in col)), trunc)
-        values = [CycQ.zero if not x else CycQ._reduced(1, den, (x,)) if type(x) is int
-                  else x if den == 1 else CycQ._reduced(x.conductor, x.den * den, x.nums)
-                  for x in row]
-        result.append(Puiseux._make(t, Fraction(lead, D), values, Fraction(trunc, D)))
+        result.append(Puiseux._make(t, Fraction(lead, D), _from_row(den, row), Fraction(trunc, D)))
     return LogQSeries(t, result)
-
-
-# A Puiseux part at branching t is the row (lead, trunc, den, row), lead and
-# trunc ints over a D that t and every trunc's denominator divide: slot i holds
-# row[i]/den at q^((lead + i g)/D), g = D/t, each row[i] an int or a CycQ and
-# each zero the int 0, which ``_add_into`` skips rather than scale by a CycQ.
-# Each helper gives the leads, truncs and lengths of the operation it mirrors.
-
-def _row(p: Puiseux, t: int, D: int, scale: int = 1):
-    """scale * p at branching t as a row: ints over the common denominator
-    when every slot of p has conductor 1, else p's values over 1."""
-    den, ints = _int_row(p.coeffs) or (1, [c if c else 0 for c in p.coeffs])
-    if scale != 1:
-        ints = [x * scale for x in ints]
-    lead, trunc = (x.numerator * (D // x.denominator) for x in (p.lead, p.trunc))
-    if t != p.T:
-        row = [0] * _nterms(p.lead, p.trunc, t)
-        row[::t // p.T] = ints
-        ints = row
-    return lead, trunc, den, ints
-
-
-def _sum_rows(terms: list, g: int, lead: int, trunc: int):
-    """Puiseux.sum on rows, for the lead and trunc the caller gives (each at
-    most the terms' own): each row is placed at its offset
-    (lead_x - lead)/g, over the lcm of the dens."""
-    den = math.lcm(*(x[2] for x in terms))
-    out = [0] * max(0, -((lead - trunc) // g))  # ceil((trunc - lead)/g) slots
-    for x_lead, _, x_den, x_row in terms:
-        _add_into(out, (x_lead - lead) // g, den // x_den, x_row)
-    return lead, trunc, den, out
-
-
-def _add_into(out: list, off: int, k, row: list) -> None:
-    """out[off + i] += k row[i] for every nonzero row[i] with off + i < len(out)."""
-    seg = row[:max(0, len(out) - off)]
-    if type(k) is int and k == 1:
-        out[off:off + len(seg)] = [u + v if v else u for u, v in zip(out[off:], seg)]
-    else:
-        out[off:off + len(seg)] = [u + k * v if v else u for u, v in zip(out[off:], seg)]
-
-
-def _theta_rows(parts: list, D: int, g: int) -> list:
-    """theta = q d/dq on a polynomial in l = log q_(1/t), by the product rule
-    theta(l^i f) = l^i theta f + (i/t) l^(i-1) f: theta on part i, plus
-    part i+1 times (i+1)/t = (i+1) g/D.
-
-    Slot k of a part of lead L/D sits at (L + k g)/D, so theta multiplies it
-    by L + k g and the den by D.
-    """
-    out = []
-    for i, (lead, trunc, den, row) in enumerate(parts):
-        term = (lead, trunc, den * D, [x * (lead + k * g) for k, x in enumerate(row)])
-        if i + 1 < len(parts):
-            n_lead, n_trunc, n_den, n_row = parts[i + 1]
-            n_row = [x * ((i + 1) * g) for x in n_row]
-            term = _sum_rows([term, (n_lead, n_trunc, n_den * D, n_row)],
-                             g, min(lead, n_lead), min(trunc, n_trunc))
-        out.append(term)
-    return out
-
-
-def _mul_rows(a, b, g: int):
-    """Puiseux.__mul__ of a part a by a coefficient b: one shifted, scaled
-    add of a's row per nonzero slot of b, O(nnz(b) len(a))."""
-    lead = a[0] + b[0]
-    trunc = min(a[1] + b[0], b[1] + a[0])
-    out = [0] * max(0, -((lead - trunc) // g))
-    for j, c in enumerate(b[3][:len(out)]):
-        if c:
-            _add_into(out, j, c, a[3])
-    return lead, trunc, a[2] * b[2], out
 
 
 def solve_inhomogeneous(ode: RegularSingularODE, f: LogQSeries, trunc) -> LogQSeries:
     """Particular solution s with apply_ode(ode, s) + f = 0.
 
     f's exponents must lie in lambda + (1/T)Z for the leading exponent
-    lambda of f; resonances with indicial roots escalate the log power,
-    with the resonant degrees of freedom fixed to zero.  ``_setup`` reads f
-    with the ODE, so the solve runs on ints only when both are rational.
+    lambda of f, else a ``ValueError``; resonances with indicial roots
+    escalate the log power, with the resonant degrees of freedom fixed to
+    zero.  ``_setup`` reads f with the ODE, so the solve runs on ints only
+    when both are rational.
     """
     T = ode.T
     f = f.with_branching(math.lcm(f.T, T))
     lam = min(p.normalized().lead for p in f.parts if not p.is_zero())
+    for j, p in enumerate(f.parts):
+        first = (lam - p.lead) * f.T  # slot first + n f.T/T of p holds q^(lam + n/T)
+        off_grid, first = first.denominator != 1, first.numerator
+        if any(c and (off_grid or (i - first) % (f.T // T)) for i, c in enumerate(p.coeffs)):
+            raise ValueError(f"the l^{j} part of f has a term off {lam} + (1/{T})Z")
     span, steps, indicial, rows, fs = _setup(ode, trunc, True, f, lam)
     cs, dens, d, max_log = _recurse(indicial, rows, T * lam, -1, steps, fs)
     return _fold_solution(cs, dens, d, lam, T, span, max_log)

@@ -16,7 +16,7 @@ from importlib import resources
 
 from .errors import NonIntegralCharacter, UnknownClass
 from .forms import eisenstein
-from .series import Puiseux, product_expand, theta
+from .series import Puiseux, _exponent, product_expand, theta
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ def delta_j_J(trunc) -> tuple[Puiseux, Puiseux, Puiseux]:
     1/Delta is q^-1 prod(1-q^n)^-24, an Euler product like Delta itself, so
     no series is inverted; it equals delta.inverse() in T, lead, trunc and
     every coefficient."""
-    trunc = Fraction(trunc)
+    trunc = _exponent(trunc)
     if trunc < 3:
         raise ValueError("need truncation at least 3")
     pad = trunc + 2
@@ -92,7 +92,7 @@ def hauptmodul(spec, trunc) -> Puiseux:
     """q^(-1)-leading exact series for the class; 1A aliases J."""
     if isinstance(spec, str):
         spec = hauptmodul_spec(spec)
-    trunc = Fraction(trunc)
+    trunc = _exponent(trunc)
     if not spec.eta_factors:
         _, _, J = delta_j_J(trunc)
         out = J + spec.additive_constant
@@ -111,7 +111,7 @@ def hauptmodul(spec, trunc) -> Puiseux:
 def weight4_onepoint(trunc) -> tuple[Puiseux, Puiseux]:
     """Z = 12*71*E4*(J-240) in the E4 = 1/720 + ... normalization, and the
     braced series (60/71) Z = E4_std*(J-240) = q^(-1) + 0 + 141444 q + ..."""
-    trunc = Fraction(trunc)
+    trunc = _exponent(trunc)
     if trunc < 3:
         raise ValueError("need truncation at least 3")
     pad = trunc + 2
@@ -168,7 +168,7 @@ def twisted_weight4(class_label: str, trunc) -> Puiseux:
     if class_label not in _TWISTED:
         raise UnknownClass(f"no twisted weight-4 formula for {class_label!r}")
     s, c = _TWISTED[class_label]
-    trunc = Fraction(trunc)
+    trunc = _exponent(trunc)
     tg = hauptmodul(class_label, trunc + 1)
     e4 = eisenstein(4, trunc + 1)
     out = e4.substituted(s).truncated(trunc + 1) * (tg + c) - e4.scalar_mul(c)

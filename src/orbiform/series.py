@@ -19,6 +19,10 @@ of this kernel is.  Any other coefficient list goes through
 coordinates and ``BiSeries`` windows, and the inverse through the sparse
 recurrence.  ``product_expand`` multiplies no series: it runs the Euler
 transform on integers over ``_divisor_sums``.
+
+``Puiseux.sum``, ``theta`` and ``frobenius.apply_ode`` share one row algebra,
+``_row``, ``_sum_rows``, ``_theta_rows``, ``_mul_rows`` (a caller of
+``_sparse_convolve``) and ``_from_row``, set out above ``_row``.
 """
 
 from __future__ import annotations
@@ -46,9 +50,10 @@ def _coerce_coeff(v) -> CycQ:
 
 
 def _exponent(x) -> Fraction:
-    """An exponent as a Fraction; a float or complex is a TypeError (0.1 is not 1/10)."""
+    """An exponent, truncation or input rational as a Fraction; a float or
+    complex is a TypeError (0.1 is not 1/10)."""
     if isinstance(x, (float, complex)):
-        raise TypeError(f"an exponent is an int, Fraction or str, not {type(x).__name__}")
+        raise TypeError(f"a rational is an int, Fraction or str, not {type(x).__name__}")
     return Fraction(x)
 
 
@@ -197,27 +202,19 @@ class Puiseux:
 
         The branching t is the lcm of every T and of the denominators of the
         lead differences, so no term moves off its exponent; lead and trunc
-        are the smallest ones.  Slot k of a term lands at its offset, the
-        whole number ``_nterms(lead, x.lead, t)``, plus k t/T.  The first term
-        is copied as it is, zero slots included, and each later term adds its
-        nonzero slots in order, exactly as a chain of two-term sums does.
+        are the smallest ones.  One term is copied slot for slot; more are
+        ``_sum_rows`` of their rows at t over D = lcm(t, every lead and trunc
+        denominator), so every zero slot is ``CycQ.zero``.
         """
-        terms = list(terms)
-        first, *rest = terms
+        first, *rest = terms = list(terms)
+        if not rest:
+            return Puiseux._make(first.T, first.lead, list(first.coeffs), first.trunc)
         t = math.lcm(*(x.T for x in terms), *((x.lead - first.lead).denominator for x in rest))
-        lead = min(x.lead for x in terms)
-        trunc = min(x.trunc for x in terms)
-        buf = [CycQ.zero] * _nterms(lead, trunc, t)
-        n = len(buf)
-        off, step = _nterms(lead, first.lead, t), t // first.T
-        buf[off:n:step] = first.coeffs[:len(range(off, n, step))]
-        zero = CycQ.zero
-        for x in rest:
-            for j, c in zip(range(_nterms(lead, x.lead, t), n, t // x.T), x.coeffs):
-                if c:
-                    cur = buf[j]
-                    buf[j] = c if cur is zero else cur + c
-        return Puiseux._make(t, lead, buf, trunc)
+        D = math.lcm(t, *(y.denominator for x in terms for y in (x.lead, x.trunc)))
+        rows = [_row(x, t, D) for x in terms]
+        lead, trunc, den, row = _sum_rows(rows, D // t, min(r[0] for r in rows),
+                                          min(r[1] for r in rows))
+        return Puiseux._make(t, Fraction(lead, D), _from_row(den, row), Fraction(trunc, D))
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction, CycQ)):
@@ -265,7 +262,7 @@ class Puiseux:
         if row is not None:
             # 1/(ints/d) is d B/D
             den, ints = _newton_inverse(row[1])
-            b = _from_ints(den, [row[0] * x for x in ints])
+            b = _from_row(den, [row[0] * x for x in ints])
         else:
             b = _sparse_inverse(s.coeffs)
         return Puiseux._make(s.T, -s.lead, b, s.trunc - 2 * s.lead)
@@ -307,9 +304,7 @@ class Puiseux:
     @staticmethod
     def from_json(data: dict) -> "Puiseux":
         coeffs = [CycQ.from_json(c) for c in data["coeffs"]]
-        return Puiseux(
-            data["T"], Fraction(data["leading"]), coeffs, Fraction(data["trunc"])
-        )
+        return Puiseux(data["T"], data["leading"], coeffs, data["trunc"])
 
 
 def _convolve(a, b, limit=None):
@@ -322,7 +317,7 @@ def _convolve(a, b, limit=None):
     ra = _int_row(a[:n])
     rb = ra if b is a else _int_row(b[:n])
     if ra is not None and rb is not None:
-        return _from_ints(ra[0] * rb[0], _int_convolve(ra[1], rb[1], n)) if n else []
+        return _from_row(ra[0] * rb[0], _int_convolve(ra[1], rb[1], n)) if n else []
     return _sparse_convolve(a, b, n, CycQ.zero)
 
 
@@ -358,9 +353,12 @@ def _int_row(coeffs):
     return d, [c.nums[0] * (d // c.den) for c in coeffs]
 
 
-def _from_ints(den: int, ints: list) -> list:
-    """Conductor-1 coefficients ints[i] / den (den > 0), one gcd each."""
-    return [CycQ._reduced(1, den, (x,)) if x else CycQ.zero for x in ints]
+def _from_row(den: int, row: list) -> list:
+    """The coefficients row[i] / den (den > 0) of a row of ints and CycQ
+    values, one gcd each; every zero is ``CycQ.zero``."""
+    return [CycQ.zero if not x else CycQ._reduced(1, den, (x,)) if type(x) is int
+            else x if den == 1 else CycQ._reduced(x.conductor, x.den * den, x.nums)
+            for x in row]
 
 
 def _pack(row: list, width: int) -> int:
@@ -420,17 +418,82 @@ def _newton_inverse(a: list) -> tuple:
     return den, b
 
 
-# -- the theta derivative -----------------------------------------------------
+# -- rows ---------------------------------------------------------------------
+
+# A Puiseux at branching t is the row (lead, trunc, den, row), lead and trunc
+# ints over a D that t and every lead's and trunc's denominator divide: slot i
+# holds row[i]/den at q^((lead + i g)/D), g = D/t, each row[i] an int or a
+# CycQ (``_row`` makes each zero the int 0).  Each helper gives the leads,
+# truncs and lengths of the operation it mirrors; ``_from_row`` reads a row back.
+
+def _row(p: Puiseux, t: int, D: int, scale: int = 1):
+    """scale * p at branching t as a row: ints over the common denominator
+    when every slot of p has conductor 1, else p's values over 1."""
+    den, ints = _int_row(p.coeffs) or (1, [c if c else 0 for c in p.coeffs])
+    if scale != 1:
+        ints = [x * scale for x in ints]
+    lead, trunc = (x.numerator * (D // x.denominator) for x in (p.lead, p.trunc))
+    if t != p.T:
+        row = [0] * _nterms(p.lead, p.trunc, t)
+        row[::t // p.T] = ints
+        ints = row
+    return lead, trunc, den, ints
+
+
+def _sum_rows(terms: list, g: int, lead: int, trunc: int):
+    """The n-ary sum for the lead and trunc the caller gives (each at most
+    the terms' own), over the lcm of the dens: each row's nonzero slots are
+    added in order at its offset (lead_x - lead)/g.  A zero slot, whatever
+    its conductor, holds nothing: a value added to it is taken as it is."""
+    den = math.lcm(*(x[2] for x in terms))
+    out = [0] * max(0, -((lead - trunc) // g))  # ceil((trunc - lead)/g) slots
+    for x_lead, _, x_den, row in terms:
+        off, k = (x_lead - lead) // g, den // x_den
+        seg = row[:max(0, len(out) - off)]
+        if k != 1:
+            seg = [k * v for v in seg]
+        out[off:off + len(seg)] = [u + v if u and v else u or v for u, v in zip(out[off:], seg)]
+    return lead, trunc, den, out
+
+
+def _theta_rows(parts: list, D: int, g: int) -> list:
+    """theta = q d/dq on a polynomial in l = log q_(1/t), by the product rule
+    theta(l^i f) = l^i theta f + (i/t) l^(i-1) f: theta on part i, plus
+    part i+1 times (i+1)/t = (i+1) g/D.
+
+    Slot k of a part of lead L/D sits at (L + k g)/D, so theta multiplies it
+    by L + k g and the den by D.
+    """
+    out = []
+    for i, (lead, trunc, den, row) in enumerate(parts):
+        term = (lead, trunc, den * D, [x * (lead + k * g) for k, x in enumerate(row)])
+        if i + 1 < len(parts):
+            n_lead, n_trunc, n_den, n_row = parts[i + 1]
+            n_row = [x * ((i + 1) * g) for x in n_row]
+            term = _sum_rows([term, (n_lead, n_trunc, n_den * D, n_row)],
+                             g, min(lead, n_lead), min(trunc, n_trunc))
+        out.append(term)
+    return out
+
+
+def _mul_rows(a, b, g: int):
+    """Puiseux.__mul__ of a row a by a row b, through ``_sparse_convolve``
+    over b's nonzero slots."""
+    lead = a[0] + b[0]
+    trunc = min(a[1] + b[0], b[1] + a[0])
+    n = max(0, -((lead - trunc) // g))
+    return lead, trunc, a[2] * b[2], _sparse_convolve(b[3], a[3], n, 0)
+
 
 def theta(s: Puiseux, scale: str = "full") -> Puiseux:
-    """q d/dq (scale="full") or q_(1/T) d/dq_(1/T) (scale="one_over_T")."""
+    """q d/dq (scale="full") or q_(1/T) d/dq_(1/T) = T q d/dq (scale="one_over_T"),
+    ``_theta_rows`` on s's row over D = lcm(T, the denominators of lead and trunc)."""
     if scale not in ("full", "one_over_T"):
         raise ValueError("scale must be 'full' or 'one_over_T'")
-    a, b, T = s.lead.numerator, s.lead.denominator, s.T
-    den = b * T if scale == "full" else b  # slot i sits at (a T + i b)/(b T)
-    coeffs = [CycQ._reduced(c.conductor, c.den * den, tuple([x * (a * T + i * b) for x in c.nums]))
-              if c else CycQ.zero for i, c in enumerate(s.coeffs)]
-    return Puiseux._make(s.T, s.lead, coeffs, s.trunc)
+    D = math.lcm(s.T, s.lead.denominator, s.trunc.denominator)
+    g = D // s.T
+    ((_, _, den, row),) = _theta_rows([_row(s, s.T, D)], D if scale == "full" else g, g)
+    return Puiseux._make(s.T, s.lead, _from_row(den, row), s.trunc)
 
 
 # -- log-q series --------------------------------------------------------------
@@ -567,7 +630,7 @@ def product_expand(factors, trunc) -> Puiseux:
     transform: q d/dq log of the product is sum_m b_m q^m, b_m = -sum_(a,e) e a
     sigma_1(m/a), so c_0 = 1 and m c_m = sum_(k=1..m) b_k c_(m-k), exactly.
     """
-    trunc = Fraction(trunc)
+    trunc = _exponent(trunc)
     n = max(0, math.ceil(trunc))
     b = [0] * n
     for a, e in factors:
@@ -579,7 +642,7 @@ def product_expand(factors, trunc) -> Puiseux:
     c = [1][:n]
     for m in range(1, n):
         c.append(sum(map(operator.mul, b[m:0:-1], c)) // m)
-    return Puiseux._make(1, Fraction(0), _from_ints(1, c), trunc)
+    return Puiseux._make(1, Fraction(0), _from_row(1, c), trunc)
 
 
 # -- two-variable series ----------------------------------------------------------

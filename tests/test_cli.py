@@ -230,6 +230,40 @@ def test_frobenius_malformed_file_is_an_error(capsys, tmp_path, data):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+# theta S + c q S = 0, so S = exp(-c q): c_1 = -c and c_2 = c^2/2
+def _exp_ode(c, trunc="4", exponent="1"):
+    return {"order": 1, "T": 1, "coeffs": [{"terms": [[exponent, c]], "trunc": trunc}]}
+
+
+@pytest.mark.parametrize("c, want", [("1/10", ["-1/10", "1/200"]), (2, ["-2", "2"])])
+def test_frobenius_file_reads_ints_and_rational_strings(capsys, tmp_path, c, want):
+    p = tmp_path / "ode.json"
+    p.write_text(json.dumps(_exp_ode(c)))
+    code, (obj,) = run_json(capsys, ["frobenius", "--ode", str(p), "--trunc", "3"])
+    assert code == 0
+    (part,) = obj["solutions"][0]
+    assert [c["coeffs"] for c in part["coeffs"]] == [["1"], [want[0]], [want[1]]]
+
+
+@pytest.mark.parametrize("data", [
+    _exp_ode(0.1),  # c_2 read -3602879701896397/108086391056891904
+    _exp_ode("1", trunc=4.5),
+    _exp_ode("1", exponent=1.0),
+    {"order": 1, "T": 1, "coeffs": [
+        {"T": 1, "leading": 0.5, "trunc": "3", "coeffs": [{"conductor": 1, "coeffs": ["1"]}]}]},
+    {"order": 1, "T": 1, "coeffs": [
+        {"T": 1, "leading": "1", "trunc": "3", "coeffs": [{"conductor": 1, "coeffs": [0.1]}]}]},
+], ids=["term-coefficient", "trunc", "exponent", "series-leading", "cycq-coordinate"])
+def test_frobenius_file_float_is_malformed(capsys, tmp_path, data):
+    # a JSON float is a binary value, not the decimal it was written as
+    p = tmp_path / "ode.json"
+    p.write_text(json.dumps(data))
+    assert run(["frobenius", "--ode", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith(f"error: malformed ODE file {p}: TypeError")
+
+
 def test_frobenius_non_int_branching_is_an_error(capsys, tmp_path):
     ode = {"order": 1, "T": 1.5, "coeffs": [{"terms": [["1", "1"]], "trunc": "4"}]}
     p = tmp_path / "ode.json"

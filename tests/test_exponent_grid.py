@@ -288,11 +288,10 @@ _E2_ODE = RegularSingularODE(2, 1, [Puiseux.zero(_E2_TRUNC),
     Puiseux(3, 2, [], Fraction(5, 3))]),
           None, Fraction(3, 2),
           LogQSeries(2, [Puiseux(2, 1, [1, 2], 2), Puiseux(2, 3, [], Fraction(5, 2))])), True)
-# f's l part starts a slot above lam, its last slot nonzero; its l^2 part is
-# off the grid of lam, which the solver reads as zero
+# f's l part starts a slot above lam, its last slot nonzero (an l^2 part off
+# the grid of lam is a ValueError: test_off_grid_f_is_an_error)
 @example((_ode(1, (Fraction(1, 2), Fraction(-3, 2)), [(1, 1)], 4),
-          LogQSeries(1, [Puiseux.monomial(1, 0, 5), Puiseux(1, 1, [2, 0, 0, 7], 5),
-                         Puiseux(1, Fraction(1, 3), [3, 0, 0, 0, 1], 5)]), Fraction(3),
+          LogQSeries(1, [Puiseux.monomial(1, 0, 5), Puiseux(1, 1, [2, 0, 0, 7], 5)]), Fraction(3),
           LogQSeries(1, [Puiseux(1, 0, [1], 1)])), False)
 # the criterion-9 E2 ODE, theta^2 S - 24 E_2 S = 0, at a span off the grid
 @example((_E2_ODE, None, Fraction(31, 3), LogQSeries(1, [Puiseux(1, 0, [1, -24], 2)])), False)
@@ -316,6 +315,23 @@ def test_int_bookkeeping_matches_the_fraction_reference(case, lift):
             _same(a, b)
             _same(apply_ode(ode, a), _ref_apply_ode(ode, b))
     _same(apply_ode(ode, s), _ref_apply_ode(ode, s))
+
+
+@pytest.mark.parametrize("f", [
+    # the l^2 part is off the grid of lam = 0
+    LogQSeries(1, [Puiseux.monomial(1, 0, 5), Puiseux(1, 1, [2, 0, 0, 7], 5),
+                   Puiseux(1, Fraction(1, 3), [3, 0, 0, 0, 1], 5)]),
+    # 1 + (3 q^(1/3) + q^(13/3)) l
+    LogQSeries(1, [Puiseux.monomial(1, 0, 5), Puiseux(1, Fraction(1, 3), [3, 0, 0, 0, 1], 5)]),
+    # 1 + q^(1/2), given at branching 2
+    LogQSeries(2, [Puiseux.from_terms([(0, 1), (Fraction(1, 2), 1)], 5, 2)]),
+], ids=["l2-part", "l-part", "branching-2"])
+def test_off_grid_f_is_an_error(f):
+    # the solver reads f on lam + Z only; a term off it was solved as zero, and
+    # apply_ode(ode, s) + f was not zero
+    ode = _ode(1, (Fraction(1, 2), Fraction(-3, 2)), [(1, 1)], 4)
+    with pytest.raises(ValueError, match="off 0"):
+        solve_inhomogeneous(ode, f, 3)
 
 
 # -- slot counts and coefficient reads --------------------------------------------

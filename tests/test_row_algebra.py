@@ -1,0 +1,168 @@
+"""``Puiseux.sum`` and ``theta`` on the rows of ``series`` against the CycQ-slot
+bodies they replace.
+
+``_ref_sum`` and ``_ref_theta`` are those bodies as they were written before:
+the sum copies its first term as it is and adds each later term's nonzero
+slots one ``CycQ`` at a time, and theta scales each nonzero slot by one
+``CycQ._reduced``.  The row versions give the same T, lead, trunc and value in
+every slot.  Two things differ on purpose, and only in representation: every
+zero slot of a sum of two or more terms, or of theta, is ``CycQ.zero``, and a
+zero no longer carries its conductor into a later slot of a sum, so a nonzero
+slot can sit at a conductor that divides the reference's.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_series import sum_terms
+
+from orbiform.cyclotomic import CycQ, cyc_root, euler_phi
+from orbiform.forms import klein_hecke_series
+from orbiform.modular import TorsionPair
+from orbiform.series import Puiseux, _nterms, theta
+
+# -- the CycQ-slot reference -------------------------------------------------------
+
+
+def _ref_sum(terms):
+    terms = list(terms)
+    first, *rest = terms
+    t = math.lcm(*(x.T for x in terms), *((x.lead - first.lead).denominator for x in rest))
+    lead = min(x.lead for x in terms)
+    trunc = min(x.trunc for x in terms)
+    buf = [CycQ.zero] * _nterms(lead, trunc, t)
+    n = len(buf)
+    off, step = _nterms(lead, first.lead, t), t // first.T
+    buf[off:n:step] = first.coeffs[:len(range(off, n, step))]
+    zero = CycQ.zero
+    for x in rest:
+        for j, c in zip(range(_nterms(lead, x.lead, t), n, t // x.T), x.coeffs):
+            if c:
+                cur = buf[j]
+                buf[j] = c if cur is zero else cur + c
+    return Puiseux._make(t, lead, buf, trunc)
+
+
+def _ref_theta(s, scale="full"):
+    a, b, T = s.lead.numerator, s.lead.denominator, s.T
+    den = b * T if scale == "full" else b
+    coeffs = [CycQ._reduced(c.conductor, c.den * den, tuple([x * (a * T + i * b) for x in c.nums]))
+              if c else CycQ.zero for i, c in enumerate(s.coeffs)]
+    return Puiseux._make(s.T, s.lead, coeffs, s.trunc)
+
+
+def _fields(c):
+    return c.conductor, c.den, c.nums
+
+
+def _slot_sums(terms, total):
+    """Each slot of total as the terms' nonzero values at its exponent added in
+    order, a partial sum that vanishes starting again from nothing."""
+    out = []
+    for i in range(len(total.coeffs)):
+        e, acc = total.lead + Fraction(i, total.T), None
+        for x in terms:
+            c = x.coeff_at(e) if x.lead <= e < x.trunc else CycQ.zero
+            if c:
+                acc = c if acc is None else (acc + c or None)
+        out.append(acc)
+    return out
+
+
+# -- inputs ------------------------------------------------------------------------
+
+def _zero(n: int) -> CycQ:
+    return CycQ(n, [0] * euler_phi(n))
+
+
+@st.composite
+def zeroed_terms(draw):
+    """sum_terms() with some slots replaced by zeros at conductor 2, 3 or 12."""
+    x = draw(sum_terms())
+    coeffs = [_zero(draw(st.sampled_from([2, 3, 12]))) if draw(st.booleans()) else c
+              for c in x.coeffs]
+    return Puiseux(x.T, x.lead, coeffs, x.trunc)
+
+
+def _klein(trunc=3):
+    g, h = klein_hecke_series(TorsionPair(Fraction(1, 4), Fraction(2, 3)), trunc)
+    assert g.T == 96
+    return g, h
+
+
+# -- the sum -----------------------------------------------------------------------
+
+def _check_sum(xs):
+    got, want = Puiseux.sum(xs), _ref_sum(xs)
+    assert (got.T, got.lead, got.trunc) == (want.T, want.lead, want.trunc)
+    assert len(got.coeffs) == len(want.coeffs)
+    for c, w, s in zip(got.coeffs, want.coeffs, _slot_sums(xs, got)):
+        if not w:
+            assert c is CycQ.zero and s is None
+        else:
+            assert c == w and w.conductor % c.conductor == 0
+            assert _fields(c) == _fields(s)
+    return got, want
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.one_of(sum_terms(), zeroed_terms()), min_size=2, max_size=5))
+def test_sum_matches_the_slot_reference(xs):
+    _check_sum(xs)
+
+
+def test_a_zero_lifts_no_later_slot():
+    # the reference adds 1 to the first term's zero at conductor 3 and keeps
+    # conductor 3; the rows skip that zero, and the sum of 1 and -1 at
+    # conductor 4 starts the slot again from nothing
+    zero3 = Puiseux(1, 0, [_zero(3), _zero(3)], 2)
+    i = cyc_root(1, 4)
+    other = Puiseux(1, 0, [1, i], 2)
+    got, want = _check_sum([zero3, other, Puiseux(1, 0, [0, -i], 2), Puiseux(1, 1, [1], 2)])
+    assert [c.conductor for c in want.coeffs] == [3, 12]
+    assert [_fields(c) for c in got.coeffs] == [(1, 1, (1,)), (1, 1, (1,))]
+
+
+def test_sum_of_the_t96_klein_form_is_the_reference_slot_for_slot():
+    g, h = _klein()
+    for xs in ([g, h], [h, g, g.shifted(Fraction(1, 3))], [g, -g]):
+        got, want = _check_sum(xs)
+        assert [_fields(c) for c in got.coeffs if c] == [_fields(c) for c in want.coeffs if c]
+    assert all(c is CycQ.zero for c in Puiseux.sum([g, -g]).coeffs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(sum_terms(), zeroed_terms()))
+def test_a_one_term_sum_is_a_copy(x):
+    got = Puiseux.sum([x])
+    assert (got.T, got.lead, got.trunc) == (x.T, x.lead, x.trunc)
+    assert got.coeffs is not x.coeffs and all(a is b for a, b in zip(got.coeffs, x.coeffs))
+    assert len(got.coeffs) == len(x.coeffs)
+
+
+# -- theta -------------------------------------------------------------------------
+
+def _check_theta(s, scale):
+    got, want = theta(s, scale), _ref_theta(s, scale)
+    assert (got.T, got.lead, got.trunc) == (want.T, want.lead, want.trunc)
+    assert [_fields(c) if c else None for c in got.coeffs] == \
+        [_fields(c) if c else None for c in want.coeffs]
+    assert all(c is CycQ.zero for c in got.coeffs if not c)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(sum_terms(), zeroed_terms()), st.sampled_from(["full", "one_over_T"]))
+def test_theta_matches_the_slot_reference(s, scale):
+    _check_theta(s, scale)
+
+
+@pytest.mark.parametrize("scale", ["full", "one_over_T"])
+def test_theta_of_the_t96_klein_form_is_the_reference_slot_for_slot(scale):
+    g, h = _klein()
+    _check_theta(g, scale)
+    _check_theta(h, scale)
+    # q^0 slot of a constant: theta makes it zero, at conductor 1 not 4
+    _check_theta(Puiseux(1, 0, [cyc_root(1, 4), 1], 2), scale)

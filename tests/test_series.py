@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from orbiform import forms, frobenius, moonshine
 from orbiform.cyclotomic import CycQ, cyc_root
 from orbiform.errors import (
     NonInvertibleLeadingTerm,
@@ -450,6 +451,41 @@ def test_puiseux_rejects_float_and_complex_coefficients(value):
         Puiseux.from_terms([(0, 1), (1, value)], 3)
     with pytest.raises(TypeError):
         geometric(3).scalar_mul(value)
+
+
+_PAIR = TorsionPair(Fraction(1, 2), Fraction(1, 3))
+# theta^2 S + theta S - 3/4 S + q S, roots 1/2 and -3/2
+_ODE = RegularSingularODE(2, 1, [Puiseux.from_terms([(0, Fraction(-3, 4)), (1, 1)], 6),
+                                 Puiseux.constant(1, 6)])
+# every public entry point that takes a truncation, called with it
+_TRUNCATED = {
+    "eisenstein": lambda tr: forms.eisenstein(4, tr),
+    "g2_eval": lambda tr: forms.g2_eval(0.5j, tr),
+    "qk_series": lambda tr: forms.qk_series(2, _PAIR, tr),
+    "qk_series_divisor_oracle": lambda tr: forms.qk_series_divisor_oracle(3, _PAIR, tr),
+    "pbar_series": lambda tr: forms.pbar_series(2, _PAIR, (-1, 1), tr),
+    "klein_hecke_series": lambda tr: forms.klein_hecke_series(_PAIR, tr),
+    "prop48_check": lambda tr: forms.prop48_check(2, 0, _PAIR, tr),
+    "frobenius_solve": lambda tr: frobenius.frobenius_solve(_ODE, tr),
+    "solve_inhomogeneous": lambda tr: frobenius.solve_inhomogeneous(
+        _ODE, LogQSeries(1, [Puiseux.monomial(1, 1, 8)]), tr),
+    "delta_j_J": lambda tr: moonshine.delta_j_J(tr),
+    "hauptmodul": lambda tr: moonshine.hauptmodul("2B", tr),
+    "weight4_onepoint": lambda tr: moonshine.weight4_onepoint(tr),
+    "twisted_weight4": lambda tr: moonshine.twisted_weight4("2B", tr),
+    "product_expand": lambda tr: product_expand([(1, -1)], tr),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TRUNCATED))
+def test_float_truncation_is_a_type_error(name):
+    # a float is its binary value: frobenius_solve(ode, 1.1) made parts of trunc
+    # 3602879701896397/2251799813685248, and qk_series one of 2476979795053773/2^51
+    build = _TRUNCATED[name]
+    with pytest.raises(TypeError):
+        build(1.1)
+    for trunc in (3, Fraction(7, 2), "7/2"):
+        build(trunc)
 
 
 @pytest.mark.parametrize("value", [0.1, 0.5, 1.5j])
