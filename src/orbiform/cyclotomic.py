@@ -9,8 +9,8 @@ is true when it is nonzero, so every layer zero-tests a coefficient with
 
 Two private helpers hold the package's exact inner loops.
 ``_sparse_convolve`` is its one sparse product loop: ``CycQ.__mul__``, the
-Euclid helper ``_poly_mul``, the cyclotomic path of ``series._convolve``,
-``BiSeries.__mul__`` and ``series._mul_rows`` call it.  ``_power_basis`` is
+Euclid helper ``_poly_mul``, ``BiSeries.__mul__`` and ``series._mul_rows``
+(every series product but a dense rational one) call it.  ``_power_basis`` is
 its one reduction of sum c zeta_n^e through ``_reduction_table(n)``, the
 table of zeta_n^e for every e mod n: ``CycQ.lift``, the reduction step of
 ``CycQ.__mul__`` and ``forms._reduce_rows`` call it.
@@ -23,6 +23,13 @@ import functools
 import operator
 from fractions import Fraction
 from math import gcd, lcm
+
+
+def _exponent(x) -> Fraction:
+    """A rational input as a Fraction; a float or complex is a TypeError (0.1 is not 1/10)."""
+    if isinstance(x, (float, complex)):
+        raise TypeError(f"a rational is an int, Fraction or str, not {type(x).__name__}")
+    return Fraction(x)
 
 
 @functools.lru_cache(maxsize=None)
@@ -450,5 +457,5 @@ def cyc_root(j: int, m: int) -> CycQ:
 
 def cyc_root_of(x) -> CycQ:
     """e^(2*pi*i*x) for rational x."""
-    x = Fraction(x)
+    x = _exponent(x)
     return cyc_root(x.numerator % x.denominator, x.denominator)

@@ -629,7 +629,7 @@ def lemma_plambda_check(
     """P_lambda against the cyclic average of wp1 at scaled period."""
     if not abs(cmath.exp(TWO_PI_I * tau)) < abs(cmath.exp(TWO_PI_I * z)) < 1:
         raise OutsideRegion("need |q_tau| < |q_z| < 1")
-    l_over_N = Fraction(l_over_N)
+    l_over_N = _exponent(l_over_N)
     n = l_over_N.denominator
     pair = TorsionPair(Fraction(1), l_over_N)
     lam = complex(pair.lam.embed())

@@ -500,10 +500,9 @@ def apply_ode(ode: RegularSingularODE, s: LogQSeries) -> LogQSeries:
 
     Both are brought to the least multiple t of lcm(ode.T, s.T) whose grid
     holds the lead of every part of s and of every r_i, as rows (``_row``).
-    Each product is one ``_sparse_convolve`` over the coefficient's nonzero
-    slots, and residual part j sums part j of theta^m s and of every
-    r_i theta^i s with lead at most 0 and trunc the smallest over every part
-    of every term.
+    Each product is one ``_mul_rows``, and residual part j sums part j of
+    theta^m s and of every r_i theta^i s with lead at most 0 and trunc the
+    smallest over every part of every term.
     """
     t = _lead_grid(math.lcm(ode.T, s.T), s.parts + ode.coeffs)
     D = math.lcm(t, *(p.trunc.denominator for p in s.parts + ode.coeffs))

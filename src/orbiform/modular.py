@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .cyclotomic import CycQ, cyc_root_of
+from .cyclotomic import CycQ, _exponent, cyc_root_of
 from .errors import NotGenerating, NotUnimodular
 
 
@@ -58,8 +58,8 @@ class TorsionPair:
     l_over_N: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "j_over_M", _mod_one_halfopen(Fraction(self.j_over_M)))
-        object.__setattr__(self, "l_over_N", _mod_one_halfopen(Fraction(self.l_over_N)))
+        object.__setattr__(self, "j_over_M", _mod_one_halfopen(_exponent(self.j_over_M)))
+        object.__setattr__(self, "l_over_N", _mod_one_halfopen(_exponent(self.l_over_N)))
 
     @property
     def lam(self) -> CycQ:

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orbiform import forms, frobenius, moonshine
-from orbiform.cyclotomic import CycQ, cyc_root
+from orbiform import forms, frobenius, moonshine, series
+from orbiform.cyclotomic import CycQ, _sparse_convolve, cyc_root, cyc_root_of
 from orbiform.errors import (
     NonInvertibleLeadingTerm,
     NotConvergent,
@@ -26,7 +26,7 @@ from orbiform.series import (
     Embedded,
     LogQSeries,
     Puiseux,
-    _convolve,
+    _int_convolve,
     eval_at_tau,
     product_expand,
     theta,
@@ -341,14 +341,26 @@ def _schoolbook(a, b, limit):
     return out
 
 
+def _product(a, b, limit):
+    """Puiseux.__mul__ of a and b as series from q^0, both truncated at the
+    length of ``_schoolbook(a, b, limit)``, so the product has every slot."""
+    n = len(a) + len(b) - 1 if a and b else 0
+    if limit is not None:
+        n = min(n, limit)
+    x = Puiseux(1, 0, a[:n], n)
+    return (x * x if b is a else x * Puiseux(1, 0, b[:n], n)).coeffs
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.lists(sparse_cycq, max_size=10),
     st.lists(sparse_cycq, max_size=10),
     st.one_of(st.none(), st.integers(min_value=0, max_value=20)),
 )
+@example([cyc_root(1, 3)] * 3, [CycQ.from_rational(k) for k in range(1, 11)], None)  # mixed
+@example([CycQ.from_rational(1)] * 10, [CycQ.from_rational(-2)] * 10, None)  # dense ints
 def test_sparse_convolution_matches_schoolbook(a, b, limit):
-    assert _convolve(a, b, limit) == _schoolbook(a, b, limit)
+    assert _product(a, b, limit) == _schoolbook(a, b, limit)
 
 
 @st.composite
@@ -488,6 +500,23 @@ def test_float_truncation_is_a_type_error(name):
         build(trunc)
 
 
+@pytest.mark.parametrize("value", [0.1, 0.5])
+def test_float_rationals_that_set_a_denominator_are_type_errors(value):
+    # 0.1 is 3602879701896397/2^55: TorsionPair(0.1, 1/2) had M = 2^55, so any
+    # qk_series on it asked for 2^55 slots per unit of trunc, and cyc_root_of(0.1)
+    # for Phi of order 2^55; each now fails before it allocates anything
+    with pytest.raises(TypeError):
+        TorsionPair(value, Fraction(1, 2))
+    with pytest.raises(TypeError):
+        TorsionPair(Fraction(1, 2), value)
+    with pytest.raises(TypeError):
+        cyc_root_of(value)
+    with pytest.raises(TypeError):
+        forms.lemma_plambda_check(0.1 + 0.3j, 1.2j, value)
+    assert TorsionPair("1/2", 1).M == 2 and cyc_root_of("1/2") == -1
+    assert forms.lemma_plambda_check(0.1 + 0.3j, 1.2j, "1/2").passed
+
+
 @pytest.mark.parametrize("value", [0.1, 0.5, 1.5j])
 def test_puiseux_rejects_float_and_complex_exponents(value):
     # a float exponent is its binary value: 0.1 is 3602879701896397/2^55, not
@@ -546,9 +575,65 @@ def _rational_row(values):
 @example([Fraction(0)] * 7, [Fraction(3), Fraction(-1, 2)], None)  # all-zero operand
 @example([Fraction(-1)] * 5, [Fraction(1)] * 5, None)  # every slot negative
 @example([Fraction(1, 3), Fraction(-2, 5)], [Fraction(-7, 2)] * 4, 3)
+@example([Fraction(k, 7) for k in range(-4, 5)], [Fraction(3)] * 8, None)  # 8 nonzero slots each
+@example([Fraction(k, 7) for k in range(-5, 5)], [Fraction(10**30)] * 9, 12)  # 9 each
 def test_rational_kernel_matches_schoolbook(a, b, limit):
     a, b = _rational_row(a), _rational_row(b)
-    assert _convolve(a, b, limit) == _schoolbook(a, b, limit)
+    assert _product(a, b, limit) == _schoolbook(a, b, limit)
+    assert _product(a, a, limit) == _schoolbook(a, a, limit)
+
+
+@st.composite
+def int_rows(draw):
+    """Two nonempty int rows, with zero slots, negative values and values of
+    10^30, and an n no smaller than either row."""
+    value = st.one_of(st.just(0), st.integers(-50, 50),
+                      st.integers(-(10**30), 10**30), st.sampled_from([10**30, -(10**30)]))
+    ra = draw(st.lists(value, min_size=1, max_size=40))
+    rb = draw(st.lists(value, min_size=1, max_size=40))
+    return ra, rb, draw(st.integers(max(len(ra), len(rb)), len(ra) + len(rb) + 2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(int_rows())
+@example(([0, 0, 0], [5, -1], 3))
+@example(([10**30, -(10**30), 0, 1], [-(10**30)] * 3, 7))
+def test_kronecker_kernel_matches_sparse_loop(rows):
+    ra, rb, n = rows
+    assert _int_convolve(ra, rb, n) == _sparse_convolve(rb, ra, n, 0)
+
+
+def _spy(monkeypatch, names):
+    """Count the calls to each named ``series`` function from now on."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def spy(*args, _real=getattr(series, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(series, name, spy)
+    return calls
+
+
+def test_products_pick_their_kernel_from_their_rows(monkeypatch):
+    # the criterion-9 partition ODE: its coefficient and solution are dense ints
+    tr = Fraction(65)
+    P = product_expand([(1, -1)], tr)
+    partition = RegularSingularODE(1, 1, [-(theta(P, "full") * P.inverse()).truncated(tr - 1)])
+    (dense,) = frobenius.frobenius_solve(partition, 60).solutions
+    sparse = frobenius.frobenius_solve(_ODE, 6).solutions
+    dP = theta(P, "full")
+    calls = _spy(monkeypatch, ("_int_convolve", "_pack"))
+    assert apply_ode(partition, dense).is_zero()
+    assert calls["_int_convolve"] == 1
+    # theta^2 S + theta S - 3/4 S + q S: coefficients of 2 and 1 nonzero slots
+    calls["_int_convolve"] = 0
+    assert all(apply_ode(_ODE, sol).is_zero() for sol in sparse)
+    assert calls["_int_convolve"] == 0
+    calls["_pack"] = 0
+    P * P
+    assert calls["_pack"] == 1
+    P * dP
+    assert calls["_pack"] == 3
 
 
 def _lifted(s: Puiseux, n: int) -> Puiseux:
