@@ -116,7 +116,7 @@ def eisenstein(k: int, trunc) -> Puiseux:
         raise BadWeight("Eisenstein weight must be an even integer >= 2")
     trunc = _exponent(trunc)
     n = max(0, math.ceil(trunc))
-    coeffs = _from_row(math.factorial(k - 1), [2 * x for x in _divisor_sums(n, k - 1, 1)])
+    coeffs = _from_row(math.factorial(k - 1), [2 * x for x in _divisor_sums(n, k - 1, 1)], True)
     if n:
         coeffs[0] = CycQ.from_rational(-bernoulli_number(k) / math.factorial(k))
     return Puiseux._make(1, Fraction(0), coeffs, trunc)

@@ -19,8 +19,8 @@ on roots that are not all rational, ``complex`` values.
 
 The residual ``apply_ode`` runs on the rows of ``series``, which
 ``Puiseux.sum`` and ``theta`` run on too: each log part of the series and
-each of the ODE's coefficients is a row of ints, or of ints and ``CycQ``
-values, over one denominator, its lead and trunc ints over one D.
+each of the ODE's coefficients is a row of ints or of ``CycQ`` values over
+one denominator, its lead and trunc ints over one D.
 """
 
 from __future__ import annotations
@@ -362,18 +362,14 @@ def _fold_solution(cs: list, dens: list, d: int, mu: Fraction, T: int, span: Fra
     parts = []
     for j in range(max_log + 1):
         num, div = step ** j, d ** j * math.factorial(j)
-        occupied = [n for n, c in enumerate(cs) if j < len(c) and not _pzero(c[j])]
-        if not occupied:
-            parts.append(Puiseux.zero(trunc, t))
-            continue
-        first = occupied[0]
-        lead = mu + Fraction(first, T)
-        coeffs = [CycQ.zero] * (_nterms(mu, trunc, t) - first * step)
-        for n in occupied:
-            x = cs[n][j]
-            coeffs[(n - first) * step] = (CycQ._reduced(1, dens[n] * div, (x * num,))
-                                          if type(x) is int else x * Fraction(num, div))
-        parts.append(Puiseux._make(t, lead, coeffs, trunc))
+        coeffs = [CycQ.zero] * _nterms(mu, trunc, t)
+        for n, c in enumerate(cs):
+            if j < len(c) and c[j]:
+                x = c[j]
+                coeffs[n * step] = (CycQ._reduced(1, dens[n] * div, (x * num,))
+                                    if type(x) is int else x * Fraction(num, div))
+        part = Puiseux._make(t, mu, coeffs, trunc).normalized()
+        parts.append(part if part.coeffs else Puiseux.zero(trunc, t))
     return LogQSeries(t, parts)
 
 
@@ -516,8 +512,8 @@ def apply_ode(ode: RegularSingularODE, s: LogQSeries) -> LogQSeries:
     trunc = min(p[1] for term in terms for p in term)
     result = []
     for col in zip(*terms):
-        lead, _, den, row = _sum_rows(col, g, min(0, *(p[0] for p in col)), trunc)
-        result.append(Puiseux._make(t, Fraction(lead, D), _from_row(den, row), Fraction(trunc, D)))
+        lead, _, *row = _sum_rows(col, g, min(0, *(p[0] for p in col)), trunc)
+        result.append(Puiseux._make(t, Fraction(lead, D), _from_row(*row), Fraction(trunc, D)))
     return LogQSeries(t, result)
 
 

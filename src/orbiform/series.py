@@ -20,7 +20,7 @@ runs the Euler transform on integers over ``_divisor_sums``.
 
 ``Puiseux.sum``, ``__mul__``, ``theta`` and ``frobenius.apply_ode`` share one
 row algebra, ``_row``, ``_sum_rows``, ``_theta_rows``, ``_mul_rows`` and
-``_from_row``, set out above ``_row``.
+``_from_row``, set out above ``_row``; a row carries its kind, ints or values.
 """
 
 from __future__ import annotations
@@ -192,19 +192,17 @@ class Puiseux:
 
         The branching t is the lcm of every T and of the denominators of the
         lead differences, so no term moves off its exponent; lead and trunc
-        are the smallest ones.  One term is copied slot for slot; more are
-        ``_sum_rows`` of their rows at t over D = lcm(t, every lead and trunc
-        denominator), so every zero slot is ``CycQ.zero``.
+        are the smallest ones.  The sum is ``_sum_rows`` of the terms' rows
+        at t over D = lcm(t, every lead and trunc denominator), so every zero
+        slot is ``CycQ.zero``.
         """
         first, *rest = terms = list(terms)
-        if not rest:
-            return Puiseux._make(first.T, first.lead, list(first.coeffs), first.trunc)
         t = math.lcm(*(x.T for x in terms), *((x.lead - first.lead).denominator for x in rest))
         D = math.lcm(t, *(y.denominator for x in terms for y in (x.lead, x.trunc)))
         rows = [_row(x, t, D) for x in terms]
-        lead, trunc, den, row = _sum_rows(rows, D // t, min(r[0] for r in rows),
-                                          min(r[1] for r in rows))
-        return Puiseux._make(t, Fraction(lead, D), _from_row(den, row), Fraction(trunc, D))
+        lead, trunc, *row = _sum_rows(rows, D // t, min(r[0] for r in rows),
+                                      min(r[1] for r in rows))
+        return Puiseux._make(t, Fraction(lead, D), _from_row(*row), Fraction(trunc, D))
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction, CycQ)):
@@ -236,8 +234,8 @@ class Puiseux:
         t = math.lcm(self.T, other.T)
         D = math.lcm(t, *(y.denominator for x in (self, other) for y in (x.lead, x.trunc)))
         a = _row(self, t, D)
-        lead, trunc, den, row = _mul_rows(a, a if other is self else _row(other, t, D), D // t)
-        return Puiseux._make(t, Fraction(lead, D), _from_row(den, row), Fraction(trunc, D))
+        lead, trunc, *row = _mul_rows(a, a if other is self else _row(other, t, D), D // t)
+        return Puiseux._make(t, Fraction(lead, D), _from_row(*row), Fraction(trunc, D))
 
     __rmul__ = __mul__
 
@@ -251,7 +249,7 @@ class Puiseux:
         if row is not None:
             # 1/(ints/d) is d B/D
             den, ints = _newton_inverse(row[1])
-            b = _from_row(den, [row[0] * x for x in ints])
+            b = _from_row(den, [row[0] * x for x in ints], True)
         else:
             b = _sparse_inverse(s.coeffs)
         return Puiseux._make(s.T, -s.lead, b, s.trunc - 2 * s.lead)
@@ -328,12 +326,14 @@ def _int_row(coeffs):
     return d, [c.nums[0] * (d // c.den) for c in coeffs]
 
 
-def _from_row(den: int, row: list) -> list:
-    """The coefficients row[i] / den (den > 0) of a row of ints and CycQ
-    values, one gcd each; every zero is ``CycQ.zero``."""
-    return [CycQ.zero if not x else CycQ._reduced(1, den, (x,)) if type(x) is int
-            else x if den == 1 else CycQ._reduced(x.conductor, x.den * den, x.nums)
-            for x in row]
+def _from_row(den: int, row: list, ints: bool) -> list:
+    """The coefficients row[i] / den (den > 0) of a row of kind ``ints``, one
+    gcd each; every zero is ``CycQ.zero``, and values over den 1 are kept."""
+    if ints:
+        return [CycQ._reduced(1, den, (x,)) if x else CycQ.zero for x in row]
+    if den == 1:
+        return [x or CycQ.zero for x in row]
+    return [CycQ._reduced(x.conductor, x.den * den, x.nums) if x else CycQ.zero for x in row]
 
 
 def _pack(row: list, width: int) -> int:
@@ -395,24 +395,26 @@ def _newton_inverse(a: list) -> tuple:
 
 # -- rows ---------------------------------------------------------------------
 
-# A Puiseux at branching t is the row (lead, trunc, den, row), lead and trunc
-# ints over a D that t and every lead's and trunc's denominator divide: slot i
-# holds row[i]/den at q^((lead + i g)/D), g = D/t, each row[i] an int or a
-# CycQ (``_row`` makes each zero the int 0).  Each helper gives the leads,
-# truncs and lengths of the operation it mirrors; ``_from_row`` reads a row back.
+# A Puiseux at branching t is the row (lead, trunc, den, row, ints), lead and
+# trunc ints over a D that t and every lead's and trunc's denominator divide:
+# slot i holds row[i]/den at q^((lead + i g)/D), g = D/t.  ``_row`` decides the
+# kind once: an int row (ints) holds only ints, a value row only CycQ values and
+# the int 0.  A sum is ints when every term is, a product when both rows are,
+# and theta keeps the kind; ``_from_row`` reads a row back.
 
 def _row(p: Puiseux, t: int, D: int, scale: int = 1):
     """scale * p at branching t as a row: ints over the common denominator
     when every slot of p has conductor 1, else p's values over 1."""
-    den, ints = _int_row(p.coeffs) or (1, [c if c else 0 for c in p.coeffs])
+    r = _int_row(p.coeffs)
+    den, vals = r or (1, [c or 0 for c in p.coeffs])
     if scale != 1:
-        ints = [x * scale for x in ints]
+        vals = [x * scale for x in vals]
     lead, trunc = (x.numerator * (D // x.denominator) for x in (p.lead, p.trunc))
     if t != p.T:
         row = [0] * _nterms(p.lead, p.trunc, t)
-        row[::t // p.T] = ints
-        ints = row
-    return lead, trunc, den, ints
+        row[::t // p.T] = vals
+        vals = row
+    return lead, trunc, den, vals, r is not None
 
 
 def _sum_rows(terms: list, g: int, lead: int, trunc: int):
@@ -421,14 +423,17 @@ def _sum_rows(terms: list, g: int, lead: int, trunc: int):
     added in order at its offset (lead_x - lead)/g.  A zero slot, whatever
     its conductor, holds nothing: a value added to it is taken as it is."""
     den = math.lcm(*(x[2] for x in terms))
+    ints = all(x[4] for x in terms)
     out = [0] * max(0, -((lead - trunc) // g))  # ceil((trunc - lead)/g) slots
-    for x_lead, _, x_den, row in terms:
+    for x_lead, _, x_den, row, x_ints in terms:
         off, k = (x_lead - lead) // g, den // x_den
         seg = row[:max(0, len(out) - off)]
-        if k != 1:
+        if x_ints and not ints:  # an int row among value rows: conductor-1 values
+            seg = [CycQ._make(1, 1, (k * v,)) if v else 0 for v in seg]
+        elif k != 1:
             seg = [k * v for v in seg]
         out[off:off + len(seg)] = [u + v if u and v else u or v for u, v in zip(out[off:], seg)]
-    return lead, trunc, den, out
+    return lead, trunc, den, out, ints
 
 
 def _theta_rows(parts: list, D: int, g: int) -> list:
@@ -440,13 +445,12 @@ def _theta_rows(parts: list, D: int, g: int) -> list:
     by L + k g and the den by D.
     """
     out = []
-    for i, (lead, trunc, den, row) in enumerate(parts):
-        term = (lead, trunc, den * D, [x * (lead + k * g) for k, x in enumerate(row)])
+    for i, (lead, trunc, den, row, ints) in enumerate(parts):
+        term = (lead, trunc, den * D, [x * (lead + k * g) for k, x in enumerate(row)], ints)
         if i + 1 < len(parts):
-            n_lead, n_trunc, n_den, n_row = parts[i + 1]
-            n_row = [x * ((i + 1) * g) for x in n_row]
-            term = _sum_rows([term, (n_lead, n_trunc, n_den * D, n_row)],
-                             g, min(lead, n_lead), min(trunc, n_trunc))
+            n_lead, n_trunc, n_den, n_row, n_ints = parts[i + 1]
+            nxt = (n_lead, n_trunc, n_den * D, [x * ((i + 1) * g) for x in n_row], n_ints)
+            term = _sum_rows([term, nxt], g, min(lead, n_lead), min(trunc, n_trunc))
         out.append(term)
     return out
 
@@ -459,23 +463,20 @@ def _theta_rows(parts: list, D: int, g: int) -> list:
 _DENSE_SLOTS = 8
 
 
-def _dense(row: list) -> bool:
-    # the type test first: counting the zeros of CycQ values compares each with 0
-    return all(type(x) is int for x in row) and len(row) - row.count(0) > _DENSE_SLOTS
-
-
 def _mul_rows(a, b, g: int):
-    """The product of rows a and b: ``_int_convolve`` when both are dense ints
-    (b is a squares one packed int), else ``_sparse_convolve`` over b's
-    nonzero slots.  b, the residual's ODE coefficient, is tested first."""
+    """The product of rows a and b: ``_int_convolve`` when both are int rows
+    with more than ``_DENSE_SLOTS`` nonzero slots each (b is a squares one
+    packed int), else ``_sparse_convolve`` over b's nonzero slots.  b, the
+    residual's ODE coefficient, is counted first."""
     lead = a[0] + b[0]
     trunc = min(a[1] + b[0], b[1] + a[0])
     n = max(0, -((lead - trunc) // g))
     ra = a[3][:n]
     rb = ra if b is a else b[3][:n]
-    if _dense(rb) and (rb is ra or _dense(ra)):
-        return lead, trunc, a[2] * b[2], _int_convolve(ra, rb, n)
-    return lead, trunc, a[2] * b[2], _sparse_convolve(rb, ra, n, 0)
+    if (a[4] and b[4] and len(rb) - rb.count(0) > _DENSE_SLOTS
+            and (rb is ra or len(ra) - ra.count(0) > _DENSE_SLOTS)):
+        return lead, trunc, a[2] * b[2], _int_convolve(ra, rb, n), True
+    return lead, trunc, a[2] * b[2], _sparse_convolve(rb, ra, n, 0), a[4] and b[4]
 
 
 def theta(s: Puiseux, scale: str = "full") -> Puiseux:
@@ -485,8 +486,8 @@ def theta(s: Puiseux, scale: str = "full") -> Puiseux:
         raise ValueError("scale must be 'full' or 'one_over_T'")
     D = math.lcm(s.T, s.lead.denominator, s.trunc.denominator)
     g = D // s.T
-    ((_, _, den, row),) = _theta_rows([_row(s, s.T, D)], D if scale == "full" else g, g)
-    return Puiseux._make(s.T, s.lead, _from_row(den, row), s.trunc)
+    ((_, _, *row),) = _theta_rows([_row(s, s.T, D)], D if scale == "full" else g, g)
+    return Puiseux._make(s.T, s.lead, _from_row(*row), s.trunc)
 
 
 # -- log-q series --------------------------------------------------------------
@@ -543,9 +544,8 @@ class LogQSeries:
 
     @staticmethod
     def from_json(data: list) -> "LogQSeries":
-        parts = sorted(data, key=lambda d: d["log_power"])
-        series = [Puiseux.from_json(d) for d in parts]
-        return LogQSeries(series[0].T, series)
+        series = [Puiseux.from_json(d) for d in sorted(data, key=lambda d: d["log_power"])]
+        return LogQSeries(series[0].T if series else 1, series)
 
     def __repr__(self):
         return f"LogQSeries(T={self.T}, parts={self.parts!r})"
@@ -635,7 +635,7 @@ def product_expand(factors, trunc) -> Puiseux:
     c = [1][:n]
     for m in range(1, n):
         c.append(sum(map(operator.mul, b[m:0:-1], c)) // m)
-    return Puiseux._make(1, Fraction(0), _from_row(1, c), trunc)
+    return Puiseux._make(1, Fraction(0), _from_row(1, c, True), trunc)
 
 
 # -- two-variable series ----------------------------------------------------------

@@ -164,8 +164,10 @@ def verify_law(law_id: str, params: dict | None = None,
                tau_grid=DEFAULT_TAU_GRID, tol: float = 1e-8) -> CheckReport:
     params = dict(params or {})
     read = law_params(law_id, params)
+    if not (tau_grid := tuple(tau_grid)):  # no point, no discrepancy: it would pass
+        raise ValueError("the tau grid is empty")
     # hypot: abs() of a complex nan can raise OverflowError on a numpy underflow's errno
-    errors = [math.hypot(d.real, d.imag) for d in _LAWS[law_id][0](read, tuple(tau_grid), tol)]
+    errors = [math.hypot(d.real, d.imag) for d in _LAWS[law_id][0](read, tau_grid, tol)]
     # max() passes over a nan unless it comes first; a nan must fail the law
     err = math.nan if any(map(math.isnan, errors)) else max(errors, default=0.0)
     return CheckReport(law_id, params, err, err < tol)

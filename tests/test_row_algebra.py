@@ -6,9 +6,12 @@ the sum copies its first term as it is and adds each later term's nonzero
 slots one ``CycQ`` at a time, and theta scales each nonzero slot by one
 ``CycQ._reduced``.  The row versions give the same T, lead, trunc and value in
 every slot.  Two things differ on purpose, and only in representation: every
-zero slot of a sum of two or more terms, or of theta, is ``CycQ.zero``, and a
+zero slot of a sum, even of one term, or of theta, is ``CycQ.zero``, and a
 zero no longer carries its conductor into a later slot of a sum, so a nonzero
 slot can sit at a conductor that divides the reference's.
+
+Every row the helpers give obeys one invariant, which the last tests check: an
+int row holds only ints, and a value row only ``CycQ`` values and the int 0.
 """
 
 import math
@@ -22,7 +25,7 @@ from test_series import sum_terms
 from orbiform.cyclotomic import CycQ, cyc_root, euler_phi
 from orbiform.forms import klein_hecke_series
 from orbiform.modular import TorsionPair
-from orbiform.series import Puiseux, _nterms, theta
+from orbiform.series import Puiseux, _mul_rows, _nterms, _row, _sum_rows, _theta_rows, theta
 
 # -- the CycQ-slot reference -------------------------------------------------------
 
@@ -109,7 +112,7 @@ def _check_sum(xs):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.lists(st.one_of(sum_terms(), zeroed_terms()), min_size=2, max_size=5))
+@given(st.lists(st.one_of(sum_terms(), zeroed_terms()), min_size=1, max_size=5))
 def test_sum_matches_the_slot_reference(xs):
     _check_sum(xs)
 
@@ -136,11 +139,19 @@ def test_sum_of_the_t96_klein_form_is_the_reference_slot_for_slot():
 
 @settings(max_examples=40, deadline=None)
 @given(st.one_of(sum_terms(), zeroed_terms()))
-def test_a_one_term_sum_is_a_copy(x):
+def test_a_one_term_sum_keeps_every_value(x):
+    # a one-term sum runs on rows too: every nonzero slot keeps its fields,
+    # and its very object when some slot has conductor > 1 (a value row over
+    # den 1); every zero slot is CycQ.zero
     got = Puiseux.sum([x])
     assert (got.T, got.lead, got.trunc) == (x.T, x.lead, x.trunc)
-    assert got.coeffs is not x.coeffs and all(a is b for a, b in zip(got.coeffs, x.coeffs))
-    assert len(got.coeffs) == len(x.coeffs)
+    assert got.coeffs is not x.coeffs and len(got.coeffs) == len(x.coeffs)
+    values = any(c.conductor != 1 for c in x.coeffs)
+    for c, w in zip(got.coeffs, x.coeffs):
+        if not w:
+            assert c is CycQ.zero
+        else:
+            assert _fields(c) == _fields(w) and (c is w or not values)
 
 
 # -- theta -------------------------------------------------------------------------
@@ -166,3 +177,57 @@ def test_theta_of_the_t96_klein_form_is_the_reference_slot_for_slot(scale):
     _check_theta(h, scale)
     # q^0 slot of a constant: theta makes it zero, at conductor 1 not 4
     _check_theta(Puiseux(1, 0, [cyc_root(1, 4), 1], 2), scale)
+
+
+# -- the row invariant -------------------------------------------------------------
+
+@st.composite
+def rational_terms(draw):
+    """A Puiseux placed as sum_terms() places it, with up to 24 rational slots
+    at conductor 1: an int row, dense enough for the Kronecker kernel."""
+    x = draw(sum_terms())
+    n = draw(st.integers(0, 24))
+    values = draw(st.lists(st.fractions(-3, 3, max_denominator=3), min_size=n, max_size=n))
+    return Puiseux(x.T, x.lead, values, x.lead + Fraction(n, x.T))
+
+
+def _check_kind(r, ints):
+    assert r[4] is ints
+    if ints:
+        assert all(type(x) is int for x in r[3])
+    else:
+        assert all(type(x) is CycQ or (type(x) is int and x == 0) for x in r[3])
+
+
+def _check_rows(xs):
+    """Every row of xs, their sum, theta of them as the parts of one log
+    series, and every product of two of them keeps the invariant, and each
+    is an int row exactly when its inputs are."""
+    first = xs[0]
+    t = math.lcm(*(x.T for x in xs), *((x.lead - first.lead).denominator for x in xs))
+    D = math.lcm(t, *(y.denominator for x in xs for y in (x.lead, x.trunc)))
+    g = D // t
+    rows = [_row(x, t, D) for x in xs]
+    kinds = [all(c.conductor == 1 for c in x.coeffs) for x in xs]
+    for r, ints in zip(rows, kinds):
+        _check_kind(r, ints)
+    _check_kind(_sum_rows(rows, g, min(r[0] for r in rows), min(r[1] for r in rows)),
+                all(kinds))
+    for i, r in enumerate(_theta_rows(rows, D, g)):
+        _check_kind(r, all(kinds[i:i + 2]))
+    for a, ka in zip(rows, kinds):
+        for b, kb in zip(rows, kinds):
+            _check_kind(_mul_rows(a, b, g), ka and kb)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(sum_terms(), zeroed_terms(), rational_terms()), min_size=1, max_size=4))
+def test_every_row_keeps_the_invariant(xs):
+    _check_rows(xs)
+
+
+def test_rows_of_the_t96_klein_form_keep_the_invariant():
+    g, h = _klein()
+    dense = Puiseux(4, 0, [Fraction(k, 3) for k in range(1, 13)], 3)
+    _check_rows([g, dense, h])
+    _check_rows([dense, dense.shifted(Fraction(1, 4))])

@@ -280,6 +280,11 @@ def test_logq_json_roundtrip():
         assert a.coeffs == b.coeffs
 
 
+def test_logq_from_json_of_no_parts_is_a_value_error():
+    with pytest.raises(ValueError, match="need at least one part"):
+        LogQSeries.from_json([])
+
+
 def test_biseries_residue_and_window():
     one = Puiseux.constant(1, 5)
     b = BiSeries(0, -2, [one.scalar_mul(7), one.scalar_mul(5), one])
@@ -391,9 +396,10 @@ def test_sum_is_the_pairwise_fold_in_one_pass(xs):
     assert dict(total.terms()) == {e: c for e, c in want.items() if c}
     folded = functools.reduce(operator.add, xs)
     assert (folded.T, folded.lead, folded.trunc) == (total.T, total.lead, total.trunc)
-    # slot for slot, zero slots and conductors included
+    # slot for slot, conductors included; every zero slot of a sum, even of
+    # one term (which the fold leaves as it is), is CycQ.zero
     assert [(c.conductor, c.coeffs) for c in total.coeffs] == [
-        (c.conductor, c.coeffs) for c in folded.coeffs]
+        (c.conductor, c.coeffs) if c else (1, (0,)) for c in folded.coeffs]
 
 
 # a series' parts: (lead slot, coefficients) on the (1/T)Z grid
@@ -634,6 +640,16 @@ def test_products_pick_their_kernel_from_their_rows(monkeypatch):
     assert calls["_pack"] == 1
     P * dP
     assert calls["_pack"] == 3
+    # an int row plus a CycQ row is a value row, dense or not: its products,
+    # of rows and of series, take the sparse loop
+    calls = _spy(monkeypatch, ("_int_convolve", "_sparse_convolve"))
+    Q = P.truncated(20)
+    a, b = (series._row(x, 1, 1) for x in (Q, Q * cyc_root(1, 4)))
+    mixed = series._sum_rows([a, b], 1, 0, 20)
+    assert not mixed[4]
+    series._mul_rows(mixed, a, 1)
+    (Q + Q * cyc_root(1, 4)) * Q
+    assert calls == {"_int_convolve": 0, "_sparse_convolve": 2}
 
 
 def _lifted(s: Puiseux, n: int) -> Puiseux:

@@ -25,6 +25,15 @@ def test_unknown_law_rejected():
         verify_law("no_such_law")
 
 
+def test_an_empty_tau_grid_is_rejected():
+    # a law checked at no point has no discrepancy and would pass vacuously
+    for law in LAW_IDS:
+        with pytest.raises(ValueError, match="tau grid is empty"):
+            verify_law(law, tau_grid=())
+    with pytest.raises(ValueError, match="tau grid is empty"):
+        verify_suite(tau_grid=[])
+
+
 def test_parameters_a_law_does_not_read_are_rejected():
     with pytest.raises(ValueError, match="G2_quasimodular does not read k, terms"):
         verify_law("G2_quasimodular", {"k": 7, "terms": 1, "gamma": S})
