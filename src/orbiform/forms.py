@@ -12,10 +12,11 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 from fractions import Fraction
 from math import gcd, lcm
 
-from .cyclotomic import CycQ, _power, _power_basis, cyc_root_of
+from .cyclotomic import CycQ, _exponent, _power, _power_basis, cyc_root_of
 from .errors import (
     BadWeight,
     NearPole,
@@ -27,7 +28,7 @@ from .errors import (
 )
 from .modular import TorsionPair
 from .report import CheckReport
-from .series import BiSeries, Puiseux, _divisor_sums, _exponent, _from_row, _int_convolve, theta
+from .series import BiSeries, Embedded, Puiseux, _divisor_sums, _from_row, _int_convolve, theta
 
 TWO_PI_I = 2j * cmath.pi
 
@@ -112,14 +113,27 @@ def bernoulli_identities_check(k: int, x, n: int = 10) -> bool:
 
 def eisenstein(k: int, trunc) -> Puiseux:
     """Normalized weight-k Eisenstein series, constant term -B_k(0)/k!."""
+    trunc, den, row = _eisenstein_row(k, trunc)
+    return Puiseux._make(1, Fraction(0), _from_row(den, row, True), trunc)
+
+
+def _eisenstein_embedded(k: int, trunc) -> Embedded:
+    """Embedded(eisenstein(k, trunc)) to the same floats: x / den of the same int row
+    rounds as the float of the reduced coefficient does."""
+    trunc, den, row = _eisenstein_row(k, trunc)
+    return Embedded._from_rows(1, [0.0], [float(trunc)], [[x / den for x in row]])
+
+
+def _eisenstein_row(k: int, trunc) -> tuple:
+    """(trunc, den, row): the coefficients of E_k are the ints row[i] over den."""
     if k < 2 or k % 2 != 0:
         raise BadWeight("Eisenstein weight must be an even integer >= 2")
-    trunc = _exponent(trunc)
-    n = max(0, math.ceil(trunc))
-    coeffs = _from_row(math.factorial(k - 1), [2 * x for x in _divisor_sums(n, k - 1, 1)], True)
-    if n:
-        coeffs[0] = CycQ.from_rational(-bernoulli_number(k) / math.factorial(k))
-    return Puiseux._make(1, Fraction(0), coeffs, trunc)
+    trunc, b = _exponent(trunc), bernoulli_number(k)
+    # 2 sigma_(k-1)(m)/(k-1)! and the constant -B_k/k! over den = k! den(B_k)
+    row = [2 * k * b.denominator * x for x in _divisor_sums(max(0, math.ceil(trunc)), k - 1, 1)]
+    if row:
+        row[0] = -b.numerator
+    return trunc, math.factorial(k) * b.denominator, row
 
 
 def g2_eval(tau: complex, trunc=60) -> complex:
@@ -175,17 +189,35 @@ def qk_series(k: int, pair: TorsionPair, trunc) -> Puiseux:
     Branching is the denominator M of the first pair entry; the constant
     term is -B_k(j/M)/k! plus boundary contributions.
     """
-    if k < 0:
-        raise ValueError("weight must be nonnegative")
-    trunc = _exponent(trunc)
-    if k == 0:
-        return Puiseux.constant(-1, trunc)
-    t = pair.M
-    coeffs = _reduce_rows(_qk_rows(k, pair, max(0, math.ceil(trunc * t))),
-                          math.factorial(k - 1) * t ** (k - 1))
+    trunc, t, rows, denom = _qk_slots(k, pair, trunc)
+    coeffs = _reduce_rows(rows, denom)
     if coeffs:
         coeffs[0] = _qk_constant(k, pair)
     return Puiseux._make(t, Fraction(0), coeffs, trunc)
+
+
+def _qk_embedded(k: int, pair: TorsionPair, trunc) -> Embedded:
+    """Embedded(qk_series(k, pair, trunc)) with no exact series: a row is sum_e (row[e] /
+    denom) zeta_N^e, each entry divided as an int, so no k <= MAX_WEIGHT overflows."""
+    import numpy as np
+    trunc, t, rows, denom = _qk_slots(k, pair, trunc)
+    n = pair.l_over_N.denominator
+    flat = [x / denom for row in rows for x in (row or [0] * n)]
+    coeffs = np.reshape(flat, (-1, n)) @ [cmath.exp(TWO_PI_I * e / n) for e in range(n)]
+    if rows:
+        coeffs[0] = _qk_constant(k, pair).embed()
+    return Embedded._from_rows(t, [0.0], [float(trunc)], coeffs[None])
+
+
+def _qk_slots(k: int, pair: TorsionPair, trunc) -> tuple:
+    """(trunc, T, rows, denom): Q_k past its constant; Q_0 = -1 has no rows, at T = 1."""
+    if k < 0:
+        raise ValueError("weight must be nonnegative")
+    trunc, t = _exponent(trunc), pair.M if k else 1
+    nslots = max(0, math.ceil(trunc * t))
+    if not k:
+        return trunc, t, [None] * nslots, 1
+    return trunc, t, _qk_rows(k, pair, nslots), math.factorial(k - 1) * t ** (k - 1)
 
 
 def _qk_rows(k: int, pair: TorsionPair, nslots: int) -> list:
@@ -449,8 +481,12 @@ def pk_double_sum_oracle(
 def wp1_eval(z: complex, tau: complex, trunc: int = 200) -> complex:
     """G2(tau) z + pi i (q_z+1)/(q_z-1) + lattice corrections, truncated."""
     import numpy as np
+    try:
+        trunc = operator.index(trunc)
+    except TypeError:
+        raise TypeError(f"trunc must be an int, not {type(trunc).__name__}") from None
     if tau.imag <= 0:
-        raise ValueError("need Im(tau) > 0")
+        raise NotConvergent("evaluation requires Im(tau) > 0")
     qz = cmath.exp(TWO_PI_I * z)
     if abs(qz - 1) < 1e-12:
         raise NearPole("q_z too close to 1")

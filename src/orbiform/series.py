@@ -559,17 +559,15 @@ class Embedded:
     Row i of ``coeffs`` holds the l^i part (l = log q_(1/T); a Puiseux is row 0)
     as complex numbers, zero-padded; ``leads``, ``truncs`` and ``maxabs`` hold
     each part's leading exponent, truncation and largest coefficient modulus.
+    ``Embedded(s)`` and rows ``forms`` embeds from integers go through ``_from_rows``.
     """
 
     __slots__ = ("T", "leads", "truncs", "coeffs", "maxabs")
 
-    def __init__(self, s):
+    def __new__(cls, s):
         import numpy as np
         parts = s.parts if isinstance(s, LogQSeries) else (s,)
-        self.T = s.T
-        self.leads = [float(p.lead) for p in parts]
-        self.truncs = [float(p.trunc) for p in parts]
-        self.coeffs = np.zeros((len(parts), max(len(p.coeffs) for p in parts)), complex)
+        coeffs = np.zeros((len(parts), max(len(p.coeffs) for p in parts)), complex)
         by_conductor: dict = {}
         for row, p in enumerate(parts):
             for col, c in enumerate(p.coeffs):
@@ -578,8 +576,19 @@ class Embedded:
             rows, cols, values = zip(*slots)
             # x / den rounds as float(Fraction(x, den)) does
             flat = [x / c.den for c in values for x in c.nums]
-            self.coeffs[rows, cols] = (np.reshape(flat, (len(rows), -1)) * _root_powers(n)).sum(1)
+            coeffs[rows, cols] = (np.reshape(flat, (len(rows), -1)) * _root_powers(n)).sum(1)
+        return cls._from_rows(s.T, [float(p.lead) for p in parts],
+                              [float(p.trunc) for p in parts], coeffs)
+
+    @classmethod
+    def _from_rows(cls, T: int, leads: list, truncs: list, rows) -> "Embedded":
+        """The one constructor: each part's lead, trunc and row of complex values."""
+        import numpy as np
+        self = object.__new__(cls)
+        self.T, self.leads, self.truncs = T, leads, truncs
+        self.coeffs = np.asarray(rows, complex)
         self.maxabs = np.abs(self.coeffs).max(axis=1, initial=0.0).tolist()
+        return self
 
 
 def eval_at_tau(s, tau: complex, precision: int = 53) -> EvalResult:

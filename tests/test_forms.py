@@ -3,10 +3,11 @@ numeric evaluators."""
 
 import cmath
 import math
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from orbiform import forms
@@ -21,6 +22,10 @@ from orbiform.errors import (
     UndefinedAtTrivialPair,
 )
 from orbiform.forms import (
+    _eisenstein_embedded,
+    _qk_constant,
+    _qk_embedded,
+    _qk_rows,
     _reduce_rows,
     _residue_rows,
     bernoulli_identities_check,
@@ -44,7 +49,7 @@ from orbiform.forms import (
     zhu_coeff_binomial_oracle,
 )
 from orbiform.modular import TorsionPair
-from orbiform.series import Puiseux, _nterms, eval_at_tau, product_expand, theta
+from orbiform.series import Embedded, Puiseux, _nterms, eval_at_tau, product_expand, theta
 
 
 def test_bernoulli_polynomials_exact():
@@ -231,6 +236,59 @@ def test_builders_match_the_per_term_reference(m, j, n, l, nslots):
         _assert_matches_reference(h, const, slots, unit_weights=True)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 6), st.integers(1, 12), st.integers(1, 12), st.integers(1, 12),
+    st.integers(1, 12), st.integers(-2, 50),
+)
+@example(0, 3, 1, 5, 2, 10)
+@example(1, 1, 1, 3, 1, 30)  # j/M = 1: the constant carries the boundary term
+@example(4, 7, 3, 7, 2, 40)
+@example(3, 12, 5, 12, 7, 40)
+@example(200, 3, 1, 4, 1, 6)  # entries past the float range before their division
+def test_qk_embedded_matches_the_exact_path(k, m, j, n, l, nslots):
+    j, l = min(j, m), min(l, n)
+    pair = TorsionPair(Fraction(j, m), Fraction(l, n))
+    assume(not (k == 1 and pair.is_trivial()))
+    trunc = Fraction(nslots, pair.M)
+    got, want = _qk_embedded(k, pair, trunc), Embedded(qk_series(k, pair, trunc))
+    assert (got.T, got.leads, got.truncs) == (want.T, want.leads, want.truncs)
+    assert got.coeffs.shape == want.coeffs.shape
+    if k:
+        denom = math.factorial(k - 1) * pair.M ** (k - 1)
+        sizes = [sum(map(abs, row)) / denom if row else 0.0
+                 for row in _qk_rows(k, pair, got.coeffs.shape[1])]
+        const = _qk_constant(k, pair)
+        n_const, n_rows = const.conductor, pair.l_over_N.denominator
+    else:
+        sizes, const, n_const, n_rows = [0.0] * got.coeffs.shape[1], CycQ.one, 1, 1
+    if sizes:
+        sizes[0] = sum(map(abs, const.nums)) / const.den
+    eps = sys.float_info.epsilon
+    tols = [4 * (n_const if i == 0 else n_rows) * eps * size for i, size in enumerate(sizes)]
+    for i, tol in enumerate(tols):
+        assert abs(got.coeffs[0, i] - want.coeffs[0, i]) <= tol, i
+    assert abs(got.maxabs[0] - want.maxabs[0]) <= max(tols, default=0.0)
+
+
+def test_qk_embedded_raises_as_qk_series_does():
+    pair, triv = TorsionPair(Fraction(1, 2), Fraction(1, 3)), TorsionPair(Fraction(1), Fraction(1))
+    for k, p, trunc, error in ((-1, pair, 5, ValueError), (1, triv, 5, UndefinedAtTrivialPair),
+                               (1, triv, 0, UndefinedAtTrivialPair), (2, pair, 2.5, TypeError)):
+        for build in (qk_series, _qk_embedded):
+            with pytest.raises(error):
+                build(k, p, trunc)
+
+
+@pytest.mark.parametrize("trunc", [0, 1, Fraction(7, 2), 200])
+def test_e4_embeds_from_its_int_row_to_the_same_floats(trunc):
+    got, want = _eisenstein_embedded(4, trunc), Embedded(eisenstein(4, trunc))
+    assert (got.T, got.leads, got.truncs) == (want.T, want.leads, want.truncs)
+    assert (got.coeffs.tolist(), got.maxabs) == (want.coeffs.tolist(), want.maxabs)
+    with pytest.raises(BadWeight):
+        _eisenstein_embedded(3, trunc)
+
+
 def test_qk_well_defined_modulo_one():
     a = qk_series(2, TorsionPair(Fraction(1, 4), Fraction(2, 3)), 5)
     b = qk_series(2, TorsionPair(Fraction(5, 4), Fraction(5, 3)), 5)
@@ -338,9 +396,18 @@ def test_g2_and_wp1_errors():
     for tau in (0.3, 0.2 - 1j):
         with pytest.raises(NotConvergent):
             g2_eval(tau)
+        with pytest.raises(NotConvergent):  # a bare ValueError before
+            wp1_eval(0.21 - 0.4j, tau)
     tau = 0.1 + 1.1j
     with pytest.raises(NearPole, match="n=3"):
         wp1_eval(3 * tau, tau)
+
+
+def test_wp1_eval_reads_trunc_as_an_int():
+    # a Fraction trunc reached numpy's arange and died in a ufunc loop
+    for trunc in (Fraction(401, 2), Fraction(200), "200", 200.0):
+        with pytest.raises(TypeError, match="trunc must be an int"):
+            wp1_eval(0.21 - 0.4j, 1.1j, trunc)
 
 
 def _wp1_term_loop(z, tau, trunc):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from orbiform import verify
+from orbiform import forms, series, verify
 from orbiform.errors import TruncationInsufficient, TruncationTooSmall
 from orbiform.modular import S, T, GammaMat, TorsionPair
 from orbiform.series import EvalResult
@@ -77,6 +77,21 @@ def test_delk_law_takes_theta_exactly_on_the_default_grid():
     # five-point finite difference in its place would be off by 7.5e-13 here
     r = verify_law("delk_commutes", tau_grid=verify.DEFAULT_TAU_GRID)
     assert r.error < 1e-15
+
+
+def test_the_series_laws_build_no_exact_series(monkeypatch):
+    # Q_k and E_4 embed from their integer rows: no power-basis reduction, no
+    # Puiseux, and no embedding of one
+    def built(*args):
+        raise AssertionError("a numeric law built an exact series")
+
+    monkeypatch.setattr(forms, "_reduce_rows", built)
+    monkeypatch.setattr(series.Puiseux, "_make", staticmethod(built))
+    monkeypatch.setattr(series.Embedded, "__new__", built)
+    for law in ("Q_modularity", "delk_commutes"):
+        assert verify_law(law).passed
+    assert verify_law("Q_modularity", {"k": 1, "pair": TorsionPair(Fraction(1), Fraction(1, 3)),
+                                       "gamma": T}).passed
 
 
 def test_report_serialization():
