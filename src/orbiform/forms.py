@@ -156,27 +156,23 @@ def g2_eval(tau: complex, trunc=60) -> complex:
 
 def _add_geometric(rows: list, step: int, l: int, n: int, weight: int, start: int = 0,
                    rot: int = 0):
-    """Add weight * sum_{m>=1} zeta_n^(m l + rot) q^(m step/t), step >= 1, into rows
-    whose slots end at the truncation, with q^0 at slot start.  rows[slot] is
-    None until a term lands there, then a row of Z[C_n]: row[e] is the
-    coefficient of zeta_n^e.
+    """Add weight * sum_{m>=1} zeta_n^(m l + rot) q^(m step/t), step >= 1, into a window
+    of rows of Z[C_n] (row[e] is the coefficient of zeta_n^e, every row present) whose
+    slots end at the truncation, with q^0 at slot start.
     """
     for m, idx in enumerate(range(start + step, len(rows), step), 1):
-        row = rows[idx]
-        if row is None:
-            row = rows[idx] = [0] * n
-        row[(m * l + rot) % n] += weight
+        rows[idx][(m * l + rot) % n] += weight
 
 
 def _reduce_rows(rows: list, denom: int) -> list:
-    """Each row sum_e c_e zeta_N^e, divided by denom, as a CycQ.
+    """Each row sum_e c_e zeta_N^e of a dense window, divided by denom, as a CycQ.
 
     A row is reduced once, at the conductor N/gcd(N, e) over the exponents e
-    whose coefficients survive; an empty or cancelled row is CycQ.zero.
+    whose coefficients survive; a zero or cancelled row is CycQ.zero.
     """
     out = [CycQ.zero] * len(rows)
     for idx, row in enumerate(rows):
-        if row and any(row):
+        if any(row):
             g = gcd(len(row), *(e for e, c in enumerate(row) if c))
             n = len(row) // g
             out[idx] = CycQ._reduced(n, denom, tuple(_power_basis(n, row[::g], 1)))
@@ -202,7 +198,7 @@ def _qk_embedded(k: int, pair: TorsionPair, trunc) -> Embedded:
     import numpy as np
     trunc, t, rows, denom = _qk_slots(k, pair, trunc)
     n = pair.l_over_N.denominator
-    flat = [x / denom for row in rows for x in (row or [0] * n)]
+    flat = [x / denom for row in rows for x in row]
     coeffs = np.reshape(flat, (-1, n)) @ [cmath.exp(TWO_PI_I * e / n) for e in range(n)]
     if rows:
         coeffs[0] = _qk_constant(k, pair).embed()
@@ -210,33 +206,34 @@ def _qk_embedded(k: int, pair: TorsionPair, trunc) -> Embedded:
 
 
 def _qk_slots(k: int, pair: TorsionPair, trunc) -> tuple:
-    """(trunc, T, rows, denom): Q_k past its constant; Q_0 = -1 has no rows, at T = 1."""
+    """(trunc, T, rows, denom): Q_k past its constant as one window of rows of Z[C_N];
+    Q_0 = -1 is a zero window, at T = 1."""
     if k < 0:
         raise ValueError("weight must be nonnegative")
     trunc, t = _exponent(trunc), pair.M if k else 1
-    nslots = max(0, math.ceil(trunc * t))
+    rows = [[0] * pair.l_over_N.denominator for _ in range(max(0, math.ceil(trunc * t)))]
     if not k:
-        return trunc, t, [None] * nslots, 1
-    return trunc, t, _qk_rows(k, pair, nslots), math.factorial(k - 1) * t ** (k - 1)
+        return trunc, t, rows, 1
+    _add_qk(rows, k, pair)
+    return trunc, t, rows, math.factorial(k - 1) * t ** (k - 1)
 
 
-def _qk_rows(k: int, pair: TorsionPair, nslots: int) -> list:
-    """Q_k (k >= 1) to nslots slots as rows of Z[C_N] over (k-1)! M^(k-1), None
-    where no term lands; slot 0, the constant, is left to _qk_constant."""
+def _add_qk(rows: list, k: int, pair: TorsionPair, start: int = 0, sign: int = 1):
+    """Add sign * Q_k (k >= 1) past its constant into a window of rows of Z[C_N] over
+    (k-1)! M^(k-1) that ends at the truncation, with q^0 at slot start; the constant
+    is left to _qk_constant."""
     if pair.is_trivial() and k < 2:
         # the boundary term 1/(1 - lam^-1) is a pole at lam = 1; for k >= 2
         # its weight (n - j/M)^(k-1) vanishes and the series is fine
         raise UndefinedAtTrivialPair("Q_1 is undefined at the pair (1,1)")
     l, n = pair.l_over_N.numerator, pair.l_over_N.denominator
-    t, j = pair.M, pair.j_over_M.numerator
-    rows = [None] * nslots
+    t, j, nslots = pair.M, pair.j_over_M.numerator, len(rows) - start
     # exponent x = step/M, weight x^(k-1)/(k-1)! = step^(k-1)/((k-1)! M^(k-1));
     # first sum: n >= 0, step = nM + j > 0; second: n >= 1, step = nM - j > 0
     for step in range(j, nslots, t):
-        _add_geometric(rows, step, l, n, step ** (k - 1))
+        _add_geometric(rows, step, l, n, sign * step ** (k - 1), start)
     for step in range(t - j or t, nslots, t):
-        _add_geometric(rows, step, -l, n, (-1) ** k * step ** (k - 1))
-    return rows
+        _add_geometric(rows, step, -l, n, sign * (-1) ** k * step ** (k - 1), start)
 
 
 def _qk_constant(k: int, pair: TorsionPair) -> CycQ:
@@ -313,7 +310,7 @@ def pbar_series(k: int, pair: TorsionPair, window: tuple[int, int], trunc) -> Bi
     denom = math.factorial(k - 1) * t ** (k - 1)
     coeffs = []
     for off in range(lo, hi + 1):
-        rows = [None] * nslots
+        rows = [[0] * pair.l_over_N.denominator for _ in range(nslots)]
         const = _add_pbar_term(rows, k, pair, a1.numerator + off * t)
         buf = _reduce_rows(rows, denom)
         if buf and const:
@@ -333,8 +330,7 @@ def _add_pbar_term(rows: list, k: int, pair: TorsionPair, step: int, start: int 
     if step > 0:
         _add_geometric(rows, step, l, n, w, start, rot)
         if start < len(rows):
-            row = rows[start] = rows[start] or [0] * n
-            row[rot % n] += w
+            rows[start][rot % n] += w
     elif step < 0:
         _add_geometric(rows, -step, -l, n, -w, start, rot)
     elif w and not pair.is_trivial():
@@ -538,7 +534,7 @@ def klein_hecke_series(pair: TorsionPair, trunc) -> tuple[Puiseux, Puiseux]:
     g = g.with_branching(lcm(t, lead.denominator))
     # h/(2 pi i) = a1 - 1/2 - sum_(m>=0) lam q^(m+a1)/(1 - lam q^(m+a1))
     #              + sum_(m>=1) lam^-1 q^(m-a1)/(1 - lam^-1 q^(m-a1))
-    rows = [None] * max(0, math.ceil(trunc * t))
+    rows = [[0] * a2.denominator for _ in range(max(0, math.ceil(trunc * t)))]
     for step in range(j, len(rows), t):
         _add_geometric(rows, step, a2.numerator, a2.denominator, -1)
     for step in range(t - j or t, len(rows), t):
@@ -706,7 +702,7 @@ def _residue_rows(k: int, m: int, pair: TorsionPair, trunc: Fraction) -> tuple:
     # sum (negative n) still leaves everything exact to trunc; q^n P_n ends at
     # trunc + max(m, 0) + n
     end = min(trunc, trunc + max(m, 0) + Fraction(least, t))
-    rows = [None] * max(0, math.ceil(end * t) + base)
+    rows = [[0] * pair.l_over_N.denominator for _ in range(max(0, math.ceil(end * t) + base))]
     # first product: iota_(z,z1)(1/(z-z1)) * z^(j/M - m) * Pbar(w = z1/z).
     # iota_(z,z1) = sum_(e>=0) z1^e z^(-1-e) has every coefficient 1, and the
     # z1-exponent is suppressed (it is the constant j/M - m at the residue);
@@ -736,8 +732,8 @@ def prop48_check(k: int, m: int, pair: TorsionPair, trunc) -> CheckReport:
 
     For k >= 1 the identity is summed in one window of rows of Z[C_N] over
     (k-1)! M^(k-1), on the 1/M grid: each P_n of the first sum is added as it
-    is, each of the second shifted by n and rotated by lam, and Q_k's rows are
-    subtracted; the window is reduced to the power basis once, and every slot
+    is, each of the second shifted by n and rotated by lam, and Q_k is added
+    with sign -1; the window is reduced to the power basis once, and every slot
     must vanish, the q^0 slot together with the constants that are no row
     (the n = 0 term, Q_k's constant and the Bernoulli term).
     """
@@ -752,11 +748,7 @@ def prop48_check(k: int, m: int, pair: TorsionPair, trunc) -> CheckReport:
         )
     rows, const, base = _residue_rows(k, m, pair, trunc)
     # minus the left side, Q_k + B_k(1 - m + j/M)/k!
-    for idx, row in enumerate(_qk_rows(k, pair, max(0, len(rows) - base)), base):
-        if row:
-            cur = rows[idx] = rows[idx] or [0] * len(row)
-            for e, c in enumerate(row):
-                cur[e] -= c
+    _add_qk(rows, k, pair, base, -1)
     coeffs = _reduce_rows(rows, math.factorial(k - 1) * pair.M ** (k - 1))
     if base < len(coeffs):
         bern = bernoulli_poly(k)(1 - m + pair.j_over_M) / math.factorial(k)

@@ -59,6 +59,9 @@ class RegularSingularODE:
     coeffs: list  # r_0 .. r_{order-1}, Puiseux
 
     def __post_init__(self):
+        if not isinstance(self.order, int):
+            # 2.0 == 2 would pass the count check and fail later, scaling a CycQ by a float
+            raise TypeError(f"order must be an int, not {type(self.order).__name__}")
         if self.order < 1:
             raise ValueError("order must be at least 1")
         if len(self.coeffs) != self.order:

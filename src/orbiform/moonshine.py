@@ -9,6 +9,7 @@ validated by shape and invariance checks rather than trusted.
 from __future__ import annotations
 
 import json
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,11 +55,11 @@ def load_data() -> dict:
 def hauptmodul_spec(class_label: str) -> HauptmodulSpec:
     for c in load_data()["classes"]:
         if c["label"] == class_label:
-            return HauptmodulSpec(
-                c["label"],
-                tuple((int(a), int(e)) for a, e in c["eta"]),
-                Fraction(c["const"]),
-            )
+            try:  # int() would truncate a float, Fraction() read it as its binary value
+                eta = tuple((operator.index(a), operator.index(e)) for a, e in c["eta"])
+                return HauptmodulSpec(c["label"], eta, _exponent(c["const"]))
+            except TypeError as e:
+                raise ValueError(f"hauptmodul data for {class_label} is malformed: {e}") from None
     raise UnknownClass(f"no hauptmodul data for class {class_label!r}")
 
 

@@ -544,7 +544,10 @@ class LogQSeries:
 
     @staticmethod
     def from_json(data: list) -> "LogQSeries":
-        series = [Puiseux.from_json(d) for d in sorted(data, key=lambda d: d["log_power"])]
+        data = sorted(data, key=lambda d: d["log_power"])
+        if [d["log_power"] for d in data] != list(range(len(data))):
+            raise ValueError("log powers must be 0, 1, ..., n-1, each once")
+        series = [Puiseux.from_json(d) for d in data]
         return LogQSeries(series[0].T if series else 1, series)
 
     def __repr__(self):

@@ -253,7 +253,10 @@ def test_frobenius_file_reads_ints_and_rational_strings(capsys, tmp_path, c, wan
         {"T": 1, "leading": 0.5, "trunc": "3", "coeffs": [{"conductor": 1, "coeffs": ["1"]}]}]},
     {"order": 1, "T": 1, "coeffs": [
         {"T": 1, "leading": "1", "trunc": "3", "coeffs": [{"conductor": 1, "coeffs": [0.1]}]}]},
-], ids=["term-coefficient", "trunc", "exponent", "series-leading", "cycq-coordinate"])
+    # 2.0 == 2 passed the count check, then the solver scaled a CycQ by the float
+    {"order": 2.0, "T": 1, "coeffs": [{"terms": [["0", "-3/4"], ["1", "1"]], "trunc": "6"},
+                                      {"terms": [["0", "1"]], "trunc": "6"}]},
+], ids=["term-coefficient", "trunc", "exponent", "series-leading", "cycq-coordinate", "order"])
 def test_frobenius_file_float_is_malformed(capsys, tmp_path, data):
     # a JSON float is a binary value, not the decimal it was written as
     p = tmp_path / "ode.json"
@@ -310,6 +313,19 @@ def test_moonshine_subcommands(capsys):
     )
     assert code == 0
     assert obj["terms"][1] == ["1", "276"]
+
+
+@pytest.mark.parametrize("eta, const", [([[1, 24], [2, -23.5]], "24"), ([[1, 24], [2, -24]], 24.1)],
+                         ids=["eta-exponent", "const"])
+def test_moonshine_float_class_data_is_an_error(capsys, tmp_path, monkeypatch, eta, const):
+    # a float from ORBIFORM_DATA was truncated (-23.5 as -23) or read as its binary value
+    data = {"classes": [{"label": "2B", "eta": eta, "const": const}]}
+    (tmp_path / "moonshine.json").write_text(json.dumps(data))
+    monkeypatch.setenv("ORBIFORM_DATA", str(tmp_path))
+    assert run(["moonshine", "hauptmodul", "--class", "2B", "--trunc", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("error: hauptmodul data for 2B is malformed")
 
 
 def test_moonshine_class_defaults_to_1A(capsys):
@@ -549,6 +565,13 @@ STDOUT_SHA256 = {
         "e84b511771519215f40a63e0f691de7e331971937f8bec1d3aba9e67aac84b9b",
     "qk 2 1/2 1/3 --trunc 6":
         "19563fc2aca779ac411c90f7802a4cccc5a47e969133d998828687d54acb5d5a",
+    # conductor-7 rows, Q_0's zero window and the j/M = 1 boundary constant
+    "qk 4 2/5 3/7 --trunc 40":
+        "d26adada870840d5db4eb52cab2f62987b8c0f3709b983cbe536de8ca643a864",
+    "qk 0 1/2 1/3":
+        "776aae1cf0939197f38152e359575221a2167064ab9090eca9b0b6be6837518d",
+    "qk 1 1 5/12 --trunc 30":
+        "f554875aee7e30f0d2c3d2c9c4634972c707e1576ff8b0c9e768a8142b9787b1",
     "zhu-coeff 3 2 1":
         "a3bc75fe6beb931e53f152ccb076aa1f7d6860b0fcb90abb6cc839b4703fecd5",
     "pairs reduce 2 3 5":

@@ -22,10 +22,11 @@ from orbiform.errors import (
     UndefinedAtTrivialPair,
 )
 from orbiform.forms import (
+    _add_qk,
     _eisenstein_embedded,
     _qk_constant,
     _qk_embedded,
-    _qk_rows,
+    _qk_slots,
     _reduce_rows,
     _residue_rows,
     bernoulli_identities_check,
@@ -256,8 +257,9 @@ def test_qk_embedded_matches_the_exact_path(k, m, j, n, l, nslots):
     assert got.coeffs.shape == want.coeffs.shape
     if k:
         denom = math.factorial(k - 1) * pair.M ** (k - 1)
-        sizes = [sum(map(abs, row)) / denom if row else 0.0
-                 for row in _qk_rows(k, pair, got.coeffs.shape[1])]
+        rows = [[0] * pair.l_over_N.denominator for _ in range(got.coeffs.shape[1])]
+        _add_qk(rows, k, pair)
+        sizes = [sum(map(abs, row)) / denom for row in rows]
         const = _qk_constant(k, pair)
         n_const, n_rows = const.conductor, pair.l_over_N.denominator
     else:
@@ -269,6 +271,24 @@ def test_qk_embedded_matches_the_exact_path(k, m, j, n, l, nslots):
     for i, tol in enumerate(tols):
         assert abs(got.coeffs[0, i] - want.coeffs[0, i]) <= tol, i
     assert abs(got.maxabs[0] - want.maxabs[0]) <= max(tols, default=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 6), st.integers(1, 12), st.integers(1, 12), st.integers(1, 12),
+    st.integers(1, 12), st.integers(0, 40), st.integers(0, 45), st.sampled_from([1, -1]),
+)
+@example(3, 12, 5, 12, 7, 40, 9, -1)  # prop48_check's start and sign
+@example(2, 1, 1, 4, 1, 10, 12, 1)  # start past the window's end
+def test_add_qk_adds_sign_times_the_qk_window_at_start(k, m, j, n, l, nslots, start, sign):
+    j, l = min(j, m), min(l, n)
+    pair = TorsionPair(Fraction(j, m), Fraction(l, n))
+    assume(not (k == 1 and pair.is_trivial()))
+    width = pair.l_over_N.denominator
+    rows = [[0] * width for _ in range(nslots)]
+    _add_qk(rows, k, pair, start, sign)
+    _, _, fresh, _ = _qk_slots(k, pair, Fraction(max(0, nslots - start), pair.M))
+    assert rows == [[0] * width] * min(start, nslots) + [[sign * x for x in row] for row in fresh]
 
 
 def test_qk_embedded_raises_as_qk_series_does():
@@ -635,8 +655,7 @@ def _plant_in_pbar_term(monkeypatch):
     def plant(rows, k, pair, step, start=0, rot=0):
         const = add(rows, k, pair, step, start, rot)
         if not planted and start < len(rows):
-            row = rows[start] = rows[start] or [0] * pair.l_over_N.denominator
-            row[0] += 1
+            rows[start][0] += 1
             planted.append(step)
         return const
 
@@ -644,15 +663,13 @@ def _plant_in_pbar_term(monkeypatch):
 
 
 def _plant_in_qk_rows(monkeypatch):
-    qk_rows = forms._qk_rows
+    add_qk = forms._add_qk
 
-    def plant(k, pair, nslots):
-        rows = qk_rows(k, pair, nslots)
-        rows[-1] = rows[-1] or [0] * pair.l_over_N.denominator
+    def plant(rows, k, pair, start=0, sign=1):
+        add_qk(rows, k, pair, start, sign)
         rows[-1][0] += 1
-        return rows
 
-    monkeypatch.setattr(forms, "_qk_rows", plant)
+    monkeypatch.setattr(forms, "_add_qk", plant)
 
 
 def _plant_in_constant(monkeypatch):

@@ -250,6 +250,15 @@ def test_coefficient_off_the_grid_is_rejected():
     RegularSingularODE(1, 1, [Puiseux(1, Fraction(1, 3), [0], 10)])
 
 
+def test_non_int_order_is_a_type_error():
+    # 2.0 == 2 passes the count check; the solver then scaled a CycQ by the float
+    with pytest.raises(TypeError, match="order must be an int, not float"):
+        const_ode(2.0, [Fraction(-1, 4), 0])
+    with pytest.raises(TypeError, match="order must be an int"):
+        RegularSingularODE.from_json(
+            {"order": 1.0, "T": 1, "coeffs": [{"terms": [["1", "1"]], "trunc": "4"}]})
+
+
 def test_ode_json_roundtrip_and_friendly_form():
     ode = const_ode(2, [Fraction(-1, 4), Fraction(1, 3)], T=2, trunc=6)
     back = RegularSingularODE.from_json(ode.to_json())

@@ -14,6 +14,7 @@ from orbiform.moonshine import (
     delta_j_J,
     e4_standard,
     hauptmodul,
+    hauptmodul_spec,
     load_data,
     theta_trace,
     twisted_weight4,
@@ -116,6 +117,24 @@ def test_data_override(tmp_path, monkeypatch):
         assert hauptmodul("XX", 3).coeff_at(1) == 276
         with pytest.raises(UnknownClass):
             hauptmodul("2B", 3)
+
+
+@pytest.mark.parametrize("eta, const", [
+    ([[1, 24], [2, -23.5]], "24"),  # was read as (2, -23)
+    ([[1.0, 24], [2, -24]], "24"),
+    ([[1, 24], [2, -24]], 24.1),  # was read as 3391773469363405/140737488355328
+    ([[1, 24], ["2", -24]], "24"),
+], ids=["exponent", "scale", "const", "string-scale"])
+def test_hauptmodul_data_of_the_wrong_type_is_a_value_error(tmp_path, monkeypatch, eta, const):
+    data = {"classes": [{"label": "ZZ", "eta": eta, "const": const}]}
+    (tmp_path / "moonshine.json").write_text(json.dumps(data))
+    monkeypatch.setenv("ORBIFORM_DATA", str(tmp_path))
+    with pytest.raises(ValueError, match="hauptmodul data for ZZ is malformed"):
+        hauptmodul_spec("ZZ")
+    # the packaged classes read as before from their ints and strings
+    monkeypatch.delenv("ORBIFORM_DATA")
+    assert hauptmodul_spec("2B").eta_factors == ((1, 24), (2, -24))
+    assert hauptmodul_spec("2B").additive_constant == 24
 
 
 def test_bad_hauptmodul_data_rejected(tmp_path, monkeypatch):

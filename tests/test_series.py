@@ -285,6 +285,17 @@ def test_logq_from_json_of_no_parts_is_a_value_error():
         LogQSeries.from_json([])
 
 
+@pytest.mark.parametrize("powers", [[0, 2], [0, 0], [1], [1, 0, 1], [0, 1, 3]])
+def test_logq_from_json_needs_each_log_power_once(powers):
+    # [0, 2] and [0, 0] were both read as 1 + 5 l
+    data = [dict(Puiseux.constant(c, 5).to_json(), log_power=p) for c, p in zip((1, 5, 7), powers)]
+    with pytest.raises(ValueError, match="log powers must be 0, 1, ..., n-1"):
+        LogQSeries.from_json(data)
+    # the same parts at their own places read back, in any order
+    ok = [dict(d, log_power=i) for i, d in enumerate(data)]
+    assert LogQSeries.from_json(ok[::-1]).max_log_power == len(data) - 1
+
+
 def test_biseries_residue_and_window():
     one = Puiseux.constant(1, 5)
     b = BiSeries(0, -2, [one.scalar_mul(7), one.scalar_mul(5), one])
