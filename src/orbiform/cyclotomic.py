@@ -26,8 +26,8 @@ from math import gcd, lcm
 
 
 def _exponent(x) -> Fraction:
-    """A rational input as a Fraction; a float or complex is a TypeError (0.1 is not 1/10)."""
-    if isinstance(x, (float, complex)):
+    """A rational input as a Fraction; a float, complex or bool is a TypeError (0.1 is not 1/10)."""
+    if isinstance(x, (float, complex, bool)):
         raise TypeError(f"a rational is an int, Fraction or str, not {type(x).__name__}")
     return Fraction(x)
 
@@ -93,9 +93,9 @@ def _power_basis(n: int, coeffs, step: int) -> list:
     return out
 
 
-def _sparse_convolve(a, b, n: int, zero) -> list:
+def _sparse_convolve(a, b, n: int) -> list:
     """out[k] = sum a_i b_j over i + j = k < n, taking only pairs whose
-    factors are both nonzero; a slot that no such pair reaches is zero."""
+    factors are both nonzero; a slot that no such pair reaches is the int 0."""
     support = [(j, y) for j, y in enumerate(b[:n]) if y]
     out = [None] * n
     for i, x in enumerate(a[:n]):
@@ -106,7 +106,7 @@ def _sparse_convolve(a, b, n: int, zero) -> list:
                 break
             t = x * y
             out[i + j] = t if out[i + j] is None else out[i + j] + t
-    return [zero if c is None else c for c in out]
+    return [0 if c is None else c for c in out]
 
 
 def _power(x, e: int, mul=operator.mul):
@@ -137,7 +137,7 @@ class CycQ:
     __slots__ = ("conductor", "den", "nums")
 
     def __init__(self, conductor: int, coeffs):
-        if not isinstance(conductor, int) or conductor < 1:
+        if type(conductor) is not int or conductor < 1:  # a JSON true is not 1
             raise ValueError(f"conductor must be a positive integer, got {conductor!r}")
         d = euler_phi(conductor)
         coeffs = [Fraction(c) for c in coeffs]
@@ -269,7 +269,7 @@ class CycQ:
             if a.conductor != b.conductor:
                 a, b = a._common(b)
             n = a.conductor
-            prod = _sparse_convolve(a.nums, b.nums, 2 * len(a.nums) - 1, None)
+            prod = _sparse_convolve(a.nums, b.nums, 2 * len(a.nums) - 1)
             return CycQ._reduced(n, a.den * b.den, tuple(_power_basis(n, prod, 1)))
         if isinstance(other, (int, Fraction)):
             y = other.numerator
@@ -359,10 +359,8 @@ class CycQ:
 
     @staticmethod
     def from_json(data: dict) -> "CycQ":
-        coeffs = data["coeffs"]
-        if any(isinstance(c, float) for c in coeffs):  # 0.1 is not 1/10
-            raise TypeError("a coordinate is an int or str, not float")
-        return CycQ(data["conductor"], [Fraction(c) for c in coeffs])
+        # through _exponent a float or bool coordinate is a TypeError (0.1 is not 1/10)
+        return CycQ(data["conductor"], [_exponent(c) for c in data["coeffs"]])
 
 
 _new = object.__new__
@@ -397,7 +395,7 @@ def _trim(p: list[Fraction]) -> list[Fraction]:
 
 
 def _poly_mul(a, b):
-    return _trim(_sparse_convolve(a, b, len(a) + len(b) - 1, Fraction(0)))
+    return _trim(_sparse_convolve(a, b, len(a) + len(b) - 1))
 
 
 def _poly_sub(a, b):

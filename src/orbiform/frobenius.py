@@ -17,10 +17,7 @@ with each c_n over its own and one gcd per coefficient when the solution is
 assembled; on exact roots and some value of conductor > 1, ``CycQ`` values;
 on roots that are not all rational, ``complex`` values.
 
-The residual ``apply_ode`` runs on the rows of ``series``, which
-``Puiseux.sum`` and ``theta`` run on too: each log part of the series and
-each of the ODE's coefficients is a row of ints or of ``CycQ`` values over
-one denominator, its lead and trunc ints over one D.
+The residual ``apply_ode`` is ``series._residual``, on the rows of ``series``.
 """
 
 from __future__ import annotations
@@ -32,19 +29,7 @@ from itertools import accumulate
 
 from .cyclotomic import CycQ, _poly_divmod_q, _poly_gcdex, _poly_sub
 from .errors import TruncationTooSmall
-from .series import (
-    LogQSeries,
-    Puiseux,
-    _exponent,
-    _from_row,
-    _int_row,
-    _lead_grid,
-    _mul_rows,
-    _nterms,
-    _row,
-    _sum_rows,
-    _theta_rows,
-)
+from .series import LogQSeries, Puiseux, _exponent, _int_row, _nterms, _residual
 
 # numeric indicial roots closer than this are clustered into one root
 ROOT_CLUSTER_TOL = 1e-9
@@ -59,11 +44,11 @@ class RegularSingularODE:
     coeffs: list  # r_0 .. r_{order-1}, Puiseux
 
     def __post_init__(self):
-        if not isinstance(self.order, int):
-            # 2.0 == 2 would pass the count check and fail later, scaling a CycQ by a float
-            raise TypeError(f"order must be an int, not {type(self.order).__name__}")
-        if self.order < 1:
-            raise ValueError("order must be at least 1")
+        for name, v in (("order", self.order), ("T", self.T)):
+            if type(v) is not int:  # 2.0 == 2 would scale a CycQ by a float; true == 1
+                raise TypeError(f"{name} must be an int, not {type(v).__name__}")
+        if self.order < 1 or self.T < 1:
+            raise ValueError("order and T must be at least 1")
         if len(self.coeffs) != self.order:
             raise ValueError("need exactly `order` coefficient series")
         lifted = []
@@ -498,26 +483,11 @@ def apply_ode(ode: RegularSingularODE, s: LogQSeries) -> LogQSeries:
     """theta^m s + sum r_i theta^i s; zero to truncation order on solutions.
 
     Both are brought to the least multiple t of lcm(ode.T, s.T) whose grid
-    holds the lead of every part of s and of every r_i, as rows (``_row``).
-    Each product is one ``_mul_rows``, and residual part j sums part j of
-    theta^m s and of every r_i theta^i s with lead at most 0 and trunc the
-    smallest over every part of every term.
+    holds the lead of every part of s and of every r_i.  Residual part j sums
+    part j of theta^m s and of every r_i theta^i s with lead at most 0 and
+    trunc the smallest over every part of every term (``series._residual``).
     """
-    t = _lead_grid(math.lcm(ode.T, s.T), s.parts + ode.coeffs)
-    D = math.lcm(t, *(p.trunc.denominator for p in s.parts + ode.coeffs))
-    g, scale = D // t, t // s.T
-    coeff_rows = [_row(r, t, D) for r in ode.coeffs]
-    images = [[_row(p, t, D, scale**j) for j, p in enumerate(s.parts)]]
-    for _ in range(ode.order):
-        images.append(_theta_rows(images[-1], D, g))
-    terms = [images[-1]] + [[_mul_rows(p, r, g) for p in image]
-                            for image, r in zip(images, coeff_rows)]
-    trunc = min(p[1] for term in terms for p in term)
-    result = []
-    for col in zip(*terms):
-        lead, _, *row = _sum_rows(col, g, min(0, *(p[0] for p in col)), trunc)
-        result.append(Puiseux._make(t, Fraction(lead, D), _from_row(*row), Fraction(trunc, D)))
-    return LogQSeries(t, result)
+    return _residual(ode.coeffs, ode.T, s)
 
 
 def solve_inhomogeneous(ode: RegularSingularODE, f: LogQSeries, trunc) -> LogQSeries:

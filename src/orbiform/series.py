@@ -18,9 +18,11 @@ of a conductor-1 series is a Newton iteration on ``_int_convolve``, of any
 other the sparse recurrence.  ``product_expand`` multiplies no series: it
 runs the Euler transform on integers over ``_divisor_sums``.
 
-``Puiseux.sum``, ``__mul__``, ``theta`` and ``frobenius.apply_ode`` share one
-row algebra, ``_row``, ``_sum_rows``, ``_theta_rows``, ``_mul_rows`` and
-``_from_row``, set out above ``_row``; a row carries its kind, ints or values.
+``Puiseux.sum``, ``__mul__``, ``theta``, ``LogQSeries.__add__`` and the residual
+``_residual`` (``frobenius.apply_ode``) share one row algebra, ``_row``,
+``_sum_rows``, ``_theta_rows``, ``_mul_rows`` and ``_from_row``, set out above
+``_row``; a row carries its kind, ints or values, and no other module reads one.
+A log sum and the residual make their parts by one part sum, ``_sum_log_parts``.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import cmath
 import math
 import operator
 from fractions import Fraction
+from itertools import zip_longest
 from typing import NamedTuple
 
 from .cyclotomic import CycQ, _exponent, _power, _root_powers, _sparse_convolve
@@ -66,7 +69,7 @@ class Puiseux:
     __slots__ = ("T", "lead", "coeffs", "trunc")
 
     def __init__(self, T: int, lead, coeffs, trunc):
-        if not isinstance(T, int) or T < 1:
+        if type(T) is not int or T < 1:  # a JSON true is not 1
             raise ValueError(f"branching must be a positive integer, got {T!r}")
         lead, trunc = _exponent(lead), _exponent(trunc)
         coeffs = [_coerce_coeff(c) for c in coeffs]
@@ -476,7 +479,7 @@ def _mul_rows(a, b, g: int):
     if (a[4] and b[4] and len(rb) - rb.count(0) > _DENSE_SLOTS
             and (rb is ra or len(ra) - ra.count(0) > _DENSE_SLOTS)):
         return lead, trunc, a[2] * b[2], _int_convolve(ra, rb, n), True
-    return lead, trunc, a[2] * b[2], _sparse_convolve(rb, ra, n, 0), a[4] and b[4]
+    return lead, trunc, a[2] * b[2], _sparse_convolve(rb, ra, n), a[4] and b[4]
 
 
 def theta(s: Puiseux, scale: str = "full") -> Puiseux:
@@ -494,7 +497,7 @@ def theta(s: Puiseux, scale: str = "full") -> Puiseux:
 
 def _lead_grid(T: int, parts) -> int:
     """The least multiple of T on whose (1/t)Z grid every part's lead lies;
-    parts summed there, or padded with a zero of lead 0, keep every term."""
+    parts summed there, with a lead of at most 0, keep every term."""
     return math.lcm(T, *(p.lead.denominator for p in parts))
 
 
@@ -527,12 +530,10 @@ class LogQSeries:
         if not isinstance(other, LogQSeries):
             return NotImplemented
         t = _lead_grid(math.lcm(self.T, other.T), self.parts + other.parts)
-        a, b = self.with_branching(t), other.with_branching(t)
-        trunc = min(p.trunc for p in a.parts + b.parts)
-        # the zero first keeps every part's lead at most 0
-        parts = [Puiseux.sum([Puiseux.zero(trunc, t), *a.parts[i:i + 1], *b.parts[i:i + 1]])
-                 for i in range(max(len(a.parts), len(b.parts)))]
-        return LogQSeries(t, parts)
+        D = math.lcm(t, *(p.trunc.denominator for p in self.parts + other.parts))
+        # l = log q_(1/T) is (t/T) log q_(1/t), as in with_branching
+        return _sum_log_parts([[_row(p, t, D, (t // x.T)**j) for j, p in enumerate(x.parts)]
+                               for x in (self, other)], t, D)
 
     def is_zero(self) -> bool:
         return all(p.is_zero() for p in self.parts)
@@ -545,13 +546,41 @@ class LogQSeries:
     @staticmethod
     def from_json(data: list) -> "LogQSeries":
         data = sorted(data, key=lambda d: d["log_power"])
-        if [d["log_power"] for d in data] != list(range(len(data))):
+        powers = [(d["log_power"], type(d["log_power"])) for d in data]
+        if powers != [(j, int) for j in range(len(data))]:  # True == 1 and 1.0 == 1
             raise ValueError("log powers must be 0, 1, ..., n-1, each once")
         series = [Puiseux.from_json(d) for d in data]
         return LogQSeries(series[0].T if series else 1, series)
 
     def __repr__(self):
         return f"LogQSeries(T={self.T}, parts={self.parts!r})"
+
+
+def _sum_log_parts(terms: list, t: int, D: int) -> LogQSeries:
+    """The LogQSeries at t whose part j sums part j of every term (a list of
+    log-part rows over D; a term without part j adds nothing), with lead at
+    most 0 and trunc the least of every part of every term."""
+    trunc = min(p[1] for term in terms for p in term)
+    parts = []
+    for col in zip_longest(*terms):
+        col = [p for p in col if p is not None]
+        lead, _, *row = _sum_rows(col, D // t, min(0, *(p[0] for p in col)), trunc)
+        parts.append(Puiseux._make(t, Fraction(lead, D), _from_row(*row), Fraction(trunc, D)))
+    return LogQSeries(t, parts)
+
+
+def _residual(coeffs: list, T: int, s: LogQSeries) -> LogQSeries:
+    """theta^m s + sum r_i theta^i s for an ODE's m coefficients r_i at branching
+    T (``frobenius.apply_ode``), on rows; each coefficient row is made once."""
+    t = _lead_grid(math.lcm(T, s.T), s.parts + coeffs)
+    D = math.lcm(t, *(p.trunc.denominator for p in s.parts + coeffs))
+    g = D // t
+    coeff_rows = [_row(r, t, D) for r in coeffs]
+    images = [[_row(p, t, D, (t // s.T)**j) for j, p in enumerate(s.parts)]]
+    for _ in coeffs:
+        images.append(_theta_rows(images[-1], D, g))
+    terms = [[_mul_rows(p, r, g) for p in image] for image, r in zip(images, coeff_rows)]
+    return _sum_log_parts([images[-1]] + terms, t, D)
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -690,5 +719,5 @@ class BiSeries:
             return NotImplemented
         n = len(self.coeffs) + len(other.coeffs) - 1
         # a Puiseux is always truthy, so every pair is taken and no slot is unreached
-        slots = _sparse_convolve(self.coeffs, other.coeffs, n, None)
+        slots = _sparse_convolve(self.coeffs, other.coeffs, n)
         return BiSeries(self.wlead + other.wlead, self.min_off + other.min_off, slots)

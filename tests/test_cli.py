@@ -267,6 +267,32 @@ def test_frobenius_file_float_is_malformed(capsys, tmp_path, data):
     assert captured.err.startswith(f"error: malformed ODE file {p}: TypeError")
 
 
+def _series_ode(T=1, conductor=1, coord="1"):
+    return {"order": 1, "T": 1, "coeffs": [{"T": T, "leading": "1", "trunc": "4", "coeffs": [
+        {"conductor": conductor, "coeffs": [coord] + ["0"] * (conductor > 1)}]}]}
+
+
+@pytest.mark.parametrize("data", [
+    {"order": True, "T": 1, "coeffs": [{"terms": [["1", "1"]], "trunc": "4"}]},
+    {"order": 1, "T": True, "coeffs": [{"terms": [["1", "1"]], "trunc": "4"}]},
+    _exp_ode(True),
+    _exp_ode("1", exponent=True),
+    _series_ode(T=True),
+    _series_ode(conductor=True),
+    _series_ode(coord=True),
+    _series_ode(conductor=3, coord=False),
+], ids=["order", "T", "term-coefficient", "exponent", "series-T", "conductor",
+        "cycq-coordinate", "cycq-false"])
+def test_frobenius_file_bool_is_malformed(capsys, tmp_path, data):
+    # True == 1 and False == 0: each file was solved at --trunc 3 with exit 0
+    p = tmp_path / "ode.json"
+    p.write_text(json.dumps(data))
+    assert run(["frobenius", "--ode", str(p), "--trunc", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("error:")
+
+
 def test_frobenius_non_int_branching_is_an_error(capsys, tmp_path):
     ode = {"order": 1, "T": 1.5, "coeffs": [{"terms": [["1", "1"]], "trunc": "4"}]}
     p = tmp_path / "ode.json"

@@ -262,6 +262,20 @@ def test_json_roundtrip():
     assert CycQ.from_json(x.to_json()) == x
 
 
+def test_json_bool_is_not_an_int():
+    # True == 1: CycQ.from_json({"conductor": true, "coeffs": [true]}) was CycQ(1)
+    with pytest.raises(ValueError, match="conductor must be a positive integer"):
+        CycQ.from_json({"conductor": True, "coeffs": ["1"]})
+    with pytest.raises(ValueError, match="conductor must be a positive integer"):
+        CycQ(True, [1])
+    for conductor, coords in ((1, [True]), (1, [False]), (3, ["1", True])):
+        with pytest.raises(TypeError):
+            CycQ.from_json({"conductor": conductor, "coeffs": coords})
+    with pytest.raises(TypeError):
+        cyclotomic._exponent(True)
+    assert CycQ.from_json({"conductor": 3, "coeffs": [1, "1/2"]}) == 1 + cyc_root(1, 3) / 2
+
+
 def test_per_conductor_caches_are_bounded():
     caches = (
         cyclotomic.cyclotomic_polynomial,

@@ -259,6 +259,20 @@ def test_non_int_order_is_a_type_error():
             {"order": 1.0, "T": 1, "coeffs": [{"terms": [["1", "1"]], "trunc": "4"}]})
 
 
+def test_bool_order_and_branching_are_type_errors():
+    # True == 1: {"order": true} and {"T": true} were solved as order 1 and T = 1
+    coeffs = [Puiseux.from_terms([(1, 1)], 4)]
+    with pytest.raises(TypeError, match="order must be an int, not bool"):
+        RegularSingularODE(True, 1, coeffs)
+    with pytest.raises(TypeError, match="T must be an int, not bool"):
+        RegularSingularODE(1, True, coeffs)
+    with pytest.raises(TypeError, match="order must be an int, not bool"):
+        RegularSingularODE.from_json(
+            {"order": True, "T": 1, "coeffs": [{"terms": [["1", "1"]], "trunc": "4"}]})
+    with pytest.raises(ValueError, match="at least 1"):
+        RegularSingularODE(1, 0, coeffs)
+
+
 def test_ode_json_roundtrip_and_friendly_form():
     ode = const_ode(2, [Fraction(-1, 4), Fraction(1, 3)], T=2, trunc=6)
     back = RegularSingularODE.from_json(ode.to_json())

@@ -322,6 +322,65 @@ def test_puiseux_json_roundtrip():
     assert (Puiseux.from_json(s.to_json()) - s).is_zero()
 
 
+def _parent_logq_add(a, b):
+    """LogQSeries.__add__ before it summed rows: both operands refined to the
+    lead grid by with_branching, and each part a Puiseux.sum led by a zero of
+    lead 0, so every part's lead is at most 0."""
+    t = series._lead_grid(math.lcm(a.T, b.T), a.parts + b.parts)
+    a, b = a.with_branching(t), b.with_branching(t)
+    trunc = min(p.trunc for p in a.parts + b.parts)
+    parts = [Puiseux.sum([Puiseux.zero(trunc, t), *a.parts[i:i + 1], *b.parts[i:i + 1]])
+             for i in range(max(len(a.parts), len(b.parts)))]
+    return LogQSeries(t, parts)
+
+
+def _logq_slots(s):
+    return s.T, [(p.T, p.lead, p.trunc, [(c.conductor, c.den, c.nums) for c in p.coeffs])
+                 for p in s.parts]
+
+
+# conductor-1, 3 and 4 values; a zero times a root stays stored at its conductor
+logq_values = st.one_of(
+    st.sampled_from([CycQ.zero, CycQ(3, [0, 0]), CycQ(4, [0, 0])]),
+    st.builds(lambda c, j, n: cyc_root(j, n) * c,
+              st.fractions(min_value=-3, max_value=3, max_denominator=3),
+              st.integers(min_value=0, max_value=11), st.sampled_from([1, 3, 4])),
+)
+
+
+@st.composite
+def logq_operands(draw):
+    """A LogQSeries at T in {1, 2, 3} of 1-3 parts, each lead on or off the
+    (1/T)Z grid and each trunc on a (1/2T)Z grid above it."""
+    T = draw(st.sampled_from([1, 2, 3]))
+    parts = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        lead = draw(st.fractions(min_value=-2, max_value=2, max_denominator=4))
+        trunc = lead + Fraction(draw(st.integers(min_value=0, max_value=12)), 2 * T)
+        n = math.ceil((trunc - lead) * T)
+        parts.append(Puiseux(T, lead, draw(st.lists(logq_values, min_size=n, max_size=n)), trunc))
+    return LogQSeries(T, parts)
+
+
+_ZERO_PARTS = LogQSeries(2, [Puiseux(2, Fraction(1, 3), [CycQ(3, [0, 0])] * 3, Fraction(11, 6)),
+                             Puiseux(2, 0, [CycQ(4, [0, 0]), CycQ.zero], 1)])
+_THREE_PARTS = LogQSeries(1, [Puiseux(1, Fraction(1, 2), [1, cyc_root(1, 3)], Fraction(5, 2)),
+                              Puiseux(1, Fraction(-1, 4), [Fraction(2, 3)], Fraction(3, 4)),
+                              Puiseux(1, Fraction(1, 3), [cyc_root(1, 4), 0, 5], Fraction(10, 3))])
+_ONE_PART = LogQSeries(3, [Puiseux(3, Fraction(2, 3), [7, 0, cyc_root(1, 4)], Fraction(5, 3))])
+
+
+@settings(max_examples=80, deadline=None)
+@given(logq_operands(), logq_operands())
+@example(_THREE_PARTS, _ONE_PART)  # unequal part counts: the top parts are the longer's alone
+@example(_ONE_PART, _THREE_PARTS)
+@example(_ZERO_PARTS, _THREE_PARTS)  # every part zero, stored at conductors 3 and 4
+@example(_ONE_PART, _ZERO_PARTS)
+def test_logq_add_matches_the_rebranching_sum(a, b):
+    want = _logq_slots(_parent_logq_add(a, b))
+    assert _logq_slots(a + b) == want
+
+
 def test_logq_add_keeps_log_units_across_branchings():
     log_q = LogQSeries(1, [Puiseux.zero(5), Puiseux.constant(1, 5)])
     zero = LogQSeries(2, [Puiseux.zero(5, 2)])
@@ -562,6 +621,24 @@ def test_puiseux_rejects_float_and_complex_exponents(value):
         s.truncated(value / 10)
 
 
+def test_json_bool_is_not_an_int():
+    # True == 1, so a JSON true passed every int test and was read as 1
+    data = Puiseux.constant(3, 5).to_json()
+    with pytest.raises(ValueError, match="branching must be a positive integer"):
+        Puiseux.from_json(dict(data, T=True))
+    with pytest.raises(ValueError, match="branching must be a positive integer"):
+        Puiseux(True, 0, [1], 2)
+    with pytest.raises(TypeError):
+        Puiseux(1, True, [1], 2)
+    with pytest.raises(TypeError):
+        Puiseux.from_json(dict(data, trunc=True))
+    with pytest.raises(ValueError, match="log powers must be 0, 1, ..., n-1"):
+        LogQSeries.from_json([dict(data, log_power=False), dict(data, log_power=True)])
+    with pytest.raises(ValueError, match="log powers must be 0, 1, ..., n-1"):
+        LogQSeries.from_json([dict(data, log_power=0), dict(data, log_power=1.0)])
+    assert LogQSeries.from_json([dict(data, log_power=1), dict(data, log_power=0)]).T == 1
+
+
 def test_klein_form_inverse_at_branching_96():
     g, _ = klein_hecke_series(TorsionPair(Fraction(1, 4), Fraction(2, 3)), 10)
     assert g.T == 96
@@ -617,7 +694,7 @@ def int_rows(draw):
 @example(([10**30, -(10**30), 0, 1], [-(10**30)] * 3, 7))
 def test_kronecker_kernel_matches_sparse_loop(rows):
     ra, rb, n = rows
-    assert _int_convolve(ra, rb, n) == _sparse_convolve(rb, ra, n, 0)
+    assert _int_convolve(ra, rb, n) == _sparse_convolve(rb, ra, n)
 
 
 def _spy(monkeypatch, names):
