@@ -27,6 +27,7 @@ from .forms import (
 from .frobenius import RegularSingularODE, frobenius_solve
 from .modular import GammaMat, S, T, TorsionPair, pair_act, reduce_cyclic_pair
 from .moonshine import (
+    DEFAULT_CHAR_COMBOS,
     char_solve,
     delta_j_J,
     hauptmodul,
@@ -272,10 +273,12 @@ def _cmd_frobenius(args) -> int:
 
 
 def _cmd_moonshine(args) -> int:
-    trunc = _default_trunc(args, 1)
     what = args.what
     if args.cls is not None and what in ("J", "weight4", "chars"):
         raise UsageError(f"moonshine {what} reads no --class")
+    if args.trunc is not None and what == "chars":
+        raise UsageError("moonshine chars reads no --trunc")
+    trunc = _default_trunc(args, 1)
     cls = "1A" if args.cls is None else args.cls
     if what == "J":
         _, _, J = delta_j_J(trunc)
@@ -293,7 +296,8 @@ def _cmd_moonshine(args) -> int:
         s = theta_trace(cls, trunc)
         _emit(_series_json(s), f"theta of T_{cls}")
     else:  # chars
-        _, braces = weight4_onepoint(max(trunc, 4))
+        # the braced series to the least trunc that holds each combo's q^i coefficient
+        _, braces = weight4_onepoint(len(DEFAULT_CHAR_COMBOS) + 1)
         chars = char_solve(braces)
         _emit({"chi": list(chars.degrees)}, f"character degrees {chars.degrees}")
     return 0

@@ -22,6 +22,7 @@ from .errors import (
     NearPole,
     NotConvergent,
     OutsideRegion,
+    TruncationTooSmall,
     UndefinedAtLatticePoint,
     UndefinedAtTrivialPair,
     WindowTooSmall,
@@ -101,6 +102,8 @@ def bernoulli_identities_check(k: int, x, n: int = 10) -> bool:
     """Power-sum and reflection identities for B_k, checked exactly."""
     if k < 1:
         raise ValueError("k must be at least 1")
+    if n < 1:
+        raise ValueError(f"the power sum needs n >= 1, got {n}")
     x = Fraction(x)
     bk = bernoulli_poly(k)
     power_sum = sum((Fraction(a) + x) ** (k - 1) for a in range(n))
@@ -164,18 +167,18 @@ def _add_geometric(rows: list, step: int, l: int, n: int, weight: int, start: in
         rows[idx][(m * l + rot) % n] += weight
 
 
-def _reduce_rows(rows: list, denom: int) -> list:
-    """Each row sum_e c_e zeta_N^e of a dense window, divided by denom, as a CycQ.
-
-    A row is reduced once, at the conductor N/gcd(N, e) over the exponents e
-    whose coefficients survive; a zero or cancelled row is CycQ.zero.
-    """
+def _reduce_rows(rows: list, denom: int, const: CycQ = CycQ.zero, at: int = 0) -> list:
+    """Each row sum_e c_e zeta_N^e of a dense window over denom as a CycQ, plus const (the part
+    that is no row) at slot at if the window reaches it.  A row is reduced once, at the conductor
+    N/gcd(N, e) over the exponents e whose coefficients survive; a zero row is CycQ.zero."""
     out = [CycQ.zero] * len(rows)
     for idx, row in enumerate(rows):
         if any(row):
             g = gcd(len(row), *(e for e, c in enumerate(row) if c))
             n = len(row) // g
             out[idx] = CycQ._reduced(n, denom, tuple(_power_basis(n, row[::g], 1)))
+    if at < len(out):
+        out[at] += const
     return out
 
 
@@ -186,10 +189,7 @@ def qk_series(k: int, pair: TorsionPair, trunc) -> Puiseux:
     term is -B_k(j/M)/k! plus boundary contributions.
     """
     trunc, t, rows, denom = _qk_slots(k, pair, trunc)
-    coeffs = _reduce_rows(rows, denom)
-    if coeffs:
-        coeffs[0] = _qk_constant(k, pair)
-    return Puiseux._make(t, Fraction(0), coeffs, trunc)
+    return Puiseux._make(t, Fraction(0), _reduce_rows(rows, denom, _qk_constant(k, pair)), trunc)
 
 
 def _qk_embedded(k: int, pair: TorsionPair, trunc) -> Embedded:
@@ -312,10 +312,7 @@ def pbar_series(k: int, pair: TorsionPair, window: tuple[int, int], trunc) -> Bi
     for off in range(lo, hi + 1):
         rows = [[0] * pair.l_over_N.denominator for _ in range(nslots)]
         const = _add_pbar_term(rows, k, pair, a1.numerator + off * t)
-        buf = _reduce_rows(rows, denom)
-        if buf and const:
-            buf[0] = const
-        coeffs.append(Puiseux._make(t, Fraction(0), buf, trunc))
+        coeffs.append(Puiseux._make(t, Fraction(0), _reduce_rows(rows, denom, const), trunc))
     return BiSeries(a1, lo, coeffs)
 
 
@@ -539,13 +536,11 @@ def klein_hecke_series(pair: TorsionPair, trunc) -> tuple[Puiseux, Puiseux]:
         _add_geometric(rows, step, a2.numerator, a2.denominator, -1)
     for step in range(t - j or t, len(rows), t):
         _add_geometric(rows, step, -a2.numerator, a2.denominator, 1)
-    h = _reduce_rows(rows, 1)
-    if h:
-        h[0] = CycQ.from_rational(a1 - Fraction(1, 2))
-        if j == t:
-            # a1 = 1, so lam != 1: the constant term lam^-1/(1 - lam^-1) = 1/(lam - 1)
-            h[0] = h[0] + (pair.lam - CycQ.one).inverse()
-    return g, Puiseux._make(t, Fraction(0), h, trunc)
+    const = CycQ.from_rational(a1 - Fraction(1, 2))
+    if j == t:
+        # a1 = 1, so lam != 1: the constant term lam^-1/(1 - lam^-1) = 1/(lam - 1)
+        const += (pair.lam - CycQ.one).inverse()
+    return g, Puiseux._make(t, Fraction(0), _reduce_rows(rows, 1, const), trunc)
 
 
 # -- Zhu change-of-variable coefficients -----------------------------------------
@@ -638,15 +633,13 @@ def prop44_check(k: int, j: int, m: int, cutoff: int = 10**6, tol: float = 1e-9)
 
 
 def prop46_exact_checks(pair: TorsionPair, trunc) -> list[CheckReport]:
-    """Hecke/Klein forms vs Q_1 and Q_2 as exact series identities."""
+    """Hecke/Klein forms vs Q_1 and Q_2 as vanishing sums: h + Q_1 = 0, and theta(log g) =
+    -Q_2 as theta(g) + Q_2 g = 0, to the same order since g's leading coefficient is a unit."""
+    if _exponent(trunc) <= 0:
+        raise TruncationTooSmall(f"the identities need trunc > 0 to reach q^0, got {trunc}")
     g, h = klein_hecke_series(pair, trunc)
-    q1 = qk_series(1, pair, trunc)
-    ok1 = h == -q1
-    # theta(log g) = theta(g)/g, equals -Q_2
-    tg = theta(g, "full")
-    logderiv = tg * g.inverse()
-    q2 = qk_series(2, pair, trunc)
-    ok2 = logderiv == -q2
+    ok1 = (h + qk_series(1, pair, trunc)).is_zero()
+    ok2 = (theta(g, "full") + qk_series(2, pair, trunc) * g).is_zero()
     return [
         CheckReport(check, {"pair": pair, "trunc": trunc},
                     "exact" if ok else "coefficient mismatch", ok, [QK_DENOMINATOR_FLAG])
@@ -738,6 +731,8 @@ def prop48_check(k: int, m: int, pair: TorsionPair, trunc) -> CheckReport:
     (the n = 0 term, Q_k's constant and the Bernoulli term).
     """
     trunc = _exponent(trunc)
+    if trunc <= 0:
+        raise TruncationTooSmall(f"the identity needs trunc > 0 to reach q^0, got {trunc}")
     params = {"k": k, "m": m, "pair": pair, "trunc": trunc}
     flags = [QK_DENOMINATOR_FLAG, RESIDUE_BERNOULLI_FLAG]
     if k == 0:
@@ -749,11 +744,8 @@ def prop48_check(k: int, m: int, pair: TorsionPair, trunc) -> CheckReport:
     rows, const, base = _residue_rows(k, m, pair, trunc)
     # minus the left side, Q_k + B_k(1 - m + j/M)/k!
     _add_qk(rows, k, pair, base, -1)
-    coeffs = _reduce_rows(rows, math.factorial(k - 1) * pair.M ** (k - 1))
-    if base < len(coeffs):
-        bern = bernoulli_poly(k)(1 - m + pair.j_over_M) / math.factorial(k)
-        coeffs[base] += const - _qk_constant(k, pair) - bern
-    ok = not any(coeffs)
+    const -= _qk_constant(k, pair) + bernoulli_poly(k)(1 - m + pair.j_over_M) / math.factorial(k)
+    ok = not any(_reduce_rows(rows, math.factorial(k - 1) * pair.M ** (k - 1), const, base))
     return CheckReport(
         "residue-pairing-identity", params, "exact" if ok else "mismatch", ok, flags
     )

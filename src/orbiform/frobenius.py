@@ -500,6 +500,8 @@ def solve_inhomogeneous(ode: RegularSingularODE, f: LogQSeries, trunc) -> LogQSe
     when both are rational.
     """
     T = ode.T
+    if f.is_zero():
+        raise ValueError("the inhomogeneous term f is zero, so it has no leading exponent")
     f = f.with_branching(math.lcm(f.T, T))
     lam = min(p.normalized().lead for p in f.parts if not p.is_zero())
     for j, p in enumerate(f.parts):

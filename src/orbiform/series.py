@@ -132,6 +132,8 @@ class Puiseux:
     # -- structure -----------------------------------------------------------
 
     def with_branching(self, t: int) -> "Puiseux":
+        if type(t) is not int or t < 1:
+            raise ValueError(f"branching must be a positive integer, got {t!r}")
         if t == self.T:
             return self
         if t % self.T != 0:
@@ -163,8 +165,8 @@ class Puiseux:
 
     def substituted(self, s: int) -> "Puiseux":
         """q -> q^s for a positive integer s."""
-        if s < 1:
-            raise ValueError("substitution power must be positive")
+        if type(s) is not int or s < 1:
+            raise ValueError(f"substitution power must be a positive integer, got {s!r}")
         lead, trunc = self.lead * s, self.trunc * s
         coeffs = [CycQ.zero] * _nterms(lead, trunc, self.T)
         coeffs[::s] = self.coeffs
@@ -268,9 +270,7 @@ class Puiseux:
         return _power(self, e)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, CycQ)):
-            other = Puiseux.constant(other, self.trunc, self.T)
-        if not isinstance(other, Puiseux):
+        if not isinstance(other, (Puiseux, int, Fraction, CycQ)):
             return NotImplemented
         return (self - other).is_zero()
 
@@ -518,6 +518,8 @@ class LogQSeries:
 
     def with_branching(self, t: int) -> "LogQSeries":
         """Refine branching to t, rescaling l = log q_(1/T) to log q_(1/t)."""
+        if type(t) is not int or t < 1:
+            raise ValueError(f"branching must be a positive integer, got {t!r}")
         if t == self.T:
             return self
         if t % self.T != 0:

@@ -487,6 +487,9 @@ def test_usage_errors(capsys):
     # a law id or law option with --suite all), and P_k starts at k = 1
     for argv in (["moonshine", "J", "--class", "2B", "--trunc", "3"],
                  ["moonshine", "chars", "--class", "3B"],
+                 # chars reads q and q^2 of a braced series it builds to trunc 3
+                 ["moonshine", "chars", "--trunc", "5"],
+                 ["moonshine", "chars", "--trunc", "1"],
                  ["moonshine", "weight4", "--class", "1A"],
                  ["verify", "--suite", "all", "--k", "7", "--gamma", "T"],
                  ["verify", "Q_modularity", "--suite", "all"],

@@ -18,6 +18,7 @@ from orbiform.errors import (
     NotConvergent,
     OrbiformError,
     OutsideRegion,
+    TruncationTooSmall,
     UndefinedAtLatticePoint,
     UndefinedAtTrivialPair,
 )
@@ -80,6 +81,23 @@ def test_bernoulli_odd_vanishing_and_reflection():
 )
 def test_bernoulli_identities_property(k, x, n):
     assert bernoulli_identities_check(k, x, n)
+
+
+def test_exact_checks_refuse_a_window_with_no_slot():
+    # each passed over nothing: an empty power sum, an empty residue window
+    for n in (0, -2):
+        with pytest.raises(ValueError, match=f"needs n >= 1, got {n}"):
+            bernoulli_identities_check(3, Fraction(1, 3), n)
+    pair = TorsionPair(Fraction(1, 2), Fraction(1, 3))
+    for k, trunc in ((2, 0), (2, -3), (0, 0), (1, Fraction(-1, 2))):
+        with pytest.raises(TruncationTooSmall, match="needs trunc > 0"):
+            prop48_check(k, 1, pair, trunc)
+    for trunc in (0, -1, Fraction(-1, 2)):
+        with pytest.raises(TruncationTooSmall, match="need trunc > 0"):
+            prop46_exact_checks(pair, trunc)
+    # the least positive truncations still hold
+    assert prop48_check(2, 1, pair, Fraction(1, 2)).passed
+    assert all(rep.passed for rep in prop46_exact_checks(pair, Fraction(1, 2)))
 
 
 def test_eisenstein_normalization_and_divisors():
@@ -291,6 +309,49 @@ def test_add_qk_adds_sign_times_the_qk_window_at_start(k, m, j, n, l, nslots, st
     assert rows == [[0] * width] * min(start, nslots) + [[sign * x for x in row] for row in fresh]
 
 
+@st.composite
+def _dense_windows(draw):
+    """(rows, N): up to 30 rows of Z[C_N], N <= 12, with zero rows and rows whose
+    value cancels (c times 1 + zeta + ... + zeta^(N-1), or c (zeta^e + zeta^(e + N/2)))."""
+    n = draw(st.integers(1, 12))
+    cancelling = [st.integers(-3, 3).map(lambda c: [c] * n)]
+    if n % 2 == 0:
+        cancelling.append(st.tuples(st.integers(-3, 3), st.integers(0, n // 2 - 1)).map(
+            lambda ce: [ce[0] if e % (n // 2) == ce[1] else 0 for e in range(n)]))
+    row = st.one_of(st.just([0] * n), st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                    *cancelling)
+    return draw(st.lists(row, max_size=30)), n
+
+
+def _key(c):
+    return (c.conductor, c.den, c.nums)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    _dense_windows(), st.integers(1, 720),
+    st.one_of(st.just(CycQ.zero), st.fractions(max_denominator=30).map(CycQ.from_rational),
+              st.tuples(st.integers(0, 11), st.integers(1, 12)).map(
+                  lambda en: cyc_root_of(Fraction(*en)))),
+    st.integers(0, 33),
+)
+@example(([[1, 1]], 2), 1, CycQ.one, 0)  # 1 + zeta_2 = 0, plus 1 at slot 0
+@example(([[0, 0, 0]] * 3, 3), 6, cyc_root_of(Fraction(1, 3)), 2)  # const alone in a zero slot
+@example(([[2]], 1), 4, CycQ.from_rational(Fraction(-1, 2)), 0)  # a slot that sums to zero
+@example(([[1, 0]], 2), 1, CycQ.one, 1)  # at past the window's end
+def test_reduce_rows_adds_const_at_its_slot(window, denom, const, at):
+    rows, n = window
+    got = _reduce_rows([list(row) for row in rows], denom, const, at)
+    assert len(got) == len(rows)
+    for idx, row in enumerate(rows):
+        # the plain reduction: each surviving zeta_N^e term lifted and summed
+        want = sum((cyc_root_of(Fraction(e, n)) * Fraction(c, denom)
+                    for e, c in enumerate(row) if c), CycQ.zero)
+        if idx == at:
+            want = want + const
+        assert _key(got[idx]) == _key(want), idx
+
+
 def test_qk_embedded_raises_as_qk_series_does():
     pair, triv = TorsionPair(Fraction(1, 2), Fraction(1, 3)), TorsionPair(Fraction(1), Fraction(1))
     for k, p, trunc, error in ((-1, pair, 5, ValueError), (1, triv, 5, UndefinedAtTrivialPair),
@@ -462,6 +523,62 @@ def test_klein_hecke_vs_twisted_series():
         assert rep.passed, rep.check
     g, h = klein_hecke_series(pair, 25)
     assert g.normalized().lead == bernoulli_poly(2)(Fraction(1, 2)) / 2
+
+
+def _prop46_by_division(pair, trunc):
+    """The Hecke and Klein identities as h == -Q_1 and theta(g) g^-1 == -Q_2,
+    through the module's builders, so a planted fault reaches both forms."""
+    g, h = forms.klein_hecke_series(pair, trunc)
+    return [h == -forms.qk_series(1, pair, trunc),
+            theta(g, "full") * g.inverse() == -forms.qk_series(2, pair, trunc)]
+
+
+_SMALL_PAIRS = sorted({TorsionPair(Fraction(j, m), Fraction(l, n))
+                       for m in range(1, 7) for j in range(1, m + 1)
+                       for n in range(1, 5) for l in range(1, n + 1)} - {TorsionPair(1, 1)},
+                      key=lambda p: (p.j_over_M, p.l_over_N))
+
+
+@pytest.mark.parametrize("trunc", [Fraction(1, 2), Fraction(1), Fraction(3), Fraction(7, 3)])
+def test_prop46_sums_agree_with_the_division_form(trunc):
+    for pair in _SMALL_PAIRS:
+        got = [rep.passed for rep in prop46_exact_checks(pair, trunc)]
+        assert got == _prop46_by_division(pair, trunc) == [True, True], (pair, trunc)
+
+
+def _plus_unit_at(s, slot):
+    return s + Puiseux.monomial(1, s.lead + Fraction(slot, s.T), s.trunc, s.T)
+
+
+@pytest.mark.parametrize("a,b", [(Fraction(1, 2), Fraction(1, 3)), (Fraction(1, 4), Fraction(2, 3)),
+                                 (Fraction(1), Fraction(1, 4)), (Fraction(5, 6), Fraction(1))])
+def test_prop46_rejects_one_planted_unit(monkeypatch, a, b):
+    pair, trunc = TorsionPair(a, b), 3
+    assert [rep.passed for rep in prop46_exact_checks(pair, trunc)] == [True, True]
+    qk, kh = forms.qk_series, forms.klein_hecke_series
+
+    def planted_qk(k, p, tr):
+        s = qk(k, p, tr)
+        return _plus_unit_at(s, 1) if k == 2 else s
+
+    # a unit in Q_2's second slot breaks the Klein identity alone
+    monkeypatch.setattr(forms, "qk_series", planted_qk)
+    reports = prop46_exact_checks(pair, trunc)
+    assert [(rep.passed, rep.error) for rep in reports] == [
+        (True, "exact"), (False, "coefficient mismatch")]
+    assert _prop46_by_division(pair, trunc) == [True, False]
+    monkeypatch.setattr(forms, "qk_series", qk)
+    # a unit in one slot of h breaks the Hecke identity alone
+    for slot in (0, 2, 3 * pair.M - 1):
+        def planted_kh(p, tr):
+            g, h = kh(p, tr)
+            return g, _plus_unit_at(h, slot)
+
+        monkeypatch.setattr(forms, "klein_hecke_series", planted_kh)
+        reports = prop46_exact_checks(pair, trunc)
+        assert [(rep.passed, rep.error) for rep in reports] == [
+            (False, "coefficient mismatch"), (True, "exact")], slot
+        assert _prop46_by_division(pair, trunc) == [False, True]
 
 
 def _assert_made_as_checked(s: Puiseux):
@@ -639,9 +756,7 @@ def _reference_residue_rhs(k, m, pair, trunc):
 def test_residue_rows_match_the_summed_pbar_series(m_den, j, n, l, k, m, trunc):
     pair = TorsionPair(Fraction(j, m_den), Fraction(l, n))
     rows, const, base = _residue_rows(k, m, pair, trunc)
-    coeffs = _reduce_rows(rows, math.factorial(k - 1) * pair.M ** (k - 1))
-    if base < len(coeffs):
-        coeffs[base] += const
+    coeffs = _reduce_rows(rows, math.factorial(k - 1) * pair.M ** (k - 1), const, base)
     want = _reference_residue_rhs(k, m, pair, trunc)
     # prop48_check compares to min(lhs.trunc, rhs.trunc, trunc); lhs.trunc is trunc
     want = want.truncated(min(trunc, want.trunc))

@@ -240,6 +240,13 @@ def test_truncation_guards():
         solve_inhomogeneous(const_ode(1, [-2], trunc=12), f, 8)
 
 
+def test_zero_inhomogeneous_term_is_named():
+    # an all-zero f has no leading exponent: min() of no parts raised before
+    for f in (LogQSeries(1, [Puiseux.zero(10)]), LogQSeries(2, [Puiseux.zero(3, 2)] * 2)):
+        with pytest.raises(ValueError, match="inhomogeneous term f is zero"):
+            solve_inhomogeneous(const_ode(1, [-2], trunc=12), f, 5)
+
+
 def test_coefficient_off_the_grid_is_rejected():
     # theta S + q^(1/3) S = 0 at T = 1: the solver would drop the coefficient
     # and return S = 1 with a nonzero residual

@@ -4,6 +4,7 @@ import cmath
 import functools
 import math
 import operator
+import re
 from fractions import Fraction
 
 import pytest
@@ -68,6 +69,27 @@ def test_constructors_and_coeff_access():
             Puiseux.constant(1, 5, bad_t)
     with pytest.raises(ValueError, match="not representable"):
         Puiseux.monomial(1, Fraction(1, 3), 5, 2)
+
+
+@pytest.mark.parametrize("bad", [0, -2, 1.5, 2.0, True, Fraction(2)])
+def test_refinement_and_substitution_factors_are_positive_ints(bad):
+    # 0 was a zero slice step, -2 an extended slice of size 0, 1.5 an AttributeError
+    s, named = Puiseux.from_terms([(0, 1), (Fraction(1, 2), 3)], 4, 2), re.escape(repr(bad))
+    with pytest.raises(ValueError, match=f"branching must be a positive integer, got {named}"):
+        s.with_branching(bad)
+    with pytest.raises(ValueError, match=f"branching must be a positive integer, got {named}"):
+        LogQSeries(2, [s, s]).with_branching(bad)
+    with pytest.raises(ValueError, match=f"power must be a positive integer, got {named}"):
+        s.substituted(bad)
+    assert s.with_branching(4).coeff_at(Fraction(1, 2)) == 3
+    assert s.substituted(3).coeff_at(Fraction(3, 2)) == 3
+
+
+def test_scalar_equality_goes_through_the_difference():
+    s = Puiseux.constant(3, 4, 2)
+    assert s == 3 and s == Fraction(3) and s == CycQ.from_rational(3) and 3 == s
+    assert s != 2 and s != Puiseux.constant(3, 4, 2).shifted(Fraction(1, 2))
+    assert s.__eq__("3") is NotImplemented and s != "3"
 
 
 def test_addition_and_truncation_propagation():
@@ -554,6 +576,7 @@ _TRUNCATED = {
     "pbar_series": lambda tr: forms.pbar_series(2, _PAIR, (-1, 1), tr),
     "klein_hecke_series": lambda tr: forms.klein_hecke_series(_PAIR, tr),
     "prop48_check": lambda tr: forms.prop48_check(2, 0, _PAIR, tr),
+    "prop46_exact_checks": lambda tr: forms.prop46_exact_checks(_PAIR, tr),
     "frobenius_solve": lambda tr: frobenius.frobenius_solve(_ODE, tr),
     "solve_inhomogeneous": lambda tr: frobenius.solve_inhomogeneous(
         _ODE, LogQSeries(1, [Puiseux.monomial(1, 1, 8)]), tr),
