@@ -7,15 +7,16 @@ lambda runs over the indicial roots and logs appear when roots within one
 congruence class mod (1/T)Z resonate.
 
 The recursion solves the ODE times T^m in theta_T = T theta, which acts on
-q^(mu + n/T) c(l) as (T mu + n) + d/dl, on rows of the nonzero terms of each
-r_i.  It keeps c(l) in divided powers l^j/j!, where d/dl is a shift, and
-converts only where a solution is seeded or assembled.  One function,
-``_setup``, picks its value type from the indicial roots and every value it
-reads by slot index (the ODE's, and for an inhomogeneous solve f's): on
-exact roots and rational values, integer numerators over one denominator,
-with each c_n over its own and one gcd per coefficient when the solution is
-assembled; on exact roots and some value of conductor > 1, ``CycQ`` values;
-on roots that are not all rational, ``complex`` values.
+q^(mu + n/T) c(l) as E_n = (T mu + n) + d/dl; the q^(s/T) terms of every r_i
+make one polynomial R_s, which acts on c(l) through its Taylor coefficients,
+as the indicial polynomial does.  It keeps c(l) in divided powers l^j/j!,
+where d/dl is a shift, and converts only where a solution is seeded or
+assembled.  One function, ``_setup``, picks its value type from the indicial
+roots and every value it reads by slot index (the ODE's, and for an
+inhomogeneous solve f's): on exact roots and rational values, integer
+numerators over one denominator, with each c_n over its own and one gcd per
+coefficient when the solution is assembled; on exact roots and some value of
+conductor > 1, ``CycQ`` values; on an irrational root, ``complex`` values.
 
 The residual ``apply_ode`` is ``series._residual``, on the rows of ``series``.
 """
@@ -209,15 +210,6 @@ def _pzero(c) -> bool:
     return not c
 
 
-def _apply_E(p: list, x):
-    """(x + d/dl) applied to a polynomial in divided powers l^j/j!, where
-    d/dl moves each coefficient down one slot."""
-    out = [x * c for c in p]
-    for s in range(1, len(p)):
-        out[s - 1] = out[s - 1] + p[s]
-    return _ptrim(out)
-
-
 def _taylor_at(poly: list, x) -> list:
     """Coefficients of P(x + y) in y, from P's coefficients in x.
 
@@ -274,21 +266,24 @@ def _recurse(indicial, rows, x0, seed_power: int, steps: int, f=None):
     in divided powers, as (cs, dens, d, max_log): c_n's coefficient of
     l^j/j! is cs[n][j] / (dens[n] d^j).
 
-    c_n solves P(E_n) c_n = -sum_{i,s>=1} r_{i,s} E_{n-s}^i c_{n-s} + f[n],
-    with E_n = (x0 + n) + d/dl and x0 = T mu; P, the rows r_i and the
+    c_n solves P(E_n) c_n = -sum_{s>=1} R_s(E_{n-s}) c_{n-s} + f[n], with
+    E_n = (x0 + n) + d/dl and x0 = T mu; P, the rows (s, R_s) and the
     inhomogeneous terms f are those of ``_setup``, and without f the solution
-    is seeded with l^seed_power.  On ints it stays on ints: with d = den(x0),
-    d E_n = (d x0 + d n) + d/dl' is integral in l' = l/d, so the equation
-    times d^m has int coefficients, and c_n is kept in divided powers of l' as
-    ints over its own positive denominator dens[n], in lowest terms.  CycQ
-    and complex coefficients are kept as they are, with d and every den 1.
+    is seeded with l^seed_power.  A polynomial R acts on c by its Taylor
+    coefficients at x: R(x + d/dl) c = sum_u tay[u] (d/dl)^u c, and d/dl
+    moves each coefficient down one slot; f[n] enters with coefficient -1.  On
+    ints it stays on ints: with d = den(x0), d E_n = (d x0 + d n) + d/dl' is
+    integral in l' = l/d, so the equation times d^m has int coefficients, and
+    c_n is kept in divided powers of l' as ints over its own positive
+    denominator dens[n], in lowest terms.  CycQ and complex coefficients are
+    kept as they are, with d and every den 1.
     """
     m = len(indicial) - 1
     one, d = indicial[-1], 1  # the indicial polynomial is monic, or L on ints
     if type(one) is int:
         d = x0.denominator
         indicial = [c * d ** (m - u) for u, c in enumerate(indicial)]
-        rows = [[(s, c * d ** (m - i)) for s, c in row] for i, row in enumerate(rows)]
+        rows = [(s, [c * d ** (m - i) for i, c in enumerate(R)]) for s, R in rows]
         if f is not None:  # f_n in divided powers of l'
             f = [[x * d ** (m + j) for j, x in enumerate(fn)] for fn in f]
         one, x0 = 1, x0.numerator
@@ -297,22 +292,23 @@ def _recurse(indicial, rows, x0, seed_power: int, steps: int, f=None):
     cs = [] if f is not None else [
         [zero] * seed_power + [one * (math.factorial(seed_power) * d ** seed_power)]]
     dens = [1] * len(cs)
-    # images[k][i] is E_k^i c_k, made when a row first reads it
-    images = [[c] for c in cs]
-    def image(k: int, i: int) -> list:
-        made = images[k]
-        while len(made) <= i:
-            made.append(_apply_E(made[-1], x0 + d * k))
-        return made[i]
     for n in range(len(cs), steps):
         terms = []  # (coefficient, den, polynomial), subtracted from g
-        for i in range(m):
-            for s, c in rows[i]:
-                if s > n:
-                    break
-                p = image(n - s, i)
-                if p:
-                    terms.append((c, dens[n - s], p))
+        for s, R in rows:
+            if s > n:
+                break
+            if (p := cs[n - s]) and len(R) == 1:  # a constant R_s is its own Taylor row
+                terms.append((R[0], dens[n - s], p))
+            elif p:
+                x = x0 + d * (n - s)
+                tay, reach = (_taylor_at(R, x), 0) if x else (R, len(R))  # and so is R_s at 0
+                # tay[u] reads p[t + u] for t < len(p) - reach, reach = u off 0.  At 0,
+                # E^i p = (d/dl)^i p ends at p's top, and reach is the least i >= u with
+                # tay[i] != 0: a zero CycQ product keeps its conductor, as in sum r_i E^i p
+                for u in range(len(tay) - 1, -1, -1):
+                    if x or tay[u]:
+                        reach = u
+                    terms.append((tay[u], dens[n - s], p[u:u + len(p) - reach]))
         if f is not None and f[n]:
             terms.append((-1, 1, f[n]))
         den = math.lcm(*(k for _, k, _ in terms))
@@ -330,7 +326,6 @@ def _recurse(indicial, rows, x0, seed_power: int, steps: int, f=None):
             den, b = den // h, [x // h for x in b]
         cs.append(b)
         dens.append(den)
-        images.append([b])
     return cs, dens, d, max(1, *map(len, cs)) - 1
 
 
@@ -392,17 +387,18 @@ def _group(roots: list, same) -> list:
 
 def _setup(ode: RegularSingularODE, trunc, exact: bool, f: LogQSeries | None = None,
            lam: Fraction | None = None):
-    """Span, step count, indicial polynomial, coefficient rows and
+    """Span, step count, indicial polynomial, rows by q-power and
     inhomogeneous terms of a solve to relative order q^trunc, for the ODE
     times T^m in theta_T = T theta, in the one value type of the solve.
 
-    p_i and row i are scaled by T^(m-i); row i holds the nonzero
-    (s, T^(m-i) r_{i,s}) with 0 < s < steps, s ascending.  With f (at a
-    branching that T divides) and its leading exponent lam, fs[n] holds -T^m
-    times f's coefficients at q^(lam + n/T) in divided powers of
-    l = log q_(1/T), trailing zeros trimmed; without f, fs is empty.  The
-    values are ints over one positive lcm L when ``exact`` and ``_int_row``
-    reads every one, CycQ when ``exact`` and some value is not rational, and
+    p_i is scaled by T^(m-i); the rows are the (s, R_s), 0 < s < steps, s
+    ascending, with R_s = sum_i T^(m-i) r_{i,s} x^i nonzero, trailing zeros
+    trimmed.  With f (at a branching that T divides) and its leading exponent
+    lam, fs[n] holds -T^m times f's coefficients at q^(lam + n/T) in divided
+    powers of l = log q_(1/T), trailing zeros trimmed (a term of f off
+    lam + (1/T)Z is a ``ValueError``); without f, fs is empty.  The values
+    are ints over one positive lcm L when ``exact`` and ``_int_row`` reads
+    every one, CycQ when ``exact`` and some value is not rational, and
     complex embeddings of the CycQ values when not ``exact``.
     """
     T, m = ode.T, ode.order
@@ -411,14 +407,16 @@ def _setup(ode: RegularSingularODE, trunc, exact: bool, f: LogQSeries | None = N
         raise TruncationTooSmall(f"truncation {span} is below one step 1/{T}")
     steps = math.ceil(span * T)
     indicial = [c * T ** (m - i) for i, c in enumerate(indicial_polynomial(ode))]
-    rows = []
+    by_power: dict = {}  # s -> R_s, with T^(m-i) r_{i,s} at i
     for i, r in enumerate(ode.coeffs):
         if r.trunc < span:
             raise TruncationTooSmall(
                 f"coefficient series truncated at {r.trunc} < requested {span}"
             )
-        rows.append([(s, c * T ** (m - i)) for s, c in enumerate(r.coeffs, int(r.lead * T))
-                     if c and 0 < s < steps])
+        for s, c in enumerate(r.coeffs, int(r.lead * T)):
+            if c and 0 < s < steps:
+                by_power.setdefault(s, [CycQ.zero] * m)[i] = c * T ** (m - i)
+    rows = [(s, _ptrim(R)) for s, R in sorted(by_power.items())]
     cols = []  # f's values at q^(lam + n/T), n < steps, one list per log part
     for j, p in enumerate(f.parts if f is not None else ()):
         if p.trunc < lam + span:
@@ -429,17 +427,20 @@ def _setup(ode: RegularSingularODE, trunc, exact: bool, f: LogQSeries | None = N
         k = CycQ.from_rational(-T**m * Fraction(T, f.T) ** j * math.factorial(j))
         first, step = (lam - p.lead) * f.T, f.T // T  # q^(lam + n/T) is slot first + n step
         on_grid = first.denominator == 1  # else p has no term in lam + (1/T)Z
+        if any(c and (not on_grid or (i - first.numerator) % step)
+               for i, c in enumerate(p.coeffs)):
+            raise ValueError(f"the l^{j} part of f has a term off {lam} + (1/{T})Z")
         cols.append([p.coeffs[i] * k if on_grid and i >= 0 else CycQ.zero
                      for i in range(first.numerator, first.numerator + steps * step, step)])
     fs = [_ptrim(list(fn)) for fn in zip(*cols)]
-    values = indicial + [c for row in rows for _, c in row] + [x for fn in fs for x in fn]
+    values = indicial + [c for _, R in rows for c in R] + [x for fn in fs for x in fn]
     if not exact:
         values = [c.embed() for c in values]
     elif (row := _int_row(values)) is not None:
         values = row[1]
     values = iter(values)
     indicial = [next(values) for _ in indicial]
-    rows = [[(s, next(values)) for s, _ in row] for row in rows]
+    rows = [(s, [next(values) for _ in R]) for s, R in rows]
     return span, steps, indicial, rows, [[next(values) for _ in fn] for fn in fs]
 
 
@@ -494,21 +495,16 @@ def solve_inhomogeneous(ode: RegularSingularODE, f: LogQSeries, trunc) -> LogQSe
     """Particular solution s with apply_ode(ode, s) + f = 0.
 
     f's exponents must lie in lambda + (1/T)Z for the leading exponent
-    lambda of f, else a ``ValueError``; resonances with indicial roots
-    escalate the log power, with the resonant degrees of freedom fixed to
-    zero.  ``_setup`` reads f with the ODE, so the solve runs on ints only
-    when both are rational.
+    lambda of f, else ``_setup`` raises a ``ValueError``; resonances with
+    indicial roots escalate the log power, with the resonant degrees of
+    freedom fixed to zero.  ``_setup`` reads f with the ODE, so the solve
+    runs on ints only when both are rational.
     """
     T = ode.T
     if f.is_zero():
         raise ValueError("the inhomogeneous term f is zero, so it has no leading exponent")
     f = f.with_branching(math.lcm(f.T, T))
     lam = min(p.normalized().lead for p in f.parts if not p.is_zero())
-    for j, p in enumerate(f.parts):
-        first = (lam - p.lead) * f.T  # slot first + n f.T/T of p holds q^(lam + n/T)
-        off_grid, first = first.denominator != 1, first.numerator
-        if any(c and (off_grid or (i - first) % (f.T // T)) for i, c in enumerate(p.coeffs)):
-            raise ValueError(f"the l^{j} part of f has a term off {lam} + (1/{T})Z")
     span, steps, indicial, rows, fs = _setup(ode, trunc, True, f, lam)
     cs, dens, d, max_log = _recurse(indicial, rows, T * lam, -1, steps, fs)
     return _fold_solution(cs, dens, d, lam, T, span, max_log)

@@ -507,6 +507,8 @@ class LogQSeries:
     __slots__ = ("T", "parts")
 
     def __init__(self, T: int, parts):
+        if type(T) is not int or T < 1:  # True == 1 and 1.0 == 1 skip the parts' check
+            raise ValueError(f"branching must be a positive integer, got {T!r}")
         self.T = T
         self.parts = [p.with_branching(T) if p.T != T else p for p in parts]
         if not self.parts:

@@ -566,6 +566,17 @@ _TRIPLE_ROOT_ODE = {"order": 3, "T": 1, "coeffs": [
     {"terms": [["0", "-1/8"], ["1", "1"]], "trunc": "8"},
     {"terms": [["0", "3/4"], ["2", "-2"]], "trunc": "8"},
     {"terms": [["0", "-3/2"], ["1", "1/3"]], "trunc": "8"}]}
+# (theta - 1/2)^3 plus zeta_3 q-terms in r_0, r_1 and r_2: the CycQ recursion,
+# with R_1 = zeta_3 + (zeta_3/3) x^2 of degree 2
+_ZETA3_TRIPLE_ODE = {"order": 3, "T": 1, "coeffs": [
+    {"T": 1, "leading": "0", "trunc": "40", "coeffs": [
+        {"conductor": 1, "coeffs": ["-1/8"]}, {"conductor": 3, "coeffs": ["0", "1"]},
+        {"conductor": 1, "coeffs": ["1/2"]}]},
+    {"T": 1, "leading": "0", "trunc": "40", "coeffs": [
+        {"conductor": 1, "coeffs": ["3/4"]}, {"conductor": 1, "coeffs": ["0"]},
+        {"conductor": 3, "coeffs": ["-1", "-1"]}]},
+    {"T": 1, "leading": "0", "trunc": "40", "coeffs": [
+        {"conductor": 1, "coeffs": ["-3/2"]}, {"conductor": 3, "coeffs": ["0", "1/3"]}]}]}
 
 
 def _ode_files(tmp_path) -> dict:
@@ -576,7 +587,8 @@ def _ode_files(tmp_path) -> dict:
         Puiseux(r.T, r.lead, [c.lift(3) for c in r.coeffs], r.trunc) for r in resonant.coeffs])
     files = {}
     for name, obj in [("ode", _RESONANT_ODE), ("branched", _BRANCHED_ODE),
-                      ("triple", _TRIPLE_ROOT_ODE), ("conductor3", lifted.to_json())]:
+                      ("triple", _TRIPLE_ROOT_ODE), ("conductor3", lifted.to_json()),
+                      ("zeta3_triple", _ZETA3_TRIPLE_ODE)]:
         files[name] = tmp_path / f"{name}.json"
         files[name].write_text(json.dumps(obj))
     return files
@@ -630,6 +642,9 @@ STDOUT_SHA256 = {
         "16e872c2387724bef19d3ff72f339ba02a3c3b5689e46b8060bdd65a7e5f9dab",
     "frobenius --ode {conductor3} --trunc 5":
         "95c1dfd40ab74ffea5e004ee3125cc1fb5b016d747a93363ffb742af479a63ad",
+    # rational r_i(0), zeta_3 q-terms: R_s of degree 2 on CycQ values, 39 steps
+    "frobenius --ode {zeta3_triple} --trunc 40":
+        "9d6ee930668aa8b3508dd6a483e0860015e28937f596f55454e495a7991a2136",
 }
 
 

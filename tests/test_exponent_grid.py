@@ -71,11 +71,14 @@ def _ref_setup(ode, trunc, exact, f=None, lam=None):
         raise TruncationTooSmall(f"truncation {span} is below one step 1/{T}")
     steps = math.ceil(span * T)
     indicial = [c * T ** (m - i) for i, c in enumerate(_ref_indicial_polynomial(ode))]
-    rows = []
+    by_power = {}  # s -> R_s, the q^(s/T) terms of every r_i
     for i, r in enumerate(ode.coeffs):
         if r.trunc < span:
             raise TruncationTooSmall("coefficient series truncated")
-        rows.append([(int(e * T), c * T ** (m - i)) for e, c in r.terms() if 0 < e * T < steps])
+        for e, c in r.terms():
+            if 0 < e * T < steps:
+                by_power.setdefault(int(e * T), [CycQ.zero] * m)[i] = c * T ** (m - i)
+    rows = [(s, frobenius._ptrim(by_power[s])) for s in sorted(by_power)]
     fs = []
     if f is not None:
         for p in f.parts:
@@ -84,14 +87,14 @@ def _ref_setup(ode, trunc, exact, f=None, lam=None):
         scales = [-T**m * Fraction(T, f.T) ** j * math.factorial(j) for j in range(len(f.parts))]
         fs = [frobenius._ptrim([_ref_coeff_at(p, lam + Fraction(n, T)) * k
                                 for p, k in zip(f.parts, scales)]) for n in range(steps)]
-    values = indicial + [c for row in rows for _, c in row] + [x for fn in fs for x in fn]
+    values = indicial + [c for _, R in rows for c in R] + [x for fn in fs for x in fn]
     if not exact:
         values = [c.embed() for c in values]
     elif (row := _int_row(values)) is not None:
         values = row[1]
     values = iter(values)
     indicial = [next(values) for _ in indicial]
-    rows = [[(s, next(values)) for s, _ in row] for row in rows]
+    rows = [(s, [next(values) for _ in R]) for s, R in rows]
     return span, steps, indicial, rows, [[next(values) for _ in fn] for fn in fs]
 
 

@@ -358,6 +358,55 @@ def test_horner_taylor_shift_matches_binomial_formula(poly, x, as_cycq):
     assert _taylor_at(poly, x) == _binomial_taylor(poly, x)
 
 
+def _apply_E(p: list, x) -> list:
+    """(x + d/dl) applied to a polynomial in divided powers l^j/j!, where
+    d/dl moves each coefficient down one slot: E p, from which the reference
+    R(E) p = sum_i r_i E^i p is built one power at a time."""
+    out = [x * c for c in p]
+    for s in range(1, len(p)):
+        out[s - 1] = out[s - 1] + p[s]
+    return frobenius._ptrim(out)
+
+
+@st.composite
+def taylor_action_cases(draw):
+    """(R, x, p, zero): R of degree < 4, a point x and a polynomial p in
+    divided powers, all ints, all CycQ at conductor 3 or 4 (x a Fraction, as
+    T mu + n is), or all complex."""
+    kind = draw(st.sampled_from(["int", 3, 4, "complex"]))
+    if kind == "int":
+        values, x, zero = st.integers(-9, 9), draw(st.integers(-9, 9)), 0
+    elif kind == "complex":
+        values = st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False)
+        x, zero = draw(values), 0j
+    else:
+        coords = st.lists(small_fractions, min_size=euler_phi(kind), max_size=euler_phi(kind))
+        values, x, zero = coords.map(lambda c: CycQ(kind, c)), draw(small_fractions), CycQ.zero
+    R, p = draw(st.lists(values, min_size=1, max_size=4)), draw(st.lists(values, max_size=5))
+    return R, x, p, zero
+
+
+@settings(max_examples=300, deadline=None)
+@given(taylor_action_cases())
+@example(([1, 0, 3], 0, [5, 7], 0))  # E = d/dl at x = 0: E^2 p is empty
+def test_taylor_action_matches_powers_of_E(case):
+    # R(x + d/dl) p = sum_u tay[u] (d/dl)^u p with tay R's Taylor row at x,
+    # the action of every row of the recursion, is sum_i r_i E^i p
+    R, x, p, zero = case
+    tay = _taylor_at(R, x)
+    got = [sum((tay[u] * p[t + u] for u in range(min(len(tay), len(p) - t))), zero)
+           for t in range(len(p))]
+    want, image = [zero] * len(p), p
+    for r in R:
+        want = [w + r * v for w, v in zip(want, image + [zero] * len(p))]
+        image = _apply_E(image, x)
+    if isinstance(zero, complex):  # to rounding, on the scale of the largest term
+        scale = max(map(abs, R)) * (1 + abs(x)) ** (len(R) - 1) * max(map(abs, p), default=0)
+        assert all(abs(a - b) <= 1e-13 * scale for a, b in zip(got, want))
+    else:
+        assert got == want
+
+
 quadratics = st.sampled_from([[1], [1, 0, 1], [-2, 0, 1]])  # 1, x^2 + 1, x^2 - 2
 
 
@@ -379,19 +428,38 @@ def test_rational_roots_finds_every_root_of_a_product(factors, quad, scale):
     assert [c * rest[-1] for c in quad] == rest
 
 
-def test_solver_makes_only_the_images_its_rows_read(monkeypatch):
-    # theta^3 S - q S = 0 has q-terms in r_0 only, so no row reads an image
-    # E_k^i c_k with i > 0 and none is made
+def test_a_constant_row_takes_no_taylor_shift(monkeypatch):
+    # theta^3 S - q S = 0 has q-terms in r_0 only, so its one row R_1 is a
+    # constant, its own Taylor row: each step shifts the indicial polynomial alone
     calls = []
-    apply_E = frobenius._apply_E
-    monkeypatch.setattr(frobenius, "_apply_E", lambda p, x: calls.append(x) or apply_E(p, x))
+    taylor_at = frobenius._taylor_at
+    monkeypatch.setattr(frobenius, "_taylor_at",
+                        lambda p, x: calls.append(len(p)) or taylor_at(p, x))
     ode = RegularSingularODE(3, 1, [Puiseux.from_terms([(1, -1)], 12),
                                     Puiseux.zero(12), Puiseux.zero(12)])
     basis = frobenius_solve(ode, 10)
-    assert calls == []
+    assert calls == [4] * (3 * 9)  # three solutions, seeded at c_0, nine steps each
     assert basis.max_log_power == 2
     for sol in basis.solutions:
         assert apply_ode(ode, sol).is_zero()
+
+
+def test_a_step_at_zero_adds_no_conductor_that_no_power_of_E_carries():
+    # a zero CycQ product keeps its conductor, so R_s(E_k) c_k at T mu + k = 0
+    # adds a term only where sum_i r_i E^i c_k does, with E^i c_k = (d/dl)^i c_k
+    z4, z3 = cyc_root(1, 4), cyc_root(1, 3)
+    # theta^2 S + zeta_4 q theta S + q S: from the root 0, E_0 c_0 = 0, and c_1 = -1
+    ode = RegularSingularODE(2, 1, [Puiseux.from_terms([(1, 1)], 6),
+                                    Puiseux.from_terms([(1, z4)], 6)])
+    c1 = frobenius_solve(ode, 4).solutions[0].parts[0].coeff_at(1)
+    assert c1 == -1 and c1.conductor == 1
+    # roots 0, -1, -2: from -1, c_1 sits at 0 and has two slots, so the
+    # (1 + zeta_3) q theta^2 term reads nothing of it, and c_2 = 5/12
+    ode = RegularSingularODE(3, 1, [Puiseux.zero(4),
+                                    Puiseux.from_terms([(0, 2), (2, Fraction(5, 2))], 4),
+                                    Puiseux.from_terms([(0, 3), (1, 1 + z3)], 4)])
+    c2 = frobenius_solve(ode, 3).solutions[1].parts[0].coeff_at(1)
+    assert c2 == Fraction(5, 12) and c2.conductor == 1
 
 
 def test_coupling_on_theta_squared_reads_second_images():
@@ -653,8 +721,8 @@ def test_row_residual_matches_series_residual(ode, s):
 # the lifted ODE's only conductor-3 values are zeros, which no row keeps
 @example(RegularSingularODE(1, 1, [Puiseux(1, 1, [], 2)]), 2, "ode", None)
 def test_coefficient_table_reads_coeff_at(ode, steps, lift, f):
-    # _setup's indicial polynomial and sparse rows are those of the ODE times
-    # T^m in theta_T = T theta, p_i and r_i scaled by T^(m - i), and fs[n] is
+    # _setup's indicial polynomial and rows by q-power are those of the ODE
+    # times T^m in theta_T = T theta, p_i and r_i scaled by T^(m - i), and fs[n] is
     # -T^m times f at q^(lam + n/T) in divided powers of l = log q_(1/T); all
     # ints times one L > 0 when every value it reads is rational, else CycQ
     if lift == "ode":
@@ -670,17 +738,25 @@ def test_coefficient_table_reads_coeff_at(ode, steps, lift, f):
         lam = min(p.normalized().lead for p in f.parts if not p.is_zero())
         span = min(span, *(p.trunc - lam for p in f.parts))
     assume(span >= Fraction(1, T))
+    off_grid = f is not None and any(((e - lam) * T).denominator != 1
+                                     for p in f.parts for e, _ in p.terms())
+    if off_grid:
+        with pytest.raises(ValueError, match=f"off {lam} "):  # f is read on lam + (1/T)Z only
+            frobenius._setup(ode, span, True, f, lam)
+        return
     _, n, indicial, rows, fs = frobenius._setup(ode, span, True, f, lam)
     want = [c * T ** (m - i) for i, c in enumerate(indicial_polynomial(ode))]
-    for i, (r, row) in enumerate(zip(ode.coeffs, rows)):
-        assert [s for s, _ in row] == sorted(s for s, c in row if c)
-        want += [r.coeff_at(Fraction(s, T)) * T ** (m - i) for s in range(1, n)]
+    want += [r.coeff_at(Fraction(s, T)) * T ** (m - i)
+             for s in range(1, n) for i, r in enumerate(ode.coeffs)]
     want_f = [] if f is None else [
         [p.coeff_at(lam + Fraction(k, T)) * (-T ** m * Fraction(T, f.T) ** j * math.factorial(j))
          for j, p in enumerate(f.parts)] for k in range(n)]
-    got = indicial + [dict(row).get(s, 0) for row in rows for s in range(1, n)]
+    # row s is R_s, the q^(s/T) terms of every r_i, nonzero and trimmed
+    assert [s for s, _ in rows] == sorted({s for s, _ in rows} & set(range(1, n)))
+    assert all(R and R[-1] for _, R in rows)
+    got = indicial + [c for s in range(1, n) for c in (dict(rows).get(s, []) + [0] * m)[:m]]
     got_f = [fn + [0] * (len(f.parts) - len(fn)) for fn in fs]
-    values = indicial + [c for row in rows for _, c in row] + [c for fn in fs for c in fn]
+    values = indicial + [c for _, R in rows for c in R] + [c for fn in fs for c in fn]
     # what _setup reads: the indicial polynomial, the nonzero row slots, and
     # f's terms up to the last nonzero one of each step
     read = (want[:m + 1] + [c for c in want[m + 1:] if c]

@@ -85,6 +85,14 @@ def test_refinement_and_substitution_factors_are_positive_ints(bad):
     assert s.substituted(3).coeff_at(Fraction(3, 2)) == 3
 
 
+@pytest.mark.parametrize("bad", [1.0, True])
+def test_log_series_branching_is_a_positive_int(bad):
+    # equal to 1, so the parts at T = 1 were kept as they are and never checked it
+    named = re.escape(repr(bad))
+    with pytest.raises(ValueError, match=f"branching must be a positive integer, got {named}"):
+        LogQSeries(bad, [Puiseux.zero(3)])
+
+
 def test_scalar_equality_goes_through_the_difference():
     s = Puiseux.constant(3, 4, 2)
     assert s == 3 and s == Fraction(3) and s == CycQ.from_rational(3) and 3 == s
