@@ -13,7 +13,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .cyclotomic import CycQ
+from .cyclotomic import CycQ, _exponent, _positive_int
 from .errors import NotUnimodular, OrbiformError
 from .forms import (
     PK_CUTOFF_CAP,
@@ -39,7 +39,7 @@ from .verify import LAW_IDS, law_params, verify_law, verify_suite
 
 DEFAULT_TERMS = 60
 DEFAULT_TOL = 1e-8
-# the most coefficient slots (trunc times the branching) a --trunc may ask for
+# the most slots (trunc times the branching) a --trunc asks for, or orbit pairs a pairs orbit lists
 MAX_TRUNC_SLOTS = 10_000
 # the largest weight k (bernoulli, eisenstein, qk, pk-eval, verify --k) and zhu-coeff
 # i and m the CLI takes; past it the exact sums run for seconds to minutes
@@ -236,10 +236,11 @@ def _cmd_frobenius(args) -> int:
         data = json.load(fh)
     try:
         # cap the slots from q^0 (or a lower lead) to trunc, at either branching, before allocating
+        T = _positive_int("branching", data["T"])  # each value read as from_json reads it
         for i, c in enumerate(data["coeffs"]):
-            lead, t = ((min((Fraction(e) for e, _ in c["terms"]), default=0), data["T"])
-                       if "terms" in c else (Fraction(c["leading"]), max(c["T"], data["T"])))
-            if (Fraction(c["trunc"]) - min(lead, 0)) * t > MAX_TRUNC_SLOTS:
+            lead, t = ((min((_exponent(e) for e, _ in c["terms"]), default=0), T) if "terms" in c
+                       else (_exponent(c["leading"]), max(_positive_int("branching", c["T"]), T)))
+            if (_exponent(c["trunc"]) - min(lead, 0)) * t > MAX_TRUNC_SLOTS:
                 raise UsageError(f"coefficient {i} of {args.ode}: trunc {c['trunc']} needs "
                                  f"more than {MAX_TRUNC_SLOTS} slots at branching {t}")
         ode = RegularSingularODE.from_json(data)
@@ -321,6 +322,8 @@ def _cmd_pairs(args) -> int:
             if u not in seen:
                 seen.add(u)
                 frontier.append(u)
+        if len(seen) > MAX_TRUNC_SLOTS:
+            raise UsageError(f"the orbit of {pair} has more than {MAX_TRUNC_SLOTS} pairs")
     orbit = sorted(str(t) for t in seen)
     _emit({"orbit": orbit}, f"orbit size {len(orbit)}")
     return 0

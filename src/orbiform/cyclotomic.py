@@ -32,6 +32,21 @@ def _exponent(x) -> Fraction:
     return Fraction(x)
 
 
+def _index(name: str, v) -> int:
+    """An int from outside (a JSON file, an API call), or a numpy int, as an int;
+    a bool, float, Fraction or str is a TypeError (True == 1 and 2.0 == 2)."""
+    if isinstance(v, bool) or not hasattr(type(v), "__index__"):
+        raise TypeError(f"{name} must be an int, not {type(v).__name__}")
+    return operator.index(v)
+
+
+def _positive_int(name: str, v) -> int:
+    """The int ``_index`` reads, at least 1; every refusal is a ValueError."""
+    if isinstance(v, bool) or not hasattr(type(v), "__index__") or v < 1:
+        raise ValueError(f"{name} must be a positive integer, got {v!r}")
+    return operator.index(v)
+
+
 @functools.lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     result = n
@@ -137,8 +152,7 @@ class CycQ:
     __slots__ = ("conductor", "den", "nums")
 
     def __init__(self, conductor: int, coeffs):
-        if type(conductor) is not int or conductor < 1:  # a JSON true is not 1
-            raise ValueError(f"conductor must be a positive integer, got {conductor!r}")
+        conductor = _positive_int("conductor", conductor)
         d = euler_phi(conductor)
         coeffs = [Fraction(c) for c in coeffs]
         if len(coeffs) != d:
@@ -438,15 +452,14 @@ def _poly_gcdex(a, b):
 
 # -- public constructors ----------------------------------------------------
 
-@functools.lru_cache(maxsize=1024)
+@functools.lru_cache(maxsize=1024, typed=True)
 def cyc_root(j: int, m: int) -> CycQ:
     """zeta_M^j as an exact element, reduced to minimal conductor.
 
-    Cached: the root of a torsion pair (``TorsionPair.lam``) is asked for
-    again on every use of the pair.
+    Cached by typed arguments, so an order True is no cached order 1: the root
+    of a torsion pair (``TorsionPair.lam``) is asked for on every use of the pair.
     """
-    if m < 1:
-        raise ValueError("order must be positive")
+    m = _positive_int("order", m)
     j %= m
     g = gcd(j, m)
     n = m // g

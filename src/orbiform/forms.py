@@ -12,11 +12,10 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import operator
 from fractions import Fraction
 from math import gcd, lcm
 
-from .cyclotomic import CycQ, _exponent, _power, _power_basis, cyc_root_of
+from .cyclotomic import CycQ, _exponent, _index, _power, _power_basis, cyc_root_of
 from .errors import (
     BadWeight,
     NearPole,
@@ -474,10 +473,7 @@ def pk_double_sum_oracle(
 def wp1_eval(z: complex, tau: complex, trunc: int = 200) -> complex:
     """G2(tau) z + pi i (q_z+1)/(q_z-1) + lattice corrections, truncated."""
     import numpy as np
-    try:
-        trunc = operator.index(trunc)
-    except TypeError:
-        raise TypeError(f"trunc must be an int, not {type(trunc).__name__}") from None
+    trunc = _index("trunc", trunc)
     if tau.imag <= 0:
         raise NotConvergent("evaluation requires Im(tau) > 0")
     qz = cmath.exp(TWO_PI_I * z)
@@ -547,9 +543,7 @@ def klein_hecke_series(pair: TorsionPair, trunc) -> tuple[Puiseux, Puiseux]:
 
 def zhu_coeff(p: int, i: int, m: int) -> Fraction:
     """Coefficient of z^i in (log(1+z))^m (1+z)^(p-1) / m!."""
-    if not isinstance(p, int):
-        # the binomial row is integral only for an integer p
-        raise TypeError(f"p must be an int, not {type(p).__name__}")
+    p = _index("p", p)  # the binomial row is integral only for an integer p
     if i < 0 or m < 0:
         raise ValueError("i and m must be nonnegative")
     if i < m:
@@ -686,8 +680,6 @@ def _residue_rows(k: int, m: int, pair: TorsionPair, trunc: Fraction) -> tuple:
     """
     t, j = pair.M, pair.j_over_M.numerator
     depth = math.ceil(trunc) + abs(m) + 2
-    if depth < 0:
-        raise WindowTooSmall("empty w-window")
     # the least shift n = j/M + 1 - m of the second sum puts q^0 at slot base
     least = j + (1 - m) * t
     base = max(0, -least)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .cyclotomic import CycQ, _poly_divmod_q, _poly_gcdex, _poly_sub
+from .cyclotomic import CycQ, _index, _poly_divmod_q, _poly_gcdex, _poly_sub
 from .errors import TruncationTooSmall
 from .series import LogQSeries, Puiseux, _exponent, _int_row, _nterms, _residual
 
@@ -45,9 +45,8 @@ class RegularSingularODE:
     coeffs: list  # r_0 .. r_{order-1}, Puiseux
 
     def __post_init__(self):
-        for name, v in (("order", self.order), ("T", self.T)):
-            if type(v) is not int:  # 2.0 == 2 would scale a CycQ by a float; true == 1
-                raise TypeError(f"{name} must be an int, not {type(v).__name__}")
+        # 2.0 == 2 would scale a CycQ by a float; true == 1
+        self.order, self.T = _index("order", self.order), _index("T", self.T)
         if self.order < 1 or self.T < 1:
             raise ValueError("order and T must be at least 1")
         if len(self.coeffs) != self.order:
@@ -231,8 +230,9 @@ def _solve_step(tay: list, g: list, zero):
     tay are the Taylor coefficients of the indicial polynomial at X_n; the
     multiplicity r of X_n as a root forces b's bottom r coefficients to
     zero and raises the log degree by r.  On ints the back substitution is
-    fraction-free: where it would divide by tay[r], it multiplies what it has
-    by tay[r] and k by it; on other values it divides, and k = 1.
+    fraction-free: with k = tay[r]^len(g), each g[s] is scaled by k and each
+    division by tay[r] is exact, as b[s + r] carries at most len(g) - s of
+    them; on other values it divides, and k = 1.
     """
     if isinstance(zero, complex):
         # numeric resonance: a root hit only to rounding error must still
@@ -244,18 +244,15 @@ def _solve_step(tay: list, g: list, zero):
     r = 0
     while r < len(tay) and tiny(tay[r]):
         r += 1
-    lead, k = tay[r], 1
+    lead = tay[r]
+    k = lead ** len(g) if type(lead) is int else 1
     b = [zero] * (len(g) + r)
     for s in range(len(g) - 1, -1, -1):
         acc = g[s] * k if k != 1 else g[s]
         for u in range(r + 1, min(len(tay), len(b) - s)):
             if not _pzero(tay[u]) and not _pzero(b[s + u]):
                 acc = acc - b[s + u] * tay[u]
-        if type(lead) is int:
-            b, k = [x * lead for x in b], k * lead
-            b[s + r] = acc
-        else:
-            b[s + r] = acc / lead
+        b[s + r] = acc // lead if type(lead) is int else acc / lead
     return _ptrim(b), k
 
 
@@ -275,8 +272,9 @@ def _recurse(indicial, rows, x0, seed_power: int, steps: int, f=None):
     ints it stays on ints: with d = den(x0), d E_n = (d x0 + d n) + d/dl' is
     integral in l' = l/d, so the equation times d^m has int coefficients, and
     c_n is kept in divided powers of l' as ints over its own positive
-    denominator dens[n], in lowest terms.  CycQ and complex coefficients are
-    kept as they are, with d and every den 1.
+    denominator dens[n], in lowest terms: the lcm of the terms' denominators
+    times the scale k of ``_solve_step``, over one gcd.  CycQ and complex
+    coefficients are kept as they are, with d and every den 1.
     """
     m = len(indicial) - 1
     one, d = indicial[-1], 1  # the indicial polynomial is monic, or L on ints

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .cyclotomic import CycQ, _exponent, cyc_root_of
+from .cyclotomic import CycQ, _exponent, _positive_int, cyc_root_of
 from .errors import NotGenerating, NotUnimodular
 
 
@@ -93,8 +93,7 @@ def reduce_cyclic_pair(a: int, c: int, n: int) -> tuple[GammaMat, int]:
     SL(2,Z) and e with gcd(e, n) = 1 such that the induced right action
     maps the exponent vector (a, c) to (0, e) mod n.
     """
-    if n < 1:
-        raise ValueError("modulus must be positive")
+    n = _positive_int("modulus", n)
     a %= n
     c %= n
     if gcd(gcd(a, c), n) != 1:

@@ -9,15 +9,15 @@ validated by shape and invariance checks rather than trusted.
 from __future__ import annotations
 
 import json
-import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
+from .cyclotomic import _exponent, _index
 from .errors import NonIntegralCharacter, UnknownClass
 from .forms import eisenstein
-from .series import Puiseux, _exponent, product_expand, theta
+from .series import Puiseux, product_expand, theta
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,8 @@ def hauptmodul_spec(class_label: str) -> HauptmodulSpec:
     for c in load_data()["classes"]:
         if c["label"] == class_label:
             try:  # int() would truncate a float, Fraction() read it as its binary value
-                eta = tuple((operator.index(a), operator.index(e)) for a, e in c["eta"])
+                eta = tuple((_index("eta scale", a), _index("eta exponent", e))
+                            for a, e in c["eta"])
                 return HauptmodulSpec(c["label"], eta, _exponent(c["const"]))
             except TypeError as e:
                 raise ValueError(f"hauptmodul data for {class_label} is malformed: {e}") from None

@@ -34,7 +34,8 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import NamedTuple
 
-from .cyclotomic import CycQ, _exponent, _power, _root_powers, _sparse_convolve
+from .cyclotomic import (CycQ, _exponent, _index, _positive_int, _power, _root_powers,
+                         _sparse_convolve)
 from .errors import (
     NonInvertibleLeadingTerm,
     NotConvergent,
@@ -69,9 +70,7 @@ class Puiseux:
     __slots__ = ("T", "lead", "coeffs", "trunc")
 
     def __init__(self, T: int, lead, coeffs, trunc):
-        if type(T) is not int or T < 1:  # a JSON true is not 1
-            raise ValueError(f"branching must be a positive integer, got {T!r}")
-        lead, trunc = _exponent(lead), _exponent(trunc)
+        T, lead, trunc = _positive_int("branching", T), _exponent(lead), _exponent(trunc)
         coeffs = [_coerce_coeff(c) for c in coeffs]
         n = _nterms(lead, trunc, T)
         if len(coeffs) < n:
@@ -132,8 +131,7 @@ class Puiseux:
     # -- structure -----------------------------------------------------------
 
     def with_branching(self, t: int) -> "Puiseux":
-        if type(t) is not int or t < 1:
-            raise ValueError(f"branching must be a positive integer, got {t!r}")
+        t = _positive_int("branching", t)
         if t == self.T:
             return self
         if t % self.T != 0:
@@ -165,8 +163,7 @@ class Puiseux:
 
     def substituted(self, s: int) -> "Puiseux":
         """q -> q^s for a positive integer s."""
-        if type(s) is not int or s < 1:
-            raise ValueError(f"substitution power must be a positive integer, got {s!r}")
+        s = _positive_int("substitution power", s)
         lead, trunc = self.lead * s, self.trunc * s
         coeffs = [CycQ.zero] * _nterms(lead, trunc, self.T)
         coeffs[::s] = self.coeffs
@@ -507,9 +504,7 @@ class LogQSeries:
     __slots__ = ("T", "parts")
 
     def __init__(self, T: int, parts):
-        if type(T) is not int or T < 1:  # True == 1 and 1.0 == 1 skip the parts' check
-            raise ValueError(f"branching must be a positive integer, got {T!r}")
-        self.T = T
+        self.T = T = _positive_int("branching", T)  # True == 1 would skip the parts' check
         self.parts = [p.with_branching(T) if p.T != T else p for p in parts]
         if not self.parts:
             raise ValueError("need at least one part (use a zero Puiseux)")
@@ -519,13 +514,10 @@ class LogQSeries:
         return len(self.parts) - 1
 
     def with_branching(self, t: int) -> "LogQSeries":
-        """Refine branching to t, rescaling l = log q_(1/T) to log q_(1/t)."""
-        if type(t) is not int or t < 1:
-            raise ValueError(f"branching must be a positive integer, got {t!r}")
+        """Refine branching to t (a multiple of T), rescaling l = log q_(1/T) to log q_(1/t)."""
+        t = _positive_int("branching", t)
         if t == self.T:
             return self
-        if t % self.T != 0:
-            raise ValueError("branching can only be refined to a multiple")
         scale = Fraction(t, self.T)
         parts = [p.scalar_mul(scale**j) for j, p in enumerate(self.parts)]
         return LogQSeries(t, parts)
@@ -672,11 +664,10 @@ def product_expand(factors, trunc) -> Puiseux:
     n = max(0, math.ceil(trunc))
     b = [0] * n
     for a, e in factors:
-        if a < 1:
-            raise ValueError("product scales must be positive integers")
+        a, e = _positive_int("product scale", a), _index("product exponent", e)
         # the divisors of m that are multiples of a sum to a sigma_1(m/a)
         for m, s in enumerate(_divisor_sums(n, 1, a)):
-            b[m] -= operator.index(e) * s
+            b[m] -= e * s
     c = [1][:n]
     for m in range(1, n):
         c.append(sum(map(operator.mul, b[m:0:-1], c)) // m)

@@ -293,6 +293,18 @@ def test_frobenius_file_bool_is_malformed(capsys, tmp_path, data):
     assert captured.err.startswith("error:")
 
 
+def test_frobenius_float_trunc_is_malformed_past_the_cap(capsys, tmp_path):
+    # the slot cap read trunc 1e9 with Fraction and called it a usage error (exit 2),
+    # where 6.5 was a malformed file (exit 1): one reader refuses both as floats
+    for trunc in (1e9, 6.5):
+        p = tmp_path / "ode.json"
+        p.write_text(json.dumps(_exp_ode("1", trunc=trunc)))
+        assert run(["frobenius", "--ode", str(p)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.startswith(f"error: malformed ODE file {p}: TypeError")
+
+
 def test_frobenius_non_int_branching_is_an_error(capsys, tmp_path):
     ode = {"order": 1, "T": 1.5, "coeffs": [{"terms": [["1", "1"]], "trunc": "4"}]}
     p = tmp_path / "ode.json"
@@ -354,6 +366,17 @@ def test_moonshine_float_class_data_is_an_error(capsys, tmp_path, monkeypatch, e
     assert captured.err.startswith("error: hauptmodul data for 2B is malformed")
 
 
+def test_moonshine_bool_eta_scale_is_malformed(capsys, tmp_path, monkeypatch):
+    # true == 1: the eta quotient was built as (1, 24), (2, -24), with exit 0
+    data = {"classes": [{"label": "2B", "eta": [[True, 24], [2, -24]], "const": "24"}]}
+    (tmp_path / "moonshine.json").write_text(json.dumps(data))
+    monkeypatch.setenv("ORBIFORM_DATA", str(tmp_path))
+    assert run(["moonshine", "hauptmodul", "--class", "2B", "--trunc", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("error: hauptmodul data for 2B is malformed")
+
+
 def test_moonshine_class_defaults_to_1A(capsys):
     code, (obj,) = run_json(capsys, ["moonshine", "hauptmodul", "--trunc", "3"])
     assert code == 0 and obj["terms"] == [["-1", "1"], ["1", "196884"], ["2", "21493760"]]
@@ -384,6 +407,16 @@ def test_pairs_reduce_and_orbit(capsys):
     assert code == 0
     assert "(1/2,1)" in obj["orbit"] or "(1/2,1/1)" in obj["orbit"]
     assert len(obj["orbit"]) == 3  # the three 2-torsion pairs
+
+
+def test_pairs_orbit_past_the_cap_is_a_usage_error(capsys):
+    # the orbit of (1/N, 0) holds every pair of level N: 7,200 at N = 100 and
+    # 10,200 at N = 101, past MAX_TRUNC_SLOTS
+    code, (obj,) = run_json(capsys, ["pairs", "orbit", "1/100", "0"])
+    assert code == 0 and len(obj["orbit"]) == 7200 <= MAX_TRUNC_SLOTS
+    assert run(["pairs", "orbit", "1/101", "0"]) == 2
+    captured = capsys.readouterr()
+    assert f"more than {MAX_TRUNC_SLOTS} pairs" in captured.err and captured.out == ""
 
 
 def test_pairs_reduce_modulus_must_be_positive(capsys):

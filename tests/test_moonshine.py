@@ -137,6 +137,15 @@ def test_hauptmodul_data_of_the_wrong_type_is_a_value_error(tmp_path, monkeypatc
     assert hauptmodul_spec("2B").additive_constant == 24
 
 
+def test_hauptmodul_bool_eta_scale_is_a_value_error(tmp_path, monkeypatch):
+    # operator.index(True) is 1, so [true, 24] was read as the scale 1
+    data = {"classes": [{"label": "ZZ", "eta": [[True, 24], [2, -24]], "const": "24"}]}
+    (tmp_path / "moonshine.json").write_text(json.dumps(data))
+    monkeypatch.setenv("ORBIFORM_DATA", str(tmp_path))
+    with pytest.raises(ValueError, match="hauptmodul data for ZZ is malformed: eta scale must be"):
+        hauptmodul_spec("ZZ")
+
+
 def test_bad_hauptmodul_data_rejected(tmp_path, monkeypatch):
     data = {"classes": [{"label": "YY", "eta": [[1, 24], [2, -24]], "const": "7"}]}
     p = tmp_path / "moonshine.json"
