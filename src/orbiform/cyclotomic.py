@@ -456,11 +456,12 @@ def _poly_gcdex(a, b):
 def cyc_root(j: int, m: int) -> CycQ:
     """zeta_M^j as an exact element, reduced to minimal conductor.
 
-    Cached by typed arguments, so an order True is no cached order 1: the root
-    of a torsion pair (``TorsionPair.lam``) is asked for on every use of the pair.
+    Cached by typed arguments, so a True or 1.0 is no cached 1 and is refused by
+    its reader: the root of a torsion pair (``TorsionPair.lam``) is asked for on
+    every use of the pair.
     """
     m = _positive_int("order", m)
-    j %= m
+    j = _index("exponent", j) % m
     g = gcd(j, m)
     n = m // g
     return CycQ(n, _reduction_table(n)[j // g])

@@ -44,9 +44,10 @@ PK_CUTOFF_CAP = 10**5
 
 # -- Bernoulli polynomials ----------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def bernoulli_number(k: int) -> Fraction:
-    """B_k(0); convention B_1(0) = -1/2."""
+    """B_k(0); convention B_1(0) = -1/2.  The cache is typed: True finds no cached 1."""
+    k = _index("degree", k)
     if k == 0:
         return Fraction(1)
     # sum_{j=0}^{k} binom(k+1, j) B_j = 0 for k >= 1
@@ -82,9 +83,10 @@ class BernoulliPoly:
         return f"BernoulliPoly({self.degree}, {list(map(str, self.coefficients))})"
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def bernoulli_poly(k: int) -> BernoulliPoly:
     """B_k(x) = sum_i binom(k, i) B_i x^(k-i), exact."""
+    k = _index("degree", k)
     if k < 0:
         raise ValueError("degree must be nonnegative")
     coeffs = [Fraction(0)] * (k + 1)
@@ -99,6 +101,7 @@ def bernoulli_value(k: int, x) -> Fraction:
 
 def bernoulli_identities_check(k: int, x, n: int = 10) -> bool:
     """Power-sum and reflection identities for B_k, checked exactly."""
+    k, n = _index("k", k), _index("n", n)
     if k < 1:
         raise ValueError("k must be at least 1")
     if n < 1:
@@ -128,6 +131,7 @@ def _eisenstein_embedded(k: int, trunc) -> Embedded:
 
 def _eisenstein_row(k: int, trunc) -> tuple:
     """(trunc, den, row): the coefficients of E_k are the ints row[i] over den."""
+    k = _index("weight", k)
     if k < 2 or k % 2 != 0:
         raise BadWeight("Eisenstein weight must be an even integer >= 2")
     trunc, b = _exponent(trunc), bernoulli_number(k)
@@ -207,6 +211,7 @@ def _qk_embedded(k: int, pair: TorsionPair, trunc) -> Embedded:
 def _qk_slots(k: int, pair: TorsionPair, trunc) -> tuple:
     """(trunc, T, rows, denom): Q_k past its constant as one window of rows of Z[C_N];
     Q_0 = -1 is a zero window, at T = 1."""
+    k = _index("weight", k)
     if k < 0:
         raise ValueError("weight must be nonnegative")
     trunc, t = _exponent(trunc), pair.M if k else 1
@@ -255,6 +260,7 @@ def qk_series_divisor_oracle(k: int, pair: TorsionPair, trunc) -> Puiseux:
                               + (-1)^k sum_{d|n, d = j mod M} d^(k-1) lam^(n/d) ].
     Each admissible d is sieved over its multiples n = d q.
     """
+    k = _index("weight", k)
     if k < 3:
         raise ValueError("the lattice rearrangement needs k >= 3")
     trunc = _exponent(trunc)
@@ -296,7 +302,7 @@ def pbar_series(k: int, pair: TorsionPair, window: tuple[int, int], trunc) -> Bi
     -lam^(-1) q^(-n)), and the constant 1/(1 - lam) at n = 0.  Returns the
     zero series for k = 0.
     """
-    lo, hi = window
+    k, (lo, hi) = _index("weight", k), (_index("window", x) for x in window)
     if hi < lo:
         raise WindowTooSmall("empty w-window")
     trunc = _exponent(trunc)
@@ -377,6 +383,7 @@ def pk_eval(
     until the geometric tail bound drops below tol (at most PK_CUTOFF_CAP).
     """
     import numpy as np
+    k, cutoff = _index("k", k), _index("cutoff", cutoff)
     if k < 1:
         raise ValueError("k must be at least 1")
     if cutoff < 1:
@@ -491,11 +498,11 @@ def wp1_eval(z: complex, tau: complex, trunc: int = 200) -> complex:
 # -- Klein and Hecke forms -------------------------------------------------------
 
 def klein_hecke_series(pair: TorsionPair, trunc) -> tuple[Puiseux, Puiseux]:
-    """The Klein form g and the Hecke form h/(2 pi i) as exact series.
+    """The Klein form g and the Hecke form h/(2 pi i) as exact series at branching M.
 
-    g carries leading exponent B_2(a1)/2 and an exact root-of-unity
-    prefactor; h is returned divided by 2 pi i so that its coefficients
-    stay cyclotomic.
+    g carries leading exponent B_2(a1)/2, which may sit off the 1/M grid, and
+    an exact root-of-unity prefactor; h is returned divided by 2 pi i so that
+    its coefficients stay cyclotomic.
     """
     a1, a2 = pair.j_over_M, pair.l_over_N
     if a1 == 1 and a2 == 1:
@@ -504,8 +511,7 @@ def klein_hecke_series(pair: TorsionPair, trunc) -> tuple[Puiseux, Puiseux]:
     t, j = a1.denominator, a1.numerator
     # g = -zeta^p q^lead prod (1 - root q^e), p = a2 (a1 - 1)/2, over e = a1 + m (root
     # lam, m >= 0) and m - a1 (root lam^-1, m >= 1).  Every e is on the 1/t grid, so
-    # slot idx holds q^(lead + idx/t) as a row of Z[C_n] indexed by zeta_n^x; only
-    # the B2(a1)/2 lead needs lcm(t, den lead), and g is refined to it once
+    # slot idx holds q^(lead + idx/t) as a row of Z[C_n] indexed by zeta_n^x
     lead = bernoulli_poly(2)(a1) / 2
     p = a2 * (a1 - 1) / 2
     n = lcm(a2.denominator, p.denominator)
@@ -524,7 +530,6 @@ def klein_hecke_series(pair: TorsionPair, trunc) -> tuple[Puiseux, Puiseux]:
                         if c:
                             rows[idx][(x + root) % n] -= c
     g = Puiseux._make(t, lead, _reduce_rows(rows, 1), lead + trunc)
-    g = g.with_branching(lcm(t, lead.denominator))
     # h/(2 pi i) = a1 - 1/2 - sum_(m>=0) lam q^(m+a1)/(1 - lam q^(m+a1))
     #              + sum_(m>=1) lam^-1 q^(m-a1)/(1 - lam^-1 q^(m-a1))
     rows = [[0] * a2.denominator for _ in range(max(0, math.ceil(trunc * t)))]
@@ -544,6 +549,7 @@ def klein_hecke_series(pair: TorsionPair, trunc) -> tuple[Puiseux, Puiseux]:
 def zhu_coeff(p: int, i: int, m: int) -> Fraction:
     """Coefficient of z^i in (log(1+z))^m (1+z)^(p-1) / m!."""
     p = _index("p", p)  # the binomial row is integral only for an integer p
+    i, m = _index("i", i), _index("m", m)
     if i < 0 or m < 0:
         raise ValueError("i and m must be nonnegative")
     if i < m:
@@ -602,6 +608,7 @@ def prop44_check(k: int, j: int, m: int, cutoff: int = 10**6, tol: float = 1e-9)
     """
     import mpmath
     import numpy as np
+    k, j, m, cutoff = _index("k", k), _index("j", j), _index("M", m), _index("cutoff", cutoff)
     if not (1 <= j <= m):
         raise ValueError("need 1 <= j <= M")
     if k < 2:
@@ -722,7 +729,7 @@ def prop48_check(k: int, m: int, pair: TorsionPair, trunc) -> CheckReport:
     must vanish, the q^0 slot together with the constants that are no row
     (the n = 0 term, Q_k's constant and the Bernoulli term).
     """
-    trunc = _exponent(trunc)
+    k, m, trunc = _index("k", k), _index("m", m), _exponent(trunc)
     if trunc <= 0:
         raise TruncationTooSmall(f"the identity needs trunc > 0 to reach q^0, got {trunc}")
     params = {"k": k, "m": m, "pair": pair, "trunc": trunc}

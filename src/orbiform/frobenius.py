@@ -42,7 +42,7 @@ class RegularSingularODE:
 
     order: int
     T: int
-    coeffs: list  # r_0 .. r_{order-1}, Puiseux
+    coeffs: list  # r_0 .. r_{order-1}, Puiseux, each at a branching that divides T
 
     def __post_init__(self):
         # 2.0 == 2 would scale a CycQ by a float; true == 1
@@ -51,17 +51,13 @@ class RegularSingularODE:
             raise ValueError("order and T must be at least 1")
         if len(self.coeffs) != self.order:
             raise ValueError("need exactly `order` coefficient series")
-        lifted = []
         for r in self.coeffs:
             if self.T % r.T != 0:
                 raise ValueError("coefficient branching must divide T")
-            r = r.with_branching(self.T)
-            # the solver reads coefficients on the (1/T)Z grid only
+            # the solver reads each coefficient on its own grid, a part of the (1/T)Z grid
             if not r.is_zero() and (r.normalized().lead < 0 or (r.lead * self.T).denominator != 1):
                 raise ValueError("regular-singular normalization requires exponents >= 0 "
                                  f"on the (1/T)Z grid, got {r.lead} + Z/{self.T}")
-            lifted.append(r)
-        self.coeffs = lifted
 
     def to_json(self) -> dict:
         return {
@@ -411,8 +407,9 @@ def _setup(ode: RegularSingularODE, trunc, exact: bool, f: LogQSeries | None = N
             raise TruncationTooSmall(
                 f"coefficient series truncated at {r.trunc} < requested {span}"
             )
-        for s, c in enumerate(r.coeffs, int(r.lead * T)):
-            if c and 0 < s < steps:
+        # r's slot k is at q^(lead + k/r.T), step s = T lead + k T/r.T
+        for s, c in zip(range(int(r.lead * T), steps, T // r.T), r.coeffs):
+            if c and s > 0:
                 by_power.setdefault(s, [CycQ.zero] * m)[i] = c * T ** (m - i)
     rows = [(s, _ptrim(R)) for s, R in sorted(by_power.items())]
     cols = []  # f's values at q^(lam + n/T), n < steps, one list per log part

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .cyclotomic import CycQ, _exponent, _positive_int, cyc_root_of
+from .cyclotomic import CycQ, _exponent, _index, _positive_int, cyc_root_of
 from .errors import NotGenerating, NotUnimodular
 
 
@@ -18,6 +18,8 @@ class GammaMat:
     d: int
 
     def __post_init__(self):
+        for name in ("a", "b", "c", "d"):
+            object.__setattr__(self, name, _index(name, getattr(self, name)))
         if self.a * self.d - self.b * self.c != 1:
             raise NotUnimodular(f"determinant of {self} is not 1")
 
@@ -94,8 +96,7 @@ def reduce_cyclic_pair(a: int, c: int, n: int) -> tuple[GammaMat, int]:
     maps the exponent vector (a, c) to (0, e) mod n.
     """
     n = _positive_int("modulus", n)
-    a %= n
-    c %= n
+    a, c = _index("a", a) % n, _index("c", c) % n
     if gcd(gcd(a, c), n) != 1:
         raise NotGenerating(f"({a},{c}) does not generate the cyclic group mod {n}")
     if a == 0:
@@ -132,4 +133,4 @@ def _bezout(a: int, b: int) -> tuple[int, int]:
 
 def slash_eval(evaluator, k: int, gamma: GammaMat, tau: complex):
     """(F |_k gamma)(tau) = (c tau + d)^(-k) F(gamma tau)."""
-    return gamma.automorphy(tau) ** (-k) * evaluator(gamma.apply(tau))
+    return gamma.automorphy(tau) ** -_index("weight", k) * evaluator(gamma.apply(tau))

@@ -2,6 +2,8 @@
 numeric evaluators."""
 
 import cmath
+import hashlib
+import json
 import math
 import sys
 from fractions import Fraction
@@ -546,6 +548,16 @@ def test_prop46_sums_agree_with_the_division_form(trunc):
         assert got == _prop46_by_division(pair, trunc) == [True, True], (pair, trunc)
 
 
+def test_prop46_reports_over_the_small_pairs_are_pinned():
+    # the to_json of every report over the 71 pairs and four truncations: the
+    # branching the Klein form is built at reaches no byte of them
+    reports = [rep.to_json() for trunc in (Fraction(1, 2), Fraction(1), Fraction(3), Fraction(7, 3))
+               for pair in _SMALL_PAIRS for rep in prop46_exact_checks(pair, trunc)]
+    assert len(_SMALL_PAIRS) == 71 and all(rep["pass"] for rep in reports)
+    assert hashlib.sha256(json.dumps(reports).encode()).hexdigest() == \
+        "a49571b5d85ce27e4d1caa5f617f91a093723cb2d523cbd037ea322df98323f2"
+
+
 def _plus_unit_at(s, slot):
     return s + Puiseux.monomial(1, s.lead + Fraction(slot, s.T), s.trunc, s.T)
 
@@ -650,7 +662,9 @@ def test_klein_g_matches_the_per_factor_product(m, j, n, l, trunc):
             klein_hecke_series(pair, trunc)
         return
     g, _ = klein_hecke_series(pair, trunc)
+    assert g.T == pair.M
     want = _reference_klein_g(pair, trunc)
+    g = g.with_branching(want.T)
     assert (g.T, g.lead, g.trunc) == (want.T, want.lead, want.trunc)
     assert g.coeffs == want.coeffs
 

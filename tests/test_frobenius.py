@@ -577,6 +577,58 @@ def test_fraction_recursion_matches_cyclotomic_recursion(case):
                 assert all(c.conductor == 1 for c in a.coeffs)
 
 
+@st.composite
+def divisor_odes(draw):
+    """(ode, f, trunc): an ODE at T in {2, 3, 4, 6} with rational indicial roots
+    whose every coefficient sits at its own divisor d of T, its couplings c q^(k/d)
+    rational or one unit zeta_3 or zeta_4 times a rational; f is c q^(s/d_f) at a
+    divisor d_f of T, or None."""
+    T = draw(st.sampled_from([2, 3, 4, 6]))
+    divisors = [d for d in range(1, T + 1) if T % d == 0]
+    order = draw(st.integers(1, 3))
+    poly = _monic([draw(roots) for _ in range(order)])
+    unit = draw(st.sampled_from([CycQ.one, cyc_root(1, 3), cyc_root(1, 4)]))
+    trunc = Fraction(draw(st.integers(1, 8)), T)
+    coeffs = []
+    for i in range(order):
+        d = draw(st.sampled_from(divisors))
+        terms = [(0, poly[i])]
+        if i == 0 or draw(st.booleans()):
+            terms += [(Fraction(k, d), unit * c) for k, c in draw(couplings)
+                      if Fraction(k, d) < trunc + 1]
+        coeffs.append(Puiseux.from_terms(terms, trunc + 1, d))
+    f = None
+    if draw(st.booleans()):
+        d = draw(st.sampled_from(divisors))
+        s = Fraction(draw(st.integers(0, 2 * d)), d)
+        f = LogQSeries(d, [Puiseux.monomial(draw(small_fractions.filter(bool)), s,
+                                            s + trunc + 1, d)])
+    return RegularSingularODE(order, T, coeffs), f, trunc
+
+
+def _basis_slots(sols):
+    return [(s.T, [(p.T, p.lead, p.trunc, [(c.conductor, c.den, c.nums) for c in p.coeffs])
+                   for p in s.parts]) for s in sols]
+
+
+@settings(max_examples=100, deadline=None)
+@given(divisor_odes())
+# r_0 at T = 2 and a zeta_3 term of r_1 at T = 3, in an ODE at T = 6
+@example((RegularSingularODE(2, 6, [
+    Puiseux.from_terms([(0, Fraction(-1, 4)), (Fraction(1, 2), 1)], 3, 2),
+    Puiseux.from_terms([(Fraction(2, 3), cyc_root(1, 3))], 3, 3)]), None, Fraction(5, 3)))
+def test_coefficients_at_divisors_of_T_solve_as_refined(case):
+    # each coefficient read at its own branching gives the basis of the ODE whose
+    # coefficients were all refined to T first
+    ode, f, trunc = case
+    refined = RegularSingularODE(ode.order, ode.T, [r.with_branching(ode.T) for r in ode.coeffs])
+    if f is None:
+        got, want = (frobenius_solve(o, trunc).solutions for o in (ode, refined))
+    else:
+        got, want = ([solve_inhomogeneous(o, f, trunc)] for o in (ode, refined))
+    assert _basis_slots(got) == _basis_slots(want)
+
+
 def _ode_with_roots(roots, couplings: dict, trunc) -> RegularSingularODE:
     """The ODE at T = 1 with these indicial roots, plus couplings[i], a list
     of terms (e, c), in r_i."""

@@ -16,17 +16,21 @@ from orbiform.cyclotomic import CycQ, _index, _positive_int, cyc_root
 from orbiform.errors import NearPole, WindowTooSmall
 from orbiform.forms import (
     bernoulli_identities_check,
+    bernoulli_number,
     bernoulli_poly,
+    eisenstein,
     pbar_series,
     pk_eval,
     prop44_check,
+    prop48_check,
+    qk_series,
     qk_series_divisor_oracle,
     wp1_eval,
     zhu_coeff,
     zhu_coeff_binomial_oracle,
 )
 from orbiform.frobenius import RegularSingularODE
-from orbiform.modular import TorsionPair, reduce_cyclic_pair
+from orbiform.modular import S, GammaMat, TorsionPair, reduce_cyclic_pair, slash_eval
 from orbiform.moonshine import delta_j_J, weight4_onepoint
 from orbiform.series import LogQSeries, Puiseux, product_expand
 
@@ -67,10 +71,49 @@ def test_positive_int_refuses_an_int_below_one():
     (lambda: cyc_root(1, True), ValueError, "order must be a positive integer, got True"),
     (lambda: reduce_cyclic_pair(2, 3, True), ValueError,
      "modulus must be a positive integer, got True"),
+    # True was read as 1, and 2.0 died without naming its argument or was read as 2
+    (lambda: qk_series(True, PAIR, 3), TypeError, "weight must be an int, not bool"),
+    (lambda: qk_series(2.0, PAIR, 3), TypeError, "weight must be an int, not float"),
+    (lambda: qk_series_divisor_oracle(True, PAIR, 3), TypeError, "weight must be an int, not bool"),
+    (lambda: qk_series_divisor_oracle(3.0, PAIR, 3), TypeError,
+     "weight must be an int, not float"),
+    (lambda: eisenstein(True, 3), TypeError, "weight must be an int, not bool"),
+    (lambda: eisenstein(4.0, 3), TypeError, "weight must be an int, not float"),
+    (lambda: pbar_series(2, PAIR, (0, True), 2), TypeError, "window must be an int, not bool"),
+    (lambda: pbar_series(2, PAIR, (0, 1.0), 2), TypeError, "window must be an int, not float"),
+    (lambda: pk_eval(True, PAIR, 0.1 + 0.3j, 1.2j), TypeError, "k must be an int, not bool"),
+    (lambda: pk_eval(2.0, PAIR, 0.1 + 0.3j, 1.2j), TypeError, "k must be an int, not float"),
+    (lambda: zhu_coeff(2, 3, True), TypeError, "m must be an int, not bool"),
+    (lambda: zhu_coeff(2, 3.0, 1), TypeError, "i must be an int, not float"),
+    (lambda: prop48_check(2, True, PAIR, 2), TypeError, "m must be an int, not bool"),
+    (lambda: prop48_check(2, 0.0, PAIR, 2), TypeError, "m must be an int, not float"),
+    (lambda: prop44_check(2, True, 3), TypeError, "j must be an int, not bool"),
+    (lambda: prop44_check(2, 1.0, 3), TypeError, "j must be an int, not float"),
+    (lambda: bernoulli_number(True), TypeError, "degree must be an int, not bool"),
+    (lambda: bernoulli_number(2.0), TypeError, "degree must be an int, not float"),
+    (lambda: bernoulli_poly(True), TypeError, "degree must be an int, not bool"),
+    (lambda: bernoulli_poly(2.0), TypeError, "degree must be an int, not float"),
+    (lambda: bernoulli_identities_check(2, 0, True), TypeError, "n must be an int, not bool"),
+    (lambda: bernoulli_identities_check(2, 0, 3.0), TypeError, "n must be an int, not float"),
+    (lambda: cyc_root(True, 3), TypeError, "exponent must be an int, not bool"),
+    (lambda: cyc_root(1.0, 3), TypeError, "exponent must be an int, not float"),
+    (lambda: GammaMat(True, 0, 0, True), TypeError, "a must be an int, not bool"),
+    (lambda: GammaMat(1.0, 0, 0, 1.0), TypeError, "a must be an int, not float"),
+    (lambda: reduce_cyclic_pair(True, 2, 5), TypeError, "a must be an int, not bool"),
+    (lambda: reduce_cyclic_pair(1.0, 2, 5), TypeError, "a must be an int, not float"),
+    (lambda: slash_eval(lambda t: t, True, S, 1j), TypeError, "weight must be an int, not bool"),
+    (lambda: slash_eval(lambda t: t, 2.0, S, 1j), TypeError, "weight must be an int, not float"),
 ], ids=["scale-true", "exponent-true", "scale-float", "wp1-trunc", "zhu-p", "cyc-root-order",
-        "reduce-modulus"])
+        "reduce-modulus",
+        *(f"{site}-{kind}" for site in (
+            "qk-weight", "divisor-oracle-weight", "eisenstein-weight", "pbar-window",
+            "pk-eval-k", "zhu-m-or-i", "prop48-m", "prop44-j", "bernoulli-number",
+            "bernoulli-poly", "bernoulli-identities-n", "cyc-root-exponent", "gamma-entry",
+            "reduce-a", "slash-weight") for kind in ("bool", "float"))])
 def test_outside_ints_are_read_alike(call, exc, fragment):
-    cyc_root(1, 1)  # cached: a True order must not find the order 1
+    # cached: a True or a float must find no cached int
+    for k in (1, 2, 4):
+        cyc_root(1, k), cyc_root(k % 3, 3), bernoulli_number(k), bernoulli_poly(k)
     with pytest.raises(exc, match=fragment):
         call()
 

@@ -91,9 +91,11 @@ def zeroed_terms(draw):
 
 
 def _klein(trunc=3):
+    """g of (1/4, 2/3), built at branching 4, refined to 96 = lcm(4, den of its
+    lead -1/96), and h."""
     g, h = klein_hecke_series(TorsionPair(Fraction(1, 4), Fraction(2, 3)), trunc)
-    assert g.T == 96
-    return g, h
+    assert g.T == 4
+    return g.with_branching(96), h
 
 
 # -- the sum -----------------------------------------------------------------------

@@ -671,9 +671,12 @@ def test_json_bool_is_not_an_int():
 
 
 def test_klein_form_inverse_at_branching_96():
+    # g of (1/4, 2/3) is at branching 4 with lead -1/96 off its grid; refined,
+    # it is a T = 96 series
     g, _ = klein_hecke_series(TorsionPair(Fraction(1, 4), Fraction(2, 3)), 10)
-    assert g.T == 96
-    assert g * g.inverse() == 1
+    assert (g.T, g.lead) == (4, Fraction(-1, 96))
+    for s in (g, g.with_branching(96)):
+        assert s * s.inverse() == 1
 
 
 # -- the rational kernel and the Newton inverse -----------------------------------
