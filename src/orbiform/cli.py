@@ -28,8 +28,8 @@ from .frobenius import RegularSingularODE, frobenius_solve
 from .modular import GammaMat, S, T, TorsionPair, pair_act, reduce_cyclic_pair
 from .moonshine import (
     DEFAULT_CHAR_COMBOS,
+    _j_J,
     char_solve,
-    delta_j_J,
     hauptmodul,
     theta_trace,
     twisted_weight4,
@@ -282,8 +282,7 @@ def _cmd_moonshine(args) -> int:
     trunc = _default_trunc(args, 1)
     cls = "1A" if args.cls is None else args.cls
     if what == "J":
-        _, _, J = delta_j_J(trunc)
-        _emit(_series_json(J), f"J to order q^{trunc}")
+        _emit(_series_json(_j_J(trunc)[1]), f"J to order q^{trunc}")
     elif what == "hauptmodul":
         s = hauptmodul(cls, trunc)
         _emit(_series_json(s), f"T_{cls} to order q^{trunc}")

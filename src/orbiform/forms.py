@@ -28,7 +28,7 @@ from .errors import (
 )
 from .modular import TorsionPair
 from .report import CheckReport
-from .series import BiSeries, Embedded, Puiseux, _divisor_sums, _from_row, _int_convolve, theta
+from .series import BiSeries, Embedded, Puiseux, _divisor_sums, _int_convolve, theta
 
 TWO_PI_I = 2j * cmath.pi
 
@@ -48,6 +48,8 @@ PK_CUTOFF_CAP = 10**5
 def bernoulli_number(k: int) -> Fraction:
     """B_k(0); convention B_1(0) = -1/2.  The cache is typed: True finds no cached 1."""
     k = _index("degree", k)
+    if k < 0:
+        raise BadWeight(f"degree must be at least 0, got {k}")
     if k == 0:
         return Fraction(1)
     # sum_{j=0}^{k} binom(k+1, j) B_j = 0 for k >= 1
@@ -119,7 +121,7 @@ def bernoulli_identities_check(k: int, x, n: int = 10) -> bool:
 def eisenstein(k: int, trunc) -> Puiseux:
     """Normalized weight-k Eisenstein series, constant term -B_k(0)/k!."""
     trunc, den, row = _eisenstein_row(k, trunc)
-    return Puiseux._make(1, Fraction(0), _from_row(den, row, True), trunc)
+    return Puiseux._make(1, Fraction(0), (den, row, True), trunc)
 
 
 def _eisenstein_embedded(k: int, trunc) -> Embedded:
@@ -303,6 +305,8 @@ def pbar_series(k: int, pair: TorsionPair, window: tuple[int, int], trunc) -> Bi
     zero series for k = 0.
     """
     k, (lo, hi) = _index("weight", k), (_index("window", x) for x in window)
+    if k < 0:
+        raise BadWeight(f"weight must be at least 0, got {k}")
     if hi < lo:
         raise WindowTooSmall("empty w-window")
     trunc = _exponent(trunc)

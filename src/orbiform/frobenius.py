@@ -14,8 +14,8 @@ where d/dl is a shift, and converts only where a solution is seeded or
 assembled.  One function, ``_setup``, picks its value type from the indicial
 roots and every value it reads by slot index (the ODE's, and for an
 inhomogeneous solve f's): on exact roots and rational values, integer
-numerators over one denominator, with each c_n over its own and one gcd per
-coefficient when the solution is assembled; on exact roots and some value of
+numerators over one denominator, with each c_n over its own, assembled into one
+int row per log part, which the solution keeps; on exact roots and some value of
 conductor > 1, ``CycQ`` values; on an irrational root, ``complex`` values.
 
 The residual ``apply_ode`` is ``series._residual``, on the rows of ``series``.
@@ -330,23 +330,23 @@ def _fold_solution(cs: list, dens: list, d: int, mu: Fraction, T: int, span: Fra
 
     The leading exponent is folded into the Puiseux parts; refining the
     branching rescales l = log q_(1/T) to log q_(1/t), so the part of
-    l^j/j! picks up (t/T)^j / j!.  An int x becomes the conductor-1 value
-    x (t/T)^j / (den d^j j!), brought to lowest terms by one gcd.
+    l^j/j! picks up (t/T)^j / j!.  Part j is one row over L d^j j!, L the
+    lcm of the dens: an int x becomes x (t/T)^j L / dens[n], a CycQ x (every
+    den 1) x (t/T)^j, and the row is brought to lowest terms by one gcd.
     """
     t = math.lcm(T, mu.denominator)
     step = t // T
     trunc = mu + span
+    L, ints = math.lcm(*dens), all(type(c[0]) is int for c in cs if c)
     parts = []
     for j in range(max_log + 1):
-        num, div = step ** j, d ** j * math.factorial(j)
-        coeffs = [CycQ.zero] * _nterms(mu, trunc, t)
-        for n, c in enumerate(cs):
-            if j < len(c) and c[j]:
-                x = c[j]
-                coeffs[n * step] = (CycQ._reduced(1, dens[n] * div, (x * num,))
-                                    if type(x) is int else x * Fraction(num, div))
-        part = Puiseux._make(t, mu, coeffs, trunc).normalized()
-        parts.append(part if part.coeffs else Puiseux.zero(trunc, t))
+        used = [n for n, c in enumerate(cs) if j < len(c) and c[j]]
+        # a part starts at its first nonzero slot; a zero part is Puiseux.zero's zeros from q^0
+        lead = mu + Fraction(used[0], T) if used else Fraction(0)
+        row = [0] * _nterms(lead, trunc, t)
+        for n in used:
+            row[(n - used[0]) * step] = cs[n][j] * (step ** j * (L // dens[n]))
+        parts.append(Puiseux._make(t, lead, (L * d ** j * math.factorial(j), row, ints), trunc))
     return LogQSeries(t, parts)
 
 
@@ -407,9 +407,9 @@ def _setup(ode: RegularSingularODE, trunc, exact: bool, f: LogQSeries | None = N
             raise TruncationTooSmall(
                 f"coefficient series truncated at {r.trunc} < requested {span}"
             )
-        # r's slot k is at q^(lead + k/r.T), step s = T lead + k T/r.T
-        for s, c in zip(range(int(r.lead * T), steps, T // r.T), r.coeffs):
-            if c and s > 0:
+        first, stride = int(r.lead * T), T // r.T  # r's slot k is at step first + k stride
+        for k, c in r._nonzero():
+            if 0 < (s := first + k * stride) < steps:
                 by_power.setdefault(s, [CycQ.zero] * m)[i] = c * T ** (m - i)
     rows = [(s, _ptrim(R)) for s, R in sorted(by_power.items())]
     cols = []  # f's values at q^(lam + n/T), n < steps, one list per log part

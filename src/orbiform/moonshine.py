@@ -72,22 +72,19 @@ def e4_standard(trunc) -> Puiseux:
 
 
 def delta_j_J(trunc) -> tuple[Puiseux, Puiseux, Puiseux]:
-    """Delta = q prod(1-q^n)^24, j = E4^3/Delta, J = j - 744, exact.
-
-    1/Delta is q^-1 prod(1-q^n)^-24, an Euler product like Delta itself, so
-    no series is inverted; it equals delta.inverse() in T, lead, trunc and
-    every coefficient."""
+    """Delta = q prod(1-q^n)^24, j = E4^3/Delta, J = j - 744, exact."""
     trunc = _exponent(trunc)
+    return (product_expand([(1, 24)], trunc + 2).shifted(1).truncated(trunc), *_j_J(trunc))
+
+
+def _j_J(trunc: Fraction) -> tuple[Puiseux, Puiseux]:
+    """j = E4^3/Delta and J = j - 744 to trunc, with no Delta built: 1/Delta is the Euler
+    product q^-1 prod(1-q^n)^-24, equal to delta.inverse() in T, lead, trunc and every slot."""
     if trunc < 3:
         raise ValueError("need truncation at least 3")
     pad = trunc + 2
-    delta = product_expand([(1, 24)], pad).shifted(1)
     jf = e4_standard(pad) ** 3 * product_expand([(1, -24)], pad).shifted(-1)
-    return (
-        delta.truncated(trunc),
-        jf.truncated(trunc),
-        (jf - 744).truncated(trunc),
-    )
+    return jf.truncated(trunc), (jf - 744).truncated(trunc)
 
 
 def hauptmodul(spec, trunc) -> Puiseux:
@@ -96,8 +93,7 @@ def hauptmodul(spec, trunc) -> Puiseux:
         spec = hauptmodul_spec(spec)
     trunc = _exponent(trunc)
     if not spec.eta_factors:
-        _, _, J = delta_j_J(trunc)
-        out = J + spec.additive_constant
+        out = _j_J(trunc)[1] + spec.additive_constant
     else:
         prod = product_expand(list(spec.eta_factors), trunc + 1)
         out = prod.shifted(-1) + spec.additive_constant
@@ -117,8 +113,7 @@ def weight4_onepoint(trunc) -> tuple[Puiseux, Puiseux]:
     if trunc < 3:
         raise ValueError("need truncation at least 3")
     pad = trunc + 2
-    _, _, J = delta_j_J(pad)
-    braces = (e4_standard(pad) * (J - 240)).truncated(trunc)
+    braces = (e4_standard(pad) * (_j_J(pad)[1] - 240)).truncated(trunc)
     return braces.scalar_mul(Fraction(71, 60)), braces
 
 

@@ -20,9 +20,12 @@ runs the Euler transform on integers over ``_divisor_sums``.
 
 ``Puiseux.sum``, ``__mul__``, ``theta``, ``LogQSeries.__add__`` and the residual
 ``_residual`` (``frobenius.apply_ode``) share one row algebra, ``_row``,
-``_sum_rows``, ``_theta_rows``, ``_mul_rows`` and ``_from_row``, set out above
-``_row``; a row carries its kind, ints or values, and no other module reads one.
-A log sum and the residual make their parts by one part sum, ``_sum_log_parts``.
+``_sum_rows``, ``_theta_rows`` and ``_mul_rows``, set out above ``_row``; a row
+carries its kind, ints or values, and no other module reads one.  A log sum and
+the residual make their parts by one part sum, ``_sum_log_parts``.  A series the
+library builds stores its row, and every method reads it; ``coeffs`` is a real
+CycQ list built from the row on first read, and from then on the list is the
+series' value: writing into it or assigning it changes the series.
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ class EvalResult(NamedTuple):
 class Puiseux:
     """Truncated series sum a_n q^(lead + n/T), exponents below trunc."""
 
-    __slots__ = ("T", "lead", "coeffs", "trunc")
+    __slots__ = ("T", "lead", "trunc", "_coeffs", "_stored")
 
     def __init__(self, T: int, lead, coeffs, trunc):
         T, lead, trunc = _positive_int("branching", T), _exponent(lead), _exponent(trunc)
@@ -77,18 +80,40 @@ class Puiseux:
             coeffs = coeffs + [CycQ.zero] * (n - len(coeffs))
         elif len(coeffs) > n:
             raise ValueError("coefficients extend past the truncation order")
-        self.T = T
-        self.lead = lead
-        self.coeffs = coeffs
-        self.trunc = trunc
+        self.T, self.lead, self.trunc, self.coeffs = T, lead, trunc, coeffs
 
     @staticmethod
-    def _make(T: int, lead: Fraction, coeffs: list, trunc: Fraction) -> "Puiseux":
-        # internal and unchecked: lead and trunc are Fractions, and coeffs is a
-        # list the library built, one CycQ per slot below trunc
+    def _make(T: int, lead: Fraction, coeffs, trunc: Fraction) -> "Puiseux":
+        # internal and unchecked: lead and trunc are Fractions; coeffs is a list of one CycQ per
+        # slot below trunc, or a row (den, row, ints) stored over one gcd or over 1 (``_from_row``)
         obj = object.__new__(Puiseux)
-        obj.T, obj.lead, obj.coeffs, obj.trunc = T, lead, coeffs, trunc
+        obj.T, obj.lead, obj.trunc, obj._coeffs, obj._stored = T, lead, trunc, coeffs, None
+        if type(coeffs) is tuple:
+            den, row, ints = coeffs
+            if not ints:
+                den, row = 1, _from_row(den, row, False, 0)
+            elif (g := math.gcd(den, *row)) != 1:
+                den, row = den // g, [x // g for x in row]
+            obj._coeffs, obj._stored = None, (den, row, ints)
         return obj
+
+    @property
+    def coeffs(self) -> list:
+        """One CycQ per slot, read from a stored row once; from then on the list is the series."""
+        if self._coeffs is None:
+            self._coeffs, self._stored = _from_row(*self._stored), None
+        return self._coeffs
+
+    @coeffs.setter
+    def coeffs(self, coeffs: list):
+        self._coeffs, self._stored = coeffs, None
+
+    def _form(self) -> tuple:
+        """The stored row, or the CycQ list as a row: ``_int_row``'s ints, else its values."""
+        if self._stored:
+            return self._stored
+        r = _int_row(self._coeffs)
+        return (*r, True) if r else (1, [c or 0 for c in self._coeffs], False)
 
     # -- constructors --------------------------------------------------------
 
@@ -126,7 +151,8 @@ class Puiseux:
                 coeffs[idx] = coeffs[idx] + c
             elif e >= zero.trunc:
                 raise ValueError("term beyond truncation order")
-        return Puiseux._make(T, lead, coeffs, zero.trunc)
+        form = Puiseux._make(T, lead, coeffs, zero.trunc)._form()  # CycQ values stay a list
+        return Puiseux._make(T, lead, form if form[2] else coeffs, zero.trunc)
 
     # -- structure -----------------------------------------------------------
 
@@ -136,38 +162,36 @@ class Puiseux:
             return self
         if t % self.T != 0:
             raise ValueError("branching can only be refined to a multiple")
-        coeffs = [CycQ.zero] * _nterms(self.lead, self.trunc, t)
-        coeffs[::t // self.T] = self.coeffs
-        return Puiseux._make(t, self.lead, coeffs, self.trunc)
+        return self._spread(t, self.lead, self.trunc, t // self.T)
+
+    def _spread(self, T: int, lead: Fraction, trunc: Fraction, step: int) -> "Puiseux":
+        den, row, ints = self._form()
+        out = [0] * _nterms(lead, trunc, T)
+        out[::step] = row[:len(range(0, len(out), step))]
+        return Puiseux._make(T, lead, (den, out, ints), trunc)
 
     def truncated(self, new_trunc) -> "Puiseux":
         new_trunc = _exponent(new_trunc)
         if new_trunc > self.trunc:
             raise ValueError("cannot extend a truncated series")
-        n = _nterms(self.lead, new_trunc, self.T)
-        return Puiseux._make(self.T, self.lead, self.coeffs[:n], new_trunc)
+        return self._spread(self.T, self.lead, new_trunc, 1)
 
     def normalized(self) -> "Puiseux":
         """Strip leading zero coefficients, advancing the leading exponent."""
-        i = 0
-        while i < len(self.coeffs) and not self.coeffs[i]:
-            i += 1
-        if i == 0:
-            return self
-        return Puiseux._make(self.T, self.lead + Fraction(i, self.T), self.coeffs[i:], self.trunc)
+        den, row, ints = self._form()
+        i = next((i for i, x in enumerate(row) if x), len(row))
+        return self if i == 0 else Puiseux._make(self.T, self.lead + Fraction(i, self.T),
+                                                 (den, row[i:], ints), self.trunc)
 
     def shifted(self, r) -> "Puiseux":
         """Multiply by q^r."""
         r = _exponent(r)
-        return Puiseux._make(self.T, self.lead + r, list(self.coeffs), self.trunc + r)
+        return Puiseux._make(self.T, self.lead + r, self._form(), self.trunc + r)
 
     def substituted(self, s: int) -> "Puiseux":
         """q -> q^s for a positive integer s."""
         s = _positive_int("substitution power", s)
-        lead, trunc = self.lead * s, self.trunc * s
-        coeffs = [CycQ.zero] * _nterms(lead, trunc, self.T)
-        coeffs[::s] = self.coeffs
-        return Puiseux._make(self.T, lead, coeffs, trunc)
+        return self._spread(self.T, self.lead * s, self.trunc * s, s)
 
     def coeff_at(self, exponent):
         """Exact coefficient of q^exponent, 0 below lead or off the grid; raises past truncation."""
@@ -176,15 +200,21 @@ class Puiseux:
             raise KeyError(f"exponent {e} at or past truncation {self.trunc}")
         a, b = self.lead.numerator, self.lead.denominator
         idx, off = divmod((e.numerator * b - a * e.denominator) * self.T, e.denominator * b)
-        return self.coeffs[idx] if idx >= 0 and not off else CycQ.zero
+        if idx < 0 or off:
+            return CycQ.zero
+        if self._stored is None:
+            return self._coeffs[idx]
+        return _from_row(self._stored[0], self._stored[1][idx:idx + 1], self._stored[2])[0]
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self._coeffs if self._stored is None else self._stored[1])
 
     def terms(self):
-        for i, c in enumerate(self.coeffs):
-            if c:
-                yield self.lead + Fraction(i, self.T), c
+        return ((self.lead + Fraction(i, self.T), c) for i, c in self._nonzero())
+
+    def _nonzero(self):
+        den, row, ints = self._form()
+        return ((i, CycQ._reduced(1, den, (x,)) if ints else x) for i, x in enumerate(row) if x)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -202,9 +232,8 @@ class Puiseux:
         t = math.lcm(*(x.T for x in terms), *((x.lead - first.lead).denominator for x in rest))
         D = math.lcm(t, *(y.denominator for x in terms for y in (x.lead, x.trunc)))
         rows = [_row(x, t, D) for x in terms]
-        lead, trunc, *row = _sum_rows(rows, D // t, min(r[0] for r in rows),
-                                      min(r[1] for r in rows))
-        return Puiseux._make(t, Fraction(lead, D), _from_row(*row), Fraction(trunc, D))
+        return _series(_sum_rows(rows, D // t, min(r[0] for r in rows), min(r[1] for r in rows)),
+                       t, D)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction, CycQ)):
@@ -216,7 +245,7 @@ class Puiseux:
     __radd__ = __add__
 
     def __neg__(self):
-        return Puiseux._make(self.T, self.lead, [-c for c in self.coeffs], self.trunc)
+        return self.scalar_mul(-1)
 
     def __sub__(self, other):
         return self + (-other)
@@ -226,7 +255,10 @@ class Puiseux:
 
     def scalar_mul(self, c) -> "Puiseux":
         c = _coerce_coeff(c)
-        return Puiseux._make(self.T, self.lead, [c * x for x in self.coeffs], self.trunc)
+        den, row, ints = self._form()
+        row = ((den * c.den, [c.nums[0] * x for x in row], True) if ints and c.conductor == 1
+               else [c * x for x in self.coeffs])  # a CycQ list, as c * x makes it
+        return Puiseux._make(self.T, self.lead, row, self.trunc)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, CycQ)):
@@ -236,24 +268,20 @@ class Puiseux:
         t = math.lcm(self.T, other.T)
         D = math.lcm(t, *(y.denominator for x in (self, other) for y in (x.lead, x.trunc)))
         a = _row(self, t, D)
-        lead, trunc, *row = _mul_rows(a, a if other is self else _row(other, t, D), D // t)
-        return Puiseux._make(t, Fraction(lead, D), _from_row(*row), Fraction(trunc, D))
+        return _series(_mul_rows(a, a if other is self else _row(other, t, D), D // t), t, D)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Puiseux":
         s = self.normalized()
-        if not s.coeffs or not s.coeffs[0]:
-            raise NonInvertibleLeadingTerm(
-                "series has no invertible leading coefficient"
-            )
-        row = _int_row(s.coeffs)
-        if row is not None:
-            # 1/(ints/d) is d B/D
-            den, ints = _newton_inverse(row[1])
-            b = _from_row(den, [row[0] * x for x in ints], True)
+        den, row, ints = s._form()
+        if not row:
+            raise NonInvertibleLeadingTerm("series has no invertible leading coefficient")
+        if ints:
+            D, B = _newton_inverse(row)  # 1/(row/den) is den B/D
+            b = (D, [den * x for x in B], True)
         else:
-            b = _sparse_inverse(s.coeffs)
+            b = (1, _sparse_inverse(row), False)
         return Puiseux._make(s.T, -s.lead, b, s.trunc - 2 * s.lead)
 
     def __pow__(self, e: int):
@@ -317,23 +345,20 @@ def _sparse_inverse(a: list) -> list:
 def _int_row(coeffs):
     """(d, ints): conductor-1 coefficients as ints over their common
     denominator d; None if any coefficient has conductor > 1."""
-    for c in coeffs:
-        if c.conductor != 1:
-            return None
+    if any(c.conductor != 1 for c in coeffs):
+        return None
     d = math.lcm(*(c.den for c in coeffs))
-    if d == 1:
-        return 1, [c.nums[0] for c in coeffs]
     return d, [c.nums[0] * (d // c.den) for c in coeffs]
 
 
-def _from_row(den: int, row: list, ints: bool) -> list:
+def _from_row(den: int, row: list, ints: bool, zero=CycQ.zero) -> list:
     """The coefficients row[i] / den (den > 0) of a row of kind ``ints``, one
-    gcd each; every zero is ``CycQ.zero``, and values over den 1 are kept."""
+    gcd each; every zero is ``zero``, and values over den 1 are kept."""
     if ints:
-        return [CycQ._reduced(1, den, (x,)) if x else CycQ.zero for x in row]
+        return [CycQ._reduced(1, den, (x,)) if x else zero for x in row]
     if den == 1:
-        return [x or CycQ.zero for x in row]
-    return [CycQ._reduced(x.conductor, x.den * den, x.nums) if x else CycQ.zero for x in row]
+        return [x or zero for x in row]
+    return [CycQ._reduced(x.conductor, x.den * den, x.nums) if x else zero for x in row]
 
 
 def _pack(row: list, width: int) -> int:
@@ -397,16 +422,15 @@ def _newton_inverse(a: list) -> tuple:
 
 # A Puiseux at branching t is the row (lead, trunc, den, row, ints), lead and
 # trunc ints over a D that t and every lead's and trunc's denominator divide:
-# slot i holds row[i]/den at q^((lead + i g)/D), g = D/t.  ``_row`` decides the
-# kind once: an int row (ints) holds only ints, a value row only CycQ values and
-# the int 0.  A sum is ints when every term is, a product when both rows are,
-# and theta keeps the kind; ``_from_row`` reads a row back.
+# slot i holds row[i]/den at q^((lead + i g)/D), g = D/t.  An int row (ints)
+# holds only ints, a value row only CycQ values and the int 0.  A sum is ints
+# when every term is, a product when both rows are, and theta keeps the kind.
+# A series keeps the row it was built from (``_series``), so its ``_row`` is a
+# field read; ``Puiseux._form`` reads a CycQ list as a row.
 
 def _row(p: Puiseux, t: int, D: int, scale: int = 1):
-    """scale * p at branching t as a row: ints over the common denominator
-    when every slot of p has conductor 1, else p's values over 1."""
-    r = _int_row(p.coeffs)
-    den, vals = r or (1, [c or 0 for c in p.coeffs])
+    """scale * p at branching t as a row, of the kind p stores or ``_int_row`` reads."""
+    den, vals, ints = p._form()
     if scale != 1:
         vals = [x * scale for x in vals]
     lead, trunc = (x.numerator * (D // x.denominator) for x in (p.lead, p.trunc))
@@ -414,7 +438,12 @@ def _row(p: Puiseux, t: int, D: int, scale: int = 1):
         row = [0] * _nterms(p.lead, p.trunc, t)
         row[::t // p.T] = vals
         vals = row
-    return lead, trunc, den, vals, r is not None
+    return lead, trunc, den, vals, ints
+
+
+def _series(r: tuple, t: int, D: int) -> Puiseux:
+    """The Puiseux at branching t that stores the row r = (lead, trunc, den, row, ints) over D."""
+    return Puiseux._make(t, Fraction(r[0], D), r[2:], Fraction(r[1], D))
 
 
 def _sum_rows(terms: list, g: int, lead: int, trunc: int):
@@ -486,8 +515,7 @@ def theta(s: Puiseux, scale: str = "full") -> Puiseux:
         raise ValueError("scale must be 'full' or 'one_over_T'")
     D = math.lcm(s.T, s.lead.denominator, s.trunc.denominator)
     g = D // s.T
-    ((_, _, *row),) = _theta_rows([_row(s, s.T, D)], D if scale == "full" else g, g)
-    return Puiseux._make(s.T, s.lead, _from_row(*row), s.trunc)
+    return _series(_theta_rows([_row(s, s.T, D)], D if scale == "full" else g, g)[0], s.T, D)
 
 
 # -- log-q series --------------------------------------------------------------
@@ -560,8 +588,7 @@ def _sum_log_parts(terms: list, t: int, D: int) -> LogQSeries:
     parts = []
     for col in zip_longest(*terms):
         col = [p for p in col if p is not None]
-        lead, _, *row = _sum_rows(col, D // t, min(0, *(p[0] for p in col)), trunc)
-        parts.append(Puiseux._make(t, Fraction(lead, D), _from_row(*row), Fraction(trunc, D)))
+        parts.append(_series(_sum_rows(col, D // t, min(0, *(p[0] for p in col)), trunc), t, D))
     return LogQSeries(t, parts)
 
 
@@ -595,11 +622,15 @@ class Embedded:
     def __new__(cls, s):
         import numpy as np
         parts = s.parts if isinstance(s, LogQSeries) else (s,)
-        coeffs = np.zeros((len(parts), max(len(p.coeffs) for p in parts)), complex)
+        forms = [p._stored or (1, p._coeffs, False) for p in parts]
+        coeffs = np.zeros((len(parts), max(len(r[1]) for r in forms)), complex)
         by_conductor: dict = {}
-        for row, p in enumerate(parts):
-            for col, c in enumerate(p.coeffs):
-                by_conductor.setdefault(c.conductor, []).append((row, col, c))
+        for i, (den, row, ints) in enumerate(forms):
+            if ints:
+                coeffs[i, :len(row)] = [x / den for x in row]
+            for col, c in enumerate(() if ints else row):
+                if c:
+                    by_conductor.setdefault(c.conductor, []).append((i, col, c))
         for n, slots in by_conductor.items():
             rows, cols, values = zip(*slots)
             # x / den rounds as float(Fraction(x, den)) does
@@ -671,7 +702,7 @@ def product_expand(factors, trunc) -> Puiseux:
     c = [1][:n]
     for m in range(1, n):
         c.append(sum(map(operator.mul, b[m:0:-1], c)) // m)
-    return Puiseux._make(1, Fraction(0), _from_row(1, c, True), trunc)
+    return Puiseux._make(1, Fraction(0), (1, c, True), trunc)
 
 
 # -- two-variable series ----------------------------------------------------------

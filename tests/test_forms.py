@@ -75,6 +75,19 @@ def test_bernoulli_odd_vanishing_and_reflection():
         assert bk(Fraction(1, 3)) == (-1) ** k * bk(Fraction(2, 3))
 
 
+# a negative index returned 0 (k = -2), or died with ZeroDivisionError (k = -1) or
+# "factorial() not defined for negative values" (P-bar), naming no argument
+@pytest.mark.parametrize("k", [-2, -1])
+def test_bernoulli_number_refuses_a_negative_degree(k):
+    with pytest.raises(BadWeight, match=f"degree must be at least 0, got {k}"):
+        bernoulli_number(k)
+
+
+def test_pbar_series_refuses_a_negative_weight():
+    with pytest.raises(BadWeight, match="weight must be at least 0, got -1"):
+        pbar_series(-1, TorsionPair(Fraction(1, 2), Fraction(1, 3)), (0, 1), 2)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     st.integers(min_value=1, max_value=12),
