@@ -175,7 +175,8 @@ def _add_geometric(rows: list, step: int, l: int, n: int, weight: int, start: in
 def _reduce_rows(rows: list, denom: int, const: CycQ = CycQ.zero, at: int = 0) -> list:
     """Each row sum_e c_e zeta_N^e of a dense window over denom as a CycQ, plus const (the part
     that is no row) at slot at if the window reaches it.  A row is reduced once, at the conductor
-    N/gcd(N, e) over the exponents e whose coefficients survive; a zero row is CycQ.zero."""
+    N/gcd(N, e) over the exponents e whose coefficients survive; a zero row is CycQ.zero.  The
+    builders store the list as the value row (1, values, False)."""
     out = [CycQ.zero] * len(rows)
     for idx, row in enumerate(rows):
         if any(row):
@@ -194,7 +195,8 @@ def qk_series(k: int, pair: TorsionPair, trunc) -> Puiseux:
     term is -B_k(j/M)/k! plus boundary contributions.
     """
     trunc, t, rows, denom = _qk_slots(k, pair, trunc)
-    return Puiseux._make(t, Fraction(0), _reduce_rows(rows, denom, _qk_constant(k, pair)), trunc)
+    values = _reduce_rows(rows, denom, _qk_constant(k, pair))
+    return Puiseux._make(t, Fraction(0), (1, values, False), trunc)
 
 
 def _qk_embedded(k: int, pair: TorsionPair, trunc) -> Embedded:
@@ -321,7 +323,8 @@ def pbar_series(k: int, pair: TorsionPair, window: tuple[int, int], trunc) -> Bi
     for off in range(lo, hi + 1):
         rows = [[0] * pair.l_over_N.denominator for _ in range(nslots)]
         const = _add_pbar_term(rows, k, pair, a1.numerator + off * t)
-        coeffs.append(Puiseux._make(t, Fraction(0), _reduce_rows(rows, denom, const), trunc))
+        values = _reduce_rows(rows, denom, const)
+        coeffs.append(Puiseux._make(t, Fraction(0), (1, values, False), trunc))
     return BiSeries(a1, lo, coeffs)
 
 
@@ -533,7 +536,7 @@ def klein_hecke_series(pair: TorsionPair, trunc) -> tuple[Puiseux, Puiseux]:
                     for x, c in enumerate(list(src) if step == 0 else src):
                         if c:
                             rows[idx][(x + root) % n] -= c
-    g = Puiseux._make(t, lead, _reduce_rows(rows, 1), lead + trunc)
+    g = Puiseux._make(t, lead, (1, _reduce_rows(rows, 1), False), lead + trunc)
     # h/(2 pi i) = a1 - 1/2 - sum_(m>=0) lam q^(m+a1)/(1 - lam q^(m+a1))
     #              + sum_(m>=1) lam^-1 q^(m-a1)/(1 - lam^-1 q^(m-a1))
     rows = [[0] * a2.denominator for _ in range(max(0, math.ceil(trunc * t)))]
@@ -545,7 +548,7 @@ def klein_hecke_series(pair: TorsionPair, trunc) -> tuple[Puiseux, Puiseux]:
     if j == t:
         # a1 = 1, so lam != 1: the constant term lam^-1/(1 - lam^-1) = 1/(lam - 1)
         const += (pair.lam - CycQ.one).inverse()
-    return g, Puiseux._make(t, Fraction(0), _reduce_rows(rows, 1, const), trunc)
+    return g, Puiseux._make(t, Fraction(0), (1, _reduce_rows(rows, 1, const), False), trunc)
 
 
 # -- Zhu change-of-variable coefficients -----------------------------------------

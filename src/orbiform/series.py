@@ -70,7 +70,7 @@ class EvalResult(NamedTuple):
 class Puiseux:
     """Truncated series sum a_n q^(lead + n/T), exponents below trunc."""
 
-    __slots__ = ("T", "lead", "trunc", "_coeffs", "_stored")
+    __slots__ = ("T", "lead", "trunc", "_coeffs", "_stored", "_view")
 
     def __init__(self, T: int, lead, coeffs, trunc):
         T, lead, trunc = _positive_int("branching", T), _exponent(lead), _exponent(trunc)
@@ -87,7 +87,8 @@ class Puiseux:
         # internal and unchecked: lead and trunc are Fractions; coeffs is a list of one CycQ per
         # slot below trunc, or a row (den, row, ints) stored over one gcd or over 1 (``_from_row``)
         obj = object.__new__(Puiseux)
-        obj.T, obj.lead, obj.trunc, obj._coeffs, obj._stored = T, lead, trunc, coeffs, None
+        obj.T, obj.lead, obj.trunc = T, lead, trunc
+        obj._coeffs, obj._stored, obj._view = coeffs, None, None
         if type(coeffs) is tuple:
             den, row, ints = coeffs
             if not ints:
@@ -99,14 +100,15 @@ class Puiseux:
 
     @property
     def coeffs(self) -> list:
-        """One CycQ per slot, read from a stored row once; from then on the list is the series."""
+        """One CycQ per slot, read from a stored row once; from then on the list is the series,
+        and the row and its ``Embedded`` view are dropped."""
         if self._coeffs is None:
-            self._coeffs, self._stored = _from_row(*self._stored), None
+            self._coeffs, self._stored, self._view = _from_row(*self._stored), None, None
         return self._coeffs
 
     @coeffs.setter
     def coeffs(self, coeffs: list):
-        self._coeffs, self._stored = coeffs, None
+        self._coeffs, self._stored, self._view = coeffs, None, None
 
     def _form(self) -> tuple:
         """The stored row, or the CycQ list as a row: ``_int_row``'s ints, else its values."""
@@ -119,7 +121,7 @@ class Puiseux:
 
     @staticmethod
     def zero(trunc, T: int = 1) -> "Puiseux":
-        return Puiseux(T, 0, [], trunc)
+        return Puiseux.monomial(0, 0, trunc, T)
 
     @staticmethod
     def constant(value, trunc, T: int = 1) -> "Puiseux":
@@ -127,12 +129,15 @@ class Puiseux:
 
     @staticmethod
     def monomial(coeff, exponent, trunc, T: int = 1) -> "Puiseux":
-        coeff = _coerce_coeff(coeff)
-        trunc = Puiseux.zero(trunc, T).trunc  # checks T and trunc
-        exponent = _exponent(exponent)
+        """coeff q^exponent, stored as an int row if coeff has conductor 1, else a value row."""
+        c = _coerce_coeff(coeff)
+        T, trunc, exponent = _positive_int("branching", T), _exponent(trunc), _exponent(exponent)
         if (exponent * T).denominator != 1:
             raise ValueError("exponent not representable with this branching")
-        return Puiseux(T, exponent, [coeff][:_nterms(exponent, trunc, T)], trunc)
+        ints = c.conductor == 1
+        row = [0] * _nterms(exponent, trunc, T)
+        row[:1] = [c.nums[0] if ints else c][:len(row)]
+        return Puiseux._make(T, exponent, (c.den if ints else 1, row, ints), trunc)
 
     @staticmethod
     def from_terms(terms, trunc, T: int = 1) -> "Puiseux":
@@ -615,6 +620,8 @@ class Embedded:
     as complex numbers, zero-padded; ``leads``, ``truncs`` and ``maxabs`` hold
     each part's leading exponent, truncation and largest coefficient modulus.
     ``Embedded(s)`` and rows ``forms`` embeds from integers go through ``_from_rows``.
+    ``eval_at_tau`` keeps the view of a series that stores its row with that series
+    and drops it when ``coeffs`` is read or assigned; a view is never updated.
     """
 
     __slots__ = ("T", "leads", "truncs", "coeffs", "maxabs")
@@ -654,15 +661,23 @@ def eval_at_tau(s, tau: complex, precision: int = 53) -> EvalResult:
     """Numeric value on the upper half-plane plus a geometric tail estimate.
 
     s is a Puiseux, a LogQSeries or its ``Embedded`` view (embed once to evaluate
-    at many points).  The value is a 53-bit ``complex``; any other precision
-    raises ``UnsupportedPrecision`` rather than being ignored.
+    at many points).  A Puiseux that stores its row keeps the view built on its
+    first evaluation until ``coeffs`` is read or assigned, which makes it a list;
+    a list-backed Puiseux and a LogQSeries are embedded on every call.  The value
+    is a 53-bit ``complex``; any other precision raises ``UnsupportedPrecision``
+    rather than being ignored.
     """
     import numpy as np
     if precision != 53:
         raise UnsupportedPrecision(f"eval_at_tau computes in 53 bits, not {precision}")
     if tau.imag <= 0:
         raise NotConvergent("evaluation requires Im(tau) > 0")
-    v = s if isinstance(s, Embedded) else Embedded(s)
+    if isinstance(s, Embedded):
+        v = s
+    elif isinstance(s, Puiseux) and s._stored:
+        v = s._view = s._view or Embedded(s)
+    else:
+        v = Embedded(s)
     logfac = 2j * cmath.pi * tau / v.T
     parts = (v.coeffs * np.exp(logfac * np.arange(v.coeffs.shape[1]))).sum(1).tolist()
     absq = math.exp(-2 * math.pi * tau.imag)
