@@ -12,8 +12,8 @@ Two private helpers hold the package's exact inner loops.
 Euclid helper ``_poly_mul``, ``BiSeries.__mul__`` and ``series._mul_rows``
 (every series product but a dense rational one) call it.  ``_power_basis`` is
 its one reduction of sum c zeta_n^e through ``_reduction_table(n)``, the
-table of zeta_n^e for every e mod n: ``CycQ.lift``, the reduction step of
-``CycQ.__mul__`` and ``forms._reduce_rows`` call it.
+table of zeta_n^e for every e mod n, on a window of int rows: one row for
+``CycQ.lift`` and ``CycQ.__mul__``, the q-slots of a window in ``forms``.
 """
 
 from __future__ import annotations
@@ -94,18 +94,38 @@ def _reduction_table(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _power_basis(n: int, coeffs, step: int) -> list:
-    """sum_i coeffs[i] zeta_n^(i step) as integer power-basis coordinates mod
-    Phi_n, for integer coeffs: each nonzero coeffs[i] scales row i step mod n
-    of ``_reduction_table(n)``, and the rows are added onto zero."""
+def _power_basis(n: int, rows: list, step: int) -> list:
+    """sum_i row[i] zeta_n^(i step) as integer power-basis coordinates mod Phi_n,
+    one tuple per int row of a window of equal-length rows: each nonzero row[i]
+    scales row i step mod n of ``_reduction_table(n)``, and the rows are added onto zero."""
     table = _reduction_table(n)
-    out = [0] * len(table[0])
-    for i, c in enumerate(coeffs):
-        if c:
+    # row by row for up to two rows, else column by column, which wins from 2-3 dense rows at
+    # n = 3..24 (Python 3.11, Xeon, n = 12: one row 4 us against 10; 40 rows 171 against 30)
+    if len(rows) < 3:
+        out = []
+        for row in rows:
+            acc = [0] * len(table[0])
+            for i, c in enumerate(row):
+                if c:
+                    for t, r in enumerate(table[i * step % n]):
+                        if r:
+                            acc[t] += c * r
+            out.append(tuple(acc))
+        return out
+    # each table entry r of zeta_n^(i step) is one pass over column i of the window
+    cols = [None] * len(table[0])
+    for i, col in enumerate(zip(*rows)):
+        if any(col):
             for t, r in enumerate(table[i * step % n]):
-                if r:
-                    out[t] += c * r
-    return out
+                if r and cols[t] is None:
+                    cols[t] = col if r == 1 else [r * c for c in col]
+                elif r == 1:
+                    cols[t] = list(map(operator.add, cols[t], col))
+                elif r == -1:
+                    cols[t] = list(map(operator.sub, cols[t], col))
+                elif r:
+                    cols[t] = [a + r * c for a, c in zip(cols[t], col)]
+    return list(zip(*(c or (0,) * len(rows) for c in cols)))
 
 
 def _sparse_convolve(a, b, n: int) -> list:
@@ -225,8 +245,7 @@ class CycQ:
         if n < 1 or n % self.conductor != 0:
             raise ValueError("can only lift to a positive multiple of the conductor")
         # still in lowest terms: an element of Q(zeta_c) integral in Z[zeta_n] is in Z[zeta_c]
-        nums = _power_basis(n, self.nums, n // self.conductor)
-        return CycQ._make(n, self.den, tuple(nums))
+        return CycQ._make(n, self.den, _power_basis(n, [self.nums], n // self.conductor)[0])
 
     def _common(self, other: "CycQ") -> tuple["CycQ", "CycQ"]:
         n = lcm(self.conductor, other.conductor)
@@ -284,7 +303,7 @@ class CycQ:
                 a, b = a._common(b)
             n = a.conductor
             prod = _sparse_convolve(a.nums, b.nums, 2 * len(a.nums) - 1)
-            return CycQ._reduced(n, a.den * b.den, tuple(_power_basis(n, prod, 1)))
+            return CycQ._reduced(n, a.den * b.den, _power_basis(n, [prod], 1)[0])
         if isinstance(other, (int, Fraction)):
             y = other.numerator
             return CycQ._reduced(self.conductor, self.den * other.denominator,

@@ -13,7 +13,8 @@ import cmath
 import functools
 import math
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import compress
+from math import lcm
 
 from .cyclotomic import CycQ, _exponent, _index, _power, _power_basis, cyc_root_of
 from .errors import (
@@ -62,18 +63,22 @@ def bernoulli_number(k: int) -> Fraction:
 class BernoulliPoly:
     """Coefficients of B_k(x), ascending in x."""
 
-    __slots__ = ("degree", "coefficients")
+    __slots__ = ("degree", "coefficients", "_den", "_nums")
 
     def __init__(self, degree: int, coefficients):
         self.degree = degree
-        self.coefficients = [Fraction(c) for c in coefficients]
+        # a tuple: __call__ reads the ints made from it, and bernoulli_poly shares one per k
+        self.coefficients = tuple(Fraction(c) for c in coefficients)
+        self._den = lcm(*(c.denominator for c in self.coefficients))
+        self._nums = [c.numerator * (self._den // c.denominator) for c in self.coefficients]
 
     def __call__(self, x) -> Fraction:
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
+        """B(p/q) = q acc / (den q^(k+1)), acc = sum_i nums[i] p^i q^(k-i) by Horner on ints."""
+        p, q = Fraction(x).as_integer_ratio()
+        acc, qpow = 0, 1
+        for c in reversed(self._nums):
+            acc, qpow = acc * p + c * qpow, qpow * q
+        return Fraction(acc * q, self._den * qpow)
 
     def __eq__(self, other):
         return (
@@ -174,15 +179,21 @@ def _add_geometric(rows: list, step: int, l: int, n: int, weight: int, start: in
 
 def _reduce_rows(rows: list, denom: int, const: CycQ = CycQ.zero, at: int = 0) -> list:
     """Each row sum_e c_e zeta_N^e of a dense window over denom as a CycQ, plus const (the part
-    that is no row) at slot at if the window reaches it.  A row is reduced once, at the conductor
-    N/gcd(N, e) over the exponents e whose coefficients survive; a zero row is CycQ.zero.  The
-    builders store the list as the value row (1, values, False)."""
+    that is no row) at slot at if the window reaches it.  A row is reduced at the conductor N/g,
+    g = gcd(N, e) over the exponents e whose coefficients survive (the largest g whose multiples
+    hold them), in one ``_power_basis`` window with every row of its g; a zero row is CycQ.zero."""
     out = [CycQ.zero] * len(rows)
-    for idx, row in enumerate(rows):
-        if any(row):
-            g = gcd(len(row), *(e for e, c in enumerate(row) if c))
-            n = len(row) // g
-            out[idx] = CycQ._reduced(n, denom, tuple(_power_basis(n, row[::g], 1)))
+    width = len(rows[0]) if rows else 1
+    # byte i of hit[e] is 1 when row i has a nonzero zeta_N^e coefficient
+    hit = [int.from_bytes(bytes(map(bool, col)), "little") for col in zip(*rows)]
+    done = 0  # the rows reduced so far, at a larger g
+    for g in [g for g in range(width, 0, -1) if width % g == 0]:
+        off = functools.reduce(int.__or__, (h for e, h in enumerate(hit) if e % g), done)
+        if on := functools.reduce(int.__or__, hit[::g], 0) & ~off:
+            done, n = done | on, width // g
+            slots = list(compress(range(len(rows)), on.to_bytes(len(rows), "little")))
+            for i, nums in zip(slots, _power_basis(n, [rows[i][::g] for i in slots], 1)):
+                out[i] = CycQ._reduced(n, denom, nums)
     if at < len(out):
         out[at] += const
     return out
@@ -281,15 +292,14 @@ def qk_series_divisor_oracle(k: int, pair: TorsionPair, trunc) -> Puiseux:
         for q, n in enumerate(range(d, nslots, d), 1):
             acc[n][q * lam_exp % n_den] += w
 
+    # the prefactor (-1)^k / (M^(k-1) (k-1)!): its sign is in the sieve's weights
     for d in range(1, nslots):
         if (d + j) % m_den == 0:
-            sieve(d, -l, d ** (k - 1))
+            sieve(d, -l, (-1) ** k * d ** (k - 1))
         if (d - j) % m_den == 0:
-            sieve(d, l, (-1) ** k * d ** (k - 1))
-    # the prefactor (-1)^k / (M^(k-1) (k-1)!) as a sign over a denominator
-    sign, denom = (-1) ** k, m_den ** (k - 1) * math.factorial(k - 1)
-    coeffs = [CycQ._reduced(n_den, denom, tuple(sign * x for x in _power_basis(n_den, row, 1)))
-              for row in acc]
+            sieve(d, l, d ** (k - 1))
+    denom = m_den ** (k - 1) * math.factorial(k - 1)
+    coeffs = [CycQ._reduced(n_den, denom, nums) for nums in _power_basis(n_den, acc, 1)]
     if nslots:
         coeffs[0] = CycQ.from_rational(-bernoulli_poly(k)(a1) / math.factorial(k))
     return Puiseux(m_den, 0, coeffs, trunc)

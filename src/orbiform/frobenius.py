@@ -421,12 +421,13 @@ def _setup(ode: RegularSingularODE, trunc, exact: bool, f: LogQSeries | None = N
         # l is (f.T/T) log q_(1/f.T), so f's l'^j part is (T/f.T)^j j! l^j/j!
         k = CycQ.from_rational(-T**m * Fraction(T, f.T) ** j * math.factorial(j))
         first, step = (lam - p.lead) * f.T, f.T // T  # q^(lam + n/T) is slot first + n step
-        on_grid = first.denominator == 1  # else p has no term in lam + (1/T)Z
-        if any(c and (not on_grid or (i - first.numerator) % step)
-               for i, c in enumerate(p.coeffs)):
-            raise ValueError(f"the l^{j} part of f has a term off {lam} + (1/{T})Z")
-        cols.append([p.coeffs[i] * k if on_grid and i >= 0 else CycQ.zero
-                     for i in range(first.numerator, first.numerator + steps * step, step)])
+        cols.append(col := [CycQ.zero] * steps)
+        for i, c in p._nonzero():
+            n, off = divmod(i - first, step)
+            if off:  # a Fraction first: p has no term in lam + (1/T)Z
+                raise ValueError(f"the l^{j} part of f has a term off {lam} + (1/{T})Z")
+            if 0 <= n < steps:
+                col[n] = c * k
     fs = [_ptrim(list(fn)) for fn in zip(*cols)]
     values = indicial + [c for _, R in rows for c in R] + [x for fn in fs for x in fn]
     if not exact:

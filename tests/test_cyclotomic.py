@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbiform import cyclotomic
@@ -274,6 +274,35 @@ def test_json_bool_is_not_an_int():
     with pytest.raises(TypeError):
         cyclotomic._exponent(True)
     assert CycQ.from_json({"conductor": 3, "coeffs": [1, "1/2"]}) == 1 + cyc_root(1, 3) / 2
+
+
+@st.composite
+def _int_windows(draw):
+    """(n, rows, step): up to 8 int rows of one width w <= n, n <= 30, mostly zeros."""
+    n = draw(st.integers(1, 30))
+    width, step = draw(st.integers(1, n)), draw(st.integers(1, n))
+    entry = st.one_of(st.just(0), st.integers(-9, 9))
+    return n, draw(st.lists(st.lists(entry, min_size=width, max_size=width), max_size=8)), step
+
+
+@settings(max_examples=200, deadline=None)
+@given(_int_windows())
+# Phi_105 is the first with a coefficient -2: its table has entries +-2
+@example((105, [[(i ** 3 + 3 * r * i) % 11 - 5 for i in range(105)] for r in range(4)], 1))
+@example((105, [[(i ** 3 + r) % 11 - 5 for i in range(48)] for r in range(3)], 2))
+def test_power_basis_reduces_a_window_as_each_row_alone(window):
+    # the window takes column order from 3 rows on, one row always row order; both
+    # must give sum_i row[i] x^(i step) mod Phi_n, here by division in Q[x]
+    n, rows, step = window
+    got = cyclotomic._power_basis(n, rows, step)
+    assert got == [cyclotomic._power_basis(n, [row], step)[0] for row in rows]
+    phi = [Fraction(c) for c in cyclotomic_polynomial(n)]
+    for row, nums in zip(rows, got):
+        poly = [Fraction(0)] * n
+        for i, c in enumerate(row):
+            poly[i * step % n] += c
+        rem = cyclotomic._poly_divmod_q(poly, phi)[1]
+        assert type(nums) is tuple and list(nums) == rem + [0] * (euler_phi(n) - len(rem))
 
 
 def test_per_conductor_caches_are_bounded():

@@ -25,6 +25,7 @@ from orbiform.errors import (
     UndefinedAtTrivialPair,
 )
 from orbiform.forms import (
+    BernoulliPoly,
     _add_qk,
     _eisenstein_embedded,
     _qk_constant,
@@ -81,6 +82,44 @@ def test_bernoulli_odd_vanishing_and_reflection():
 def test_bernoulli_number_refuses_a_negative_degree(k):
     with pytest.raises(BadWeight, match=f"degree must be at least 0, got {k}"):
         bernoulli_number(k)
+
+
+def _fraction_horner(poly, x):
+    acc = Fraction(0)
+    for c in reversed(poly.coefficients):
+        acc = acc * x + c
+    return acc
+
+
+_points = st.one_of(st.just(0), st.integers(-40, 40), st.fractions(max_denominator=60),
+                    st.fractions(max_value=0, max_denominator=60))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 16), _points)
+@example(4, Fraction(3, 4))
+@example(16, Fraction(-7, 3))
+@example(0, 5)
+def test_bernoulli_values_match_fraction_horner(k, x):
+    got = bernoulli_poly(k)(x)
+    assert type(got) is Fraction and got == _fraction_horner(bernoulli_poly(k), Fraction(x))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.fractions(max_denominator=30), max_size=8), _points)
+def test_any_polynomial_is_evaluated_as_by_fraction_horner(coeffs, x):
+    poly = BernoulliPoly(max(len(coeffs) - 1, 0), coeffs)
+    assert poly(x) == _fraction_horner(poly, Fraction(x))
+
+
+def test_bernoulli_poly_equality_and_repr():
+    b2 = bernoulli_poly(2)
+    assert b2 == BernoulliPoly(2, ["1/6", -1, 1])
+    assert b2 != bernoulli_poly(3) and b2 != [Fraction(1, 6), -1, 1]
+    assert repr(b2) == "BernoulliPoly(2, ['1/6', '-1', '1'])"
+    # every caller shares bernoulli_poly(k), and its values are read from ints made once
+    with pytest.raises(TypeError):
+        b2.coefficients[0] = Fraction(1)
 
 
 def test_pbar_series_refuses_a_negative_weight():
@@ -326,16 +365,18 @@ def test_add_qk_adds_sign_times_the_qk_window_at_start(k, m, j, n, l, nslots, st
 
 @st.composite
 def _dense_windows(draw):
-    """(rows, N): up to 30 rows of Z[C_N], N <= 12, with zero rows and rows whose
-    value cancels (c times 1 + zeta + ... + zeta^(N-1), or c (zeta^e + zeta^(e + N/2)))."""
-    n = draw(st.integers(1, 12))
+    """(rows, N): up to 60 rows of Z[C_N], N <= 24, with zero rows and rows whose
+    value cancels (c times 1 + zeta + ... + zeta^(N-1), or c (zeta^e + zeta^(e + N/2))),
+    so that groups of rows of one support gcd fall on both sides of _power_basis's
+    switch from row order to column order."""
+    n = draw(st.integers(1, 24))
     cancelling = [st.integers(-3, 3).map(lambda c: [c] * n)]
     if n % 2 == 0:
         cancelling.append(st.tuples(st.integers(-3, 3), st.integers(0, n // 2 - 1)).map(
             lambda ce: [ce[0] if e % (n // 2) == ce[1] else 0 for e in range(n)]))
     row = st.one_of(st.just([0] * n), st.lists(st.integers(-4, 4), min_size=n, max_size=n),
                     *cancelling)
-    return draw(st.lists(row, max_size=30)), n
+    return draw(st.lists(row, max_size=60)), n
 
 
 def _key(c):
@@ -354,6 +395,9 @@ def _key(c):
 @example(([[0, 0, 0]] * 3, 3), 6, cyc_root_of(Fraction(1, 3)), 2)  # const alone in a zero slot
 @example(([[2]], 1), 4, CycQ.from_rational(Fraction(-1, 2)), 0)  # a slot that sums to zero
 @example(([[1, 0]], 2), 1, CycQ.one, 1)  # at past the window's end
+# 40 rows at N = 24 with several support gcds, as Q_k's and the oracle's windows have
+@example(([[(i * e) % 5 - 2 if e % (i % 8 + 1) == 0 else 0 for e in range(24)] for i in range(40)],
+          24), 6, CycQ.one, 3)
 def test_reduce_rows_adds_const_at_its_slot(window, denom, const, at):
     rows, n = window
     got = _reduce_rows([list(row) for row in rows], denom, const, at)
@@ -689,6 +733,9 @@ def test_zhu_coeff_against_binomial_oracle():
                 assert zhu_coeff(p, i, m) == zhu_coeff_binomial_oracle(p, i, m)
     assert zhu_coeff(1, 0, 0) == 1
     assert zhu_coeff(3, 2, 1) == Fraction(3, 2)
+    # (log(1+z))^m starts at z^m, so every z^i below it is 0
+    for p, i, m in ((3, 2, 5), (-2, 0, 1), (1, 39, 40)):
+        assert zhu_coeff(p, i, m) == 0 == zhu_coeff_binomial_oracle(p, i, m)
 
 
 @settings(max_examples=60, deadline=None)

@@ -179,6 +179,15 @@ def test_theta_scalings():
     part = theta(s, "one_over_T")
     assert full.coeff_at(Fraction(1, 2)) == Fraction(1, 2)
     assert part.coeff_at(Fraction(1, 2)) == 1
+    with pytest.raises(ValueError, match="scale must be"):
+        theta(s, "half")
+
+
+def test_a_value_minus_a_series_is_the_negated_difference():
+    s = Puiseux(2, Fraction(1, 2), [1, 0, 3], 3)
+    for x in (1, Fraction(-2, 3), cyc_root(1, 3)):
+        got = x - s
+        assert got == -(s - x) and got.coeff_at(0) == x and got.coeff_at(Fraction(3, 2)) == -3
 
 
 def _pentagonal_sign(n):

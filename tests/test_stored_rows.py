@@ -475,6 +475,24 @@ def test_a_row_built_series_stores_its_row_until_coeffs_is_read():
         [(1, 1, (x,)) if x else (1, 1, (0,)) for x in row]
 
 
+def test_solving_against_f_keeps_the_stored_rows_of_f():
+    # _setup read f's parts through coeffs, which turned them into CycQ lists
+    part = product_expand([(1, 2)], 12)
+    row = part._stored[1]
+    ode = RegularSingularODE(1, 1, [Puiseux.constant(Fraction(1, 3), 12)])
+    got = solve_inhomogeneous(ode, LogQSeries(1, [part]), 10)
+    assert part._coeffs is None and part._stored[1] is row
+    # the solution is that of f given as a CycQ list, slot for slot
+    listed = Puiseux(1, 0, list(product_expand([(1, 2)], 12).coeffs), 12)
+    want = solve_inhomogeneous(ode, LogQSeries(1, [listed]), 10)
+    assert got.T == want.T and len(got.parts) == len(want.parts)
+    for a, b in zip(got.parts, want.parts):
+        assert (a.T, a.lead, a.trunc) == (b.T, b.lead, b.trunc)
+        assert [(c.conductor, c.den, c.nums) for c in a.coeffs] == \
+            [(c.conductor, c.den, c.nums) for c in b.coeffs]
+    assert (apply_ode(ode, got) + LogQSeries(1, [part])).is_zero()
+
+
 def test_an_int_row_is_stored_over_one_gcd():
     # 2/4, 6/4, 0: the slots reduce to 1/2 and 3/2, so the row is (1, 3, 0) over 2
     s = Puiseux._make(1, Fraction(0), (4, [2, 6, 0], True), Fraction(3))
