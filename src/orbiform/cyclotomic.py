@@ -12,8 +12,8 @@ Two private helpers hold the package's exact inner loops.
 Euclid helper ``_poly_mul``, ``BiSeries.__mul__`` and ``series._mul_rows``
 (every series product but a dense rational one) call it.  ``_power_basis`` is
 its one reduction of sum c zeta_n^e through ``_reduction_table(n)``, the
-table of zeta_n^e for every e mod n, on a window of int rows: one row for
-``CycQ.lift`` and ``CycQ.__mul__``, the q-slots of a window in ``forms``.
+table of zeta_n^e for every e mod n: on one row of ints for ``CycQ.lift`` and
+``CycQ.__mul__``, and on a window of ``forms`` as it is stored, by column.
 """
 
 from __future__ import annotations
@@ -94,38 +94,34 @@ def _reduction_table(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _power_basis(n: int, rows: list, step: int) -> list:
-    """sum_i row[i] zeta_n^(i step) as integer power-basis coordinates mod Phi_n,
-    one tuple per int row of a window of equal-length rows: each nonzero row[i]
-    scales row i step mod n of ``_reduction_table(n)``, and the rows are added onto zero."""
+def _power_basis(n: int, cols: list, step: int):
+    """sum_i c_i zeta_n^(i step) as integer power-basis coordinates mod Phi_n: each nonzero c_i
+    scales row i step mod n of ``_reduction_table(n)``.  On a window by column, as ``forms``
+    stores one (cols[i] holds c_i over its slots), each table entry is one C-level pass over a
+    column, and one tuple is returned per slot; a row of ints (``CycQ.lift``, ``__mul__``) is
+    one slot, one tuple entry by entry (Xeon, n = 12: 4 us, against 10 as a window)."""
     table = _reduction_table(n)
-    # row by row for up to two rows, else column by column, which wins from 2-3 dense rows at
-    # n = 3..24 (Python 3.11, Xeon, n = 12: one row 4 us against 10; 40 rows 171 against 30)
-    if len(rows) < 3:
-        out = []
-        for row in rows:
-            acc = [0] * len(table[0])
-            for i, c in enumerate(row):
-                if c:
-                    for t, r in enumerate(table[i * step % n]):
-                        if r:
-                            acc[t] += c * r
-            out.append(tuple(acc))
-        return out
-    # each table entry r of zeta_n^(i step) is one pass over column i of the window
-    cols = [None] * len(table[0])
-    for i, col in enumerate(zip(*rows)):
+    if isinstance(cols[0], int):
+        acc = [0] * len(table[0])
+        for i, c in enumerate(cols):
+            if c:
+                for t, r in enumerate(table[i * step % n]):
+                    if r:
+                        acc[t] += c * r
+        return tuple(acc)
+    out = [None] * len(table[0])
+    for i, col in enumerate(cols):
         if any(col):
             for t, r in enumerate(table[i * step % n]):
-                if r and cols[t] is None:
-                    cols[t] = col if r == 1 else [r * c for c in col]
+                if r and out[t] is None:
+                    out[t] = col if r == 1 else [r * c for c in col]
                 elif r == 1:
-                    cols[t] = list(map(operator.add, cols[t], col))
+                    out[t] = list(map(operator.add, out[t], col))
                 elif r == -1:
-                    cols[t] = list(map(operator.sub, cols[t], col))
+                    out[t] = list(map(operator.sub, out[t], col))
                 elif r:
-                    cols[t] = [a + r * c for a, c in zip(cols[t], col)]
-    return list(zip(*(c or (0,) * len(rows) for c in cols)))
+                    out[t] = [a + r * c for a, c in zip(out[t], col)]
+    return list(zip(*(c or (0,) * len(cols[0]) for c in out)))
 
 
 def _sparse_convolve(a, b, n: int) -> list:
@@ -245,7 +241,7 @@ class CycQ:
         if n < 1 or n % self.conductor != 0:
             raise ValueError("can only lift to a positive multiple of the conductor")
         # still in lowest terms: an element of Q(zeta_c) integral in Z[zeta_n] is in Z[zeta_c]
-        return CycQ._make(n, self.den, _power_basis(n, [self.nums], n // self.conductor)[0])
+        return CycQ._make(n, self.den, _power_basis(n, self.nums, n // self.conductor))
 
     def _common(self, other: "CycQ") -> tuple["CycQ", "CycQ"]:
         n = lcm(self.conductor, other.conductor)
@@ -303,7 +299,7 @@ class CycQ:
                 a, b = a._common(b)
             n = a.conductor
             prod = _sparse_convolve(a.nums, b.nums, 2 * len(a.nums) - 1)
-            return CycQ._reduced(n, a.den * b.den, _power_basis(n, [prod], 1)[0])
+            return CycQ._reduced(n, a.den * b.den, _power_basis(n, prod, 1))
         if isinstance(other, (int, Fraction)):
             y = other.numerator
             return CycQ._reduced(self.conductor, self.den * other.denominator,

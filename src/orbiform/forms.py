@@ -12,8 +12,9 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, repeat
 from math import lcm
 
 from .cyclotomic import CycQ, _exponent, _index, _power, _power_basis, cyc_root_of
@@ -167,34 +168,58 @@ def g2_eval(tau: complex, trunc=60) -> complex:
 
 # -- twisted Eisenstein series Q_k ---------------------------------------------
 
-def _add_geometric(rows: list, step: int, l: int, n: int, weight: int, start: int = 0,
-                   rot: int = 0):
-    """Add weight * sum_{m>=1} zeta_n^(m l + rot) q^(m step/t), step >= 1, into a window
-    of rows of Z[C_n] (row[e] is the coefficient of zeta_n^e, every row present) whose
-    slots end at the truncation, with q^0 at slot start.
-    """
-    for m, idx in enumerate(range(start + step, len(rows), step), 1):
-        rows[idx][(m * l + rot) % n] += weight
+def _add_family(cols: list, s0: int, t: int, weights: list, l: int, n: int, start: int = 0):
+    """Add sum_i weights[i] sum_(m>=1) zeta_n^(m l) q^(m (s0 + i t)), s0, t >= 1, into a window
+    of Z[C_n] by column (cols[e][idx] the coefficient of zeta_n^e at slot idx) that ends at the
+    truncation, with q^0 at slot start.  Dirichlet's hyperbola method splits the terms at
+    m = B = isqrt(size p/t), p = n/gcd(l, n) the period of m l mod n: for m <= B those of one m
+    lie m t apart in one column, one slice over the steps; for m > B those of one step and one
+    residue of m mod p lie p step apart in one column, one slice of one weight.  A run of at
+    most 3 slots is added slot by slot."""
+    size, p = len(cols[0]), n // math.gcd(l, n)
+    bound = math.isqrt(max(0, size - start) * p // t)
+    for m in range(1, min(bound, (size - 1 - start) // s0) + 1):
+        a, stride, col = start + m * s0, m * t, cols[m * l % n]
+        num = min(len(weights), (size - 1 - a) // stride + 1)
+        if num > 3:
+            stop = a + (num - 1) * stride + 1  # the slice ends at the family's last step
+            col[a:stop:stride] = map(operator.add, col[a:stop:stride], weights)
+        else:
+            for i in range(num):
+                col[a + i * stride] += weights[i]
+    for i, w in enumerate(weights):
+        step = s0 + i * t
+        if start + (bound + 1) * step >= size:
+            break
+        for m in range(bound + 1, bound + 1 + p):
+            a, stride, col = start + m * step, p * step, cols[m * l % n]
+            if a + 3 * stride < size:
+                col[a::stride] = map(operator.add, col[a::stride], repeat(w))
+            else:
+                for idx in range(a, size, stride):
+                    col[idx] += w
 
 
-def _reduce_rows(rows: list, denom: int, const: CycQ = CycQ.zero, at: int = 0) -> list:
-    """Each row sum_e c_e zeta_N^e of a dense window over denom as a CycQ, plus const (the part
-    that is no row) at slot at if the window reaches it.  A row is reduced at the conductor N/g,
-    g = gcd(N, e) over the exponents e whose coefficients survive (the largest g whose multiples
-    hold them), in one ``_power_basis`` window with every row of its g; a zero row is CycQ.zero."""
-    out = [CycQ.zero] * len(rows)
-    width = len(rows[0]) if rows else 1
-    # byte i of hit[e] is 1 when row i has a nonzero zeta_N^e coefficient
-    hit = [int.from_bytes(bytes(map(bool, col)), "little") for col in zip(*rows)]
-    done = 0  # the rows reduced so far, at a larger g
+def _reduce_rows(cols: list, denom: int, const: CycQ = CycQ.zero, at: int = 0) -> list:
+    """Each slot sum_e cols[e][slot] zeta_N^e of a dense window stored by column, over denom, as
+    a CycQ, plus const (the part that is no row) at slot at if the window reaches it.  A slot is
+    reduced at the conductor N/g, g = gcd(N, e) over the exponents e whose coefficients survive
+    (the largest g whose multiples hold them): the columns of every multiple of g, cut to the
+    slots of that g, go to ``_power_basis`` as one window; a zero slot is CycQ.zero."""
+    size, width = len(cols[0]), len(cols)
+    out = [CycQ.zero] * size
+    # byte i of hit[e] is 1 when slot i has a nonzero zeta_N^e coefficient
+    hit = [int.from_bytes(bytes(map(bool, col)), "little") for col in cols]
+    done = 0  # the slots reduced so far, at a larger g
     for g in [g for g in range(width, 0, -1) if width % g == 0]:
         off = functools.reduce(int.__or__, (h for e, h in enumerate(hit) if e % g), done)
         if on := functools.reduce(int.__or__, hit[::g], 0) & ~off:
             done, n = done | on, width // g
-            slots = list(compress(range(len(rows)), on.to_bytes(len(rows), "little")))
-            for i, nums in zip(slots, _power_basis(n, [rows[i][::g] for i in slots], 1)):
+            mask = on.to_bytes(size, "little")
+            window = [list(compress(col, mask)) for col in cols[::g]]
+            for i, nums in zip(compress(range(size), mask), _power_basis(n, window, 1)):
                 out[i] = CycQ._reduced(n, denom, nums)
-    if at < len(out):
+    if at < size:
         out[at] += const
     return out
 
@@ -205,40 +230,41 @@ def qk_series(k: int, pair: TorsionPair, trunc) -> Puiseux:
     Branching is the denominator M of the first pair entry; the constant
     term is -B_k(j/M)/k! plus boundary contributions.
     """
-    trunc, t, rows, denom = _qk_slots(k, pair, trunc)
-    values = _reduce_rows(rows, denom, _qk_constant(k, pair))
+    trunc, t, cols, denom = _qk_slots(k, pair, trunc)
+    values = _reduce_rows(cols, denom, _qk_constant(k, pair))
     return Puiseux._make(t, Fraction(0), (1, values, False), trunc)
 
 
 def _qk_embedded(k: int, pair: TorsionPair, trunc) -> Embedded:
-    """Embedded(qk_series(k, pair, trunc)) with no exact series: a row is sum_e (row[e] /
+    """Embedded(qk_series(k, pair, trunc)) with no exact series: a slot is sum_e (cols[e][slot] /
     denom) zeta_N^e, each entry divided as an int, so no k <= MAX_WEIGHT overflows."""
     import numpy as np
-    trunc, t, rows, denom = _qk_slots(k, pair, trunc)
+    trunc, t, cols, denom = _qk_slots(k, pair, trunc)
     n = pair.l_over_N.denominator
-    flat = [x / denom for row in rows for x in row]
-    coeffs = np.reshape(flat, (-1, n)) @ [cmath.exp(TWO_PI_I * e / n) for e in range(n)]
-    if rows:
+    flat = [x / denom for col in cols for x in col]
+    coeffs = np.reshape(flat, (n, -1)).T @ [cmath.exp(TWO_PI_I * e / n) for e in range(n)]
+    if len(coeffs):
         coeffs[0] = _qk_constant(k, pair).embed()
     return Embedded._from_rows(t, [0.0], [float(trunc)], coeffs[None])
 
 
 def _qk_slots(k: int, pair: TorsionPair, trunc) -> tuple:
-    """(trunc, T, rows, denom): Q_k past its constant as one window of rows of Z[C_N];
+    """(trunc, T, cols, denom): Q_k past its constant as one window of Z[C_N] by column;
     Q_0 = -1 is a zero window, at T = 1."""
     k = _index("weight", k)
     if k < 0:
         raise ValueError("weight must be nonnegative")
     trunc, t = _exponent(trunc), pair.M if k else 1
-    rows = [[0] * pair.l_over_N.denominator for _ in range(max(0, math.ceil(trunc * t)))]
+    size = max(0, math.ceil(trunc * t))
+    cols = [[0] * size for _ in range(pair.l_over_N.denominator)]
     if not k:
-        return trunc, t, rows, 1
-    _add_qk(rows, k, pair)
-    return trunc, t, rows, math.factorial(k - 1) * t ** (k - 1)
+        return trunc, t, cols, 1
+    _add_qk(cols, k, pair)
+    return trunc, t, cols, math.factorial(k - 1) * t ** (k - 1)
 
 
-def _add_qk(rows: list, k: int, pair: TorsionPair, start: int = 0, sign: int = 1):
-    """Add sign * Q_k (k >= 1) past its constant into a window of rows of Z[C_N] over
+def _add_qk(cols: list, k: int, pair: TorsionPair, start: int = 0, sign: int = 1):
+    """Add sign * Q_k (k >= 1) past its constant into a window of Z[C_N] by column over
     (k-1)! M^(k-1) that ends at the truncation, with q^0 at slot start; the constant
     is left to _qk_constant."""
     if pair.is_trivial() and k < 2:
@@ -246,13 +272,12 @@ def _add_qk(rows: list, k: int, pair: TorsionPair, start: int = 0, sign: int = 1
         # its weight (n - j/M)^(k-1) vanishes and the series is fine
         raise UndefinedAtTrivialPair("Q_1 is undefined at the pair (1,1)")
     l, n = pair.l_over_N.numerator, pair.l_over_N.denominator
-    t, j, nslots = pair.M, pair.j_over_M.numerator, len(rows) - start
+    t, j, nslots = pair.M, pair.j_over_M.numerator, len(cols[0]) - start
     # exponent x = step/M, weight x^(k-1)/(k-1)! = step^(k-1)/((k-1)! M^(k-1));
     # first sum: n >= 0, step = nM + j > 0; second: n >= 1, step = nM - j > 0
-    for step in range(j, nslots, t):
-        _add_geometric(rows, step, l, n, sign * step ** (k - 1), start)
-    for step in range(t - j or t, nslots, t):
-        _add_geometric(rows, step, -l, n, sign * (-1) ** k * step ** (k - 1), start)
+    for first, root, w in ((j, l, sign), (t - j or t, -l, sign * (-1) ** k)):
+        _add_family(cols, first, t, [w * s ** (k - 1) for s in range(first, nslots, t)],
+                    root, n, start)
 
 
 def _qk_constant(k: int, pair: TorsionPair) -> CycQ:
@@ -284,13 +309,13 @@ def qk_series_divisor_oracle(k: int, pair: TorsionPair, trunc) -> Puiseux:
     j = a1.numerator  # mu = zeta_M^j, 1 <= j <= M
     l, n_den = pair.l_over_N.numerator, pair.l_over_N.denominator
     nslots = max(0, math.ceil(trunc * m_den))
-    # acc[n] is a row of Z[C_N]: acc[n][e] is the coefficient of zeta_N^e
-    acc = [[0] * n_den for _ in range(nslots)]
+    # a window of Z[C_N] by column: acc[e][n] is the coefficient of zeta_N^e at q^(n/M)
+    acc = [[0] * nslots for _ in range(n_den)]
 
     def sieve(d, lam_exp, w):
         # every multiple n = d q of d gets the term w lam^(lam_exp q)
         for q, n in enumerate(range(d, nslots, d), 1):
-            acc[n][q * lam_exp % n_den] += w
+            acc[q * lam_exp % n_den][n] += w
 
     # the prefactor (-1)^k / (M^(k-1) (k-1)!): its sign is in the sieve's weights
     for d in range(1, nslots):
@@ -331,31 +356,30 @@ def pbar_series(k: int, pair: TorsionPair, window: tuple[int, int], trunc) -> Bi
     denom = math.factorial(k - 1) * t ** (k - 1)
     coeffs = []
     for off in range(lo, hi + 1):
-        rows = [[0] * pair.l_over_N.denominator for _ in range(nslots)]
-        const = _add_pbar_term(rows, k, pair, a1.numerator + off * t)
-        values = _reduce_rows(rows, denom, const)
+        cols = [[0] * nslots for _ in range(pair.l_over_N.denominator)]
+        const = _add_pbar_term(cols, k, pair, a1.numerator + off * t)
+        values = _reduce_rows(cols, denom, const)
         coeffs.append(Puiseux._make(t, Fraction(0), (1, values, False), trunc))
     return BiSeries(a1, lo, coeffs)
 
 
-def _add_pbar_term(rows: list, k: int, pair: TorsionPair, step: int, start: int = 0,
-                   rot: int = 0) -> CycQ:
-    """Add zeta_N^rot P_n, n = step/M, into rows of Z[C_N] over (k-1)! M^(k-1),
-    with q^0 at slot start.  With w = step^(k-1), P_n is w (1 + sum_m lam^m q^(mn))
-    for n > 0 and -w sum_m lam^(-m) q^(-mn) for n < 0; the n = 0 term w/(1 - lam)
-    is no row, and is returned times zeta_N^rot (zero for every other n)."""
+def _add_pbar_term(cols: list, k: int, pair: TorsionPair, step: int) -> CycQ:
+    """Add P_n, n = step/M, into a window of Z[C_N] by column over (k-1)! M^(k-1), with
+    q^0 at slot 0.  With w = step^(k-1), P_n is w (1 + sum_m lam^m q^(mn)) for n > 0 and
+    -w sum_m lam^(-m) q^(-mn) for n < 0; the n = 0 term w/(1 - lam) is no row, and is
+    returned (zero for every other n)."""
     l, n = pair.l_over_N.numerator, pair.l_over_N.denominator
     w = step ** (k - 1)  # 0^0 = 1: the k = 1 term at n = 0
     if step > 0:
-        _add_geometric(rows, step, l, n, w, start, rot)
-        if start < len(rows):
-            rows[start][rot % n] += w
+        _add_family(cols, step, 1, [w], l, n)
+        if cols[0]:
+            cols[0][0] += w
     elif step < 0:
-        _add_geometric(rows, -step, -l, n, -w, start, rot)
+        _add_family(cols, -step, 1, [-w], -l, n)
     elif w and not pair.is_trivial():
         # n = 0 only for j/M = 1 and k = 1, where the denominator is 1; lam = 1
         # there is the trivial pair, left out
-        return (CycQ.one - pair.lam).inverse() * cyc_root_of(Fraction(rot, n))
+        return (CycQ.one - pair.lam).inverse()
     return CycQ.zero
 
 
@@ -532,33 +556,32 @@ def klein_hecke_series(pair: TorsionPair, trunc) -> tuple[Puiseux, Puiseux]:
     lead = bernoulli_poly(2)(a1) / 2
     p = a2 * (a1 - 1) / 2
     n = lcm(a2.denominator, p.denominator)
-    rows = [[0] * n for _ in range(max(0, math.ceil(trunc * t)))]
-    if rows:
-        rows[0][int(p * n) % n] = -1
+    size = max(0, math.ceil(trunc * t))
+    cols = [[0] * size for _ in range(n)]
+    live = {int(p * n) % n}  # the columns that may hold a nonzero coefficient
+    if size:
+        cols[int(p * n) % n][0] = -1
     r = int(a2 * n)
     for first, root in ((j, r), (t - j, -r)):
-        for step in range(first, len(rows), t):
-            # times (1 - zeta_n^root q^(step/t)), from the top slot down; the
-            # constant factor (step 0, a1 = 1) reads a copy of its own row
-            for idx in range(len(rows) - 1, step - 1, -1):
-                src = rows[idx - step]
-                if any(src):
-                    for x, c in enumerate(list(src) if step == 0 else src):
-                        if c:
-                            rows[idx][(x + root) % n] -= c
-    g = Puiseux._make(t, lead, (1, _reduce_rows(rows, 1), False), lead + trunc)
+        for step in range(first, size, t):
+            # times (1 - zeta_n^root q^(step/t)): column e + root less column e shifted
+            # up by step, both read from the columns before this factor (step 0 at a1 = 1)
+            old = cols[:]
+            for e in live:
+                dst = cols[(e + root) % n] = old[(e + root) % n][:]
+                dst[step:] = map(operator.sub, dst[step:], old[e])
+            live |= {(e + root) % n for e in live}
+    g = Puiseux._make(t, lead, (1, _reduce_rows(cols, 1), False), lead + trunc)
     # h/(2 pi i) = a1 - 1/2 - sum_(m>=0) lam q^(m+a1)/(1 - lam q^(m+a1))
     #              + sum_(m>=1) lam^-1 q^(m-a1)/(1 - lam^-1 q^(m-a1))
-    rows = [[0] * a2.denominator for _ in range(max(0, math.ceil(trunc * t)))]
-    for step in range(j, len(rows), t):
-        _add_geometric(rows, step, a2.numerator, a2.denominator, -1)
-    for step in range(t - j or t, len(rows), t):
-        _add_geometric(rows, step, -a2.numerator, a2.denominator, 1)
+    cols = [[0] * size for _ in range(a2.denominator)]
+    for first, root, w in ((j, a2.numerator, -1), (t - j or t, -a2.numerator, 1)):
+        _add_family(cols, first, t, [w] * len(range(first, size, t)), root, a2.denominator)
     const = CycQ.from_rational(a1 - Fraction(1, 2))
     if j == t:
         # a1 = 1, so lam != 1: the constant term lam^-1/(1 - lam^-1) = 1/(lam - 1)
         const += (pair.lam - CycQ.one).inverse()
-    return g, Puiseux._make(t, Fraction(0), (1, _reduce_rows(rows, 1, const), False), trunc)
+    return g, Puiseux._make(t, Fraction(0), (1, _reduce_rows(cols, 1, const), False), trunc)
 
 
 # -- Zhu change-of-variable coefficients -----------------------------------------
@@ -695,14 +718,15 @@ def lemma_plambda_check(
 
 
 def _residue_rows(k: int, m: int, pair: TorsionPair, trunc: Fraction) -> tuple:
-    """The right side of the residue identity (k >= 1) as one window of rows of
-    Z[C_N] over (k-1)! M^(k-1): (rows, const, base), slot i holding q^((i - base)/M).
+    """The right side of the residue identity (k >= 1) as one window of Z[C_N] by column
+    over (k-1)! M^(k-1): (cols, const, base), slot i holding q^((i - base)/M).
 
     The window starts at the least exponent of any term and ends where the
     left side or a term is truncated, at min(trunc, trunc + max(m, 0) + the
     least shift); const is the q^0 term that is no row (the n = 0 term).
     """
     t, j = pair.M, pair.j_over_M.numerator
+    l, n = pair.l_over_N.numerator, pair.l_over_N.denominator
     depth = math.ceil(trunc) + abs(m) + 2
     # the least shift n = j/M + 1 - m of the second sum puts q^0 at slot base
     least = j + (1 - m) * t
@@ -711,21 +735,28 @@ def _residue_rows(k: int, m: int, pair: TorsionPair, trunc: Fraction) -> tuple:
     # sum (negative n) still leaves everything exact to trunc; q^n P_n ends at
     # trunc + max(m, 0) + n
     end = min(trunc, trunc + max(m, 0) + Fraction(least, t))
-    rows = [[0] * pair.l_over_N.denominator for _ in range(max(0, math.ceil(end * t) + base))]
+    cols = [[0] * max(0, math.ceil(end * t) + base) for _ in range(n)]
     # first product: iota_(z,z1)(1/(z-z1)) * z^(j/M - m) * Pbar(w = z1/z).
     # iota_(z,z1) = sum_(e>=0) z1^e z^(-1-e) has every coefficient 1, and the
     # z1-exponent is suppressed (it is the constant j/M - m at the residue);
     # w^n contributes z^(-n), so z^(-1) collects P_n with n = j/M - m - e.
-    consts = [_add_pbar_term(rows, k, pair, j + off * t, base)
-              for off in range(-m - depth, 1 - m)]
     # second product: -lam * iota_(z1,z)(1/(z-z1)) * z^(j/M - m) * Pbar(w = z1 q/z).
     # iota_(z1,z) = -sum_(e>=0) z^e z1^(-1-e) has every coefficient -1, and
-    # w -> w q multiplies P_n by q^n; z^(-1) collects n = j/M + 1 - m + e.
+    # w -> w q multiplies P_n by q^n; z^(-1) collects lam q^n P_n, n = j/M + 1 - m + e.
     # Past depth, either sum's terms start at or beyond the window's end.
-    rot = pair.l_over_N.numerator  # lam = zeta_N^rot
-    consts += [_add_pbar_term(rows, k, pair, step, base + step, rot)
-               for step in range(least, least + (depth + 1) * t, t)]
-    return rows, sum(filter(None, consts), CycQ.zero), base
+    # With w = (nM)^(k-1), lam q^n P_n is P_n less w q^0 for n > 0 and plus it for n < 0, so
+    # past q^0 both sums are the geometric sums of P_n over one run, off = -m - depth ..
+    # 1 - m + depth: one family of steps nM > 0 (lam), one of |nM| for n < 0 (lam^-1)
+    last = 1 - m + depth
+    _add_family(cols, j, t, [s ** (k - 1) for s in range(j, j + last * t + 1, t)], l, n, base)
+    _add_family(cols, t - j or t, t, [(-1) ** k * s ** (k - 1) for s in range(
+        t - j or t, (m + depth) * t - j + 1, t)], -l, n, base)
+    if base < len(cols[0]):  # w of each n > 0 of the first sum, -w of each n < 0 of the second
+        cols[0][base] += (sum(s ** (k - 1) for s in range(j, j - m * t + 1, t))
+                          - sum(s ** (k - 1) for s in range(least, 0, t)))
+    # the n = 0 term (j/M = 1, off = -1): in the first sum for m <= 1, else times lam
+    const = _add_pbar_term(cols, k, pair, 0) if j == t else CycQ.zero
+    return cols, const * pair.lam if const and m >= 2 else const, base
 
 
 def prop48_check(k: int, m: int, pair: TorsionPair, trunc) -> CheckReport:
@@ -739,10 +770,10 @@ def prop48_check(k: int, m: int, pair: TorsionPair, trunc) -> CheckReport:
         Q_k + B_k(1 - m + j/M)/k!
             = sum_(off=-m-depth)^(-m) P_n + lam sum_(off=1-m)^(1-m+depth) q^n P_n.
 
-    For k >= 1 the identity is summed in one window of rows of Z[C_N] over
-    (k-1)! M^(k-1), on the 1/M grid: each P_n of the first sum is added as it
-    is, each of the second shifted by n and rotated by lam, and Q_k is added
-    with sign -1; the window is reduced to the power basis once, and every slot
+    For k >= 1 the identity is summed in one window of Z[C_N] by column over
+    (k-1)! M^(k-1), on the 1/M grid: the P_n of both sums are added as two
+    geometric families (``_residue_rows``), and Q_k is added with sign -1;
+    the window is reduced to the power basis once, and every slot
     must vanish, the q^0 slot together with the constants that are no row
     (the n = 0 term, Q_k's constant and the Bernoulli term).
     """
@@ -757,11 +788,11 @@ def prop48_check(k: int, m: int, pair: TorsionPair, trunc) -> CheckReport:
         return CheckReport(
             "residue-pairing-identity", params, "exact" if ok else "mismatch", ok, flags
         )
-    rows, const, base = _residue_rows(k, m, pair, trunc)
+    cols, const, base = _residue_rows(k, m, pair, trunc)
     # minus the left side, Q_k + B_k(1 - m + j/M)/k!
-    _add_qk(rows, k, pair, base, -1)
+    _add_qk(cols, k, pair, base, -1)
     const -= _qk_constant(k, pair) + bernoulli_poly(k)(1 - m + pair.j_over_M) / math.factorial(k)
-    ok = not any(_reduce_rows(rows, math.factorial(k - 1) * pair.M ** (k - 1), const, base))
+    ok = not any(_reduce_rows(cols, math.factorial(k - 1) * pair.M ** (k - 1), const, base))
     return CheckReport(
         "residue-pairing-identity", params, "exact" if ok else "mismatch", ok, flags
     )

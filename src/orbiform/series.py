@@ -34,7 +34,7 @@ import cmath
 import math
 import operator
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import repeat, zip_longest
 from typing import NamedTuple
 
 from .cyclotomic import (CycQ, _exponent, _index, _positive_int, _power, _root_powers,
@@ -465,8 +465,9 @@ def _sum_rows(terms: list, g: int, lead: int, trunc: int):
         if x_ints and not ints:  # an int row among value rows: conductor-1 values
             seg = [CycQ._make(1, 1, (k * v,)) if v else 0 for v in seg]
         elif k != 1:
-            seg = [k * v for v in seg]
-        out[off:off + len(seg)] = [u + v if u and v else u or v for u, v in zip(out[off:], seg)]
+            seg = list(map(operator.mul, seg, repeat(k)))
+        out[off:off + len(seg)] = (map(operator.add, out[off:], seg) if ints else
+                                   [u + v if u and v else u or v for u, v in zip(out[off:], seg)])
     return lead, trunc, den, out, ints
 
 
@@ -480,7 +481,8 @@ def _theta_rows(parts: list, D: int, g: int) -> list:
     """
     out = []
     for i, (lead, trunc, den, row, ints) in enumerate(parts):
-        term = (lead, trunc, den * D, [x * (lead + k * g) for k, x in enumerate(row)], ints)
+        term = (lead, trunc, den * D,
+                list(map(operator.mul, row, range(lead, lead + g * len(row), g))), ints)
         if i + 1 < len(parts):
             n_lead, n_trunc, n_den, n_row, n_ints = parts[i + 1]
             nxt = (n_lead, n_trunc, n_den * D, [x * ((i + 1) * g) for x in n_row], n_ints)

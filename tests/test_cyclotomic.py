@@ -291,11 +291,12 @@ def _int_windows(draw):
 @example((105, [[(i ** 3 + 3 * r * i) % 11 - 5 for i in range(105)] for r in range(4)], 1))
 @example((105, [[(i ** 3 + r) % 11 - 5 for i in range(48)] for r in range(3)], 2))
 def test_power_basis_reduces_a_window_as_each_row_alone(window):
-    # the window takes column order from 3 rows on, one row always row order; both
-    # must give sum_i row[i] x^(i step) mod Phi_n, here by division in Q[x]
+    # a window is given by column and a lone row (CycQ.lift, CycQ.__mul__) as its ints;
+    # both must give sum_i row[i] x^(i step) mod Phi_n, here by division in Q[x]
     n, rows, step = window
-    got = cyclotomic._power_basis(n, rows, step)
-    assert got == [cyclotomic._power_basis(n, [row], step)[0] for row in rows]
+    cols = [[row[i] for row in rows] for i in range(len(rows[0]) if rows else 1)]
+    got = cyclotomic._power_basis(n, cols, step)
+    assert got == [cyclotomic._power_basis(n, row, step) for row in rows]
     phi = [Fraction(c) for c in cyclotomic_polynomial(n)]
     for row, nums in zip(rows, got):
         poly = [Fraction(0)] * n

@@ -3,6 +3,7 @@ numeric evaluators."""
 
 import cmath
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -329,9 +330,9 @@ def test_qk_embedded_matches_the_exact_path(k, m, j, n, l, nslots):
     assert got.coeffs.shape == want.coeffs.shape
     if k:
         denom = math.factorial(k - 1) * pair.M ** (k - 1)
-        rows = [[0] * pair.l_over_N.denominator for _ in range(got.coeffs.shape[1])]
-        _add_qk(rows, k, pair)
-        sizes = [sum(map(abs, row)) / denom for row in rows]
+        cols = [[0] * got.coeffs.shape[1] for _ in range(pair.l_over_N.denominator)]
+        _add_qk(cols, k, pair)
+        sizes = [sum(map(abs, slot)) / denom for slot in zip(*cols)]
         const = _qk_constant(k, pair)
         n_const, n_rows = const.conductor, pair.l_over_N.denominator
     else:
@@ -356,19 +357,55 @@ def test_add_qk_adds_sign_times_the_qk_window_at_start(k, m, j, n, l, nslots, st
     j, l = min(j, m), min(l, n)
     pair = TorsionPair(Fraction(j, m), Fraction(l, n))
     assume(not (k == 1 and pair.is_trivial()))
-    width = pair.l_over_N.denominator
-    rows = [[0] * width for _ in range(nslots)]
-    _add_qk(rows, k, pair, start, sign)
+    cols = [[0] * nslots for _ in range(pair.l_over_N.denominator)]
+    _add_qk(cols, k, pair, start, sign)
     _, _, fresh, _ = _qk_slots(k, pair, Fraction(max(0, nslots - start), pair.M))
-    assert rows == [[0] * width] * min(start, nslots) + [[sign * x for x in row] for row in fresh]
+    assert cols == [[0] * min(start, nslots) + [sign * x for x in col] for col in fresh]
+
+
+def _naive_family(cols, s0, t, weights, l, n, start):
+    """The per-term loop: every (step, m) term added into its slot on its own."""
+    for i, w in enumerate(weights):
+        step = s0 + i * t
+        for m, idx in enumerate(range(start + step, len(cols[0]), step), 1):
+            cols[m * l % n][idx] += w
+
+
+@st.composite
+def _families(draw):
+    """(window, s0, t, weights, l, n, start): a window of 0-300 slots of Z[C_n], n <= 24,
+    filled with small ints, and a family of 0-40 weights (zeros and negatives among them)
+    whose l may be negative or 0 mod n and whose start may lie past the window's end."""
+    n, size, seed = draw(st.integers(1, 24)), draw(st.integers(0, 300)), draw(st.integers(0, 6))
+    window = [[(seed + 3 * e + 5 * i) % 7 - 3 for i in range(size)] for e in range(n)]
+    weights = draw(st.lists(st.one_of(st.just(0), st.integers(-10**6, 10**6)), max_size=40))
+    l = draw(st.one_of(st.integers(-50, 50), st.integers(-3, 3).map(lambda c: c * n)))
+    return (window, draw(st.integers(1, 40)), draw(st.integers(1, 12)), weights, l, n,
+            draw(st.integers(0, 320)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_families())
+@example(([[0] * 3000 for _ in range(5)], 1, 1, [1] * 3000, 1, 5, 0))  # qk 2 1 1/5, trunc 3000
+@example(([[0] * 40], 1, 1, [7], 0, 1, 0))  # one step at t = 1, p = 1
+@example(([[0] * 200], 1, 1, [1, 2, 3, 4, 5], 1, 1, 0))  # each m's slice stops at the 5th step
+@example(([[0] * 300 for _ in range(12)], 2, 5, [3], -7, 12, 5))  # one step, negative l
+@example(([[0] * 300 for _ in range(24)], 1, 1, [-1, 0, 2] * 13, 24, 24, 1))  # p = 1
+@example(([[0] * 9 for _ in range(3)], 1, 1, [1, 2, 3], 1, 3, 9))  # start at the window's end
+@example(([[] for _ in range(4)], 1, 1, [1, 2], 1, 4, 0))  # a window of no slot
+def test_add_family_adds_what_the_per_term_loop_adds(family):
+    window, s0, t, weights, l, n, start = family
+    got, want = [list(col) for col in window], [list(col) for col in window]
+    forms._add_family(got, s0, t, weights, l, n, start)
+    _naive_family(want, s0, t, weights, l, n, start)
+    assert got == want
 
 
 @st.composite
 def _dense_windows(draw):
     """(rows, N): up to 60 rows of Z[C_N], N <= 24, with zero rows and rows whose
     value cancels (c times 1 + zeta + ... + zeta^(N-1), or c (zeta^e + zeta^(e + N/2))),
-    so that groups of rows of one support gcd fall on both sides of _power_basis's
-    switch from row order to column order."""
+    so that a group of rows of one support gcd may hold one row, two or many."""
     n = draw(st.integers(1, 24))
     cancelling = [st.integers(-3, 3).map(lambda c: [c] * n)]
     if n % 2 == 0:
@@ -400,7 +437,7 @@ def _key(c):
           24), 6, CycQ.one, 3)
 def test_reduce_rows_adds_const_at_its_slot(window, denom, const, at):
     rows, n = window
-    got = _reduce_rows([list(row) for row in rows], denom, const, at)
+    got = _reduce_rows([[row[e] for row in rows] for e in range(n)], denom, const, at)
     assert len(got) == len(rows)
     for idx, row in enumerate(rows):
         # the plain reduction: each surviving zeta_N^e term lifted and summed
@@ -726,6 +763,47 @@ def test_klein_g_matches_the_per_factor_product(m, j, n, l, trunc):
     assert g.coeffs == want.coeffs
 
 
+def _klein_rows(pair, trunc):
+    """The Klein form's window of rows of Z[C_n] by the row loop: row[x] is the coefficient
+    of zeta_n^x, and each factor (1 - zeta_n^root q^(step/t)) is taken from the top slot down,
+    the constant factor (step 0, a1 = 1) reading a copy of its own row."""
+    a1, a2 = pair.j_over_M, pair.l_over_N
+    t, j = a1.denominator, a1.numerator
+    p = a2 * (a1 - 1) / 2
+    n = lcm(a2.denominator, p.denominator)
+    rows = [[0] * n for _ in range(max(0, math.ceil(trunc * t)))]
+    if rows:
+        rows[0][int(p * n) % n] = -1
+    r = int(a2 * n)
+    for first, root in ((j, r), (t - j, -r)):
+        for step in range(first, len(rows), t):
+            for idx in range(len(rows) - 1, step - 1, -1):
+                src = rows[idx - step]
+                for x, c in enumerate(list(src) if step == 0 else src):
+                    if c:
+                        rows[idx][(x + root) % n] -= c
+    return rows, n
+
+
+def test_klein_window_matches_the_row_loop(monkeypatch):
+    # every pair with M, N <= 6: a1 = 1 takes the step-0 factor, a2 = 1 has root 0
+    windows, reduce_rows = [], forms._reduce_rows
+
+    def keep(cols, *args):
+        windows.append([list(col) for col in cols])
+        return reduce_rows(cols, *args)
+
+    monkeypatch.setattr(forms, "_reduce_rows", keep)
+    pairs = {TorsionPair(Fraction(j, m), Fraction(l, n))
+             for m in range(1, 7) for j in range(1, m + 1) for n in range(1, 7) for l in range(1, n + 1)}
+    for pair in pairs - {TorsionPair(Fraction(1), Fraction(1))}:
+        for trunc in (Fraction(0), Fraction(1, 2), Fraction(3), Fraction(7)):
+            windows.clear()
+            klein_hecke_series(pair, trunc)
+            rows, n = _klein_rows(pair, trunc)
+            assert windows[0] == [[row[e] for row in rows] for e in range(n)], (pair, trunc)
+
+
 def test_zhu_coeff_against_binomial_oracle():
     for p in range(1, 6):
         for i in range(8):
@@ -829,8 +907,8 @@ def _reference_residue_rhs(k, m, pair, trunc):
 @example(5, 3, 5, 2, 4, 3, Fraction(2))  # conductor 5
 def test_residue_rows_match_the_summed_pbar_series(m_den, j, n, l, k, m, trunc):
     pair = TorsionPair(Fraction(j, m_den), Fraction(l, n))
-    rows, const, base = _residue_rows(k, m, pair, trunc)
-    coeffs = _reduce_rows(rows, math.factorial(k - 1) * pair.M ** (k - 1), const, base)
+    cols, const, base = _residue_rows(k, m, pair, trunc)
+    coeffs = _reduce_rows(cols, math.factorial(k - 1) * pair.M ** (k - 1), const, base)
     want = _reference_residue_rhs(k, m, pair, trunc)
     # prop48_check compares to min(lhs.trunc, rhs.trunc, trunc); lhs.trunc is trunc
     want = want.truncated(min(trunc, want.trunc))
@@ -838,25 +916,68 @@ def test_residue_rows_match_the_summed_pbar_series(m_den, j, n, l, k, m, trunc):
     assert coeffs == want.coeffs
 
 
+def _residue_window_per_term(k, m, pair, trunc):
+    """The residue window as rows of Z[C_N] (row[e] the coefficient of zeta_N^e), built one
+    P_n at a time and one (n, m) term at a time: (rows, const, base) as ``_residue_rows``
+    gives them by column."""
+    t, j = pair.M, pair.j_over_M.numerator
+    l, n = pair.l_over_N.numerator, pair.l_over_N.denominator
+    depth = math.ceil(trunc) + abs(m) + 2
+    least = j + (1 - m) * t
+    base = max(0, -least)
+    end = min(trunc, trunc + max(m, 0) + Fraction(least, t))
+    rows = [[0] * n for _ in range(max(0, math.ceil(end * t) + base))]
+
+    def add_pbar(step, start, rot):
+        # zeta_N^rot P_n, n = step/M, with q^0 at slot start
+        w = step ** (k - 1)
+        terms = [(step, l, w)] if step > 0 else [(-step, -l, -w)] if step < 0 else []
+        for s, root, weight in terms:
+            for mm, idx in enumerate(range(start + s, len(rows), s), 1):
+                rows[idx][(mm * root + rot) % n] += weight
+        if step > 0 and start < len(rows):
+            rows[start][rot % n] += w
+        if step == 0 and w and not pair.is_trivial():
+            return (CycQ.one - pair.lam).inverse() * cyc_root_of(Fraction(rot, n))
+        return CycQ.zero
+
+    consts = [add_pbar(j + off * t, base, 0) for off in range(-m - depth, 1 - m)]
+    consts += [add_pbar(step, base + step, l) for step in range(least, least + (depth + 1) * t, t)]
+    return rows, sum(filter(None, consts), CycQ.zero), base
+
+
+def test_residue_window_matches_the_per_term_window():
+    # k <= 5, m in -2..3, M, N <= 4 and trunc 1, 3 or 10: 9,000 cases
+    for m_den in range(1, 5):
+        for j in range(1, m_den + 1):
+            for n in range(1, 5):
+                for l in range(1, n + 1):
+                    pair = TorsionPair(Fraction(j, m_den), Fraction(l, n))
+                    for k, m, trunc in itertools.product(range(1, 6), range(-2, 4), (1, 3, 10)):
+                        cols, const, base = _residue_rows(k, m, pair, Fraction(trunc))
+                        rows, want_const, want_base = _residue_window_per_term(k, m, pair, trunc)
+                        assert cols == [[row[e] for row in rows] for e in range(pair.N)]
+                        assert (_key(const), base) == (_key(want_const), want_base)
+
+
 def _plant_in_pbar_term(monkeypatch):
-    add, planted = forms._add_pbar_term, []
+    # one unit more in the window of the P-bar terms, at its q^0 slot
+    residue_rows = forms._residue_rows
 
-    def plant(rows, k, pair, step, start=0, rot=0):
-        const = add(rows, k, pair, step, start, rot)
-        if not planted and start < len(rows):
-            rows[start][0] += 1
-            planted.append(step)
-        return const
+    def plant(k, m, pair, trunc):
+        cols, const, base = residue_rows(k, m, pair, trunc)
+        cols[0][base] += 1
+        return cols, const, base
 
-    monkeypatch.setattr(forms, "_add_pbar_term", plant)
+    monkeypatch.setattr(forms, "_residue_rows", plant)
 
 
 def _plant_in_qk_rows(monkeypatch):
     add_qk = forms._add_qk
 
-    def plant(rows, k, pair, start=0, sign=1):
-        add_qk(rows, k, pair, start, sign)
-        rows[-1][0] += 1
+    def plant(cols, k, pair, start=0, sign=1):
+        add_qk(cols, k, pair, start, sign)
+        cols[0][-1] += 1
 
     monkeypatch.setattr(forms, "_add_qk", plant)
 
