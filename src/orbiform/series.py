@@ -22,10 +22,10 @@ runs the Euler transform on integers over ``_divisor_sums``.
 ``_residual`` (``frobenius.apply_ode``) share one row algebra, ``_row``,
 ``_sum_rows``, ``_theta_rows`` and ``_mul_rows``, set out above ``_row``; a row
 carries its kind, ints or values, and no other module reads one.  A log sum and
-the residual make their parts by one part sum, ``_sum_log_parts``.  A series the
-library builds stores its row, and every method reads it; ``coeffs`` is a real
-CycQ list built from the row on first read, and from then on the list is the
-series' value: writing into it or assigning it changes the series.
+the residual make their parts by one part sum, ``_sum_log_parts``.  A series
+stores only its row (the ``coeffs`` setter stores a CycQ list as one), and every
+method reads it; each read of ``coeffs`` builds a fresh CycQ list from the row
+and changes nothing, and a write to ``coeffs`` or to an item of it stores a new row.
 """
 
 from __future__ import annotations
@@ -68,54 +68,46 @@ class EvalResult(NamedTuple):
 
 
 class Puiseux:
-    """Truncated series sum a_n q^(lead + n/T), exponents below trunc."""
+    """Truncated series sum a_n q^(lead + n/T), exponents below trunc, stored as one row;
+    unhashable, since ``==`` compares up to the lesser truncation and no hash agrees with it."""
 
-    __slots__ = ("T", "lead", "trunc", "_coeffs", "_stored", "_view")
+    __slots__ = ("T", "lead", "trunc", "_stored", "_view")
 
     def __init__(self, T: int, lead, coeffs, trunc):
-        T, lead, trunc = _positive_int("branching", T), _exponent(lead), _exponent(trunc)
-        coeffs = [_coerce_coeff(c) for c in coeffs]
-        n = _nterms(lead, trunc, T)
-        if len(coeffs) < n:
-            coeffs = coeffs + [CycQ.zero] * (n - len(coeffs))
-        elif len(coeffs) > n:
-            raise ValueError("coefficients extend past the truncation order")
-        self.T, self.lead, self.trunc, self.coeffs = T, lead, trunc, coeffs
+        self.T, self.lead = _positive_int("branching", T), _exponent(lead)
+        self.trunc, self.coeffs = _exponent(trunc), coeffs
 
     @staticmethod
-    def _make(T: int, lead: Fraction, coeffs, trunc: Fraction) -> "Puiseux":
-        # internal and unchecked: lead and trunc are Fractions; coeffs is a list of one CycQ per
-        # slot below trunc, or a row (den, row, ints) stored over one gcd or over 1 (``_from_row``)
+    def _make(T: int, lead: Fraction, stored: tuple, trunc: Fraction) -> "Puiseux":
+        # internal and unchecked: lead and trunc are Fractions; stored is a row (den, row, ints),
+        # one slot per exponent below trunc, over one gcd or, a value row, over 1 (``_from_row``)
+        den, row, ints = stored
+        if not ints:
+            den, row = 1, _from_row(den, row, False, 0)
+        elif (g := math.gcd(den, *row)) != 1:
+            den, row = den // g, [x // g for x in row]
         obj = object.__new__(Puiseux)
-        obj.T, obj.lead, obj.trunc = T, lead, trunc
-        obj._coeffs, obj._stored, obj._view = coeffs, None, None
-        if type(coeffs) is tuple:
-            den, row, ints = coeffs
-            if not ints:
-                den, row = 1, _from_row(den, row, False, 0)
-            elif (g := math.gcd(den, *row)) != 1:
-                den, row = den // g, [x // g for x in row]
-            obj._coeffs, obj._stored = None, (den, row, ints)
+        obj.T, obj.lead, obj.trunc, obj._stored, obj._view = T, lead, trunc, (den, row, ints), None
         return obj
 
     @property
     def coeffs(self) -> list:
-        """One CycQ per slot, read from a stored row once; from then on the list is the series,
-        and the row and its ``Embedded`` view are dropped."""
-        if self._coeffs is None:
-            self._coeffs, self._stored, self._view = _from_row(*self._stored), None, None
-        return self._coeffs
+        """One CycQ per slot, a fresh list built from the row on each read; a write to it or
+        to an item of it is checked as ``Puiseux(...)`` is and stored as the row."""
+        out = _Coeffs(_from_row(*self._stored))
+        out._owner = self
+        return out
 
     @coeffs.setter
-    def coeffs(self, coeffs: list):
-        self._coeffs, self._stored, self._view = coeffs, None, None
-
-    def _form(self) -> tuple:
-        """The stored row, or the CycQ list as a row: ``_int_row``'s ints, else its values."""
-        if self._stored:
-            return self._stored
-        r = _int_row(self._coeffs)
-        return (*r, True) if r else (1, [c or 0 for c in self._coeffs], False)
+    def coeffs(self, coeffs):
+        coeffs = [_coerce_coeff(c) for c in coeffs]
+        n = _nterms(self.lead, self.trunc, self.T)
+        if len(coeffs) > n:
+            raise ValueError("coefficients extend past the truncation order")
+        coeffs += [CycQ.zero] * (n - len(coeffs))
+        r = _int_row(coeffs)  # ints, else the values with each zero the int 0
+        self._stored = (*r, True) if r else (1, [c or 0 for c in coeffs], False)
+        self._view = None
 
     # -- constructors --------------------------------------------------------
 
@@ -142,22 +134,19 @@ class Puiseux:
     @staticmethod
     def from_terms(terms, trunc, T: int = 1) -> "Puiseux":
         """terms: iterable of (exponent, coefficient)."""
-        zero = Puiseux.zero(trunc, T)  # checks T and trunc
+        T, trunc = _positive_int("branching", T), _exponent(trunc)
         terms = [(_exponent(e), _coerce_coeff(c)) for e, c in terms]
-        if not terms:
-            return zero
-        lead = min(e for e, _ in terms)
-        coeffs = [CycQ.zero] * _nterms(lead, zero.trunc, T)
+        lead = min((e for e, _ in terms), default=Fraction(0))
+        coeffs = [CycQ.zero] * _nterms(lead, trunc, T)
         for e, c in terms:
             idx, off = divmod((e - lead) * T, 1)
             if off:
                 raise ValueError("exponent not on the 1/T grid")
             if 0 <= idx < len(coeffs):
                 coeffs[idx] = coeffs[idx] + c
-            elif e >= zero.trunc:
+            elif e >= trunc:
                 raise ValueError("term beyond truncation order")
-        form = Puiseux._make(T, lead, coeffs, zero.trunc)._form()  # CycQ values stay a list
-        return Puiseux._make(T, lead, form if form[2] else coeffs, zero.trunc)
+        return Puiseux(T, lead, coeffs, trunc)
 
     # -- structure -----------------------------------------------------------
 
@@ -170,7 +159,7 @@ class Puiseux:
         return self._spread(t, self.lead, self.trunc, t // self.T)
 
     def _spread(self, T: int, lead: Fraction, trunc: Fraction, step: int) -> "Puiseux":
-        den, row, ints = self._form()
+        den, row, ints = self._stored
         out = [0] * _nterms(lead, trunc, T)
         out[::step] = row[:len(range(0, len(out), step))]
         return Puiseux._make(T, lead, (den, out, ints), trunc)
@@ -183,7 +172,7 @@ class Puiseux:
 
     def normalized(self) -> "Puiseux":
         """Strip leading zero coefficients, advancing the leading exponent."""
-        den, row, ints = self._form()
+        den, row, ints = self._stored
         i = next((i for i, x in enumerate(row) if x), len(row))
         return self if i == 0 else Puiseux._make(self.T, self.lead + Fraction(i, self.T),
                                                  (den, row[i:], ints), self.trunc)
@@ -191,7 +180,7 @@ class Puiseux:
     def shifted(self, r) -> "Puiseux":
         """Multiply by q^r."""
         r = _exponent(r)
-        return Puiseux._make(self.T, self.lead + r, self._form(), self.trunc + r)
+        return Puiseux._make(self.T, self.lead + r, self._stored, self.trunc + r)
 
     def substituted(self, s: int) -> "Puiseux":
         """q -> q^s for a positive integer s."""
@@ -207,18 +196,16 @@ class Puiseux:
         idx, off = divmod((e.numerator * b - a * e.denominator) * self.T, e.denominator * b)
         if idx < 0 or off:
             return CycQ.zero
-        if self._stored is None:
-            return self._coeffs[idx]
         return _from_row(self._stored[0], self._stored[1][idx:idx + 1], self._stored[2])[0]
 
     def is_zero(self) -> bool:
-        return not any(self._coeffs if self._stored is None else self._stored[1])
+        return not any(self._stored[1])
 
     def terms(self):
         return ((self.lead + Fraction(i, self.T), c) for i, c in self._nonzero())
 
     def _nonzero(self):
-        den, row, ints = self._form()
+        den, row, ints = self._stored
         return ((i, CycQ._reduced(1, den, (x,)) if ints else x) for i, x in enumerate(row) if x)
 
     # -- arithmetic ----------------------------------------------------------
@@ -260,10 +247,11 @@ class Puiseux:
 
     def scalar_mul(self, c) -> "Puiseux":
         c = _coerce_coeff(c)
-        den, row, ints = self._form()
-        row = ((den * c.den, [c.nums[0] * x for x in row], True) if ints and c.conductor == 1
-               else [c * x for x in self.coeffs])  # a CycQ list, as c * x makes it
-        return Puiseux._make(self.T, self.lead, row, self.trunc)
+        den, row, ints = self._stored
+        if ints and c.conductor == 1:
+            row = (den * c.den, [c.nums[0] * x for x in row], True)
+            return Puiseux._make(self.T, self.lead, row, self.trunc)
+        return Puiseux(self.T, self.lead, [c * x for x in _from_row(den, row, ints)], self.trunc)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, CycQ)):
@@ -279,7 +267,7 @@ class Puiseux:
 
     def inverse(self) -> "Puiseux":
         s = self.normalized()
-        den, row, ints = s._form()
+        den, row, ints = s._stored
         if not row:
             raise NonInvertibleLeadingTerm("series has no invertible leading coefficient")
         if ints:
@@ -354,6 +342,17 @@ def _int_row(coeffs):
         return None
     d = math.lcm(*(c.den for c in coeffs))
     return d, [c.nums[0] * (d // c.den) for c in coeffs]
+
+
+class _Coeffs(list):
+    """The CycQ list ``Puiseux.coeffs`` returns, whose item writes store it as the row; it
+    exists only because ``perfbench/test_perfbench.py`` writes ``s.coeffs[i]``."""
+
+    __slots__ = ("_owner",)
+
+    def __setitem__(self, i, value):
+        super().__setitem__(i, value)
+        self._owner.coeffs = self
 
 
 def _from_row(den: int, row: list, ints: bool, zero=CycQ.zero) -> list:
@@ -431,11 +430,11 @@ def _newton_inverse(a: list) -> tuple:
 # holds only ints, a value row only CycQ values and the int 0.  A sum is ints
 # when every term is, a product when both rows are, and theta keeps the kind.
 # A series keeps the row it was built from (``_series``), so its ``_row`` is a
-# field read; ``Puiseux._form`` reads a CycQ list as a row.
+# field read.
 
 def _row(p: Puiseux, t: int, D: int, scale: int = 1):
-    """scale * p at branching t as a row, of the kind p stores or ``_int_row`` reads."""
-    den, vals, ints = p._form()
+    """scale * p at branching t as a row, of the kind p stores."""
+    den, vals, ints = p._stored
     if scale != 1:
         vals = [x * scale for x in vals]
     lead, trunc = (x.numerator * (D // x.denominator) for x in (p.lead, p.trunc))
@@ -622,8 +621,8 @@ class Embedded:
     as complex numbers, zero-padded; ``leads``, ``truncs`` and ``maxabs`` hold
     each part's leading exponent, truncation and largest coefficient modulus.
     ``Embedded(s)`` and rows ``forms`` embeds from integers go through ``_from_rows``.
-    ``eval_at_tau`` keeps the view of a series that stores its row with that series
-    and drops it when ``coeffs`` is read or assigned; a view is never updated.
+    ``eval_at_tau`` keeps the view of a Puiseux with that series and drops it when
+    a write to ``coeffs`` stores a new row; a view is never updated.
     """
 
     __slots__ = ("T", "leads", "truncs", "coeffs", "maxabs")
@@ -631,10 +630,10 @@ class Embedded:
     def __new__(cls, s):
         import numpy as np
         parts = s.parts if isinstance(s, LogQSeries) else (s,)
-        forms = [p._stored or (1, p._coeffs, False) for p in parts]
-        coeffs = np.zeros((len(parts), max(len(r[1]) for r in forms)), complex)
+        rows = [p._stored for p in parts]
+        coeffs = np.zeros((len(parts), max(len(r[1]) for r in rows)), complex)
         by_conductor: dict = {}
-        for i, (den, row, ints) in enumerate(forms):
+        for i, (den, row, ints) in enumerate(rows):
             if ints:
                 coeffs[i, :len(row)] = [x / den for x in row]
             for col, c in enumerate(() if ints else row):
@@ -663,11 +662,10 @@ def eval_at_tau(s, tau: complex, precision: int = 53) -> EvalResult:
     """Numeric value on the upper half-plane plus a geometric tail estimate.
 
     s is a Puiseux, a LogQSeries or its ``Embedded`` view (embed once to evaluate
-    at many points).  A Puiseux that stores its row keeps the view built on its
-    first evaluation until ``coeffs`` is read or assigned, which makes it a list;
-    a list-backed Puiseux and a LogQSeries are embedded on every call.  The value
-    is a 53-bit ``complex``; any other precision raises ``UnsupportedPrecision``
-    rather than being ignored.
+    at many points).  A Puiseux keeps the view built on its first evaluation until
+    a write to ``coeffs`` stores a new row; a LogQSeries is embedded on every call.
+    The value is a 53-bit ``complex``; any other precision raises
+    ``UnsupportedPrecision`` rather than being ignored.
     """
     import numpy as np
     if precision != 53:
@@ -676,7 +674,7 @@ def eval_at_tau(s, tau: complex, precision: int = 53) -> EvalResult:
         raise NotConvergent("evaluation requires Im(tau) > 0")
     if isinstance(s, Embedded):
         v = s
-    elif isinstance(s, Puiseux) and s._stored:
+    elif isinstance(s, Puiseux):
         v = s._view = s._view or Embedded(s)
     else:
         v = Embedded(s)

@@ -116,7 +116,7 @@ def _ref_fold_solution(cs, dens, d, mu, T, span, max_log):
             x = cs[n][j]
             coeffs[(n - first) * step] = (CycQ._reduced(1, dens[n] * div, (x * num,))
                                           if type(x) is int else x * Fraction(num, div))
-        parts.append(Puiseux._make(t, lead, coeffs, trunc))
+        parts.append(Puiseux(t, lead, coeffs, trunc))
     return LogQSeries(t, parts)
 
 
@@ -136,7 +136,7 @@ def _ref_apply_ode(ode, s):
         inv = Fraction(1, den)
         values = [CycQ.zero if not x else CycQ._reduced(1, den, (x,)) if type(x) is int
                   else x * inv for x in row]
-        result.append(Puiseux._make(t, lead, values, trunc))
+        result.append(Puiseux(t, lead, values, trunc))
     return LogQSeries(t, result)
 
 

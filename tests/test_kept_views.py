@@ -1,11 +1,11 @@
 """Series that keep their complex view, and the builders that store rows.
 
-``eval_at_tau`` keeps the ``Embedded`` view of a series that stores its row
-(every series the library builds) and evaluates it at later points; the view
-goes when ``coeffs`` is read or assigned, since the list is the series' value
-from then on.  A list-backed series and a ``LogQSeries`` are embedded on every
-call.  Either way the value and tail are those of ``eval_at_tau`` on
-``Embedded(s)``, bit for bit.
+``eval_at_tau`` keeps the ``Embedded`` view of a series (every series stores
+its row, one built from a CycQ list too) and evaluates it at later points; a
+read of ``coeffs`` keeps the row and the view, and the view goes when a write
+to ``coeffs`` stores a new row.  A ``LogQSeries`` is embedded on every call.
+Either way the value and tail are those of ``eval_at_tau`` on ``Embedded(s)``,
+bit for bit.
 
 Constants, monomials and zeros store a row too: an int row for a conductor-1
 value, a value row for any other, with the slots the CycQ list they were
@@ -36,11 +36,12 @@ BUILD = {
     "Q_k rational": lambda: qk_series(4, TorsionPair(Fraction(1, 2), Fraction(1)), 30),
     "E_4": lambda: eisenstein(4, 60),  # an int row
     "J": lambda: moonshine.delta_j_J(40)[2],  # an int row from q^-1
+    # a CycQ list, stored as a value row
     "list": lambda: Puiseux(3, Fraction(-1, 3), [cyc_root(1, 3), 0, Fraction(1, 2)] * 5,
                             Fraction(14, 3)),
     "log": lambda: LogQSeries(4, [eisenstein(4, 10), qk_series(2, PAIR, 10)]),
 }
-STORED = ("Q_k", "Q_k rational", "E_4", "J")
+STORED = ("Q_k", "Q_k rational", "E_4", "J", "list")
 
 
 def _bits(r):
@@ -78,11 +79,30 @@ def test_a_stored_series_is_embedded_once(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", STORED)
+def test_a_scalar_product_keeps_the_row_and_the_view(name, monkeypatch):
+    # s * c at conductor 3 read s.coeffs, which dropped s's row and view
+    real, built = Embedded.__new__, []
+
+    def counting(cls, s):
+        built.append(s)
+        return real(cls, s)
+
+    s = BUILD[name]()
+    stored, before = s._stored, eval_at_tau(s, TAUS[0])
+    monkeypatch.setattr(Embedded, "__new__", counting)
+    assert (s * cyc_root(1, 3)).coeff_at(s.lead) == s.coeff_at(s.lead) * cyc_root(1, 3)
+    s.coeffs
+    assert s._stored is stored and s._view is not None
+    assert _bits(eval_at_tau(s, TAUS[0])) == _bits(before)
+    assert built == []
+
+
+@pytest.mark.parametrize("name", STORED)
 def test_writing_coeffs_after_an_evaluation_changes_the_next(name):
     s, tau = BUILD[name](), TAUS[0]
     before = eval_at_tau(s, tau)
     s.coeffs[2] = s.coeffs[2] + cyc_root(1, 3)
-    assert s._view is None  # the list is the series now, and no stale view is kept
+    assert s._view is None  # the write stored a new row, and no stale view is kept
     want = Puiseux(s.T, s.lead, list(s.coeffs), s.trunc)
     after = eval_at_tau(s, tau)
     assert _bits(after) == _bits(eval_at_tau(want, tau)) != _bits(before)
@@ -111,7 +131,6 @@ def test_the_forms_builders_store_value_rows(pair):
     g, h = klein_hecke_series(pair, 3)
     built = [qk_series(3, pair, 5), g, h, *pbar_series(3, pair, (-1, 1), 3).coeffs]
     for s in built:
-        assert s._coeffs is None
         den, row, ints = s._stored
         assert (den, ints) == (1, False)
         assert all(type(x) is (CycQ if x else int) for x in row)
@@ -139,7 +158,7 @@ def test_monomials_store_the_slots_of_their_cycq_list(value, exponent, trunc, T)
     c = CycQ._coerce(value)
     got = Puiseux.monomial(value, exponent, trunc, T)
     want = _listed_monomial(value, exponent, trunc, T)
-    assert got._coeffs is None and got._stored[2] is (c.conductor == 1)
+    assert got._stored[2] is (c.conductor == 1)
     assert _fields(got) == _fields(want)
     if exponent == 0:
         assert _fields(Puiseux.constant(value, trunc, T)) == _fields(want)

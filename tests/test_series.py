@@ -478,15 +478,21 @@ def test_sparse_convolution_matches_schoolbook(a, b, limit):
 
 
 @st.composite
-def sum_terms(draw):
-    """A Puiseux at T in {1, 2, 3, 6}, its lead on its (1/T)Z grid or off it,
-    its truncation on a (1/2T)Z grid, its slots sparse_cycq."""
+def sum_args(draw):
+    """The arguments (T, lead, values, trunc) of a Puiseux at T in {1, 2, 3, 6},
+    its lead on its (1/T)Z grid or off it, its truncation on a (1/2T)Z grid, its
+    slots sparse_cycq."""
     T = draw(st.sampled_from([1, 2, 3, 6]))
     lead = draw(st.one_of(st.integers(-6, 6).map(lambda k: Fraction(k, T)),
                           st.fractions(min_value=-2, max_value=2, max_denominator=4)))
     trunc = lead + Fraction(draw(st.integers(0, 16)), 2 * T)
     n = math.ceil((trunc - lead) * T)
-    return Puiseux(T, lead, draw(st.lists(sparse_cycq, min_size=n, max_size=n)), trunc)
+    return T, lead, draw(st.lists(sparse_cycq, min_size=n, max_size=n)), trunc
+
+
+def sum_terms():
+    """The Puiseux of sum_args()."""
+    return sum_args().map(lambda args: Puiseux(*args))
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,10 +1,10 @@
 """Series that keep the row they were built from, against the CycQ-list path.
 
-A series the library builds stores its row (den, row, ints); ``coeffs`` is a
-list built from it on first read.  The ``_ref_*`` functions below are the
-CycQ-list path this replaced: every operation reads its operands' CycQ lists
-into rows and writes one CycQ per slot back, the Frobenius fold assembles CycQ
-slots, and ``_setup`` reads the ODE by its ``coeffs``.  Both paths must give the
+A series stores its row (den, row, ints); ``coeffs`` is a list built from it
+on each read.  The ``_ref_*`` functions below are the CycQ-list path this
+replaced: every operation reads its operands' CycQ lists into rows and writes
+one CycQ per slot back through ``Puiseux(...)``, the Frobenius fold assembles
+CycQ slots, and ``_setup`` reads the ODE by its ``coeffs``.  Both paths must give the
 same T, lead, trunc and (conductor, den, nums) in every slot, over rational,
 lifted (rational values stored at conductor N) and conductor-N series.
 
@@ -45,6 +45,7 @@ from orbiform.series import (
     _sparse_inverse,
     _sum_rows,
     _theta_rows,
+    eval_at_tau,
     product_expand,
     theta,
 )
@@ -75,7 +76,7 @@ def _ref_from_row(den, row, ints):
 
 def _ref_series(r, t, D):
     lead, trunc, *row = r
-    return Puiseux._make(t, Fraction(lead, D), _ref_from_row(*row), Fraction(trunc, D))
+    return Puiseux(t, Fraction(lead, D), _ref_from_row(*row), Fraction(trunc, D))
 
 
 def _ref_sum(terms):
@@ -98,27 +99,28 @@ def _ref_theta(s, scale="full"):
     D = math.lcm(s.T, s.lead.denominator, s.trunc.denominator)
     g = D // s.T
     ((_, _, *row),) = _theta_rows([_ref_row(s, s.T, D)], D if scale == "full" else g, g)
-    return Puiseux._make(s.T, s.lead, _ref_from_row(*row), s.trunc)
+    return Puiseux(s.T, s.lead, _ref_from_row(*row), s.trunc)
 
 
 def _ref_normalized(p):
-    i = 0
-    while i < len(p.coeffs) and not p.coeffs[i]:
+    coeffs, i = p.coeffs, 0
+    while i < len(coeffs) and not coeffs[i]:
         i += 1
-    return p if i == 0 else Puiseux._make(p.T, p.lead + Fraction(i, p.T), p.coeffs[i:], p.trunc)
+    return p if i == 0 else Puiseux(p.T, p.lead + Fraction(i, p.T), coeffs[i:], p.trunc)
 
 
 def _ref_inverse(x):
     s = _ref_normalized(x)
-    if not s.coeffs or not s.coeffs[0]:
+    coeffs = s.coeffs
+    if not coeffs or not coeffs[0]:
         raise NonInvertibleLeadingTerm("series has no invertible leading coefficient")
-    row = _int_row(s.coeffs)
+    row = _int_row(coeffs)
     if row is not None:
         den, ints = _newton_inverse(row[1])
         b = _ref_from_row(den, [row[0] * x for x in ints], True)
     else:
-        b = _sparse_inverse(s.coeffs)
-    return Puiseux._make(s.T, -s.lead, b, s.trunc - 2 * s.lead)
+        b = _sparse_inverse(coeffs)
+    return Puiseux(s.T, -s.lead, b, s.trunc - 2 * s.lead)
 
 
 def _ref_sum_log_parts(terms, t, D):
@@ -157,7 +159,7 @@ def _ref_fold_solution(cs, dens, d, mu, T, span, max_log):
                 x = c[j]
                 coeffs[n * step] = (CycQ._reduced(1, dens[n] * div, (x * num,))
                                     if type(x) is int else x * Fraction(num, div))
-        part = _ref_normalized(Puiseux._make(t, mu, coeffs, trunc))
+        part = _ref_normalized(Puiseux(t, mu, coeffs, trunc))
         parts.append(part if part.coeffs else Puiseux.zero(trunc, t))
     return LogQSeries(t, parts)
 
@@ -208,8 +210,9 @@ def _on_lists(solve):
 
 
 def _listed(p):
-    """p as a CycQ list, as every series the library built was before it kept rows."""
-    return Puiseux._make(p.T, p.lead, list(p.coeffs), p.trunc)
+    """p rebuilt from its CycQ list, as every series the library built was a list before it
+    kept rows."""
+    return Puiseux(p.T, p.lead, p.coeffs, p.trunc)
 
 
 # -- comparison --------------------------------------------------------------------
@@ -225,9 +228,12 @@ def _fields(s):
 
 
 def _stored(s) -> bool:
-    """Whether every nonzero part of s keeps its row (a zero part is ``Puiseux.zero``)."""
+    """Whether every part of s stores a row that keeps the invariant: an int row of
+    ints, or a value row of CycQ values and the int 0 over den 1."""
     parts = s.parts if isinstance(s, LogQSeries) else [s]
-    return all(p._stored is not None for p in parts if not p.is_zero())
+    return all(all(type(x) is int for x in row) if ints else
+               den == 1 and all(type(x) is CycQ or x == 0 and type(x) is int for x in row)
+               for den, row, ints in (p._stored for p in parts))
 
 
 # -- inputs ------------------------------------------------------------------------
@@ -460,19 +466,75 @@ def test_assigning_coeffs_changes_the_series(which):
     assert s.is_zero() and (s * s).is_zero() and (s + 1).coeff_at(0) == 1
 
 
-def test_a_row_built_series_stores_its_row_until_coeffs_is_read():
+def test_a_bad_write_to_coeffs_is_refused_and_changes_nothing():
+    # a float item, or a list past trunc, was stored and failed in the next sum
+    s = product_expand([(1, 1)], 8)
+    stored = s._stored
+    with pytest.raises(TypeError):
+        s.coeffs[2] = 0.5
+    with pytest.raises(TypeError):
+        s.coeffs = [1, 2, 0.5]
+    with pytest.raises(ValueError, match="past the truncation order"):
+        s.coeffs = [1] * 20
+    assert s._stored is stored
+    s.coeffs = [1, 2, 3]  # padded with zeros to trunc, as Puiseux(...) pads it
+    assert s._stored == (1, [1, 2, 3, 0, 0, 0, 0, 0], True)
+    assert _fields(s + s) == _fields(Puiseux(1, 0, [2, 4, 6], 8))
+
+
+_Z3 = cyc_root(1, 3)
+# (T, lead, a CycQ list, trunc) and a row of the same values, of the list's kind or not
+TWINS = [
+    ((1, 0, [_Z3 - _Z3, 1], 2), (1, [0, 1], True)),  # a zero slot at conductor 3
+    ((1, 0, [Fraction(1, 2), 0, Fraction(-3, 4)], 3), (4, [2, 0, -3], True)),
+    ((3, Fraction(-1, 3), [_Z3, 0, Fraction(1, 2)], Fraction(2, 3)),
+     (1, [_Z3, 0, CycQ.from_rational(Fraction(1, 2))], False)),
+    ((2, Fraction(1, 2), [CycQ.zero.lift(4), CycQ.from_rational(2).lift(3), 5], 2),
+     (1, [0, CycQ.from_rational(2).lift(3), CycQ.from_rational(5)], False)),
+]
+
+
+@pytest.mark.parametrize("args, row", TWINS)
+def test_a_list_built_series_reads_as_its_row_built_twin(args, row):
+    T, lead, values, trunc = args
+    listed = Puiseux(*args)
+    twin = Puiseux._make(T, Fraction(lead), row, Fraction(trunc))
+    assert listed.to_json() == twin.to_json()
+    assert _fields(listed) == _fields(twin)
+    exponents = [lead + Fraction(i, T) for i in range(len(values))]
+    assert [(c.conductor, c.den, c.nums) for c in map(listed.coeff_at, exponents)] == \
+        [(c.conductor, c.den, c.nums) for c in map(twin.coeff_at, exponents)]
+    assert _fields(Puiseux.from_json(listed.to_json())) == _fields(twin)
+
+
+def test_a_list_built_ode_solves_as_its_row_built_twin():
+    # indicial roots 1 and -1/2; a zero slot at conductor 3 in each coefficient
+    r0 = [Fraction(-1, 2), _Z3 - _Z3, 1, Fraction(1, 3)]
+    r1 = [Fraction(-1, 2), 0, _Z3 - _Z3, 2]
+    listed = [Puiseux(1, 0, r, 4) for r in (r0, r1)]
+    twins = [Puiseux._make(1, Fraction(0), row, Fraction(4))
+             for row in ((6, [-3, 0, 6, 2], True), (2, [-1, 0, 0, 4], True))]
+    got, want = (frobenius_solve(RegularSingularODE(2, 1, ode), 3) for ode in (listed, twins))
+    assert got.exponent_classes == want.exponent_classes
+    assert [_fields(x) for x in got.solutions] == [_fields(x) for x in want.solutions]
+
+
+def test_reading_coeffs_keeps_the_row_and_the_view():
     s = product_expand([(1, 24)], 12)
-    assert s._coeffs is None and s._stored[2] is True
-    den, row, _ = s._stored
+    stored = s._stored
+    den, row, ints = stored
+    assert ints is True
     # the row is read as stored, with no list in between
     assert _row(s, s.T, 1)[3] is row
     assert s.coeff_at(2) == 252 and not s.is_zero() and len(list(s.terms())) == 12
-    Embedded(s)
-    assert s._coeffs is None and s._stored[1] is row
+    before = eval_at_tau(s, 1.1j)
+    view = s._view
     c = s.coeffs
-    assert s._stored is None and s.coeffs is c
+    assert s._stored is stored and s._view is view is not None
+    assert s.coeffs is not c and s.coeffs == c  # a fresh list on each read
     assert [(x.conductor, x.den, x.nums) for x in c] == \
         [(1, 1, (x,)) if x else (1, 1, (0,)) for x in row]
+    assert eval_at_tau(s, 1.1j) == before and s._view is view
 
 
 def test_solving_against_f_keeps_the_stored_rows_of_f():
@@ -481,7 +543,7 @@ def test_solving_against_f_keeps_the_stored_rows_of_f():
     row = part._stored[1]
     ode = RegularSingularODE(1, 1, [Puiseux.constant(Fraction(1, 3), 12)])
     got = solve_inhomogeneous(ode, LogQSeries(1, [part]), 10)
-    assert part._coeffs is None and part._stored[1] is row
+    assert part._stored[2] is True and part._stored[1] is row
     # the solution is that of f given as a CycQ list, slot for slot
     listed = Puiseux(1, 0, list(product_expand([(1, 2)], 12).coeffs), 12)
     want = solve_inhomogeneous(ode, LogQSeries(1, [listed]), 10)
@@ -536,10 +598,10 @@ def test_structural_methods_keep_the_row():
     s = product_expand([(1, 3)], 10).shifted(Fraction(1, 8))
     for out in (s.with_branching(2), s.truncated(4), s.shifted(1), s.substituted(3), -s,
                 s.scalar_mul(Fraction(2, 3)), (s * 0).normalized(), s.normalized()):
-        assert out._coeffs is None
-    assert s._coeffs is None
+        assert out._stored[2] is True
+    assert s._stored[2] is True
     for c in (Fraction(2, 3), cyc_root(1, 3)):
-        want = Puiseux._make(s.T, s.lead, [c * x for x in _listed(s).coeffs], s.trunc)
+        want = Puiseux(s.T, s.lead, [c * x for x in _listed(s).coeffs], s.trunc)
         assert _fields(s.scalar_mul(c)) == _fields(want)
 
 
@@ -550,11 +612,11 @@ def test_terms_of_a_row_are_the_reduced_slots():
         [(i, c.conductor, c.den, c.nums) for i, c in enumerate(eisenstein(4, 12).coeffs) if c]
 
 
-def test_from_terms_keeps_cycq_values_as_a_list():
-    # a zero at conductor 3 stays one, so theta S = 0 is solved on CycQ values as before
+def test_from_terms_stores_a_value_row():
+    # a zero at conductor 3 is the int 0 of a value row, so theta S = 0 is solved on CycQ values
     zero3 = CycQ.zero.lift(3)
     r = Puiseux.from_terms([(0, zero3)], 4)
-    assert r._stored is None and r.coeff_at(0).conductor == 3
+    assert r._stored == (1, [0, 0, 0, 0], False) and r.coeff_at(0) is CycQ.zero
     assert Puiseux.from_terms([(0, 1), (1, Fraction(1, 2))], 4)._stored == (2, [2, 1, 0, 0], True)
     ode = RegularSingularODE(1, 1, [r])
     got = frobenius_solve(ode, 3).solutions
