@@ -7,13 +7,16 @@ Rationals are plain ``fractions.Fraction`` throughout the package.  A CycQ
 is true when it is nonzero, so every layer zero-tests a coefficient with
 ``if c``.
 
-Two private helpers hold the package's exact inner loops.
+Four private helpers hold the package's exact inner loops.
 ``_sparse_convolve`` is its one sparse product loop: ``CycQ.__mul__``, the
 Euclid helper ``_poly_mul``, ``BiSeries.__mul__`` and ``series._mul_rows``
 (every series product but a dense rational one) call it.  ``_power_basis`` is
 its one reduction of sum c zeta_n^e through ``_reduction_table(n)``, the
 table of zeta_n^e for every e mod n: on one row of ints for ``CycQ.lift`` and
 ``CycQ.__mul__``, and on a window of ``forms`` as it is stored, by column.
+``_add_family`` is its one divisor sieve (the windows of ``forms``, sigma_(k-1)
+of E_k, the sigma_1 of each eta factor), and ``_homogeneous_value`` its one
+integer Horner loop (``BernoulliPoly`` and the rational roots of ``frobenius``).
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ import cmath
 import functools
 import operator
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import repeat
+from math import gcd, isqrt, lcm
 
 
 def _exponent(x) -> Fraction:
@@ -140,6 +144,47 @@ def _sparse_convolve(a, b, n: int) -> list:
     return [0 if c is None else c for c in out]
 
 
+def _add_family(cols: list, s0: int, t: int, weights: list, l: int, n: int, start: int = 0):
+    """Add sum_i weights[i] sum_(m>=1) zeta_n^(m l) q^(m (s0 + i t)), s0, t >= 1, into a window
+    of Z[C_n] by column (cols[e][idx] the coefficient of zeta_n^e at slot idx) that ends at the
+    truncation, with q^0 at slot start.  Dirichlet's hyperbola method splits the terms at
+    m = B = isqrt(size p/t), p = n/gcd(l, n) the period of m l mod n: for m <= B those of one m
+    lie m t apart in one column, one slice over the steps; for m > B those of one step and one
+    residue of m mod p lie p step apart in one column, one slice of one weight.  A run of at
+    most 3 slots is added slot by slot."""
+    size, p = len(cols[0]), n // gcd(l, n)
+    bound = isqrt(max(0, size - start) * p // t)
+    for m in range(1, min(bound, (size - 1 - start) // s0) + 1):
+        a, stride, col = start + m * s0, m * t, cols[m * l % n]
+        num = min(len(weights), (size - 1 - a) // stride + 1)
+        if num > 3:
+            stop = a + (num - 1) * stride + 1  # the slice ends at the family's last step
+            col[a:stop:stride] = map(operator.add, col[a:stop:stride], weights)
+        else:
+            for i in range(num):
+                col[a + i * stride] += weights[i]
+    for i, w in enumerate(weights):
+        step = s0 + i * t
+        if start + (bound + 1) * step >= size:
+            break
+        for m in range(bound + 1, bound + 1 + p):
+            a, stride, col = start + m * step, p * step, cols[m * l % n]
+            if a + 3 * stride < size:
+                col[a::stride] = map(operator.add, col[a::stride], repeat(w))
+            else:
+                for idx in range(a, size, stride):
+                    col[idx] += w
+
+
+def _homogeneous_value(coeffs: list, p: int, q: int) -> int:
+    """q^n P(p/q) = sum c_i p^i q^(n-i) for P of degree n, by Horner's scheme."""
+    acc, qk = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * p + c * qk
+        qk *= q
+    return acc
+
+
 def _power(x, e: int, mul=operator.mul):
     """x^e for e >= 1 by square-and-multiply from x itself, with no squaring
     after the last bit (x^3 is x * (x * x)); ``CycQ`` and ``Puiseux`` use it,
@@ -170,7 +215,7 @@ class CycQ:
     def __init__(self, conductor: int, coeffs):
         conductor = _positive_int("conductor", conductor)
         d = euler_phi(conductor)
-        coeffs = [Fraction(c) for c in coeffs]
+        coeffs = [_exponent(c) for c in coeffs]
         if len(coeffs) != d:
             raise ValueError(f"need {d} coordinates for conductor {conductor}")
         # over the lcm of denominators in lowest terms, no prime divides every numerator
@@ -210,7 +255,7 @@ class CycQ:
     @staticmethod
     def from_rational(x) -> "CycQ":
         if not isinstance(x, (int, Fraction)):
-            x = Fraction(x)
+            x = _exponent(x)
         return CycQ._make(1, x.denominator, (x.numerator,))
 
     zero = None  # set below
@@ -388,8 +433,8 @@ class CycQ:
 
     @staticmethod
     def from_json(data: dict) -> "CycQ":
-        # through _exponent a float or bool coordinate is a TypeError (0.1 is not 1/10)
-        return CycQ(data["conductor"], [_exponent(c) for c in data["coeffs"]])
+        # CycQ reads each coordinate through _exponent: a float or bool is a TypeError
+        return CycQ(data["conductor"], data["coeffs"])
 
 
 _new = object.__new__

@@ -14,10 +14,11 @@ import functools
 import math
 import operator
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import compress
 from math import lcm
 
-from .cyclotomic import CycQ, _exponent, _index, _power, _power_basis, cyc_root_of
+from .cyclotomic import (CycQ, _add_family, _exponent, _homogeneous_value, _index, _power,
+                         _power_basis, cyc_root_of)
 from .errors import (
     BadWeight,
     NearPole,
@@ -30,7 +31,7 @@ from .errors import (
 )
 from .modular import TorsionPair
 from .report import CheckReport
-from .series import BiSeries, Embedded, Puiseux, _divisor_sums, _int_convolve, theta
+from .series import BiSeries, Embedded, Puiseux, _int_convolve, theta
 
 TWO_PI_I = 2j * cmath.pi
 
@@ -69,17 +70,14 @@ class BernoulliPoly:
     def __init__(self, degree: int, coefficients):
         self.degree = degree
         # a tuple: __call__ reads the ints made from it, and bernoulli_poly shares one per k
-        self.coefficients = tuple(Fraction(c) for c in coefficients)
+        self.coefficients = tuple(_exponent(c) for c in coefficients)
         self._den = lcm(*(c.denominator for c in self.coefficients))
         self._nums = [c.numerator * (self._den // c.denominator) for c in self.coefficients]
 
     def __call__(self, x) -> Fraction:
         """B(p/q) = q acc / (den q^(k+1)), acc = sum_i nums[i] p^i q^(k-i) by Horner on ints."""
-        p, q = Fraction(x).as_integer_ratio()
-        acc, qpow = 0, 1
-        for c in reversed(self._nums):
-            acc, qpow = acc * p + c * qpow, qpow * q
-        return Fraction(acc * q, self._den * qpow)
+        p, q = _exponent(x).as_integer_ratio()
+        return Fraction(_homogeneous_value(self._nums, p, q) * q, self._den * q ** len(self._nums))
 
     def __eq__(self, other):
         return (
@@ -114,7 +112,7 @@ def bernoulli_identities_check(k: int, x, n: int = 10) -> bool:
         raise ValueError("k must be at least 1")
     if n < 1:
         raise ValueError(f"the power sum needs n >= 1, got {n}")
-    x = Fraction(x)
+    x = _exponent(x)
     bk = bernoulli_poly(k)
     power_sum = sum((Fraction(a) + x) ** (k - 1) for a in range(n))
     lhs_ok = power_sum == (bk(x + n) - bk(x)) / k
@@ -144,7 +142,8 @@ def _eisenstein_row(k: int, trunc) -> tuple:
         raise BadWeight("Eisenstein weight must be an even integer >= 2")
     trunc, b = _exponent(trunc), bernoulli_number(k)
     # 2 sigma_(k-1)(m)/(k-1)! and the constant -B_k/k! over den = k! den(B_k)
-    row = [2 * k * b.denominator * x for x in _divisor_sums(max(0, math.ceil(trunc)), k - 1, 1)]
+    row, c = [0] * max(0, math.ceil(trunc)), 2 * k * b.denominator
+    _add_family([row], 1, 1, [c * d ** (k - 1) for d in range(1, len(row))], 0, 1)
     if row:
         row[0] = -b.numerator
     return trunc, math.factorial(k) * b.denominator, row
@@ -167,38 +166,6 @@ def g2_eval(tau: complex, trunc=60) -> complex:
 
 
 # -- twisted Eisenstein series Q_k ---------------------------------------------
-
-def _add_family(cols: list, s0: int, t: int, weights: list, l: int, n: int, start: int = 0):
-    """Add sum_i weights[i] sum_(m>=1) zeta_n^(m l) q^(m (s0 + i t)), s0, t >= 1, into a window
-    of Z[C_n] by column (cols[e][idx] the coefficient of zeta_n^e at slot idx) that ends at the
-    truncation, with q^0 at slot start.  Dirichlet's hyperbola method splits the terms at
-    m = B = isqrt(size p/t), p = n/gcd(l, n) the period of m l mod n: for m <= B those of one m
-    lie m t apart in one column, one slice over the steps; for m > B those of one step and one
-    residue of m mod p lie p step apart in one column, one slice of one weight.  A run of at
-    most 3 slots is added slot by slot."""
-    size, p = len(cols[0]), n // math.gcd(l, n)
-    bound = math.isqrt(max(0, size - start) * p // t)
-    for m in range(1, min(bound, (size - 1 - start) // s0) + 1):
-        a, stride, col = start + m * s0, m * t, cols[m * l % n]
-        num = min(len(weights), (size - 1 - a) // stride + 1)
-        if num > 3:
-            stop = a + (num - 1) * stride + 1  # the slice ends at the family's last step
-            col[a:stop:stride] = map(operator.add, col[a:stop:stride], weights)
-        else:
-            for i in range(num):
-                col[a + i * stride] += weights[i]
-    for i, w in enumerate(weights):
-        step = s0 + i * t
-        if start + (bound + 1) * step >= size:
-            break
-        for m in range(bound + 1, bound + 1 + p):
-            a, stride, col = start + m * step, p * step, cols[m * l % n]
-            if a + 3 * stride < size:
-                col[a::stride] = map(operator.add, col[a::stride], repeat(w))
-            else:
-                for idx in range(a, size, stride):
-                    col[idx] += w
-
 
 def _reduce_rows(cols: list, denom: int, const: CycQ = CycQ.zero, at: int = 0) -> list:
     """Each slot sum_e cols[e][slot] zeta_N^e of a dense window stored by column, over denom, as

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .cyclotomic import CycQ, _index, _poly_divmod_q, _poly_gcdex, _poly_sub
+from .cyclotomic import CycQ, _homogeneous_value, _index, _poly_divmod_q, _poly_gcdex, _poly_sub
 from .errors import TruncationTooSmall
 from .series import LogQSeries, Puiseux, _exponent, _int_row, _nterms, _residual
 
@@ -153,15 +153,6 @@ def _rational_roots(coeffs: list) -> tuple[list, list]:
             roots.append(Fraction(p, q))
             cur = list(accumulate(cur[:0:-1], lambda b, c: (c + p * b) // q, initial=0))[:0:-1]
     return roots, [Fraction(x) for x in cur]
-
-
-def _homogeneous_value(coeffs: list, p: int, q: int) -> int:
-    """q^n P(p/q) = sum c_i p^i q^(n-i) for P of degree n, by Horner's scheme."""
-    acc, qk = 0, 1
-    for c in reversed(coeffs):
-        acc = acc * p + c * qk
-        qk *= q
-    return acc
 
 
 def _squarefree(f: list) -> list:

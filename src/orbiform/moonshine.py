@@ -53,14 +53,17 @@ def load_data() -> dict:
 
 
 def hauptmodul_spec(class_label: str) -> HauptmodulSpec:
-    for c in load_data()["classes"]:
-        if c["label"] == class_label:
-            try:  # int() would truncate a float, Fraction() read it as its binary value
+    """The class's spec from the data file; data of the wrong shape or type is a ValueError."""
+    try:  # int() would truncate a float, Fraction() read it as its binary value
+        for c in load_data()["classes"]:
+            if c["label"] == class_label:
                 eta = tuple((_index("eta scale", a), _index("eta exponent", e))
                             for a, e in c["eta"])
                 return HauptmodulSpec(c["label"], eta, _exponent(c["const"]))
-            except TypeError as e:
-                raise ValueError(f"hauptmodul data for {class_label} is malformed: {e}") from None
+    except KeyError as e:
+        raise ValueError(f"hauptmodul data for {class_label} is malformed: no key {e}") from None
+    except (TypeError, ZeroDivisionError) as e:
+        raise ValueError(f"hauptmodul data for {class_label} is malformed: {e}") from None
     raise UnknownClass(f"no hauptmodul data for class {class_label!r}")
 
 
@@ -141,8 +144,8 @@ def char_solve(braces: Puiseux, combos=DEFAULT_CHAR_COMBOS) -> CharacterData:
         if len(combo) != len(degrees) + 1:
             raise ValueError("combo length must introduce exactly one degree")
         for w, chi in zip(combo, degrees):
-            acc -= Fraction(w) * chi
-        chi_new = acc / Fraction(combo[-1])
+            acc -= _exponent(w) * chi
+        chi_new = acc / _exponent(combo[-1])
         if chi_new.denominator != 1 or chi_new <= degrees[-1]:
             raise NonIntegralCharacter(
                 f"solved degree {chi_new} is not an ascending positive integer"

@@ -16,7 +16,8 @@ and any other pair through ``cyclotomic._sparse_convolve``, the sparse loop
 that also multiplies CycQ coordinates and ``BiSeries`` windows.  The inverse
 of a conductor-1 series is a Newton iteration on ``_int_convolve``, of any
 other the sparse recurrence.  ``product_expand`` multiplies no series: it
-runs the Euler transform on integers over ``_divisor_sums``.
+runs the Euler transform on integers, each factor's sigma_1 added by
+``cyclotomic._add_family``.
 
 ``Puiseux.sum``, ``__mul__``, ``theta``, ``LogQSeries.__add__`` and the residual
 ``_residual`` (``frobenius.apply_ode``) share one row algebra, ``_row``,
@@ -37,8 +38,8 @@ from fractions import Fraction
 from itertools import repeat, zip_longest
 from typing import NamedTuple
 
-from .cyclotomic import (CycQ, _exponent, _index, _positive_int, _power, _root_powers,
-                         _sparse_convolve)
+from .cyclotomic import (CycQ, _add_family, _exponent, _index, _positive_int, _power,
+                         _root_powers, _sparse_convolve)
 from .errors import (
     NonInvertibleLeadingTerm,
     NotConvergent,
@@ -690,17 +691,6 @@ def eval_at_tau(s, tau: complex, precision: int = 53) -> EvalResult:
 
 # -- infinite products -----------------------------------------------------------
 
-def _divisor_sums(n: int, power: int, step: int) -> list:
-    """For m = 0 .. n-1, the sum of d^power over the divisors d of m that are
-    multiples of step (0 at m = 0): each such d < n is added at its multiples."""
-    out = [0] * n
-    for d in range(step, n, step):
-        w = d**power
-        for m in range(d, n, d):
-            out[m] += w
-    return out
-
-
 def product_expand(factors, trunc) -> Puiseux:
     """prod over (a, e) of prod_(n>=1) (1 - q^(a n))^e, truncated, by the Euler
     transform: q d/dq log of the product is sum_m b_m q^m, b_m = -sum_(a,e) e a
@@ -711,9 +701,8 @@ def product_expand(factors, trunc) -> Puiseux:
     b = [0] * n
     for a, e in factors:
         a, e = _positive_int("product scale", a), _index("product exponent", e)
-        # the divisors of m that are multiples of a sum to a sigma_1(m/a)
-        for m, s in enumerate(_divisor_sums(n, 1, a)):
-            b[m] -= e * s
+        # the divisors d of m that are multiples of a sum to a sigma_1(m/a)
+        _add_family([b], a, a, [-e * d for d in range(a, n, a)], 0, 1)
     c = [1][:n]
     for m in range(1, n):
         c.append(sum(map(operator.mul, b[m:0:-1], c)) // m)
@@ -732,7 +721,7 @@ class BiSeries:
     __slots__ = ("wlead", "min_off", "coeffs")
 
     def __init__(self, wlead, min_off: int, coeffs):
-        self.wlead = Fraction(wlead)
+        self.wlead = _exponent(wlead)
         self.min_off = min_off
         self.coeffs = list(coeffs)
         if not self.coeffs:
@@ -740,7 +729,7 @@ class BiSeries:
 
     def coeff_at_w(self, exponent) -> Puiseux:
         """Coefficient of w^exponent; zero off the wlead grid."""
-        exponent = Fraction(exponent)
+        exponent = _exponent(exponent)
         off = exponent - self.wlead
         if off.denominator != 1:
             p0 = self.coeffs[0]

@@ -377,6 +377,24 @@ def test_moonshine_bool_eta_scale_is_malformed(capsys, tmp_path, monkeypatch):
     assert captured.err.startswith("error: hauptmodul data for 2B is malformed")
 
 
+@pytest.mark.parametrize("data", [
+    {"classes": [{"label": "2B", "eta": [[1, 24], [2, -24]]}]},
+    {"classes": [{"label": "2B", "const": "24"}]},
+    {"klasses": [{"label": "2B", "eta": [[1, 24], [2, -24]], "const": "24"}]},
+    [{"label": "2B", "eta": [[1, 24], [2, -24]], "const": "24"}],
+    {"classes": [{"label": "2B", "eta": [[1, 24], [2, -24]], "const": "1/0"}]},
+], ids=["no-const", "no-eta", "no-classes", "top-level-list", "zero-denominator"])
+@pytest.mark.parametrize("command", ["hauptmodul", "twisted4"])
+def test_moonshine_malformed_class_data_is_an_error(capsys, tmp_path, monkeypatch, data, command):
+    # each ended in a KeyError, TypeError or ZeroDivisionError traceback
+    (tmp_path / "moonshine.json").write_text(json.dumps(data))
+    monkeypatch.setenv("ORBIFORM_DATA", str(tmp_path))
+    assert run(["moonshine", command, "--class", "2B", "--trunc", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("error: hauptmodul data for 2B is malformed")
+
+
 def test_moonshine_class_defaults_to_1A(capsys):
     code, (obj,) = run_json(capsys, ["moonshine", "hauptmodul", "--trunc", "3"])
     assert code == 0 and obj["terms"] == [["-1", "1"], ["1", "196884"], ["2", "21493760"]]

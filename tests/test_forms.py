@@ -168,6 +168,23 @@ def test_eisenstein_normalization_and_divisors():
             eisenstein(k, 5)
 
 
+def _sigma(power: int, m: int) -> int:
+    """sigma_power(m) by trial division over d <= m."""
+    return sum(d**power for d in range(1, m + 1) if m % d == 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 4, 6, 8, 10, 12]), st.integers(0, 300))
+@example(12, 300)
+@example(2, 2)
+def test_eisenstein_slots_are_divisor_sums_by_trial_division(k, n):
+    # slot m >= 1 of E_k is 2 sigma_(k-1)(m)/(k-1)!, whatever sieve adds it
+    e = eisenstein(k, n)
+    assert e.trunc == n
+    for m in range(1, n):
+        assert e.coeff_at(m) == Fraction(2 * _sigma(k - 1, m), math.factorial(k - 1))
+
+
 def test_qk_weight_zero_and_trivial_pair():
     pair = TorsionPair(Fraction(1, 2), Fraction(1, 3))
     assert qk_series(0, pair, 10) == -1

@@ -2,8 +2,8 @@
 
 Ints from a JSON file or an API call go through ``cyclotomic._index`` or
 ``cyclotomic._positive_int``, rationals through ``cyclotomic._exponent``: a
-bool, float, Fraction or str is refused alike at every site, and a numpy int
-is read as the int it holds.
+bool, float, Fraction or str is refused alike at every int site, a bool or
+float at every rational site, and a numpy int is read as the int it holds.
 """
 
 import re
@@ -15,9 +15,11 @@ import pytest
 from orbiform.cyclotomic import CycQ, _index, _positive_int, cyc_root
 from orbiform.errors import NearPole, WindowTooSmall
 from orbiform.forms import (
+    BernoulliPoly,
     bernoulli_identities_check,
     bernoulli_number,
     bernoulli_poly,
+    bernoulli_value,
     eisenstein,
     pbar_series,
     pk_eval,
@@ -31,8 +33,8 @@ from orbiform.forms import (
 )
 from orbiform.frobenius import RegularSingularODE
 from orbiform.modular import S, GammaMat, TorsionPair, reduce_cyclic_pair, slash_eval
-from orbiform.moonshine import delta_j_J, weight4_onepoint
-from orbiform.series import LogQSeries, Puiseux, product_expand
+from orbiform.moonshine import char_solve, delta_j_J, weight4_onepoint
+from orbiform.series import BiSeries, LogQSeries, Puiseux, product_expand
 
 PAIR = TorsionPair(Fraction(1, 3), Fraction(1, 2))
 
@@ -116,6 +118,46 @@ def test_outside_ints_are_read_alike(call, exc, fragment):
         cyc_root(1, k), cyc_root(k % 3, 3), bernoulli_number(k), bernoulli_poly(k)
     with pytest.raises(exc, match=fragment):
         call()
+
+
+_BRACES = Puiseux(1, 0, [0, 5, 7], 3)
+_WINDOW = BiSeries(Fraction(1, 2), 0, [Puiseux.constant(1, 3)])
+
+
+@pytest.mark.parametrize("call", [
+    # Fraction(...) read 0.5 as 1/2, 0.1 as its binary value and True as 1
+    lambda: CycQ(3, [0.5, 1]),
+    lambda: CycQ(3, [True, 0]),
+    lambda: CycQ.from_rational(0.5),  # an int or Fraction, a bool too, takes the fast path
+    lambda: BernoulliPoly(2, [Fraction(1, 6), -1, 1.0]),
+    lambda: BernoulliPoly(2, [Fraction(1, 6), -1, True]),
+    lambda: bernoulli_value(2, 0.1),
+    lambda: bernoulli_value(2, True),
+    lambda: bernoulli_identities_check(2, 0.5),
+    lambda: bernoulli_identities_check(2, True),
+    lambda: char_solve(_BRACES, ((1, 0.5),)),
+    lambda: char_solve(_BRACES, ((True, Fraction(1, 2)),)),
+    lambda: BiSeries(0.5, 0, [Puiseux.constant(1, 3)]),
+    lambda: BiSeries(True, 0, [Puiseux.constant(1, 3)]),
+    lambda: _WINDOW.coeff_at_w(0.5),
+    lambda: _WINDOW.coeff_at_w(True),
+], ids=["cycq-float", "cycq-bool", "cycq-from-rational-float", "bernoulli-poly-float",
+        "bernoulli-poly-bool", "bernoulli-value-float", "bernoulli-value-bool",
+        "bernoulli-identities-x-float", "bernoulli-identities-x-bool", "char-solve-combo-float",
+        "char-solve-combo-bool", "biseries-wlead-float", "biseries-wlead-bool",
+        "coeff-at-w-float", "coeff-at-w-bool"])
+def test_outside_rationals_are_read_alike(call):
+    with pytest.raises(TypeError, match="a rational is an int, Fraction or str, not "):
+        call()
+
+
+def test_rational_readers_take_ints_fractions_and_strings():
+    assert CycQ(3, [Fraction(1, 2), "1/3"]) == CycQ(3, [Fraction(1, 2), Fraction(1, 3)])
+    assert CycQ.from_rational("1/2") == Fraction(1, 2)
+    assert bernoulli_value(2, "1/2") == bernoulli_value(2, Fraction(1, 2)) == Fraction(-1, 12)
+    assert bernoulli_identities_check(2, "1/3")
+    assert char_solve(_BRACES, (("1", "1/2"),)).degrees == (1, 8)
+    assert _WINDOW.coeff_at_w("1/2") == Puiseux.constant(1, 3)
 
 
 def test_numpy_ints_are_read_as_ints():

@@ -146,6 +146,27 @@ def test_hauptmodul_bool_eta_scale_is_a_value_error(tmp_path, monkeypatch):
         hauptmodul_spec("ZZ")
 
 
+_MALFORMED_DATA = {
+    "no-const": {"classes": [{"label": "2B", "eta": [[1, 24], [2, -24]]}]},
+    "no-eta": {"classes": [{"label": "2B", "const": "24"}]},
+    "no-classes": {"klasses": [{"label": "2B", "eta": [[1, 24], [2, -24]], "const": "24"}]},
+    "top-level-list": [{"label": "2B", "eta": [[1, 24], [2, -24]], "const": "24"}],
+    "zero-denominator": {"classes": [{"label": "2B", "eta": [[1, 24], [2, -24]], "const": "1/0"}]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED_DATA))
+def test_hauptmodul_data_of_the_wrong_shape_is_a_value_error(tmp_path, monkeypatch, name):
+    # a missing key, a list at the top or a zero denominator was a KeyError, TypeError or
+    # ZeroDivisionError from inside the reader
+    (tmp_path / "moonshine.json").write_text(json.dumps(_MALFORMED_DATA[name]))
+    monkeypatch.setenv("ORBIFORM_DATA", str(tmp_path))
+    with pytest.raises(ValueError, match="hauptmodul data for 2B is malformed"):
+        hauptmodul_spec("2B")
+    with pytest.raises(ValueError, match="hauptmodul data for 2B is malformed"):
+        twisted_weight4("2B", 3)
+
+
 def test_bad_hauptmodul_data_rejected(tmp_path, monkeypatch):
     data = {"classes": [{"label": "YY", "eta": [[1, 24], [2, -24]], "const": "7"}]}
     p = tmp_path / "moonshine.json"
