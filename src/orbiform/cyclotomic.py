@@ -185,15 +185,14 @@ def _homogeneous_value(coeffs: list, p: int, q: int) -> int:
     return acc
 
 
-def _power(x, e: int, mul=operator.mul):
+def _power(x, e: int):
     """x^e for e >= 1 by square-and-multiply from x itself, with no squaring
-    after the last bit (x^3 is x * (x * x)); ``CycQ`` and ``Puiseux`` use it,
-    and the Zhu kernel with its own mul on (den, ints) rows."""
+    after the last bit (x^3 is x * (x * x)); ``CycQ`` and ``Puiseux`` use it."""
     result = x if e & 1 else None
     while e := e >> 1:
-        x = mul(x, x)
+        x = x * x
         if e & 1:
-            result = x if result is None else mul(result, x)
+            result = x if result is None else result * x
     return result
 
 

@@ -17,8 +17,8 @@ from fractions import Fraction
 from itertools import compress
 from math import lcm
 
-from .cyclotomic import (CycQ, _add_family, _exponent, _homogeneous_value, _index, _power,
-                         _power_basis, cyc_root_of)
+from .cyclotomic import (CycQ, _add_family, _exponent, _homogeneous_value, _index, _power_basis,
+                         cyc_root_of)
 from .errors import (
     BadWeight,
     NearPole,
@@ -31,7 +31,7 @@ from .errors import (
 )
 from .modular import TorsionPair
 from .report import CheckReport
-from .series import BiSeries, Embedded, Puiseux, _int_convolve, theta
+from .series import BiSeries, Embedded, Puiseux, theta
 
 TWO_PI_I = 2j * cmath.pi
 
@@ -554,55 +554,19 @@ def klein_hecke_series(pair: TorsionPair, trunc) -> tuple[Puiseux, Puiseux]:
 # -- Zhu change-of-variable coefficients -----------------------------------------
 
 def zhu_coeff(p: int, i: int, m: int) -> Fraction:
-    """Coefficient of z^i in (log(1+z))^m (1+z)^(p-1) / m!."""
-    p = _index("p", p)  # the binomial row is integral only for an integer p
+    """Coefficient of z^i in (log(1+z))^m (1+z)^(p-1) / m!, which is the
+    coefficient of x^m in binom(p-1+x, i) = prod_(t<i) (p-1-t+x) / i!, since
+    (1+z)^(p-1+x) = sum_i binom(p-1+x, i) z^i."""
+    p = _index("p", p)  # the product row is integral only for an integer p
     i, m = _index("i", i), _index("m", m)
     if i < 0 or m < 0:
         raise ValueError("i and m must be nonnegative")
     if i < m:
         return Fraction(0)
-    den, ints = _log_pow_times_binomial(p, m, i + 1)
-    return Fraction(ints[i], den * math.factorial(m))
-
-
-def zhu_coeff_binomial_oracle(p: int, i: int, m: int) -> Fraction:
-    """Coefficient of z^m in the polynomial binom(p-1+z, i)."""
-    if i < 0 or m < 0:
-        raise ValueError("i and m must be nonnegative")
-    # expand prod_(t=0..i-1) (p-1-t+z) / i!
-    poly = [Fraction(1)]
-    for t in range(i):
-        const = Fraction(p - 1 - t)
-        new = [Fraction(0)] * (len(poly) + 1)
-        for s, c in enumerate(poly):
-            new[s] += c * const
-            new[s + 1] += c
-        poly = new
-    poly = [c / math.factorial(i) for c in poly]
-    return poly[m] if m < len(poly) else Fraction(0)
-
-
-def _log_pow_times_binomial(p: int, m: int, nterms: int) -> tuple[int, list[int]]:
-    """(den, ints): (log(1+z))^m (1+z)^(p-1) to nterms slots, as ints over den;
-    the power by square-and-multiply."""
-    # log(1+z) over L = lcm(1..nterms-1)
-    L = math.lcm(*range(1, nterms))
-    log1p = [0] + [(L if n % 2 else -L) // n for n in range(1, nterms)]
-
-    def mul(a, b):
-        # one gcd a product keeps den a divisor of (nterms-1)!: the z^n slot of
-        # log(1+z)^m is m! s(n, m) / n!, s a Stirling number of the first kind
-        den, ints = a[0] * b[0], _int_convolve(a[1], b[1], nterms)
-        g = math.gcd(den, *ints)
-        return den // g, [x // g for x in ints]
-
-    den, acc = _power((L, log1p), m, mul) if m else (1, [1] + [0] * (nterms - 1))
-    # (1+z)^(p-1) via the binomial series: binom(p-1, n) is an integer for
-    # an integer p, so each step divides exactly
-    binom = [1]
-    for n in range(nterms - 1):
-        binom.append(binom[-1] * (p - 1 - n) // (n + 1))
-    return den, _int_convolve(acc, binom, nterms)
+    poly = [1]  # prod_(t<i) (p-1-t+x), lowest power first
+    for c in range(p - 1, p - 1 - i, -1):
+        poly = [c * a + b for a, b in zip(poly + [0], [0] + poly)]
+    return Fraction(poly[m], math.factorial(i))
 
 
 # -- checks ----------------------------------------------------------------------

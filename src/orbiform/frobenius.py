@@ -260,8 +260,12 @@ def _recurse(indicial, rows, x0, seed_power: int, steps: int, f=None):
     integral in l' = l/d, so the equation times d^m has int coefficients, and
     c_n is kept in divided powers of l' as ints over its own positive
     denominator dens[n], in lowest terms: the lcm of the terms' denominators
-    times the scale k of ``_solve_step``, over one gcd.  CycQ and complex
-    coefficients are kept as they are, with d and every den 1.
+    times the scale k of ``_solve_step``, over one gcd.  One running
+    denominator for the whole history would rescale every kept c_m on nearly
+    every step, as k over its gcd with b is rarely 1, while an ODE with one row
+    R_1 reads only c_(n-1) a step, so that rescaling costs more than the lcm
+    it saves.  CycQ and complex coefficients are kept as they are, with d and
+    every den 1.
     """
     m = len(indicial) - 1
     one, d = indicial[-1], 1  # the indicial polynomial is monic, or L on ints

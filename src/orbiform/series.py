@@ -722,7 +722,7 @@ class BiSeries:
 
     def __init__(self, wlead, min_off: int, coeffs):
         self.wlead = _exponent(wlead)
-        self.min_off = min_off
+        self.min_off = _index("window offset", min_off)
         self.coeffs = list(coeffs)
         if not self.coeffs:
             raise ValueError("empty window")

@@ -52,10 +52,10 @@ from orbiform.forms import (
     qk_series_divisor_oracle,
     wp1_eval,
     zhu_coeff,
-    zhu_coeff_binomial_oracle,
 )
 from orbiform.modular import TorsionPair
-from orbiform.series import Embedded, Puiseux, _nterms, eval_at_tau, product_expand, theta
+from orbiform.series import (Embedded, Puiseux, _int_convolve, _nterms, eval_at_tau,
+                             product_expand, theta)
 
 
 def test_bernoulli_polynomials_exact():
@@ -183,6 +183,17 @@ def test_eisenstein_slots_are_divisor_sums_by_trial_division(k, n):
     assert e.trunc == n
     for m in range(1, n):
         assert e.coeff_at(m) == Fraction(2 * _sigma(k - 1, m), math.factorial(k - 1))
+
+
+def test_qk_at_the_trivial_pair_is_the_eisenstein_series():
+    # two builders that share only the sieve: E_k adds one one-column family over
+    # k! den(B_k), Q_k its two geometric families plus -B_k(1)/k!; at 300 slots
+    # both sides of the hyperbola split run
+    triv = TorsionPair(Fraction(1), Fraction(1))
+    for k in range(2, 13, 2):
+        assert eisenstein(k, 300) == qk_series(k, triv, 300), k
+    for k in range(3, 12, 2):
+        assert qk_series(k, triv, 300).is_zero(), k
 
 
 def test_qk_weight_zero_and_trivial_pair():
@@ -821,16 +832,39 @@ def test_klein_window_matches_the_row_loop(monkeypatch):
             assert windows[0] == [[row[e] for row in rows] for e in range(n)], (pair, trunc)
 
 
-def test_zhu_coeff_against_binomial_oracle():
+def zhu_log_power(p, i, m):
+    """[z^i] (log(1+z))^m (1+z)^(p-1) / m!, the definition, on int rows over one
+    denominator: log(1+z)^m by square-and-multiply, each product brought to lowest
+    terms by one gcd, then one product by the binomial series of (1+z)^(p-1)."""
+    def times(a, b):
+        den, row = a[0] * b[0], _int_convolve(a[1], b[1], i + 1)
+        g = math.gcd(den, *row)
+        return den // g, [x // g for x in row]
+
+    L = math.lcm(*range(1, i + 1))
+    log1p = (L, [0] + [(L if n % 2 else -L) // n for n in range(1, i + 1)])
+    power = (1, [1])
+    for bit in bin(m)[2:]:  # from the top bit: square, then times log(1+z) at a 1
+        power = times(power, power)
+        if bit == "1":
+            power = times(power, log1p)
+    den, acc = power
+    binom = [1]  # binom(p-1, n) is an integer for an integer p, so each step divides exactly
+    for n in range(i):
+        binom.append(binom[-1] * (p - 1 - n) // (n + 1))
+    return Fraction(_int_convolve(acc, binom, i + 1)[i], den * math.factorial(m))
+
+
+def test_zhu_coeff_against_log_power_definition():
     for p in range(1, 6):
         for i in range(8):
             for m in range(i + 1):
-                assert zhu_coeff(p, i, m) == zhu_coeff_binomial_oracle(p, i, m)
+                assert zhu_coeff(p, i, m) == zhu_log_power(p, i, m)
     assert zhu_coeff(1, 0, 0) == 1
     assert zhu_coeff(3, 2, 1) == Fraction(3, 2)
     # (log(1+z))^m starts at z^m, so every z^i below it is 0
     for p, i, m in ((3, 2, 5), (-2, 0, 1), (1, 39, 40)):
-        assert zhu_coeff(p, i, m) == 0 == zhu_coeff_binomial_oracle(p, i, m)
+        assert zhu_coeff(p, i, m) == 0 == zhu_log_power(p, i, m)
 
 
 @settings(max_examples=60, deadline=None)
@@ -844,10 +878,10 @@ def test_zhu_coeff_against_binomial_oracle():
 @example(0, (40, 0))  # m = 0: the binomial row alone, p - 1 < 0
 @example(-3, (4, 2))
 @example(30, (40, 40))
-@example(3, (200, 199))  # log(1+z)^199 by square-and-multiply, at the CLI's largest i
-def test_zhu_coeff_matches_binomial_oracle_at_any_p(p, im):
+@example(3, (200, 199))  # log(1+z)^199, at the CLI's largest i
+def test_zhu_coeff_matches_log_power_at_any_p(p, im):
     i, m = im
-    assert zhu_coeff(p, i, m) == zhu_coeff_binomial_oracle(p, i, m)
+    assert zhu_coeff(p, i, m) == zhu_log_power(p, i, m)
 
 
 @pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(3), 0.5])

@@ -29,7 +29,6 @@ from orbiform.forms import (
     qk_series_divisor_oracle,
     wp1_eval,
     zhu_coeff,
-    zhu_coeff_binomial_oracle,
 )
 from orbiform.frobenius import RegularSingularODE
 from orbiform.modular import S, GammaMat, TorsionPair, reduce_cyclic_pair, slash_eval
@@ -105,13 +104,18 @@ def test_positive_int_refuses_an_int_below_one():
     (lambda: reduce_cyclic_pair(1.0, 2, 5), TypeError, "a must be an int, not float"),
     (lambda: slash_eval(lambda t: t, True, S, 1j), TypeError, "weight must be an int, not bool"),
     (lambda: slash_eval(lambda t: t, 2.0, S, 1j), TypeError, "weight must be an int, not float"),
+    # True was a window at offset 1, and 0.5 failed later as a list index
+    (lambda: BiSeries(0, True, [Puiseux.constant(1, 3)]), TypeError,
+     "window offset must be an int, not bool"),
+    (lambda: BiSeries(0, 0.5, [Puiseux.constant(1, 3)]), TypeError,
+     "window offset must be an int, not float"),
 ], ids=["scale-true", "exponent-true", "scale-float", "wp1-trunc", "zhu-p", "cyc-root-order",
         "reduce-modulus",
         *(f"{site}-{kind}" for site in (
             "qk-weight", "divisor-oracle-weight", "eisenstein-weight", "pbar-window",
             "pk-eval-k", "zhu-m-or-i", "prop48-m", "prop44-j", "bernoulli-number",
             "bernoulli-poly", "bernoulli-identities-n", "cyc-root-exponent", "gamma-entry",
-            "reduce-a", "slash-weight") for kind in ("bool", "float"))])
+            "reduce-a", "slash-weight", "biseries-offset") for kind in ("bool", "float"))])
 def test_outside_ints_are_read_alike(call, exc, fragment):
     # cached: a True or a float must find no cached int
     for k in (1, 2, 4):
@@ -192,7 +196,6 @@ def test_numpy_ints_are_read_as_ints():
     (lambda: pk_eval(0, PAIR, 0.1 + 0.3j, 1.2j), ValueError, "k must be at least 1"),
     (lambda: wp1_eval(0, 1j), NearPole, "q_z too close to 1"),
     (lambda: zhu_coeff(2, -1, 0), ValueError, "i and m must be nonnegative"),
-    (lambda: zhu_coeff_binomial_oracle(2, -1, 0), ValueError, "i and m must be nonnegative"),
     (lambda: prop44_check(2, 0, 3), ValueError, "need 1 <= j <= M"),
     (lambda: prop44_check(1, 1, 3), ValueError, "needs k >= 2"),
     (lambda: delta_j_J(2), ValueError, "truncation at least 3"),
@@ -204,7 +207,7 @@ def test_numpy_ints_are_read_as_ints():
         "ode-coefficient-count", "ode-coefficient-branching", "cycq-coordinate-count",
         "rational-value-of-zeta3", "embed-below-53-bits", "bernoulli-negative-degree",
         "bernoulli-identities-k0", "divisor-oracle-k2", "pbar-empty-window", "pk-eval-k0",
-        "wp1-at-the-pole", "zhu-negative-i", "zhu-oracle-negative-i", "prop44-j-outside",
+        "wp1-at-the-pole", "zhu-negative-i", "prop44-j-outside",
         "prop44-k1", "delta-j-J-trunc-2", "weight4-trunc-2", "cyc-root-order-0",
         "reduce-modulus-0"])
 def test_every_input_error_names_its_cause(call, exc, fragment):
